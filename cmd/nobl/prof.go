@@ -122,10 +122,10 @@ func runProf(args []string) int {
 
 // obsBenchReport is the schema of `nobl benchobs`: the probe plumbing's
 // overhead on the block engine.  baseline and nil_probe run the
-// identical configuration (Options with no probe attached); their ratio
-// is the noise floor CI gates at 3% so a future change that puts real
-// work on the nil-probe path fails loudly.  active_probe (a live
-// recording probe) is informational.
+// identical configuration (Options with no probe attached), so their
+// ratio measures run-to-run noise; TestNilProbeAllocParity, not this
+// report, gates the nil-probe path.  active_probe (a live recording
+// probe) is informational.
 type obsBenchReport struct {
 	Schema           string  `json:"schema"`
 	V                int     `json:"v"`

@@ -22,12 +22,14 @@
 // unchanged, and correctness follows from the classical analysis —
 // validated here by 0-1-principle and randomized tests.  Segments of at
 // most BaseSize VPs sort by an all-gather brute-force pass (one superstep
-// of constant degree).
+// of constant degree): every VP gathers the segment's keys into a scratch
+// buffer it allocates once per run and sorts them locally.
 package colsort
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"netoblivious/alg"
 	"netoblivious/internal/core"
@@ -61,6 +63,14 @@ func (a kv) less(b kv) bool {
 	return a.tag < b.tag
 }
 
+// cmpKV is the three-way form of less, for slices.SortFunc.
+func cmpKV(a, b kv) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.tag, b.tag)
+}
+
 // Shape returns the r×s matrix shape used for a segment of the given size:
 // s = 2^⌊(log₂ size − 1)/3⌋ and r = size/s, which satisfies r >= 2(s−1)²
 // and r >= s for every power of two size >= 16.
@@ -84,6 +94,9 @@ func Sort(keys []int64, opts Options) (*Result, error) {
 // base VPs sort by the all-gather brute-force pass.  base must be at
 // least 8 (smaller segments cannot be split into a valid r×s shape);
 // 0 means 8.  The knob exists for the base-case ablation benchmarks.
+//
+// Every VP allocates one scratch buffer of capacity min(base, n) per run,
+// and all of its base-case supersteps gather and sort in it.
 func SortBase(keys []int64, base int, opts Options) (*Result, error) {
 	n := len(keys)
 	if n < 1 || n&(n-1) != 0 {
@@ -98,7 +111,7 @@ func SortBase(keys []int64, base int, opts Options) (*Result, error) {
 	out := make([]int64, n)
 	prog := func(vp *core.VP[kv]) {
 		me := kv{key: keys[vp.ID()], tag: int32(vp.ID())}
-		me = sortRec(vp, 0, vp.V(), me, opts.Wise, base)
+		me = sortRec(vp, 0, vp.V(), me, opts.Wise, make([]kv, 0, min(base, n)))
 		out[vp.ID()] = me.key
 	}
 	tr, err := core.RunOpt(n, prog, opts.RunOptions())
@@ -131,13 +144,14 @@ func permute(vp *core.VP[kv], base, label int, my kv, dst int, wise bool) kv {
 
 // sortRec sorts the keys held one-per-VP by the segment [base, base+size)
 // in position order: on return, the VP at segment position t holds the key
-// of rank t within the segment.
-func sortRec(vp *core.VP[kv], base, size int, my kv, wise bool, baseSize int) kv {
+// of rank t within the segment.  buf is the VP's base-case scratch buffer:
+// segments of at most cap(buf) VPs sort in it by gatherSort.
+func sortRec(vp *core.VP[kv], base, size int, my kv, wise bool, buf []kv) kv {
 	if size == 1 {
 		return my
 	}
-	if size <= baseSize {
-		return gatherSort(vp, base, size, my, wise)
+	if size <= cap(buf) {
+		return gatherSort(vp, base, size, my, wise, buf)
 	}
 	label := vp.LogV() - core.Log2(size)
 	r, s := Shape(size)
@@ -145,7 +159,7 @@ func sortRec(vp *core.VP[kv], base, size int, my kv, wise bool, baseSize int) kv
 	column := func(my kv) kv {
 		pos := vp.ID() - base
 		cbase := base + pos/r*r
-		return sortRec(vp, cbase, r, my, wise, baseSize)
+		return sortRec(vp, cbase, r, my, wise, buf)
 	}
 
 	// Phase 1: sort columns.
@@ -183,10 +197,14 @@ func sortRec(vp *core.VP[kv], base, size int, my kv, wise bool, baseSize int) kv
 	return permute(vp, base, label, my, base+dst, wise)
 }
 
-// gatherSort sorts a segment of at most BaseSize VPs with one all-gather
-// superstep: every VP broadcasts its key within the segment, ranks the
-// full set locally and keeps the key matching its position.
-func gatherSort(vp *core.VP[kv], base, size int, my kv, wise bool) kv {
+// gatherSort sorts a segment of at most cap(buf) VPs with one all-gather
+// superstep: every VP broadcasts its key within the segment, gathers the
+// full set into its scratch buffer buf, sorts it locally and keeps the key
+// matching its position.  It runs on every VP at every base-case
+// superstep, so it must not allocate.
+//
+//nob:hotpath
+func gatherSort(vp *core.VP[kv], base, size int, my kv, wise bool, buf []kv) kv {
 	label := vp.LogV() - core.Log2(size)
 	pos := vp.ID() - base
 	for t := 0; t < size; t++ {
@@ -198,14 +216,15 @@ func gatherSort(vp *core.VP[kv], base, size int, my kv, wise bool) kv {
 		core.WisenessDummies(vp, label, 1)
 	}
 	vp.Sync(label)
-	all := make([]kv, 0, size)
+	all := buf[:0]
 	all = append(all, my)
 	for _, msg := range vp.Inbox() {
 		all = append(all, msg.Payload)
 	}
 	if len(all) != size {
+		//nolint:hotalloc // programmer error: the engine delivered a wrong key count; the cold panic path may box
 		panic("colsort: gather received wrong key count")
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].less(all[j]) })
+	slices.SortFunc(all, cmpKV)
 	return all[pos]
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"netoblivious/internal/core"
 	"netoblivious/internal/eval"
 	"netoblivious/internal/theory"
 )
@@ -214,6 +215,38 @@ func TestStability(t *testing.T) {
 	if !isSorted(res.Keys) {
 		t.Fatal("not sorted")
 	}
+}
+
+// TestSortAllocsPerVPSuperstep: the VPs' local work allocates nothing
+// per superstep — each VP gathers its base cases into one buffer
+// allocated per run — so a whole block-engine run stays far below one
+// allocation per VP-superstep (a per-superstep []kv plus sort.Slice cost
+// about 1.7).
+func TestSortAllocsPerVPSuperstep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four sorts at n=1024")
+	}
+	const n = 1024
+	rng := rand.New(rand.NewSource(6))
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = rng.Int63()
+	}
+	opts := Options{Engine: core.BlockEngine{}}
+	res, err := Sort(keys, opts) // warm-up: fills the coroutine cache
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Sort(keys, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	per := allocs / float64(n*res.Trace.NumSupersteps())
+	if per >= 0.1 {
+		t.Errorf("%.0f allocations per run = %.3f per VP-superstep, want < 0.1", allocs, per)
+	}
+	t.Logf("%.0f allocations per run = %.4f per VP-superstep", allocs, per)
 }
 
 // TestValidation rejects bad inputs.

@@ -1,6 +1,6 @@
 package colsort
 
-import "sort"
+import "slices"
 
 // SeqColumnsort is a sequential mirror of the parallel algorithm: the same
 // shapes, permutations and recursion, executed on a slice.  It exists so
@@ -16,7 +16,7 @@ func SeqColumnsort(keys []int64) []int64 {
 	for i, k := range keys {
 		a[i] = kv{key: k, tag: int32(i)}
 	}
-	seqRec(a, 8)
+	seqRec(a, make([]kv, n), 8)
 	out := make([]int64, n)
 	for i, e := range a {
 		out[i] = e.key
@@ -24,44 +24,52 @@ func SeqColumnsort(keys []int64) []int64 {
 	return out
 }
 
-func seqRec(a []kv, baseSize int) {
+// seqRec sorts a in place.  tmp is scratch of the same length: each
+// permutation writes into it and copies back, and column recursions
+// borrow its matching sub-ranges, so the whole sort allocates nothing.
+func seqRec(a, tmp []kv, baseSize int) {
 	size := len(a)
 	if size == 1 {
 		return
 	}
 	if size <= baseSize {
-		sort.Slice(a, func(i, j int) bool { return a[i].less(a[j]) })
+		slices.SortFunc(a, cmpKV)
 		return
 	}
 	r, s := Shape(size)
-	columns := func() {
-		for c := 0; c < s; c++ {
-			seqRec(a[c*r:(c+1)*r], baseSize)
-		}
-	}
-	apply := func(perm func(pos int) int) {
-		b := make([]kv, size)
-		for pos, e := range a {
-			b[perm(pos)] = e
-		}
-		copy(a, b)
-	}
 
-	columns()                                              // 1
-	apply(func(pos int) int { return pos%s*r + pos/s })    // 2: transpose
-	columns()                                              // 3
-	apply(func(pos int) int { return pos%r*s + pos/r })    // 4: untranspose
-	columns()                                              // 5
-	apply(func(pos int) int { return (pos + r/2) % size }) // 6: shift
-	columns()                                              // 7
-	apply(func(pos int) int {                              // 8: inverse shift with column-0 wrap
+	seqColumns(a, tmp, r, baseSize) // 1
+	for pos, e := range a {         // 2: transpose
+		tmp[pos%s*r+pos/s] = e
+	}
+	copy(a, tmp)
+	seqColumns(a, tmp, r, baseSize) // 3
+	for pos, e := range a {         // 4: untranspose
+		tmp[pos%r*s+pos/r] = e
+	}
+	copy(a, tmp)
+	seqColumns(a, tmp, r, baseSize) // 5
+	for pos, e := range a {         // 6: shift
+		tmp[(pos+r/2)%size] = e
+	}
+	copy(a, tmp)
+	seqColumns(a, tmp, r, baseSize) // 7
+	for pos, e := range a {         // 8: inverse shift with column-0 wrap
 		switch {
 		case pos >= r:
-			return pos - r/2
+			tmp[pos-r/2] = e
 		case pos < r/2:
-			return pos
+			tmp[pos] = e
 		default:
-			return size - r + pos
+			tmp[size-r+pos] = e
 		}
-	})
+	}
+	copy(a, tmp)
+}
+
+// seqColumns sorts each r-key column of a.
+func seqColumns(a, tmp []kv, r, baseSize int) {
+	for c := 0; c < len(a); c += r {
+		seqRec(a[c:c+r], tmp[c:c+r], baseSize)
+	}
 }

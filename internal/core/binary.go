@@ -6,8 +6,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // This file implements the compact binary trace format used for
@@ -236,9 +238,17 @@ func (br *TraceBinaryReader) Next() (*StepRec, error) {
 	for j := range br.rec.Degree {
 		br.rec.Degree[j] = int64(binary.LittleEndian.Uint64(fixed[12+j*8:]))
 	}
+	// Validate before reading the columns, so a hostile header is
+	// rejected before any column allocation.
+	if err := validateStep(&br.rec, br.idx, br.logV, br.labelBound); err != nil {
+		return nil, err
+	}
 	n := binary.LittleEndian.Uint64(fixed[12+(br.logV+1)*8:])
 	if n > uint64(br.rec.Messages) {
 		return nil, fmt.Errorf("core: decoding trace: step %d declares %d pairs for %d messages", br.idx, n, br.rec.Messages)
+	}
+	if n > math.MaxInt/4 {
+		return nil, fmt.Errorf("core: decoding trace: step %d declares %d pairs, more than a column can hold", br.idx, n)
 	}
 	if n > 0 {
 		src, err := br.readColumn(int(n))
@@ -251,22 +261,29 @@ func (br *TraceBinaryReader) Next() (*StepRec, error) {
 		}
 		br.rec.Pairs = pairListOver(src, dst)
 	}
-	if err := validateStep(&br.rec, br.idx, br.logV, br.labelBound); err != nil {
-		return nil, err
-	}
 	br.idx++
 	return &br.rec, nil
 }
 
-// readColumn reads n int32 values.
+// readChunk bounds one column read, in values: the pair count is
+// untrusted, so a column grows only as its bytes actually arrive.
+const readChunk = 16 << 10
+
+// readColumn reads n int32 values in chunks of at most readChunk.
 func (br *TraceBinaryReader) readColumn(n int) ([]int32, error) {
-	raw := br.buf(n * 4)
-	if _, err := io.ReadFull(br.br, raw); err != nil {
-		return nil, fmt.Errorf("core: decoding trace: %w (truncated spill file?)", err)
-	}
-	col := make([]int32, n)
-	for i := range col {
-		col[i] = int32(binary.LittleEndian.Uint32(raw[i*4:]))
+	col := make([]int32, 0, min(n, readChunk))
+	for len(col) < n {
+		k := min(n-len(col), readChunk)
+		raw := br.buf(4 * k)
+		if _, err := io.ReadFull(br.br, raw); err != nil {
+			return nil, fmt.Errorf("core: decoding trace: %w (truncated spill file?)", err)
+		}
+		// Double rather than append's 1.25x, so a long column reallocates
+		// only logarithmically often.
+		col = slices.Grow(col, max(k, min(len(col), n-len(col))))
+		for i := 0; i < k; i++ {
+			col = append(col, int32(binary.LittleEndian.Uint32(raw[4*i:])))
+		}
 	}
 	return col, nil
 }

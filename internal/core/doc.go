@@ -167,8 +167,7 @@
 //   - The nil-probe guarantee.  A nil Probe (the zero Options) leaves
 //     every hot path untouched beyond a pointer check: no allocation,
 //     no clock read, no map construction.  TestNilProbeAllocParity
-//     asserts allocation parity with an un-probed run and CI gates the
-//     block-engine ns/op ratio (BENCH_obs.json) at 3%.
+//     asserts allocation parity with an un-probed run.
 //
 // Custom engines are not possible (the Engine interface is sealed), so
 // the contract doubles as the exhaustive list of span sources in core.

@@ -279,6 +279,9 @@ func validateStep(rec *StepRec, i, logV, labelBound int) error {
 	if rec.Label < 0 || rec.Label >= labelBound {
 		return fmt.Errorf("core: trace step %d has invalid label %d", i, rec.Label)
 	}
+	if rec.Messages < 0 {
+		return fmt.Errorf("core: trace step %d declares %d messages", i, rec.Messages)
+	}
 	if len(rec.Degree) != logV+1 {
 		return fmt.Errorf("core: trace step %d has %d degree entries, want %d", i, len(rec.Degree), logV+1)
 	}

@@ -56,6 +56,7 @@ func TestDecodeJSONRejectsCorruptTraces(t *testing.T) {
 		"bad degree len":  `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0],"Messages":0}]}`,
 		"negative degree": `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,-1,0],"Messages":0}]}`,
 		"local degree":    `{"v":4,"log_v":2,"steps":[{"Label":1,"Degree":[0,2,0],"Messages":0}]}`,
+		"negative msgs":   `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,0,0],"Messages":-1}]}`,
 	}
 	for name, payload := range cases {
 		if _, err := DecodeJSON(strings.NewReader(payload)); err == nil {

@@ -59,8 +59,8 @@ type Options struct {
 	// Probe records per-superstep spans and engine events for timeline
 	// export (see the probe contract in the package documentation).  nil
 	// — the default — disables instrumentation entirely; the nil path
-	// costs one pointer check per superstep and is benchmark-gated to
-	// stay indistinguishable from an un-instrumented run.
+	// costs one pointer check per superstep and is tested to allocate
+	// exactly like an un-instrumented run.
 	Probe *obs.Probe
 }
 
