@@ -56,20 +56,16 @@ type kv struct {
 	tag int32
 }
 
-func (a kv) less(b kv) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.tag < b.tag
-}
-
-// cmpKV is the three-way form of less, for slices.SortFunc.
+// cmpKV orders kv by key, then tag, in the three-way form slices.SortFunc
+// takes.
 func cmpKV(a, b kv) int {
 	if c := cmp.Compare(a.key, b.key); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.tag, b.tag)
 }
+
+func (a kv) less(b kv) bool { return cmpKV(a, b) < 0 }
 
 // Shape returns the r×s matrix shape used for a segment of the given size:
 // s = 2^⌊(log₂ size − 1)/3⌋ and r = size/s, which satisfies r >= 2(s−1)²

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 )
 
 // This file implements the compact binary trace format used for
@@ -247,8 +246,8 @@ func (br *TraceBinaryReader) Next() (*StepRec, error) {
 	if n > uint64(br.rec.Messages) {
 		return nil, fmt.Errorf("core: decoding trace: step %d declares %d pairs for %d messages", br.idx, n, br.rec.Messages)
 	}
-	if n > math.MaxInt/4 {
-		return nil, fmt.Errorf("core: decoding trace: step %d declares %d pairs, more than a column can hold", br.idx, n)
+	if n > math.MaxInt {
+		return nil, fmt.Errorf("core: decoding trace: step %d declares %d pairs, more than an int can count", br.idx, n)
 	}
 	if n > 0 {
 		src, err := br.readColumn(int(n))
@@ -278,9 +277,6 @@ func (br *TraceBinaryReader) readColumn(n int) ([]int32, error) {
 		if _, err := io.ReadFull(br.br, raw); err != nil {
 			return nil, fmt.Errorf("core: decoding trace: %w (truncated spill file?)", err)
 		}
-		// Double rather than append's 1.25x, so a long column reallocates
-		// only logarithmically often.
-		col = slices.Grow(col, max(k, min(len(col), n-len(col))))
 		for i := 0; i < k; i++ {
 			col = append(col, int32(binary.LittleEndian.Uint32(raw[4*i:])))
 		}

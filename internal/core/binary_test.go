@@ -34,7 +34,7 @@ func TestBinaryReaderBoundsHostilePairCount(t *testing.T) {
 	}{
 		{"2^40 pairs", hostileStep(1<<40, 1<<40)},
 		{"negative messages", hostileStep(-1, 1<<40)},
-		{"pair bytes overflow int", hostileStep(1<<63-1, 1<<63-1)},
+		{"int64-max pairs", hostileStep(1<<63-1, 1<<63-1)},
 	}
 	for _, tc := range cases {
 		var before, after runtime.MemStats
