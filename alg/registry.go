@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"netoblivious/internal/core"
 )
 
 // Algorithm is a typed descriptor of one runnable network-oblivious
@@ -71,16 +69,6 @@ func (a Algorithm) Run(ctx context.Context, spec Spec, n int) (Result, error) {
 	if ctx != nil {
 		spec.Ctx = ctx
 	}
-	// Key the replay engine (a no-op for every other engine) so any
-	// registered algorithm gets schedule caching for free: the registry's
-	// determinism contract — a run depends only on (n, spec) — is exactly
-	// the staticness the compiled-schedule cache needs.  Wise runs execute
-	// a different program, so they get their own key.
-	name := a.Name
-	if spec.Wise {
-		name += "+wise"
-	}
-	spec.Engine = core.KeyedReplay(spec.Engine, name, n)
 	return a.RunFn(spec.Ctx, spec, n)
 }
 

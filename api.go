@@ -90,7 +90,9 @@ type RunOptions = core.Options
 // Engine selects how M(v) is executed on the host.  Engines change only
 // scheduling cost, never semantics: every engine produces the identical
 // Trace for a valid program, a property enforced by the repository's
-// cross-engine equivalence tests.
+// cross-engine equivalence tests.  That is why no memo key names an
+// engine: TraceKey, the trace store, the nobld result cache and cluster
+// placement all key a trace by (algorithm, n) alone.
 //
 // Selection guidance: the default BlockEngine is right for virtually all
 // workloads — it runs a worker per core and scales to millions of VPs.
@@ -108,15 +110,8 @@ type GoroutineEngine = core.GoroutineEngine
 // worker pool through tree barriers and bucketed message routing.
 type BlockEngine = core.BlockEngine
 
-// ReplayEngine is the schedule-caching engine: the first run of a keyed
-// static program executes once, instrumented, and compiles the recorded
-// schedule; every later run replays the compiled schedule allocation-free
-// without executing the program.  Registered algorithms are keyed
-// automatically; see core.ReplayEngine.
-type ReplayEngine = core.ReplayEngine
-
-// EngineByName resolves "goroutine", "block" or "replay" to an Engine,
-// for wiring to command-line flags.  The error enumerates every
+// EngineByName resolves "goroutine" or "block" to an Engine, for
+// wiring to command-line flags.  The error enumerates every
 // registered name.
 func EngineByName(name string) (Engine, error) { return core.EngineByName(name) }
 

@@ -506,31 +506,15 @@ func benchEngineWorkload(b *testing.B, eng nob.Engine, v int) {
 	b.ReportMetric(float64(len(labels)+1), "supersteps")
 }
 
-// benchRunEngine resolves an engine for the BenchmarkRun series.  The
-// replay engine gets an explicit per-size key so its schedule caches:
-// the first iteration is the recording compile, every later one a warm
-// replay, which b.N amortizes to the steady-state replay cost.
-func benchRunEngine(b *testing.B, engName string, v int) nob.Engine {
-	if engName == "replay" {
-		return nob.ReplayEngine{Key: core.TraceKey{Algorithm: "bench-run-workload", N: v, Engine: "replay"}}
-	}
-	eng, err := nob.EngineByName(engName)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return eng
-}
-
 // BenchmarkRun compares the execution engines on the superstep workload
 // across machine sizes: the headline series for the block-scheduled
-// runtime refactor and the trace-compiled replay engine.
-// BenchmarkRunLarge extends it to v = 2^16 and 2^18.
+// runtime.  BenchmarkRunLarge extends it to v = 2^16 and 2^18.
 func BenchmarkRun(b *testing.B) {
-	for _, engName := range []string{"goroutine", "block", "replay"} {
+	for _, eng := range nob.Engines() {
 		for _, lv := range []int{10, 12, 14} {
 			v := 1 << uint(lv)
-			b.Run(fmt.Sprintf("engine=%s/v=%d", engName, v), func(b *testing.B) {
-				benchEngineWorkload(b, benchRunEngine(b, engName, v), v)
+			b.Run(fmt.Sprintf("engine=%s/v=%d", eng.Name(), v), func(b *testing.B) {
+				benchEngineWorkload(b, eng, v)
 			})
 		}
 	}
@@ -539,11 +523,11 @@ func BenchmarkRun(b *testing.B) {
 // BenchmarkRunLarge is the large-machine tail of BenchmarkRun, split out
 // so quick smoke runs can match '^BenchmarkRun$' and skip it.
 func BenchmarkRunLarge(b *testing.B) {
-	for _, engName := range []string{"goroutine", "block", "replay"} {
+	for _, eng := range nob.Engines() {
 		for _, lv := range []int{16, 18} {
 			v := 1 << uint(lv)
-			b.Run(fmt.Sprintf("engine=%s/v=%d", engName, v), func(b *testing.B) {
-				benchEngineWorkload(b, benchRunEngine(b, engName, v), v)
+			b.Run(fmt.Sprintf("engine=%s/v=%d", eng.Name(), v), func(b *testing.B) {
+				benchEngineWorkload(b, eng, v)
 			})
 		}
 	}

@@ -16,17 +16,12 @@
 //	                              network presets in one streaming pass
 //	                              ('-' reads stdin; -cache adds the
 //	                              single-pass ideal-cache miss curve)
-//	nobl benchnet [-p P] [-o F]   benchmark the routing engine across every
-//	                              topology and strategy (JSON report)
-//	nobl benchcore [-o F]         benchmark every execution engine on the
-//	                              superstep workload (JSON report);
-//	                              -traceout adds the streaming-trace
-//	                              memory report (BENCH_trace.json)
 //	nobl prof <alg> [-n N] [-o F] run one algorithm under the engine probe
 //	                              and write a Chrome trace-event timeline;
 //	                              -cpuprofile/-memprofile add pprof output
-//	nobl benchobs [-o F]          measure the probe plumbing's overhead on
-//	                              the block engine (JSON report)
+//
+// Performance is measured by the benchmark under bench/ (see
+// bench/README.md), not by this command.
 //
 // Flags:
 //
@@ -35,11 +30,9 @@
 //	-out DIR    write per-experiment files into DIR instead of stdout
 //	-parallel N run up to N experiments concurrently (0 = GOMAXPROCS);
 //	            output is byte-identical at any parallelism
-//	-bench F    write a wall-clock/trace-store bench report to F (JSON)
 //	-engine     execution engine for all specification-model runs; run
 //	            'nobl algorithms' for the list (block, the sharded
-//	            default; goroutine, the reference; replay, the
-//	            schedule-caching engine for repeated static runs)
+//	            default; goroutine, the reference)
 //
 // Exit status: 0 when every selected experiment ran and every check
 // passed; 1 when an experiment failed to run or any check failed; 2 on
@@ -54,11 +47,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -79,7 +69,6 @@ func main() {
 	format := flag.String("format", "text", "output format: text|md|json|csv")
 	outDir := flag.String("out", "", "write per-experiment files into this directory")
 	parallel := flag.Int("parallel", 0, "max concurrent experiments (0 = GOMAXPROCS, 1 = sequential)")
-	benchPath := flag.String("bench", "", "write a wall-clock + trace-store bench report (JSON) to this file")
 	engineName := flag.String("engine", core.DefaultEngine().Name(),
 		"execution engine: "+strings.Join(core.EngineNames(), "|"))
 	logLevel := flag.String("log-level", "warn", "diagnostic log level: debug|info|warn|error")
@@ -130,7 +119,7 @@ func main() {
 			Parallel: *parallel,
 			Store:    harness.NewTraceStore(),
 		}
-		os.Exit(runSuite(cfg, f, *outDir, *benchPath, args[1:]))
+		os.Exit(runSuite(cfg, f, *outDir, args[1:]))
 	case "algorithms":
 		for _, a := range harness.TraceAlgorithms() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
@@ -143,12 +132,6 @@ func main() {
 		runStat(args[1:])
 	case "prof":
 		os.Exit(runProf(args[1:]))
-	case "benchnet":
-		os.Exit(runBenchNet(args[1:]))
-	case "benchcore":
-		os.Exit(runBenchCore(args[1:]))
-	case "benchobs":
-		os.Exit(runBenchObs(args[1:]))
 	case "remote":
 		os.Exit(runRemote(f, args[1:]))
 	default:
@@ -321,7 +304,7 @@ func runRemote(f harness.Format, args []string) int {
 			if o.Local {
 				where += " (local)"
 			}
-			fmt.Printf("key %s -> %s\n", o.RouteKey, where)
+			fmt.Printf("key %s -> %s\n", o.Key, where)
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "nobl remote: need one of algorithms|analyze|job|metrics|cluster")
@@ -353,7 +336,7 @@ func renderDocument(f harness.Format, doc *harness.Document) error {
 // runSuite executes the selected experiments, renders them through the
 // chosen sink, prints one pass/fail summary line per experiment, writes
 // the optional bench report, and returns the process exit code.
-func runSuite(cfg harness.Config, f harness.Format, outDir, benchPath string, ids []string) int {
+func runSuite(cfg harness.Config, f harness.Format, outDir string, ids []string) int {
 	start := time.Now()
 	recs, err := harness.RunSuite(cfg, ids)
 	if err != nil {
@@ -390,13 +373,6 @@ func runSuite(cfg harness.Config, f harness.Format, outDir, benchPath string, id
 		"store_misses", st.Misses)
 	fmt.Fprintf(os.Stderr, "nobl: %d experiments in %s; trace store: %d hits / %d misses (%.0f%% hit rate)\n",
 		len(recs), total.Round(time.Millisecond), st.Hits, st.Misses, 100*st.HitRate())
-	if benchPath != "" {
-		if err := writeBenchReport(benchPath, cfg, recs, total); err != nil {
-			fmt.Fprintf(os.Stderr, "nobl: bench report: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "nobl: bench report written to %s\n", benchPath)
-	}
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "nobl: %d experiment(s) failing\n", failures)
 		return 1
@@ -448,441 +424,6 @@ func render(cfg harness.Config, f harness.Format, outDir string, recs []harness.
 		}
 	}
 	return nil
-}
-
-// benchReport is the schema of the -bench output: per-experiment
-// wall-clock plus trace-store effectiveness, the series CI archives to
-// track harness performance over time.
-type benchReport struct {
-	Schema   string            `json:"schema"`
-	Quick    bool              `json:"quick"`
-	Engine   string            `json:"engine"`
-	Parallel int               `json:"parallel"`
-	TotalMs  float64           `json:"total_wall_ms"`
-	Store    benchStore        `json:"trace_store"`
-	Results  []benchExperiment `json:"experiments"`
-}
-
-type benchStore struct {
-	Hits    int64   `json:"hits"`
-	Misses  int64   `json:"misses"`
-	HitRate float64 `json:"hit_rate"`
-}
-
-type benchExperiment struct {
-	ID     string  `json:"id"`
-	WallMs float64 `json:"wall_ms"`
-	Pass   bool    `json:"pass"`
-}
-
-func writeBenchReport(path string, cfg harness.Config, recs []harness.Record, total time.Duration) error {
-	st := cfg.Store.Stats()
-	rep := benchReport{
-		Schema:   "nobl/bench/v1",
-		Quick:    cfg.Quick,
-		Engine:   cfg.Engine.Name(),
-		Parallel: cfg.Parallel,
-		TotalMs:  float64(total.Microseconds()) / 1e3,
-		Store:    benchStore{Hits: st.Hits, Misses: st.Misses, HitRate: st.HitRate()},
-	}
-	for _, rec := range recs {
-		rep.Results = append(rep.Results, benchExperiment{
-			ID:     rec.ID,
-			WallMs: float64(rec.Elapsed.Microseconds()) / 1e3,
-			Pass:   rec.Passed(),
-		})
-	}
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(file)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		file.Close()
-		return err
-	}
-	return file.Close()
-}
-
-// networkBenchReport is the schema of `nobl benchnet`: routing
-// throughput per (topology, strategy), the series CI archives as
-// BENCH_network.json to track engine performance over time.
-type networkBenchReport struct {
-	Schema  string             `json:"schema"`
-	P       int                `json:"p"`
-	H       int                `json:"h"`
-	Results []networkBenchCase `json:"cases"`
-}
-
-type networkBenchCase struct {
-	Topology   string  `json:"topology"`
-	Strategy   string  `json:"strategy"`
-	Makespan   int     `json:"makespan"`
-	TotalHops  int     `json:"total_hops"`
-	WallMs     float64 `json:"wall_ms"`
-	HopsPerSec float64 `json:"packet_hops_per_sec"`
-}
-
-// runBenchNet routes a full h-relation on every (topology, strategy)
-// pair valid at p and reports packet-hops/second.
-func runBenchNet(args []string) int {
-	fs := flag.NewFlagSet("benchnet", flag.ExitOnError)
-	p := fs.Int("p", 256, "processors (power of two; families invalid at p are skipped)")
-	h := fs.Int("h", 8, "h-relation degree")
-	reps := fs.Int("reps", 3, "repetitions per case (fastest wall-clock wins)")
-	out := fs.String("o", "", "output file (default stdout)")
-	_ = fs.Parse(args)
-	rep := networkBenchReport{Schema: "nobl/bench-network/v1", P: *p, H: *h}
-	rng := rand.New(rand.NewSource(1))
-	for _, family := range network.TopologyNames() {
-		if !network.TopologyValid(family, *p) {
-			fmt.Fprintf(os.Stderr, "nobl benchnet: skipping %s (invalid at p=%d)\n", family, *p)
-			continue
-		}
-		topo, err := network.TopologyByName(family, *p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nobl benchnet: %v\n", err)
-			return 1
-		}
-		sim := network.NewSim(topo)
-		msgs := network.ClusterHRelation(rng, *p, 0, *h)
-		for _, strategy := range network.RouterNames() {
-			var best networkBenchCase
-			for trial := 0; trial < *reps; trial++ {
-				router, err := network.RouterByName(strategy, 1)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "nobl benchnet: %v\n", err)
-					return 1
-				}
-				start := time.Now()
-				res := sim.RouteWith(router, msgs)
-				wall := time.Since(start)
-				c := networkBenchCase{
-					Topology:   family,
-					Strategy:   strategy,
-					Makespan:   res.Makespan,
-					TotalHops:  res.TotalHops,
-					WallMs:     wall.Seconds() * 1e3,
-					HopsPerSec: float64(res.TotalHops) / wall.Seconds(),
-				}
-				if trial == 0 || c.WallMs < best.WallMs {
-					best = c
-				}
-			}
-			rep.Results = append(rep.Results, best)
-			fmt.Fprintf(os.Stderr, "nobl benchnet: %-10s %-14s makespan %-6d %8.2f Mhops/s\n",
-				family, strategy, best.Makespan, best.HopsPerSec/1e6)
-		}
-	}
-	w := os.Stdout
-	if *out != "" {
-		file, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nobl benchnet: %v\n", err)
-			return 1
-		}
-		defer file.Close()
-		w = file
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintf(os.Stderr, "nobl benchnet: %v\n", err)
-		return 1
-	}
-	return 0
-}
-
-// coreBenchReport is the schema of `nobl benchcore`: specification-model
-// latency per (engine, machine size) on the fixed superstep workload —
-// exchanges at a deep label, a mid label and the global label, as real
-// algorithms do — plus the warm-replay speedup over the other engines.
-// CI archives it as BENCH_core.json to track engine performance over
-// time.
-type coreBenchReport struct {
-	Schema  string           `json:"schema"`
-	Reps    int              `json:"reps"`
-	Results []coreBenchCase  `json:"cases"`
-	Speedup []coreBenchRatio `json:"warm_replay_speedup"`
-}
-
-type coreBenchCase struct {
-	Engine string  `json:"engine"`
-	V      int     `json:"v"`
-	NsOp   float64 `json:"ns_per_op"`
-	Iters  int     `json:"iters"`
-}
-
-type coreBenchRatio struct {
-	V           int     `json:"v"`
-	VsBlock     float64 `json:"vs_block"`
-	VsGoroutine float64 `json:"vs_goroutine"`
-}
-
-// benchCoreWorkload runs the fixed superstep mix on the given engine and
-// machine size (the same mix the BenchmarkRun series uses).
-func benchCoreWorkload(v int, eng core.Engine) error {
-	return benchCoreWorkloadOpt(v, core.Options{Engine: eng})
-}
-
-// benchCoreWorkloadOpt is benchCoreWorkload with full Options control,
-// so `nobl benchobs` can thread a probe (or an explicit nil) through the
-// identical workload.
-func benchCoreWorkloadOpt(v int, opts core.Options) error {
-	labels := []int{core.Log2(v) - 1, 2, 0}
-	if v < 8 {
-		labels = []int{0}
-	}
-	_, err := core.RunOpt(v, func(vp *core.VP[int64]) {
-		var acc int64
-		for _, lab := range labels {
-			partner := vp.ID() ^ (v >> uint(lab+1))
-			vp.Send(partner, int64(vp.ID())+acc)
-			vp.Sync(lab)
-			if m, ok := vp.Receive(); ok {
-				acc += m
-			}
-		}
-		vp.Sync(0)
-	}, opts)
-	return err
-}
-
-// measureNsOp times fn over enough iterations to damp timer noise and
-// returns ns/op with the iteration count used.
-func measureNsOp(fn func() error) (float64, int, error) {
-	start := time.Now()
-	if err := fn(); err != nil {
-		return 0, 0, err
-	}
-	first := time.Since(start)
-	iters := 1
-	if target := 50 * time.Millisecond; first < target {
-		iters = int(target/(first+1)) + 1
-		if iters > 2000 {
-			iters = 2000
-		}
-	}
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		if err := fn(); err != nil {
-			return 0, 0, err
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(iters), iters, nil
-}
-
-// traceBenchReport is the schema of `nobl benchcore -traceout`: the peak
-// live heap of a recorded run streamed into a sink, next to the bytes
-// the same trace would occupy accumulated in memory.  CI archives it as
-// BENCH_trace.json and gates peak_delta_bytes against a fixed budget
-// independent of n — the O(largest superstep) streaming guarantee.
-type traceBenchReport struct {
-	Schema           string  `json:"schema"`
-	Algorithm        string  `json:"algorithm"`
-	N                int     `json:"n"`
-	V                int     `json:"v"`
-	Supersteps       int     `json:"supersteps"`
-	Messages         int64   `json:"messages"`
-	InMemBytes       int64   `json:"inmem_bytes"`
-	LargestStepBytes int64   `json:"largest_step_bytes"`
-	BaselineBytes    uint64  `json:"baseline_bytes"`
-	PeakLiveBytes    uint64  `json:"peak_live_bytes"`
-	PeakDeltaBytes   uint64  `json:"peak_delta_bytes"`
-	WallMs           float64 `json:"wall_ms"`
-}
-
-// memSampleSink wraps a sink and samples the live heap at every
-// superstep boundary — before the wrapped sink consumes the record, so
-// the sample includes the pending superstep's pairs.  It also sums what
-// an in-memory trace of the same run would occupy, giving the
-// streamed-vs-accumulated comparison without ever accumulating.
-type memSampleSink struct {
-	inner    core.TraceSink
-	steps    int
-	messages int64
-	inmem    int64
-	largest  int64
-	peak     uint64
-}
-
-func (s *memSampleSink) BeginTrace(v, logV int) error { return s.inner.BeginTrace(v, logV) }
-
-func (s *memSampleSink) WriteStep(rec core.StepRec) error {
-	sz := int64(64 + len(rec.Degree)*8 + rec.Pairs.Len()*8)
-	s.inmem += sz
-	if sz > s.largest {
-		s.largest = sz
-	}
-	s.steps++
-	s.messages += rec.Messages
-	runtime.GC() // drop garbage so the sample is live bytes, not churn
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc > s.peak {
-		s.peak = ms.HeapAlloc
-	}
-	return s.inner.WriteStep(rec)
-}
-
-func (s *memSampleSink) EndTrace(runErr error) error { return s.inner.EndTrace(runErr) }
-
-// runTraceBench measures the streaming footprint of one recorded run and
-// writes the traceBenchReport.
-func runTraceBench(path, algName string, n int) int {
-	a, ok := harness.TraceAlgorithmByName(algName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "nobl benchcore: unknown -tracealg %q (see 'nobl algorithms')\n", algName)
-		return 1
-	}
-	if err := a.ValidSize(n); err != nil {
-		fmt.Fprintf(os.Stderr, "nobl benchcore: -tracen: %v\n", err)
-		return 2
-	}
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	baseline := ms.HeapAlloc
-	sink := &memSampleSink{inner: &core.DiscardSink{}}
-	start := time.Now()
-	run, err := a.Run(context.Background(), alg.Spec{Record: true, Sink: sink}, n)
-	wall := time.Since(start)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nobl benchcore: %v\n", err)
-		return 1
-	}
-	rep := traceBenchReport{
-		Schema:           "nobl/bench-trace/v1",
-		Algorithm:        a.Name,
-		N:                n,
-		V:                run.Trace.V,
-		Supersteps:       sink.steps,
-		Messages:         sink.messages,
-		InMemBytes:       sink.inmem,
-		LargestStepBytes: sink.largest,
-		BaselineBytes:    baseline,
-		PeakLiveBytes:    sink.peak,
-		WallMs:           wall.Seconds() * 1e3,
-	}
-	if sink.peak > baseline {
-		rep.PeakDeltaBytes = sink.peak - baseline
-	}
-	file, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nobl benchcore: %v\n", err)
-		return 1
-	}
-	enc := json.NewEncoder(file)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		file.Close()
-		fmt.Fprintf(os.Stderr, "nobl benchcore: %v\n", err)
-		return 1
-	}
-	if err := file.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "nobl benchcore: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "nobl benchcore: %s n=%d streamed in %.0f ms: peak live %.1f MiB over baseline (in-memory trace would hold %.1f MiB)\n",
-		a.Name, n, rep.WallMs, float64(rep.PeakDeltaBytes)/(1<<20), float64(rep.InMemBytes)/(1<<20))
-	return 0
-}
-
-// runBenchCore benchmarks every selectable engine on the superstep
-// workload across machine sizes.  The replay engine is measured warm:
-// one unmeasured run records, compiles and caches the schedule, so its
-// ns/op is the steady-state replay cost the schedule cache delivers.
-// With -traceout it additionally measures the streaming-trace footprint
-// (traceBenchReport) of one large recorded run.
-func runBenchCore(args []string) int {
-	fs := flag.NewFlagSet("benchcore", flag.ExitOnError)
-	sizesFlag := fs.String("sizes", "10,12,14", "comma-separated log2 machine sizes")
-	reps := fs.Int("reps", 3, "repetitions per case (fastest ns/op wins)")
-	out := fs.String("o", "", "output file (default stdout)")
-	traceOut := fs.String("traceout", "", "also write a streaming-trace memory report (BENCH_trace.json) to this file")
-	traceAlg := fs.String("tracealg", "fft", "algorithm for the -traceout probe")
-	traceN := fs.Int("tracen", 1<<16, "input size for the -traceout probe")
-	_ = fs.Parse(args)
-	var sizes []int
-	for _, s := range strings.Split(*sizesFlag, ",") {
-		lv, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || lv < 1 || lv > 24 {
-			fmt.Fprintf(os.Stderr, "nobl benchcore: bad -sizes entry %q (want log2 sizes in 1..24)\n", s)
-			return 2
-		}
-		sizes = append(sizes, 1<<uint(lv))
-	}
-	rep := coreBenchReport{Schema: "nobl/bench-core/v1", Reps: *reps}
-	nsFor := map[string]map[int]float64{}
-	for _, engName := range core.EngineNames() {
-		nsFor[engName] = map[int]float64{}
-		for _, v := range sizes {
-			eng, err := core.EngineByName(engName)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "nobl benchcore: %v\n", err)
-				return 1
-			}
-			if engName == "replay" {
-				// Key the engine and warm its schedule cache so the
-				// measurement sees pure replays, not the recording run.
-				eng = core.ReplayEngine{
-					Key:   core.TraceKey{Algorithm: "benchcore", N: v, Engine: "replay"},
-					Store: core.NewScheduleStore(),
-				}
-				if err := benchCoreWorkload(v, eng); err != nil {
-					fmt.Fprintf(os.Stderr, "nobl benchcore: %v\n", err)
-					return 1
-				}
-			}
-			best := coreBenchCase{Engine: engName, V: v}
-			for trial := 0; trial < *reps; trial++ {
-				ns, iters, err := measureNsOp(func() error { return benchCoreWorkload(v, eng) })
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "nobl benchcore: %v\n", err)
-					return 1
-				}
-				if trial == 0 || ns < best.NsOp {
-					best.NsOp, best.Iters = ns, iters
-				}
-			}
-			nsFor[engName][v] = best.NsOp
-			rep.Results = append(rep.Results, best)
-			fmt.Fprintf(os.Stderr, "nobl benchcore: %-10s v=%-7d %12.0f ns/op\n", engName, v, best.NsOp)
-		}
-	}
-	for _, v := range sizes {
-		r := coreBenchRatio{V: v}
-		if ns := nsFor["replay"][v]; ns > 0 {
-			r.VsBlock = nsFor["block"][v] / ns
-			r.VsGoroutine = nsFor["goroutine"][v] / ns
-		}
-		rep.Speedup = append(rep.Speedup, r)
-		fmt.Fprintf(os.Stderr, "nobl benchcore: v=%-7d warm replay %.1fx vs block, %.1fx vs goroutine\n",
-			v, r.VsBlock, r.VsGoroutine)
-	}
-	w := os.Stdout
-	if *out != "" {
-		file, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nobl benchcore: %v\n", err)
-			return 1
-		}
-		defer file.Close()
-		w = file
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintf(os.Stderr, "nobl benchcore: %v\n", err)
-		return 1
-	}
-	if *traceOut != "" {
-		if code := runTraceBench(*traceOut, *traceAlg, *traceN); code != 0 {
-			return code
-		}
-	}
-	return 0
 }
 
 // runTrace streams the run's supersteps straight into the output codec:
@@ -1099,23 +640,12 @@ usage:
               analyze a trace file or stdin pipe in one streaming
               pass; -cache adds the ideal-cache miss curve (needs a
               trace recorded with -record)
-  nobl benchnet [-p P] [-h H] [-reps R] [-o file]
-              routing-engine throughput (packet-hops/sec) across every
-              topology x strategy, as a JSON report
-  nobl benchcore [-sizes 10,12,14] [-reps R] [-o file]
-              [-traceout file [-tracealg A] [-tracen N]]
-              execution-engine latency (ns/op per engine and machine
-              size, plus the warm-replay speedup), as a JSON report;
-              -traceout adds a streaming-trace peak-memory report
   nobl prof <alg> [-n N] [-engine E] [-o timeline.json]
               [-cpuprofile file] [-memprofile file] [-record]
               run one algorithm under the engine probe and write its
               Chrome trace-event timeline (chrome://tracing, Perfetto):
               one span per superstep, per-worker barrier waits on the
-              block engine, compile spans on a cold replay
-  nobl benchobs [-size 14] [-reps R] [-o file]
-              measure the probe plumbing's overhead on the block engine
-              (no probe vs nil probe vs live probe), as a JSON report
+              block engine
   nobl remote <algorithms|analyze|job|metrics|cluster> [-addr URL] ...
               target a shared nobld daemon instead of computing locally
               (analyze <alg> [-n N] [-kind K] [-p P] [-sigma σ] [-wait]
@@ -1129,7 +659,6 @@ flags:
   -out DIR    per-experiment files instead of stdout
   -parallel N concurrent experiments (0 = GOMAXPROCS); output is
               byte-identical at any parallelism
-  -bench F    wall-clock + trace-store report (JSON)
   -engine E   execution engine (%s)
   -log-level L, -log-format F
               diagnostic slog output (debug|info|warn|error; text|json)

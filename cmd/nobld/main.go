@@ -28,9 +28,12 @@
 //	      -log-level info -log-format text -log-sample 1 \
 //	      -pprof-addr localhost:6060
 //
-// The -engine flag sets the server-wide default execution engine; any
-// registered engine name is accepted (GET /v1/algorithms lists them) and
-// a request may override it per call through its "engine" field.
+// The -engine flag sets the execution engine of every run on this node;
+// any registered engine name is accepted (GET /v1/algorithms lists them).
+// Every engine computes the same traces, so cache and placement keys
+// carry no engine: a fleet may mix engines and still computes each key
+// once, and a result document names the engine of the node that
+// computed it.  A request's "engine" field is accepted and ignored.
 //
 // # Cluster mode
 //

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	nob "netoblivious"
 	"netoblivious/alg"
@@ -19,12 +18,7 @@ import (
 //
 // The run self-checks: it verifies the received values really are the
 // transpose before returning the trace, so every surface that executes
-// the algorithm also re-verifies it.  The check is gated on the program
-// body having run at all: under the replay engine a warm run replays
-// the compiled communication schedule without executing VP code, so
-// payload side effects like the output matrix exist only on the
-// recording run — a replay-aware algorithm must not fail on their
-// absence.
+// the algorithm also re-verifies it.
 func transposeAlgorithm() nob.Algorithm {
 	return nob.Algorithm{
 		Name:    "transpose",
@@ -34,7 +28,7 @@ func transposeAlgorithm() nob.Algorithm {
 		Valid:   alg.SquareOfPowerOfTwo(4),
 		RunFn: func(ctx context.Context, spec nob.Spec, n int) (nob.AlgResult, error) {
 			// Pin the wise form: a registry run must be a pure function of
-			// (n, engine, record) for the shared trace store's keying.
+			// (n, record) for the shared trace store's keying.
 			spec.Wise = true
 			s := alg.SquareSide(n)
 			rng := alg.SeededRand()
@@ -43,9 +37,7 @@ func transposeAlgorithm() nob.Algorithm {
 				in[i] = rng.Int63n(1 << 30)
 			}
 			out := make([]int64, n)
-			var executed atomic.Bool
 			prog := func(vp *nob.VP[int64]) {
-				executed.Store(true)
 				id := vp.ID()
 				i, j := id/s, id%s
 				dst := j*s + i
@@ -66,12 +58,10 @@ func transposeAlgorithm() nob.Algorithm {
 			if err != nil {
 				return nob.AlgResult{}, err
 			}
-			if executed.Load() {
-				for i := 0; i < s; i++ {
-					for j := 0; j < s; j++ {
-						if out[i*s+j] != in[j*s+i] {
-							return nob.AlgResult{}, fmt.Errorf("transpose: entry (%d,%d) is wrong", i, j)
-						}
+			for i := 0; i < s; i++ {
+				for j := 0; j < s; j++ {
+					if out[i*s+j] != in[j*s+i] {
+						return nob.AlgResult{}, fmt.Errorf("transpose: entry (%d,%d) is wrong", i, j)
 					}
 				}
 			}

@@ -8,9 +8,9 @@ import (
 func keys(n int) []string {
 	out := make([]string, n)
 	for i := range out {
-		out[i] = fmt.Sprintf("trace/fft/n=%d@block", 1<<uint(i%20))
+		out[i] = fmt.Sprintf("trace/fft/n=%d", 1<<uint(i%20))
 		if i >= 20 {
-			out[i] = fmt.Sprintf("dbsp/sort/n=%d/p=%d,s=16@replay", i, i%64)
+			out[i] = fmt.Sprintf("dbsp/sort/n=%d/p=%d,s=16", i, i%64)
 		}
 	}
 	return out

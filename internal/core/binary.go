@@ -315,8 +315,7 @@ type TraceFileSink struct {
 	// By default the sink owns its records — a run streaming into a file
 	// recycles pooled chunks as they are written.  A caller writing out a
 	// still-live in-memory trace (the harness spill path) must keep them:
-	// the trace, and possibly a compiled replay schedule, still reference
-	// the chunks.
+	// the trace still references the chunks.
 	KeepPairs bool
 
 	path   string

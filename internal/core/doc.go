@@ -36,7 +36,7 @@
 // # Execution engines
 //
 // How the v virtual processors are scheduled on the host is pluggable
-// through the Engine interface; three engines are provided:
+// through the Engine interface; two engines are provided:
 //
 //   - GoroutineEngine — the reference: one goroutine per VP, parked on
 //     per-cluster condition-variable barriers.  Sync parks the goroutine
@@ -59,28 +59,11 @@
 //     keeping the trace mutex off the hot path.  All clusters advance
 //     superstep-synchronously.
 //
-//   - ReplayEngine — the schedule cache, built on the paper's central
-//     determinism fact: a static algorithm's communication at a fixed
-//     input size is a pure function of that size.  The first run for a
-//     key (algorithm, n) executes once, instrumented, on the Compile
-//     engine and compiles the recorded trace into a Schedule — per
-//     superstep, the label, the fold-degree vector and a
-//     destination-bucketed CSR routing table sorted by (destination,
-//     source) so the compiled form is canonical.  Every later run
-//     replays the schedule as pure data movement through a pooled
-//     arena: no goroutine per VP, no barriers, no Trace.mu contention,
-//     and a constant handful of allocations regardless of message
-//     volume (the trace itself plus the store key; the budget is
-//     enforced by TestWarmReplayAllocs).  Warm replays skip the program
-//     body entirely, so only the trace — not payload side effects — is
-//     produced; the alg registry keys every registered algorithm
-//     automatically (KeyedReplay), and an unkeyed ReplayEngine degrades
-//     to direct execution on its Compile engine.
-//
-// Compiled schedules live in a ScheduleStore — a bounded single-flight
-// LRU keyed like the trace store, one shared process-wide instance
-// (SharedScheduleStore) by default.  Cancellation during a compile run
-// is never memoized: the next caller recompiles.
+// A static algorithm's communication at a fixed input size is a pure
+// function of that size, so its trace is keyed by (algorithm, n) alone —
+// TraceKey carries no engine.  Memoizing traces is the job of the
+// harness trace store and the service's result cache above this
+// package; every run through core executes the program.
 //
 // # Streaming traces
 //
@@ -99,7 +82,7 @@
 //   - the streamed JSON is byte-identical to Trace.EncodeJSON of the
 //     same run, so stored traces are indistinguishable from in-memory
 //     encodes; the binary format ("NOBTRC01") is the compact spill
-//     representation reusing the schedule's flat column layout;
+//     representation, storing each superstep's pairs as flat columns;
 //   - TraceSource is the reading half — Trace.Source, NewTraceSource
 //     (format-sniffing stream reader), OpenTraceFile — over which the
 //     single-pass consumers run: Summarize folds a source into a
@@ -144,10 +127,9 @@
 //     duration span named "superstep s" in category "engine", covering
 //     the wall time from the completion of the previous superstep (or
 //     the run start) to the barrier completing s, with args carrying the
-//     sync label and message total; non-replay engines add fold_ops, the
-//     messages × fold-levels upper bound on degree-counter updates the
-//     step induced, and replay spans mark themselves replayed=true and
-//     cover the step's data-movement time.  TestProbeSpansPerSuperstep
+//     sync label, the message total and fold_ops, the messages ×
+//     fold-levels upper bound on degree-counter updates the step
+//     induced.  TestProbeSpansPerSuperstep
 //     enforces one span per superstep on every engine, in both in-memory
 //     and streaming (Sink) modes.
 //
@@ -157,12 +139,6 @@
 //     since the previous sample (worker 0's figure includes the barrier
 //     actions it runs; a worker's wait at the sampling barrier itself is
 //     attributed to the next sample).
-//
-//   - Compile spans.  A keyed ReplayEngine's cold run wraps its
-//     instrumented compile in a "schedule-compile" span (category
-//     "compiler") and threads the probe into the compile engine, so the
-//     cold timeline shows the compile run's supersteps; warm replays
-//     emit no compile span.
 //
 //   - The nil-probe guarantee.  A nil Probe (the zero Options) leaves
 //     every hot path untouched beyond a pointer check: no allocation,
@@ -180,9 +156,9 @@
 //
 //	invariant                                          analyzer   annotation
 //	-------------------------------------------------  ---------  ------------------
-//	deterministic outputs (CompileSchedule, codec       maporder   //nob:deterministic
-//	  writers, Route*, /metrics and Chrome-trace
-//	  renderers) never iterate a map unsorted
+//	deterministic outputs (codec writers, Route*,       maporder   //nob:deterministic
+//	  /metrics and Chrome-trace renderers) never
+//	  iterate a map unsorted
 //	every exported *obs.Probe method begins with a      nilprobe   //nob:nilsafe
 //	  nil-receiver guard (the nil-probe guarantee)
 //	engine superstep loops and job-queue workers        ctxflow    //nob:ctxloop

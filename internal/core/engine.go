@@ -103,11 +103,10 @@ func floorPow2(n int) int {
 var engineFactories = map[string]func() Engine{
 	GoroutineEngine{}.Name(): func() Engine { return GoroutineEngine{} },
 	BlockEngine{}.Name():     func() Engine { return BlockEngine{} },
-	ReplayEngine{}.Name():    func() Engine { return ReplayEngine{} },
 }
 
 // EngineByName resolves an engine name, as accepted on command lines
-// ("goroutine", "block", "replay"), to a default-configured Engine.  The
+// ("goroutine", "block"), to a default-configured Engine.  The
 // error enumerates every registered name.
 func EngineByName(name string) (Engine, error) {
 	if f, ok := engineFactories[name]; ok {

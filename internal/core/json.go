@@ -282,6 +282,11 @@ func validateStep(rec *StepRec, i, logV, labelBound int) error {
 	if rec.Messages < 0 {
 		return fmt.Errorf("core: trace step %d declares %d messages", i, rec.Messages)
 	}
+	// Every pair is one message.  The binary reader checks its declared
+	// pair count before reading columns; this catches decoded JSON pairs.
+	if n := rec.Pairs.Len(); int64(n) > rec.Messages {
+		return fmt.Errorf("core: trace step %d declares %d pairs for %d messages", i, n, rec.Messages)
+	}
 	if len(rec.Degree) != logV+1 {
 		return fmt.Errorf("core: trace step %d has %d degree entries, want %d", i, len(rec.Degree), logV+1)
 	}

@@ -467,15 +467,6 @@ func RunOpt[P any](v int, prog Program[P], opts Options) (*Trace, error) {
 			return nil, fmt.Errorf("core: run cancelled: %w", err)
 		}
 	}
-	// The ReplayEngine never builds a machine: it is dispatched before the
-	// per-VP state is allocated, which is what makes warm replays nearly
-	// allocation-free.
-	switch e := eng.(type) {
-	case ReplayEngine:
-		return runReplay(v, prog, opts, e)
-	case *ReplayEngine:
-		return runReplay(v, prog, opts, *e)
-	}
 	switch eng.(type) {
 	case GoroutineEngine, *GoroutineEngine, BlockEngine, *BlockEngine:
 	default:

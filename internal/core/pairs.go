@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"iter"
-	"slices"
 	"sync"
 )
 
@@ -18,9 +17,9 @@ const pairChunkLen = 4096
 // pairChunk is one columnar segment of a PairList: parallel source and
 // destination columns of equal length.  pooled marks chunks obtained
 // from pairChunkPool: only those are ever returned to it by Release,
-// which keeps foreign columns — the replay engine's shared compiled
-// columns wrapped by pairListOver, or undersized hint chunks — out of
-// the pool no matter how lists are spliced together.
+// which keeps foreign columns — decoded columns wrapped by pairListOver,
+// or undersized hint chunks — out of the pool no matter how lists are
+// spliced together.
 type pairChunk struct {
 	src, dst []int32
 	pooled   bool
@@ -41,8 +40,8 @@ var pairChunkPool = sync.Pool{New: func() any {
 
 // PairList is the chunked, columnar record of a superstep's message
 // (src, dst) pairs.  Chunks are append-only and immutable once a run
-// completes, which lets consumers — the trace store, the replay engine's
-// compiled schedules — share one list across traces without copying.
+// completes, which lets consumers such as the trace store share one
+// list across traces without copying.
 //
 // The JSON form is the flat [[src, dst], ...] array the pre-columnar
 // trace format used, so archived traces decode unchanged.
@@ -77,7 +76,7 @@ func newPairChunk(hint int) *pairChunk {
 // Release returns the list's pooled chunks to the chunk pool and empties
 // the list.  Call it only when the pairs are provably dead — a trace
 // sink that has finished encoding a superstep it owns.  Chunks that did
-// not come from the pool (replay-shared columns, undersized hint chunks)
+// not come from the pool (decoded columns, undersized hint chunks)
 // are left for the garbage collector.  Releasing a nil or empty list is
 // a no-op; releasing the same pairs twice is a caller bug that corrupts
 // the pool, which is why only the codec sinks ever call this.
@@ -99,8 +98,8 @@ func (p *PairList) Release() {
 
 // pairListOver wraps existing parallel columns as a single-chunk list
 // without copying.  The caller must treat the columns as immutable
-// afterwards; the replay engine uses this to share one compiled column
-// pair across every replayed trace.
+// afterwards; the NOBTRC01 reader uses this to hand each decoded
+// column pair to its record.
 func pairListOver(src, dst []int32) *PairList {
 	if len(src) != len(dst) {
 		panic("core: pairListOver: column lengths differ")
@@ -109,18 +108,6 @@ func pairListOver(src, dst []int32) *PairList {
 		return &PairList{}
 	}
 	return &PairList{chunks: []*pairChunk{{src: src, dst: dst}}, n: len(src)}
-}
-
-// alias returns a fresh list header over the same chunks, for handing
-// shared immutable pairs to a consumer that owns (and may Release) its
-// records: releasing the alias leaves the original list untouched, and
-// its foreign chunks are never pooled.  The streaming replay path uses
-// this to share one compiled column pair with every sink.
-func (p *PairList) alias() *PairList {
-	if p.Len() == 0 {
-		return &PairList{}
-	}
-	return &PairList{chunks: slices.Clone(p.chunks), n: p.n}
 }
 
 // Len returns the number of recorded pairs.  A nil list is empty.
@@ -248,9 +235,8 @@ func (p *PairList) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &flat); err != nil {
 		return fmt.Errorf("core: decoding pair list: %w", err)
 	}
-	*p = PairList{}
-	for _, pr := range flat {
-		p.Append(pr[0], pr[1])
-	}
+	// Size the first chunk from the decoded count, so a small step costs
+	// its own pairs and not a full pooled chunk.
+	*p = *PairListOf(flat)
 	return nil
 }

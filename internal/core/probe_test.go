@@ -91,48 +91,6 @@ func TestProbeSpansPerSuperstep(t *testing.T) {
 	}
 }
 
-// TestProbeWarmReplaySpans runs a keyed replay twice: the warm run must
-// still emit one span per superstep (plus no second compile span).
-func TestProbeWarmReplaySpans(t *testing.T) {
-	eng := KeyedReplay(ReplayEngine{Store: NewScheduleStore()}, "probe-warm-test", 32)
-	if _, err := RunOpt(32, probeTestProg, Options{Engine: eng}); err != nil {
-		t.Fatal(err)
-	}
-	probe := obs.NewProbe()
-	eng = KeyedReplay(eng, "probe-warm-test", 32) // fresh seq counter
-	tr, err := RunOpt(32, probeTestProg, Options{Engine: eng, Probe: probe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := countEngineSpans(t, probe); got != tr.NumSupersteps() {
-		t.Fatalf("warm replay: %d engine spans for %d supersteps", got, tr.NumSupersteps())
-	}
-	for _, e := range decodeProbe(t, probe) {
-		if e.Cat == "compiler" {
-			t.Fatalf("warm replay emitted a compile span: %q", e.Name)
-		}
-	}
-}
-
-// TestProbeColdReplayCompileSpan: the cold keyed run emits a
-// schedule-compile span around the instrumented first run.
-func TestProbeColdReplayCompileSpan(t *testing.T) {
-	probe := obs.NewProbe()
-	eng := KeyedReplay(ReplayEngine{Store: NewScheduleStore()}, "probe-cold-test", 32)
-	if _, err := RunOpt(32, probeTestProg, Options{Engine: eng, Probe: probe}); err != nil {
-		t.Fatal(err)
-	}
-	sawCompile := false
-	for _, e := range decodeProbe(t, probe) {
-		if e.Ph == "X" && e.Cat == "compiler" && e.Name == "schedule-compile" {
-			sawCompile = true
-		}
-	}
-	if !sawCompile {
-		t.Fatal("cold replay did not emit a schedule-compile span")
-	}
-}
-
 // TestProbeBlockBarrierWait: the BlockEngine emits a barrier_wait_ns
 // counter sample per superstep with one series per worker.
 func TestProbeBlockBarrierWait(t *testing.T) {

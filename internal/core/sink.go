@@ -63,7 +63,7 @@ func (t *Trace) EndTrace(runErr error) error { return nil }
 
 // DiscardSink accepts and releases every step.  It exists for
 // measurement: a run into a DiscardSink exposes the engine's true
-// streaming footprint (nobl benchcore uses it for BENCH_trace.json).
+// streaming footprint (TestStreamedRunMemoryBounded measures with it).
 type DiscardSink struct {
 	steps    int
 	messages int64

@@ -10,7 +10,9 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"netoblivious/alg"
 	"netoblivious/internal/core"
+	_ "netoblivious/internal/fft" // registers "fft"
 )
 
 // exchangeProgram is a deterministic workload: steps supersteps, each VP
@@ -183,35 +185,61 @@ func TestTraceFileSinkCancellationLeavesNoFiles(t *testing.T) {
 // whose full trace is more than 10x the largest superstep streams with
 // peak live heap far below the accumulated trace size.  Live heap is
 // sampled at every superstep boundary after a forced GC, so the numbers
-// are live bytes rather than allocation churn.
+// are live bytes rather than allocation churn.  Two inputs: a synthetic
+// exchange held to a quarter of its trace, and the registry fft at
+// n=65536 held to a fixed 256 MiB budget independent of n (the machine
+// itself plus O(largest superstep), never the accumulated trace).
 func TestStreamedRunMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forces a GC per superstep")
 	}
 	const v, steps, fanout = 256, 400, 8
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	baseline := ms.HeapAlloc
-	sink := &memProbeSink{}
-	if _, err := core.RunOpt(v, exchangeProgram(v, steps, fanout), core.Options{
-		RecordMessages: true, Sink: sink,
-	}); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		run  func(sink core.TraceSink) error
+		// limit is the peak-delta budget given the full trace's size.
+		limit func(inmem int64) int64
+	}{
+		// The bound is deliberately loose (a quarter of the full trace)
+		// to absorb machine state and allocator slack; an accumulating
+		// run would sit at or above inmem by its final steps.
+		{"exchange", func(sink core.TraceSink) error {
+			_, err := core.RunOpt(v, exchangeProgram(v, steps, fanout), core.Options{RecordMessages: true, Sink: sink})
+			return err
+		}, func(inmem int64) int64 { return inmem / 4 }},
+		{"fft-65536", func(sink core.TraceSink) error {
+			a, ok := alg.ByName("fft")
+			if !ok {
+				t.Fatal("fft not registered")
+			}
+			_, err := a.Run(context.Background(), alg.Spec{Record: true, Sink: sink}, 1<<16)
+			return err
+		}, func(int64) int64 { return 256 << 20 }},
 	}
-	if sink.inmem < 10*sink.largest {
-		t.Fatalf("workload too small to be meaningful: trace %d bytes, largest step %d bytes", sink.inmem, sink.largest)
-	}
-	peakDelta := int64(0)
-	if sink.peak > baseline {
-		peakDelta = int64(sink.peak - baseline)
-	}
-	// The bound is deliberately loose (a quarter of the full trace) to
-	// absorb machine state and allocator slack; an accumulating run would
-	// sit at or above sink.inmem by its final steps.
-	if limit := sink.inmem / 4; peakDelta > limit {
-		t.Errorf("peak live heap %d bytes over baseline exceeds %d (full trace %d bytes, largest step %d bytes): streaming is not O(superstep)",
-			peakDelta, limit, sink.inmem, sink.largest)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			baseline := ms.HeapAlloc
+			sink := &memProbeSink{}
+			if err := c.run(sink); err != nil {
+				t.Fatal(err)
+			}
+			if sink.inmem < 10*sink.largest {
+				t.Fatalf("workload too small to be meaningful: trace %d bytes, largest step %d bytes", sink.inmem, sink.largest)
+			}
+			peakDelta := int64(0)
+			if sink.peak > baseline {
+				peakDelta = int64(sink.peak - baseline)
+			}
+			if limit := c.limit(sink.inmem); peakDelta > limit {
+				t.Errorf("peak live heap %d bytes over baseline exceeds %d (full trace %d bytes, largest step %d bytes): streaming is not O(superstep)",
+					peakDelta, limit, sink.inmem, sink.largest)
+			}
+			t.Logf("peak live heap %.1f MiB over baseline; full trace %.1f MiB, largest step %.1f MiB",
+				float64(peakDelta)/(1<<20), float64(sink.inmem)/(1<<20), float64(sink.largest)/(1<<20))
+		})
 	}
 }
 

@@ -11,23 +11,21 @@ import (
 // algorithm executed at input size N.  Because the paper's algorithms are
 // static — their communication depends only on the input size, never on
 // input values — a trace computed once for a key is valid for every
-// consumer, which is what makes keyed memoization sound.  The Engine
-// component is included so runs on different execution engines (whose
-// traces are equivalent but whose runs are distinct) never alias.
+// consumer, which is what makes keyed memoization sound.  The engine is
+// deliberately not part of the key: every engine produces the same trace
+// (the cross-engine equivalence tests enforce it), so a trace computed on
+// one engine serves callers of every other.
 type TraceKey struct {
 	// Algorithm is the registry name of the algorithm ("matmul", "fft", ...).
 	Algorithm string
 	// N is the input size the algorithm was specified at.
 	N int
-	// Engine is the name of the execution engine used for the run.
-	Engine string
 }
 
-// String renders the key in its canonical "algorithm/n=N@engine" form,
-// used as the memo-store key and as a stable file-name stem for archived
-// traces.
+// String renders the key in its canonical "algorithm/n=N" form, used as
+// the memo-store key and as a stable file-name stem for archived traces.
 func (k TraceKey) String() string {
-	return fmt.Sprintf("%s/n=%d@%s", k.Algorithm, k.N, k.Engine)
+	return fmt.Sprintf("%s/n=%d", k.Algorithm, k.N)
 }
 
 // StoreStats reports the cumulative effectiveness of a Store.

@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"context"
-	"runtime"
 	"testing"
 
 	"netoblivious/alg"
@@ -40,11 +39,10 @@ func init() {
 
 // TestEngineEquivalenceAllAlgorithms runs every registry algorithm — the
 // built-ins plus anything registered through the open alg API, such as
-// the rotation fixture above — on every execution engine (goroutine,
-// block, and replay cold + warm) across each algorithm's own default
-// size ladder and asserts byte-identical traces: every engine must be a
-// drop-in replacement for the reference GoroutineEngine on every
-// workload that can reach the registry.  The
+// the rotation fixture above — on both execution engines across each
+// algorithm's own default size ladder and asserts byte-identical traces:
+// the BlockEngine must be a drop-in replacement for the reference
+// GoroutineEngine on every workload that can reach the registry.  The
 // engine reaches the algorithms through the threaded spec — never the
 // process-wide default — so the comparisons can themselves run under a
 // racing test schedule safely.
@@ -85,74 +83,6 @@ func TestEngineEquivalenceRecordedPairs(t *testing.T) {
 	}
 	if !bytes.Equal(tracetest.Canonical(t, ref), tracetest.Canonical(t, got)) {
 		t.Error("recorded-pairs trace differs between engines")
-	}
-}
-
-// TestReplayDeterminismAcrossGOMAXPROCS compiles and replays the same
-// keyed algorithm under different GOMAXPROCS settings — which change the
-// BlockEngine worker count the compile run uses — and asserts the raw
-// encoded traces (no canonicalization: replay order is part of the
-// contract) are byte-identical.  The compiled schedule's (dst, src) sort
-// is what makes this hold.
-func TestReplayDeterminismAcrossGOMAXPROCS(t *testing.T) {
-	a, ok := TraceAlgorithmByName("fft")
-	if !ok {
-		t.Fatal("fft not registered")
-	}
-	encode := func(tr *core.Trace) []byte {
-		var buf bytes.Buffer
-		if err := tr.EncodeJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	var want []byte
-	for _, procs := range []int{1, 2, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		res, err := a.Run(context.Background(),
-			alg.Spec{Engine: core.ReplayEngine{Store: core.NewScheduleStore()}, Record: true}, 64)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
-		}
-		got := encode(res.Trace)
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(want, got) {
-			t.Errorf("GOMAXPROCS=%d: replayed trace differs byte-for-byte from the first run", procs)
-		}
-	}
-}
-
-// TestReplayColdWarmByteEqual asserts the recording compile run and a
-// warm cache hit produce byte-identical encoded traces — the replayed
-// trace must not depend on which path produced it.
-func TestReplayColdWarmByteEqual(t *testing.T) {
-	a, ok := TraceAlgorithmByName("sort")
-	if !ok {
-		t.Fatal("sort not registered")
-	}
-	eng := core.ReplayEngine{Store: core.NewScheduleStore()}
-	encode := func(tr *core.Trace) []byte {
-		var buf bytes.Buffer
-		if err := tr.EncodeJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	cold, err := a.Run(context.Background(), alg.Spec{Engine: eng, Record: true}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := a.Run(context.Background(), alg.Spec{Engine: eng, Record: true}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Store.Stats().Hits == 0 {
-		t.Error("second run did not hit the schedule cache")
-	}
-	if !bytes.Equal(encode(cold.Trace), encode(warm.Trace)) {
-		t.Error("cold and warm replay traces differ byte-for-byte")
 	}
 }
 

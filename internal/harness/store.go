@@ -15,11 +15,13 @@ import (
 // result type).
 type AlgRun = alg.Result
 
-// TraceStore memoizes registry-algorithm runs by (algorithm, n, engine).
+// TraceStore memoizes registry-algorithm runs by (algorithm, n, record).
 // The paper's algorithms are static — their communication depends only
 // on the input size — so one execution per key serves every experiment
 // that needs the trace: E1/E2/E8/E9/E10/E12/E13 all fold the same
-// handful of traces, and without the store each recomputed them.
+// handful of traces, and without the store each recomputed them.  The
+// engine is not part of the key: every engine produces the same trace,
+// so whichever engine computes a key first serves callers of the others.
 // The store is safe for concurrent use and computations are
 // single-flight (core.Store), which also keeps the suite's hit/miss
 // counters schedule-independent.
@@ -54,7 +56,7 @@ func NewBoundedTraceStore(capacity int) *TraceStore {
 }
 
 // Get returns the memoized run of the named registry algorithm at size
-// n on the given engine, executing it on first use.  ctx bounds that
+// n, executing it on the given engine on first use.  ctx bounds that
 // execution; because cancellation errors would otherwise be memoized for
 // every later caller of the key, a run failing with ctx's error is
 // forgotten instead of cached.
@@ -78,7 +80,7 @@ func (ts *TraceStore) get(ctx context.Context, eng core.Engine, name string, n i
 	if !ok {
 		return AlgRun{}, fmt.Errorf("harness: unknown algorithm %q", name)
 	}
-	key := core.TraceKey{Algorithm: name, N: n, Engine: eng.Name()}.String()
+	key := core.TraceKey{Algorithm: name, N: n}.String()
 	if record {
 		key += "+rec"
 	}

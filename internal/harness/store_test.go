@@ -80,29 +80,42 @@ func TestCoreStoreSingleFlight(t *testing.T) {
 	}
 }
 
-// TestTraceStoreKeysByEngine asserts runs on different engines never
-// alias, and that the trace key renders its canonical form.
-func TestTraceStoreKeysByEngine(t *testing.T) {
+// TestTraceStoreSharesAcrossEngines asserts the store keys runs by
+// (algorithm, n, record) only: a run computed on one engine serves a
+// caller on another, a recorded run stays a distinct entry, and the
+// trace key renders its canonical form.
+func TestTraceStoreSharesAcrossEngines(t *testing.T) {
 	store := NewTraceStore()
-	a, err := store.Get(context.Background(), core.GoroutineEngine{}, "broadcast-tree", 64)
+	ctx := context.Background()
+	a, err := store.Get(ctx, core.BlockEngine{}, "broadcast-tree", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := store.Get(context.Background(), core.BlockEngine{}, "broadcast-tree", 64)
+	b, err := store.Get(ctx, core.GoroutineEngine{}, "broadcast-tree", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Trace == b.Trace {
-		t.Error("different engines shared one memoized run")
+	if a.Trace != b.Trace {
+		t.Error("the same (algorithm, n) on two engines computed two runs")
+	}
+	if st := store.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 miss + 1 hit across engines", st)
+	}
+	rec, err := store.GetRecorded(ctx, core.GoroutineEngine{}, "broadcast-tree", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Trace == a.Trace {
+		t.Error("recorded run aliased the unrecorded one")
 	}
 	if st := store.Stats(); st.Misses != 2 {
-		t.Errorf("misses = %d, want 2 (one per engine)", st.Misses)
+		t.Errorf("misses = %d, want 2 (the recorded run is its own entry)", st.Misses)
 	}
-	if _, err := store.Get(context.Background(), nil, "no-such-alg", 8); err == nil {
+	if _, err := store.Get(ctx, nil, "no-such-alg", 8); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	key := core.TraceKey{Algorithm: "fft", N: 256, Engine: "block"}
-	if key.String() != "fft/n=256@block" {
+	key := core.TraceKey{Algorithm: "fft", N: 256}
+	if key.String() != "fft/n=256" {
 		t.Errorf("TraceKey.String() = %q", key.String())
 	}
 }

@@ -8,9 +8,9 @@ import (
 // MapOrderAnalyzer flags `for range` over a map inside any function
 // reachable (through same-package references) from a byte-determinism
 // root — a function annotated //nob:deterministic.  The repository's
-// deterministic-output surfaces (CompileSchedule, the network routing
-// entry points, the trace codecs, the /metrics renderers and the Chrome
-// trace export) carry the annotation, because their output is cache
+// deterministic-output surfaces (the network routing entry points, the
+// trace codecs, the /metrics renderers and the Chrome trace export)
+// carry the annotation, because their output is cache
 // keys and golden-compared artifacts: one map-ordered iteration there
 // is a phantom nondeterminism of exactly the kind the old simulator
 // shipped.

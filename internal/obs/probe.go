@@ -16,16 +16,18 @@ import (
 // the contract core's engines rely on (see the probe-contract section of
 // package core's documentation).
 //
-// A probe is bounded: once the event buffer is full, further events are
-// counted in Dropped() and discarded rather than growing without limit,
-// so a long-lived daemon can keep a probe attached.
+// A probe is bounded: once the event buffer is full, each new event
+// overwrites the oldest one, which is counted in Dropped().  A long-lived
+// daemon can therefore keep a probe attached and always holds the most
+// recent window of events.
 //
 //nob:nilsafe
 type Probe struct {
 	epoch time.Time
 
 	mu      sync.Mutex
-	events  []probeEvent
+	events  []probeEvent // ring once full; events[head] is the oldest
+	head    int
 	max     int
 	dropped int64
 	threads map[int]string
@@ -50,8 +52,8 @@ const DefaultProbeCapacity = 1 << 19
 // NewProbe returns a probe with the default event capacity.
 func NewProbe() *Probe { return NewBoundedProbe(DefaultProbeCapacity) }
 
-// NewBoundedProbe returns a probe that keeps at most capacity events and
-// counts the rest in Dropped().
+// NewBoundedProbe returns a probe that keeps the newest capacity events
+// and counts the overwritten older ones in Dropped().
 func NewBoundedProbe(capacity int) *Probe {
 	if capacity < 1 {
 		capacity = 1
@@ -79,10 +81,12 @@ func (p *Probe) since(t time.Time) float64 {
 
 func (p *Probe) record(e probeEvent) {
 	p.mu.Lock()
-	if len(p.events) >= p.max {
-		p.dropped++
-	} else {
+	if len(p.events) < p.max {
 		p.events = append(p.events, e)
+	} else {
+		p.events[p.head] = e
+		p.head = (p.head + 1) % p.max
+		p.dropped++
 	}
 	p.mu.Unlock()
 }
@@ -148,7 +152,7 @@ func (p *Probe) Len() int {
 	return len(p.events)
 }
 
-// Dropped returns how many events were discarded at capacity.
+// Dropped returns how many events were overwritten at capacity.
 func (p *Probe) Dropped() int64 {
 	if p == nil {
 		return 0
@@ -165,6 +169,7 @@ func (p *Probe) Reset() {
 	}
 	p.mu.Lock()
 	p.events = p.events[:0]
+	p.head = 0
 	p.dropped = 0
 	p.mu.Unlock()
 }
@@ -177,7 +182,8 @@ type chromeTrace struct {
 }
 
 // WriteChromeTrace writes the recorded events as Chrome trace-event
-// JSON.  The probe remains usable (and keeps its events) afterwards.
+// JSON, oldest first.  The probe remains usable (and keeps its events)
+// afterwards.
 // The output is byte-deterministic for a given event sequence: thread
 // metadata is emitted in ascending tid order, not map order, so two
 // exports of the same run diff clean.
@@ -205,7 +211,8 @@ func (p *Probe) WriteChromeTrace(w io.Writer) error {
 			Args: map[string]any{"name": p.threads[tid]},
 		})
 	}
-	events = append(events, p.events...)
+	events = append(events, p.events[p.head:]...)
+	events = append(events, p.events[:p.head]...)
 	dropped := p.dropped
 	p.mu.Unlock()
 

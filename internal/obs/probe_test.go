@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -121,6 +123,41 @@ func TestProbeBounded(t *testing.T) {
 	p.Reset()
 	if p.Len() != 0 || p.Dropped() != 0 {
 		t.Fatal("reset did not clear")
+	}
+}
+
+// TestProbeRingKeepsNewest: a full probe overwrites its oldest events,
+// so an always-on probe exports the most recent window, oldest first,
+// and counts what it overwrote.
+func TestProbeRingKeepsNewest(t *testing.T) {
+	p := NewBoundedProbe(4)
+	for i := 0; i < 6; i++ {
+		p.Instant("t", fmt.Sprintf("e%d", i), 0, nil)
+	}
+	if p.Len() != 4 || p.Dropped() != 2 {
+		t.Fatalf("len = %d, dropped = %d; want 4 and 2", p.Len(), p.Dropped())
+	}
+	var b strings.Builder
+	if err := p.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "M" {
+			got = append(got, e.Name)
+		}
+	}
+	if want := []string{"e2", "e3", "e4", "e5"}; !slices.Equal(got, want) {
+		t.Fatalf("exported events %v, want %v", got, want)
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 
 	"netoblivious/alg"
 	"netoblivious/internal/cachesim"
-	"netoblivious/internal/core"
 	"netoblivious/internal/dbsp"
 	"netoblivious/internal/eval"
 	"netoblivious/internal/harness"
@@ -92,11 +91,6 @@ type Request struct {
 	N int `json:"n,omitempty"`
 	// Kind selects the analysis; default "trace".
 	Kind Kind `json:"kind,omitempty"`
-	// Engine overrides the server's configured execution engine for this
-	// request ("goroutine", "block", "replay"); empty uses the server
-	// default.  Unknown names are rejected with 400 enumerating the
-	// selectable engines.
-	Engine string `json:"engine,omitempty"`
 	// Machines lists the evaluation machines M(p, σ).  Empty means a
 	// default sweep: powers of two up to min(v, 64) at σ ∈ {0, 16}
 	// (for "machines"/"network"/"dbsp", the largest p of the sweep).
@@ -133,11 +127,6 @@ func (r *Request) normalize() error {
 	}
 	if !valid {
 		return fmt.Errorf("unknown kind %q (have %v)", r.Kind, Kinds())
-	}
-	if r.Engine != "" {
-		if _, err := core.EngineByName(r.Engine); err != nil {
-			return fmt.Errorf("unknown engine %q (have %s)", r.Engine, strings.Join(core.EngineNames(), ", "))
-		}
 	}
 	needsAlg := r.Kind != KindMachines && r.Kind != KindNetwork
 	if needsAlg {
@@ -191,8 +180,9 @@ func (r *Request) normalize() error {
 
 // Key is the canonical cache/dedup key of the request: every field that
 // changes the answer, and nothing else (Priority and Wait are delivery
-// concerns).  The engine is included by the caller (Server.requestKey)
-// since it is server configuration, not request data.
+// concerns).  It is the key of the local result cache and of cluster
+// placement alike; the engine is not part of it, since every engine
+// computes the same answer.
 func (r Request) Key() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s/%s/n=%d", r.Kind, r.Algorithm, r.N)
@@ -306,7 +296,7 @@ func (s *Server) runAnalysis(ctx context.Context, req Request, progress progress
 	}
 	doc := &harness.Document{
 		Schema: harness.DocumentSchema,
-		Engine: s.engineFor(req).Name(),
+		Engine: s.engine.Name(),
 		Records: []harness.Record{{
 			ID:      string(req.Kind),
 			Title:   recordTitle(req),
@@ -413,16 +403,15 @@ func analyzeMachines(req Request) ([]*harness.Result, error) {
 // algRun pulls the request's specification run from the shared trace
 // cache (recorded form only when the analysis needs message pairs).
 func (s *Server) algRun(ctx context.Context, req Request, recorded bool) (harness.AlgRun, error) {
-	eng := s.engineFor(req)
 	if recorded {
-		return s.traces.GetRecorded(ctx, eng, req.Algorithm, req.N)
+		return s.traces.GetRecorded(ctx, s.engine, req.Algorithm, req.N)
 	}
-	return s.traces.Get(ctx, eng, req.Algorithm, req.N)
+	return s.traces.Get(ctx, s.engine, req.Algorithm, req.N)
 }
 
 // analyzeTrace runs the algorithm and measures every requested machine.
 func (s *Server) analyzeTrace(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
-	progress.emit("tracing", fmt.Sprintf("%s n=%d on %s", req.Algorithm, req.N, s.engineFor(req).Name()))
+	progress.emit("tracing", fmt.Sprintf("%s n=%d on %s", req.Algorithm, req.N, s.engine.Name()))
 	run, err := s.algRun(ctx, req, false)
 	if err != nil {
 		return nil, err
@@ -467,7 +456,7 @@ func (s *Server) analyzeTrace(ctx context.Context, req Request, progress progres
 
 // analyzeDBSP folds the measured trace on the network presets.
 func (s *Server) analyzeDBSP(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
-	progress.emit("tracing", fmt.Sprintf("%s n=%d on %s", req.Algorithm, req.N, s.engineFor(req).Name()))
+	progress.emit("tracing", fmt.Sprintf("%s n=%d on %s", req.Algorithm, req.N, s.engine.Name()))
 	run, err := s.algRun(ctx, req, false)
 	if err != nil {
 		return nil, err
@@ -514,7 +503,7 @@ var cacheSweepSizes = []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}
 // analyzeCache simulates the folded-to-one-processor execution under
 // ideal caches (the Section 6 conjecture's measurable content).
 func (s *Server) analyzeCache(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
-	progress.emit("tracing", fmt.Sprintf("%s n=%d (recorded) on %s", req.Algorithm, req.N, s.engineFor(req).Name()))
+	progress.emit("tracing", fmt.Sprintf("%s n=%d (recorded) on %s", req.Algorithm, req.N, s.engine.Name()))
 	run, err := s.algRun(ctx, req, true)
 	if err != nil {
 		return nil, err

@@ -275,9 +275,7 @@ func (c *Client) AnalyzeBatch(ctx context.Context, reqs []Request) ([]Response, 
 // forwarding hop.  The ring view comes from GET /v1/cluster; when the
 // daemon is not clustered (or the view is unavailable) the whole batch
 // falls back to a single AnalyzeBatch through BaseURL.  Item order is
-// preserved.  Requests with no explicit engine are pinned to the
-// cluster's advertised engine, since the engine is part of the routed
-// key.
+// preserved.
 func (c *Client) AnalyzeBatchRouted(ctx context.Context, reqs []Request) ([]Response, error) {
 	view, err := c.Cluster(ctx, "")
 	if err != nil || len(view.Members) < 2 {
@@ -296,11 +294,8 @@ func (c *Client) AnalyzeBatchRouted(ctx context.Context, reqs []Request) ([]Resp
 			out[i] = Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: err.Error(), Code: http.StatusBadRequest}
 			continue
 		}
-		if rq.Engine == "" {
-			rq.Engine = view.Engine
-		}
 		routed[i] = rq
-		owner := ring.Owner(routeKey(rq, rq.Engine))
+		owner := ring.Owner(rq.Key())
 		groups[owner] = append(groups[owner], i)
 	}
 	var wg sync.WaitGroup

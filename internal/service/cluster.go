@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -57,15 +56,6 @@ type ClusterConfig struct {
 // an inconsistent one this bound keeps disagreement from becoming a
 // forwarding loop.
 const headerForwarded = "X-Nobld-Forwarded"
-
-// routeKey is the cluster-wide canonical identity of a request: its
-// semantic cache key plus the engine that will execute it.  The entry
-// node pins the engine before routing, so every node derives the same
-// key — the invariant that makes each trace computed exactly once
-// cluster-wide.
-func routeKey(req Request, engine string) string {
-	return req.Key() + "@" + engine
-}
 
 // forwardOutcome is a memoized forwarded verdict: the owner's response
 // body and HTTP status.  Only completed documents stay memoized
@@ -188,9 +178,9 @@ func (c *clusterState) mode() string {
 // routeOf decides a normalized request's placement: the owning peer's
 // address when the request must be forwarded, "" when it is served
 // locally.  Synchronous kinds are always local (they cost microseconds;
-// forwarding would cost more than answering).  The engine is pinned
-// onto the request here, before the key is hashed, so the owner — whose
-// default engine may differ — resolves the same key.
+// forwarding would cost more than answering).  The ring hashes
+// req.Key(), the same key every node caches under, so each answer is
+// computed exactly once fleet-wide whatever engine a node runs.
 //
 //nob:hotpath
 func (s *Server) routeOf(req *Request, forwarded bool) string {
@@ -198,10 +188,7 @@ func (s *Server) routeOf(req *Request, forwarded bool) string {
 	if c == nil || forwarded || req.Kind.Sync() {
 		return ""
 	}
-	if req.Engine == "" {
-		req.Engine = s.engine.Name()
-	}
-	owner := c.ring.Owner(routeKey(*req, req.Engine))
+	owner := c.ring.Owner(req.Key())
 	if !c.routeOnly && owner == c.self {
 		return ""
 	}
@@ -220,7 +207,7 @@ func (c *clusterState) forward(owner string, req Request) (Response, int) {
 	if c.replicas == nil {
 		return deliver(c.forwardCompute(owner, req))
 	}
-	key := routeKey(req, req.Engine)
+	key := req.Key()
 	if out, err, ok := c.replicas.Peek(key); ok && err == nil {
 		out.resp.Cached = true
 		return out.resp, out.status
@@ -318,11 +305,9 @@ type PeerInfo struct {
 
 // Ownership is the ?key= lookup result: which node owns a cache key.
 type Ownership struct {
-	// Key is the looked-up key as given.
-	Key string `json:"key"`
-	// RouteKey is the engine-qualified form actually hashed.
-	RouteKey string `json:"route_key"`
-	Owner    string `json:"owner"`
+	// Key is the looked-up key as given, which is the string hashed.
+	Key   string `json:"key"`
+	Owner string `json:"owner"`
 	// Local reports whether the answering node owns the key itself.
 	Local bool `json:"local"`
 }
@@ -335,8 +320,8 @@ type ClusterResponse struct {
 	// Mode is "single", "node" or "router".
 	Mode string `json:"mode"`
 	Self string `json:"self,omitempty"`
-	// Engine is the node's default execution engine — the one pinned
-	// onto engine-less requests before their key is hashed.
+	// Engine is the execution engine the node runs.  It does not affect
+	// placement: keys carry no engine.
 	Engine  string     `json:"engine"`
 	Seed    uint64     `json:"seed"`
 	VNodes  int        `json:"vnodes"`
@@ -374,13 +359,9 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if key := r.URL.Query().Get("key"); key != "" {
-		rk := key
-		if !strings.Contains(rk, "@") {
-			rk += "@" + s.engine.Name()
-		}
-		own := &Ownership{Key: key, RouteKey: rk}
+		own := &Ownership{Key: key}
 		if c != nil {
-			own.Owner = c.ring.Owner(rk)
+			own.Owner = c.ring.Owner(key)
 			own.Local = !c.routeOnly && own.Owner == c.self
 		} else {
 			own.Local = true

@@ -81,11 +81,7 @@ func ownerIndex(t *testing.T, nodes []*testNode, req Request) int {
 	if err := rq.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	engine := rq.Engine
-	if engine == "" {
-		engine = core.DefaultEngine().Name()
-	}
-	owner := nodes[0].srv.cluster.ring.Owner(routeKey(rq, engine))
+	owner := nodes[0].srv.cluster.ring.Owner(rq.Key())
 	for i, nd := range nodes {
 		if nd.url == owner {
 			return i
@@ -95,13 +91,25 @@ func ownerIndex(t *testing.T, nodes []*testNode, req Request) int {
 	return -1
 }
 
-// requestOwnedBy searches input sizes until it finds a trace request the
-// ring places on nodes[want].
+// requestOwnedBy searches input sizes, then evaluation machines, until
+// it finds a trace request the ring places on nodes[want].  Keys that
+// differ only in their last characters can cluster on one member of a
+// two-node ring, so the machine sweep widens the search well beyond the
+// size ladder.
 func requestOwnedBy(t *testing.T, nodes []*testNode, want int) Request {
 	t.Helper()
 	for n := 8; n <= 4096; n *= 2 {
 		for _, algo := range []string{"fft", "sort"} {
 			req := Request{Algorithm: algo, N: n, Kind: KindTrace, Wait: true}
+			if ownerIndex(t, nodes, req) == want {
+				return req
+			}
+		}
+	}
+	for p := 2; p <= 64; p *= 2 {
+		for sigma := 0; sigma < 32; sigma++ {
+			req := Request{Algorithm: "fft", N: 64, Kind: KindTrace, Wait: true,
+				Machines: []MachineSpec{{P: p, Sigma: float64(sigma)}}}
 			if ownerIndex(t, nodes, req) == want {
 				return req
 			}
@@ -157,6 +165,33 @@ func TestClusterExactlyOnceCompute(t *testing.T) {
 	}
 	if done != 1 {
 		t.Errorf("summed jobs done = %d, want exactly 1", done)
+	}
+}
+
+// TestClusterMixedEnginesExactlyOnce: nodes running different engines
+// still share one key space.  The same request entering through every
+// node of a block/goroutine/block fleet is computed once fleet-wide,
+// because neither placement nor the result cache keys on the engine.
+func TestClusterMixedEnginesExactlyOnce(t *testing.T) {
+	engines := []core.Engine{core.BlockEngine{}, core.GoroutineEngine{}, core.BlockEngine{}}
+	nodes := newTestCluster(t, 3, func(i int, cfg *Config) { cfg.Engine = engines[i] })
+	req := Request{Algorithm: "fft", N: 256, Kind: KindTrace, Wait: true}
+	ctx := context.Background()
+	for _, nd := range nodes {
+		resp, err := nd.c.Analyze(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != string(StatusDone) || resp.Document == nil {
+			t.Fatalf("via %s: status %q", nd.url, resp.Status)
+		}
+	}
+	var misses int64
+	for _, nd := range nodes {
+		misses += nd.srv.results.Stats().Misses
+	}
+	if misses != 1 {
+		t.Errorf("summed result-cache misses = %d across a mixed-engine fleet, want exactly 1", misses)
 	}
 }
 
@@ -322,8 +357,8 @@ func TestClusterEndpoint(t *testing.T) {
 		if view.Ownership == nil || view.Ownership.Owner == "" {
 			t.Fatalf("no ownership lookup in view from %s", nd.url)
 		}
-		if !strings.Contains(view.Ownership.RouteKey, "@") {
-			t.Errorf("route key %q not engine-qualified", view.Ownership.RouteKey)
+		if view.Ownership.Key != "trace/fft/n=512" {
+			t.Errorf("ownership key %q, want the looked-up key unchanged", view.Ownership.Key)
 		}
 		if view.Ownership.Local != (view.Ownership.Owner == nd.url) {
 			t.Errorf("local flag disagrees with owner on %s", nd.url)

@@ -390,7 +390,7 @@ func (s *Server) runJob(j *job) {
 
 	start := time.Now()
 	probeStart := s.probe.Now()
-	key := s.requestKey(j.req)
+	key := j.req.Key()
 	var doc *harness.Document
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -414,7 +414,7 @@ func (s *Server) runJob(j *job) {
 	}
 	elapsed := time.Since(start)
 	s.metrics.observeLatency(j.req.Algorithm, elapsed)
-	s.metrics.observeRun(s.engineFor(j.req).Name(), elapsed)
+	s.metrics.observeRun(s.engine.Name(), elapsed)
 	s.sched.release(j)
 
 	var finished bool

@@ -176,8 +176,8 @@ type AlgorithmInfo struct {
 // AlgorithmsResponse is the GET /v1/algorithms payload.
 type AlgorithmsResponse struct {
 	Schema string `json:"schema"`
-	// Engine is the server's default execution engine; Engines lists
-	// every engine a request may select through its "engine" field.
+	// Engine is the execution engine this server runs; Engines lists
+	// every engine a server may be configured with (nobld -engine).
 	Engine     string          `json:"engine"`
 	Engines    []string        `json:"engines"`
 	Algorithms []AlgorithmInfo `json:"algorithms"`
@@ -350,29 +350,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-}
-
-// engineFor resolves the effective execution engine of a request: its
-// own engine override when set (normalize already validated the name),
-// the server's configured engine otherwise.
-func (s *Server) engineFor(req Request) core.Engine {
-	if req.Engine == "" {
-		return s.engine
-	}
-	eng, err := core.EngineByName(req.Engine)
-	if err != nil {
-		return s.engine // unreachable after normalize; fail safe
-	}
-	return eng
-}
-
-// requestKey namespaces the request's semantic key by the engine, since
-// the engine is part of what was executed.  It coincides with routeKey:
-// the local cache key and the cluster placement key are the same string,
-// which is what makes a forwarded miss land in the owner's cache under
-// the identity the whole fleet agrees on.
-func (s *Server) requestKey(req Request) string {
-	return routeKey(req, s.engineFor(req).Name())
 }
 
 // apiError is the JSON error body of every non-2xx response.
@@ -570,7 +547,7 @@ func (s *Server) analyzeStart(ctx context.Context, req *Request) (*Response, int
 		}
 		return &Response{Schema: ResponseSchema, Status: string(StatusDone), Document: doc}, http.StatusOK
 	}
-	if doc, err, ok := s.results.Peek(s.requestKey(*req)); ok {
+	if doc, err, ok := s.results.Peek(req.Key()); ok {
 		if err != nil {
 			return &Response{Schema: ResponseSchema, Status: string(StatusFailed), Cached: true, Error: err.Error()}, http.StatusInternalServerError
 		}
@@ -587,7 +564,7 @@ func (s *Server) analyzeStart(ctx context.Context, req *Request) (*Response, int
 // hard queue bound rejected it.
 func (s *Server) startJob(ctx context.Context, req Request) (*job, *Response, int) {
 	rid := requestIDFrom(ctx)
-	j, created, err := s.sched.enqueue(s.requestKey(req), req, rid)
+	j, created, err := s.sched.enqueue(req.Key(), req, rid)
 	if err != nil {
 		s.metrics.jobsRejected.Add(1)
 		s.logger.Warn("job rejected", "request_id", rid, "error", err.Error())

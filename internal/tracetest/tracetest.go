@@ -41,16 +41,13 @@ func Canonical(t testing.TB, tr *core.Trace) []byte {
 	return buf.Bytes()
 }
 
-// EngineEquivalence runs a registry algorithm on every execution engine
+// EngineEquivalence runs a registry algorithm on both execution engines
 // at every given size and asserts byte-identical traces — the check the
 // repository applies to its built-in algorithms and, because it takes any
-// descriptor, to user-registered ones too.  The replay engine is
-// exercised twice against one private schedule store, so each size also
-// asserts the cold (record-and-compile) and warm (pure replay) paths
-// agree with each other and with the reference.  The BlockEngine leg
-// runs through a streaming sink (an accumulating Trace behind
-// Options.Sink), so every size also asserts the streamed superstep
-// emission equals the classic in-memory path.  It returns the number of
+// descriptor, to user-registered ones too.  The BlockEngine leg runs
+// through a streaming sink (an accumulating Trace behind Options.Sink),
+// so every size also asserts the streamed superstep emission equals the
+// reference GoroutineEngine's in-memory trace.  It returns the number of
 // sizes successfully compared.
 func EngineEquivalence(t testing.TB, a alg.Algorithm, sizes []int) int {
 	t.Helper()
@@ -59,35 +56,18 @@ func EngineEquivalence(t testing.TB, a alg.Algorithm, sizes []int) int {
 		ref, refErr := a.Run(context.Background(), alg.Spec{Engine: core.GoroutineEngine{}}, n)
 		var streamed core.Trace
 		_, gotErr := a.Run(context.Background(), alg.Spec{Engine: core.BlockEngine{}, Sink: &streamed}, n)
-		replay := core.ReplayEngine{Store: core.NewScheduleStore()}
-		cold, coldErr := a.Run(context.Background(), alg.Spec{Engine: replay}, n)
-		warm, warmErr := a.Run(context.Background(), alg.Spec{Engine: replay}, n)
-		if (refErr != nil) != (gotErr != nil) || (refErr != nil) != (coldErr != nil) || (refErr != nil) != (warmErr != nil) {
-			t.Errorf("%s n=%d: engines disagree on validity: goroutine=%v block=%v replay-cold=%v replay-warm=%v",
-				a.Name, n, refErr, gotErr, coldErr, warmErr)
+		if (refErr != nil) != (gotErr != nil) {
+			t.Errorf("%s n=%d: engines disagree on validity: goroutine=%v block=%v", a.Name, n, refErr, gotErr)
 			continue
 		}
 		if refErr != nil {
 			continue // size invalid for this algorithm on every engine
 		}
-		want := Canonical(t, ref.Trace)
-		ok := true
-		for _, alt := range []struct {
-			name string
-			tr   *core.Trace
-		}{
-			{"BlockEngine (streaming sink)", &streamed},
-			{"ReplayEngine (cold)", cold.Trace},
-			{"ReplayEngine (warm)", warm.Trace},
-		} {
-			if !bytes.Equal(want, Canonical(t, alt.tr)) {
-				t.Errorf("%s n=%d: %s trace differs from GoroutineEngine trace", a.Name, n, alt.name)
-				ok = false
-			}
+		if !bytes.Equal(Canonical(t, ref.Trace), Canonical(t, &streamed)) {
+			t.Errorf("%s n=%d: BlockEngine (streaming sink) trace differs from GoroutineEngine trace", a.Name, n)
+			continue
 		}
-		if ok {
-			compared++
-		}
+		compared++
 	}
 	return compared
 }
