@@ -24,10 +24,11 @@
 // equivalence tests — none of which know its name.
 //
 // Registered algorithms must be deterministic: a run may depend only on
-// (n, Spec.Engine, Spec.Record), never on ambient state.  Derive inputs
-// from SeededRand (or any fixed seed) so the trace store's
-// (algorithm, n, engine) keying stays sound.  See examples/custom-algorithm
-// for a complete user-defined algorithm flowing through every surface.
+// (n, Spec.Record), never on ambient state, and every engine must yield
+// the same trace.  Derive inputs from SeededRand (or any fixed seed) so
+// the trace store's (algorithm, n, record) keying stays sound.  See
+// examples/custom-algorithm for a complete user-defined algorithm
+// flowing through every surface.
 package alg
 
 import (
@@ -42,11 +43,12 @@ import (
 // Spec is the unified run configuration every algorithm entry point
 // accepts: the four knobs that were once copy-pasted across seven
 // per-package Options structs.  The zero value is a valid default
-// (default engine, no recording, no wiseness dummies, no cancellation).
+// (block engine, no recording, no wiseness dummies, no cancellation).
 type Spec struct {
-	// Engine selects the core execution engine; nil uses the default.
-	// Engines change scheduling cost only, never semantics: every engine
-	// produces the identical trace for a valid program.
+	// Engine selects the core execution engine; nil uses the BlockEngine.
+	// Tests set it to the GoroutineEngine to run the reference: engines
+	// change scheduling cost only, and every engine produces the
+	// identical trace for a valid program.
 	Engine core.Engine
 	// Record enables message-pair recording in the trace, which the
 	// cache-simulation analyses require and everything else skips.
@@ -157,6 +159,6 @@ const SeededRandSeed = 20070326
 
 // SeededRand returns a deterministic RNG for registry-algorithm inputs.
 // Using it (or any fixed seed) keeps a run a pure function of
-// (n, engine, record) — the property the shared trace store's keying
-// relies on.
+// (n, record) — the property the shared trace store's (algorithm, n,
+// record) keying relies on.
 func SeededRand() *rand.Rand { return rand.New(rand.NewSource(SeededRandSeed)) }

@@ -31,9 +31,9 @@ type Algorithm struct {
 	Valid func(n int) error
 	// RunFn executes the algorithm on a deterministic input of size n
 	// under the given spec and returns its trace.  The engine reaches
-	// the runtime through the spec — never a process-wide default — so
-	// concurrent runs with different engines cannot race.  Call through
-	// Run, which validates the size first.
+	// the runtime through the spec, so concurrent runs with different
+	// engines cannot race.  Call through Run, which validates the size
+	// first.
 	RunFn func(ctx context.Context, spec Spec, n int) (Result, error)
 }
 

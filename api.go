@@ -11,10 +11,10 @@
 //
 //   - internal/core — the specification model M(v): a superstep runtime
 //     with labeled hierarchical barriers, exact communication-trace
-//     recording at every folding, and pluggable execution engines (a
-//     goroutine-per-VP reference engine and a sharded block-scheduled
-//     engine that runs the same programs, trace-identically, orders of
-//     magnitude cheaper at large v — see Engine);
+//     recording at every folding, run by a sharded block-scheduled
+//     engine that is held trace-identical to a goroutine-per-VP
+//     reference engine and is orders of magnitude cheaper at large v
+//     (see Engine);
 //   - internal/eval — the evaluation model M(p, σ): communication
 //     complexity H(n,p,σ) (Eq. 1), wiseness α (Def. 3.2), fullness γ
 //     (Def. 5.2), the Lemma 3.1 folding inequality;
@@ -32,7 +32,7 @@
 //     service: closed-form answers synchronously, simulation-backed
 //     answers through a priority job queue with bounded workers, SSE
 //     progress, per-job cancellation (RunOptions.Context reaches
-//     superstep granularity in both engines) and process-lifetime LRU
+//     superstep granularity) and process-lifetime LRU
 //     caches with single-flight dedup.  `nobl remote` targets a shared
 //     daemon from the CLI.
 //
@@ -94,40 +94,20 @@ type RunOptions = core.Options
 // engine: TraceKey, the trace store, the nobld result cache and cluster
 // placement all key a trace by (algorithm, n) alone.
 //
-// Selection guidance: the default BlockEngine is right for virtually all
-// workloads — it runs a worker per core and scales to millions of VPs.
-// The GoroutineEngine is the literal rendering of the model (one
-// goroutine per VP, per-cluster barriers); use it as the semantic oracle
-// when debugging the runtime itself, or to let independent deep-label
-// clusters proceed at different speeds.
+// There is nothing to select: every run, binary and service uses the
+// BlockEngine, which runs a worker per core and scales to millions of
+// VPs.  The GoroutineEngine is the literal rendering of the model (one
+// goroutine per VP, per-cluster barriers); tests set RunOptions.Engine
+// to it as the semantic oracle the BlockEngine is compared against.
 type Engine = core.Engine
 
 // GoroutineEngine is the reference engine: one goroutine per virtual
 // processor.
 type GoroutineEngine = core.GoroutineEngine
 
-// BlockEngine is the default engine: contiguous VP blocks driven by a
+// BlockEngine is the production engine: contiguous VP blocks driven by a
 // worker pool through tree barriers and bucketed message routing.
 type BlockEngine = core.BlockEngine
-
-// EngineByName resolves "goroutine" or "block" to an Engine, for
-// wiring to command-line flags.  The error enumerates every
-// registered name.
-func EngineByName(name string) (Engine, error) { return core.EngineByName(name) }
-
-// EngineNames lists the selectable engine names.
-func EngineNames() []string { return core.EngineNames() }
-
-// Engines returns one default-configured instance of every selectable
-// engine, sorted by name.
-func Engines() []Engine { return core.Engines() }
-
-// DefaultEngine returns the engine used when RunOptions.Engine is nil.
-func DefaultEngine() Engine { return core.DefaultEngine() }
-
-// SetDefaultEngine changes the process-wide default engine and returns
-// the previous one.
-func SetDefaultEngine(e Engine) Engine { return core.SetDefaultEngine(e) }
 
 // Algorithm is a typed descriptor of one runnable network-oblivious
 // algorithm: metadata (name, docs, size constraint, default sizes) plus

@@ -30,9 +30,8 @@
 //	-out DIR    write per-experiment files into DIR instead of stdout
 //	-parallel N run up to N experiments concurrently (0 = GOMAXPROCS);
 //	            output is byte-identical at any parallelism
-//	-engine     execution engine for all specification-model runs; run
-//	            'nobl algorithms' for the list (block, the sharded
-//	            default; goroutine, the reference)
+//
+// Every specification-model run uses the block engine.
 //
 // Exit status: 0 when every selected experiment ran and every check
 // passed; 1 when an experiment failed to run or any check failed; 2 on
@@ -65,12 +64,9 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "use reduced problem sizes")
-	md := flag.Bool("md", false, "emit markdown (deprecated alias for -format md)")
 	format := flag.String("format", "text", "output format: text|md|json|csv")
 	outDir := flag.String("out", "", "write per-experiment files into this directory")
 	parallel := flag.Int("parallel", 0, "max concurrent experiments (0 = GOMAXPROCS, 1 = sequential)")
-	engineName := flag.String("engine", core.DefaultEngine().Name(),
-		"execution engine: "+strings.Join(core.EngineNames(), "|"))
 	logLevel := flag.String("log-level", "warn", "diagnostic log level: debug|info|warn|error")
 	logFormat := flag.String("log-format", "text", "diagnostic log format: text|json")
 	flag.Usage = usage
@@ -83,20 +79,6 @@ func main() {
 	// Diagnostic logging rides slog's default logger; the warn default
 	// keeps the CLI's stderr contract (summary lines only) unchanged.
 	slog.SetDefault(logger)
-	engine, err := core.EngineByName(*engineName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nobl: %v\n", err)
-		os.Exit(2)
-	}
-	formatSet := false
-	flag.Visit(func(fl *flag.Flag) {
-		if fl.Name == "format" {
-			formatSet = true
-		}
-	})
-	if *md && !formatSet {
-		*format = "md" // deprecated alias; an explicit -format wins
-	}
 	f, err := harness.ParseFormat(*format)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nobl: %v\n", err)
@@ -115,7 +97,6 @@ func main() {
 	case "run":
 		cfg := harness.Config{
 			Quick:    *quick,
-			Engine:   engine,
 			Parallel: *parallel,
 			Store:    harness.NewTraceStore(),
 		}
@@ -125,9 +106,8 @@ func main() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 			fmt.Printf("%-16s   sizes: %s (defaults %s)\n", "", a.SizeDoc, formatSizes(a.DefaultSizes()))
 		}
-		fmt.Printf("\nengines (-engine): %s\n", strings.Join(core.EngineNames(), ", "))
 	case "trace":
-		runTrace(engine, args[1:])
+		runTrace(args[1:])
 	case "stat":
 		runStat(args[1:])
 	case "prof":
@@ -430,7 +410,7 @@ func render(cfg harness.Config, f harness.Format, outDir string, recs []harness.
 // the trace is never accumulated in memory, so peak footprint is the
 // largest superstep, not n.  The streamed file is byte-identical to the
 // in-memory Trace.EncodeJSON of the same run.
-func runTrace(engine core.Engine, args []string) {
+func runTrace(args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	n := fs.Int("n", 1024, "input size (power of two; matmul needs a square)")
 	out := fs.String("o", "-", "output file ('-' = stdout)")
@@ -467,14 +447,14 @@ func runTrace(engine core.Engine, args []string) {
 		// failed or interrupted run never leaves a truncated trace file.
 		sink = core.NewTraceFileSink(*out, core.TraceJSON)
 	}
-	run, err := a.Run(context.Background(), alg.Spec{Engine: engine, Record: *record, Sink: sink}, *n)
+	run, err := a.Run(context.Background(), alg.Spec{Record: *record, Sink: sink}, *n)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nobl trace: %v\n", err)
 		os.Exit(1)
 	}
 	tr := run.Trace // metadata-only: the steps went to the sink
-	fmt.Fprintf(os.Stderr, "nobl: %s on M(%d) via %s: %d supersteps, %d messages (streamed)\n",
-		a.Name, tr.V, engine.Name(), tr.NumSupersteps(), tr.TotalMessages())
+	fmt.Fprintf(os.Stderr, "nobl: %s on M(%d): %d supersteps, %d messages (streamed)\n",
+		a.Name, tr.V, tr.NumSupersteps(), tr.TotalMessages())
 }
 
 // formatSizes renders a default-size ladder compactly.
@@ -627,7 +607,7 @@ func splitName(args []string) (name string, rest []string) {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `nobl — network-oblivious algorithms experiment runner
+	fmt.Fprint(os.Stderr, `nobl — network-oblivious algorithms experiment runner
 
 usage:
   nobl [flags] list
@@ -640,7 +620,7 @@ usage:
               analyze a trace file or stdin pipe in one streaming
               pass; -cache adds the ideal-cache miss curve (needs a
               trace recorded with -record)
-  nobl prof <alg> [-n N] [-engine E] [-o timeline.json]
+  nobl prof <alg> [-n N] [-o timeline.json]
               [-cpuprofile file] [-memprofile file] [-record]
               run one algorithm under the engine probe and write its
               Chrome trace-event timeline (chrome://tracing, Perfetto):
@@ -659,10 +639,9 @@ flags:
   -out DIR    per-experiment files instead of stdout
   -parallel N concurrent experiments (0 = GOMAXPROCS); output is
               byte-identical at any parallelism
-  -engine E   execution engine (%s)
   -log-level L, -log-format F
               diagnostic slog output (debug|info|warn|error; text|json)
 
 'nobl run' exits non-zero when any experiment errors or any check fails.
-`, strings.Join(core.EngineNames(), "|"))
+`)
 }

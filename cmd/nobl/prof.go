@@ -7,11 +7,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"netoblivious/alg"
-	"netoblivious/internal/core"
 	"netoblivious/internal/harness"
 	"netoblivious/internal/obs"
 )
@@ -25,8 +23,6 @@ import (
 func runProf(args []string) int {
 	fs := flag.NewFlagSet("prof", flag.ExitOnError)
 	n := fs.Int("n", 1024, "input size (power of two; matmul needs a square)")
-	engineName := fs.String("engine", core.DefaultEngine().Name(),
-		"execution engine: "+strings.Join(core.EngineNames(), "|"))
 	out := fs.String("o", "timeline.json", "timeline output file ('-' = stdout)")
 	record := fs.Bool("record", false, "record message pairs during the run")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -49,11 +45,6 @@ func runProf(args []string) int {
 		fmt.Fprintf(os.Stderr, "nobl prof: %v\nusage: nobl prof %s -n N; run 'nobl algorithms' for size constraints\n", err, a.Name)
 		return 2
 	}
-	engine, err := core.EngineByName(*engineName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nobl prof: %v\n", err)
-		return 2
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -71,7 +62,7 @@ func runProf(args []string) int {
 
 	probe := obs.NewProbe()
 	start := time.Now()
-	run, err := a.Run(context.Background(), alg.Spec{Engine: engine, Record: *record, Probe: probe}, *n)
+	run, err := a.Run(context.Background(), alg.Spec{Record: *record, Probe: probe}, *n)
 	wall := time.Since(start)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nobl prof: %v\n", err)
@@ -112,8 +103,8 @@ func runProf(args []string) int {
 	if dest == "" || dest == "-" {
 		dest = "stdout"
 	}
-	fmt.Fprintf(os.Stderr, "nobl prof: %s on M(%d) via %s: %d supersteps, %d messages, %d timeline events (%d dropped) in %s -> %s\n",
-		a.Name, tr.V, engine.Name(), tr.NumSupersteps(), tr.TotalMessages(),
+	fmt.Fprintf(os.Stderr, "nobl prof: %s on M(%d): %d supersteps, %d messages, %d timeline events (%d dropped) in %s -> %s\n",
+		a.Name, tr.V, tr.NumSupersteps(), tr.TotalMessages(),
 		probe.Len(), probe.Dropped(), wall.Round(time.Microsecond), dest)
 	return 0
 }

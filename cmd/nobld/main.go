@@ -24,16 +24,14 @@
 // Usage:
 //
 //	nobld -addr :7413 -workers 4 -cache-entries 512 -trace-entries 64 \
-//	      -queue 1024 -timeout 2m -engine block \
+//	      -queue 1024 -timeout 2m \
 //	      -log-level info -log-format text -log-sample 1 \
 //	      -pprof-addr localhost:6060
 //
-// The -engine flag sets the execution engine of every run on this node;
-// any registered engine name is accepted (GET /v1/algorithms lists them).
-// Every engine computes the same traces, so cache and placement keys
-// carry no engine: a fleet may mix engines and still computes each key
-// once, and a result document names the engine of the node that
-// computed it.  A request's "engine" field is accepted and ignored.
+// Every run uses the block engine; there is no engine to choose.  Result
+// documents, /healthz, /v1/cluster and /v1/algorithms name it in their
+// "engine" field, and a request's "engine" field is accepted and
+// ignored.
 //
 // # Cluster mode
 //
@@ -94,7 +92,6 @@ import (
 	"syscall"
 	"time"
 
-	"netoblivious/internal/core"
 	"netoblivious/internal/obs"
 	"netoblivious/internal/service"
 )
@@ -110,8 +107,6 @@ func main() {
 	traceSpillDir := flag.String("trace-spill-dir", "",
 		"directory for spilled traces (default: a fresh temp dir; only with -trace-mem-budget)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-job execution timeout")
-	engineName := flag.String("engine", core.DefaultEngine().Name(),
-		"execution engine: "+strings.Join(core.EngineNames(), "|"))
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
 	logFormat := flag.String("log-format", "text", "log format: text|json")
 	logSample := flag.Int("log-sample", 1, "emit one access-log line per N requests")
@@ -132,11 +127,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nobld: %v\n", err)
 		os.Exit(2)
 	}
-	engine, err := core.EngineByName(*engineName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nobld: %v\n", err)
-		os.Exit(2)
-	}
 	cfg := service.Config{
 		Workers:        *workers,
 		QueueLimit:     *queue,
@@ -145,7 +135,6 @@ func main() {
 		TraceMemBudget: *traceMemBudget,
 		TraceSpillDir:  *traceSpillDir,
 		JobTimeout:     *timeout,
-		Engine:         engine,
 		Logger:         logger,
 		LogSample:      *logSample,
 		AdmitQueueHigh: *admitQueue,
@@ -206,7 +195,6 @@ func main() {
 		logger.Info("nobld listening",
 			"addr", *addr,
 			"version", obs.BuildVersion(),
-			"engine", engine.Name(),
 			"mode", mode,
 			"workers", *workers,
 			"cache", *cacheEntries,

@@ -35,8 +35,9 @@
 //
 // # Execution engines
 //
-// How the v virtual processors are scheduled on the host is pluggable
-// through the Engine interface; two engines are provided:
+// How the v virtual processors are scheduled on the host is not part of
+// the model.  Every run uses the BlockEngine unless Options.Engine names
+// the reference; the equivalence tests hold the two to identical traces:
 //
 //   - GoroutineEngine — the reference: one goroutine per VP, parked on
 //     per-cluster condition-variable barriers.  Sync parks the goroutine

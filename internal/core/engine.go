@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
-	"sync/atomic"
 )
 
 // Engine selects the execution strategy used to run a program on M(v).
@@ -15,8 +12,9 @@ import (
 // asserts trace-for-trace equivalence between all engines.
 //
 // The interface is sealed: the machine internals are generic and
-// unexported, so implementations live in this package.  Use EngineByName
-// to resolve a user-facing name (e.g. a CLI flag) to an Engine.
+// unexported, so implementations live in this package.  Production runs
+// use the BlockEngine (the nil Options.Engine); the GoroutineEngine is
+// the reference the equivalence tests compare it against.
 type Engine interface {
 	// Name is the stable identifier of the engine ("goroutine", "block").
 	Name() string
@@ -31,8 +29,8 @@ type Engine interface {
 // of control and clusters synchronizing at deep labels proceed fully
 // independently — but wakeups broadcast to whole clusters and every
 // barrier completion funnels through a global trace mutex, so scheduler
-// churn dominates at large v.  Prefer it for debugging and as the
-// semantic oracle.
+// churn dominates at large v.  It is the semantic oracle: tests select it
+// through Options.Engine and compare its traces with the BlockEngine's.
 type GoroutineEngine struct{}
 
 // Name implements Engine.
@@ -96,67 +94,14 @@ func floorPow2(n int) int {
 	return p
 }
 
-// engineFactories is the registry of selectable engines: name → fresh
-// default-configured instance.  EngineByName, EngineNames and Engines all
-// derive from it, so adding an engine here updates every user-facing
-// enumeration (CLI flag docs, usage text, service error bodies) at once.
-var engineFactories = map[string]func() Engine{
-	GoroutineEngine{}.Name(): func() Engine { return GoroutineEngine{} },
-	BlockEngine{}.Name():     func() Engine { return BlockEngine{} },
-}
-
-// EngineByName resolves an engine name, as accepted on command lines
-// ("goroutine", "block"), to a default-configured Engine.  The
-// error enumerates every registered name.
+// EngineByName resolves "goroutine" or "block" to a default-configured
+// Engine.
 func EngineByName(name string) (Engine, error) {
-	if f, ok := engineFactories[name]; ok {
-		return f(), nil
+	switch name {
+	case GoroutineEngine{}.Name():
+		return GoroutineEngine{}, nil
+	case BlockEngine{}.Name():
+		return BlockEngine{}, nil
 	}
-	return nil, fmt.Errorf("core: unknown engine %q (have %s)", name, strings.Join(EngineNames(), ", "))
-}
-
-// EngineNames lists the selectable engine names, sorted.
-func EngineNames() []string {
-	names := make([]string, 0, len(engineFactories))
-	for n := range engineFactories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Engines returns one default-configured instance of every selectable
-// engine, sorted by name — the listing surfaces (nobl, the service's
-// /v1/algorithms) render engine tables from it.
-func Engines() []Engine {
-	names := EngineNames()
-	out := make([]Engine, len(names))
-	for i, n := range names {
-		out[i] = engineFactories[n]()
-	}
-	return out
-}
-
-// engineBox wraps an Engine so atomic.Value always stores one concrete
-// type regardless of which engine is selected.
-type engineBox struct{ e Engine }
-
-// defaultEngine holds the Engine used when Options.Engine is nil.
-var defaultEngine atomic.Value
-
-func init() { defaultEngine.Store(engineBox{BlockEngine{}}) }
-
-// DefaultEngine returns the engine used by Run and by RunOpt when
-// Options.Engine is nil.  It is the BlockEngine unless overridden with
-// SetDefaultEngine.
-func DefaultEngine() Engine { return defaultEngine.Load().(engineBox).e }
-
-// SetDefaultEngine changes the process-wide default engine and returns
-// the previous one.  It is safe for concurrent use; runs already in
-// flight are unaffected.
-func SetDefaultEngine(e Engine) Engine {
-	if e == nil {
-		panic("core: SetDefaultEngine(nil)")
-	}
-	return defaultEngine.Swap(engineBox{e}).(engineBox).e
+	return nil, fmt.Errorf("core: unknown engine %q (have block, goroutine)", name)
 }

@@ -76,8 +76,7 @@ func TestEngineEquivalenceRandom(t *testing.T) {
 }
 
 // TestPointerEngines: engines passed by pointer (which also satisfy the
-// sealed interface) must behave exactly like their value forms, both
-// per-run and as the process default.
+// sealed interface) must behave exactly like their value forms.
 func TestPointerEngines(t *testing.T) {
 	prog := randomProgram(7, 8, 2)
 	ref, err := core.RunOpt(8, prog, core.Options{RecordMessages: true, Engine: core.GoroutineEngine{}})
@@ -93,10 +92,5 @@ func TestPointerEngines(t *testing.T) {
 		if !bytes.Equal(want, tracetest.Canonical(t, got)) {
 			t.Errorf("%s (pointer): trace mismatch", eng.Name())
 		}
-	}
-	prev := core.SetDefaultEngine(&core.BlockEngine{})
-	defer core.SetDefaultEngine(prev)
-	if _, err := core.Run(8, prog); err != nil {
-		t.Errorf("pointer default engine: %v", err)
 	}
 }

@@ -32,9 +32,9 @@ type Options struct {
 	// message count.
 	RecordMessages bool
 
-	// Engine selects the execution engine.  nil uses DefaultEngine().
-	// Every engine produces the same Trace for valid programs; see the
-	// Engine documentation for the trade-offs.
+	// Engine selects the execution engine.  nil uses BlockEngine{}; tests
+	// pass GoroutineEngine{} to run the reference.  Every engine produces
+	// the same Trace for valid programs.
 	Engine Engine
 
 	// Context cancels the run: once it is done, the machine aborts at the
@@ -445,7 +445,7 @@ func (m *machine[P]) initBarriers() {
 // communication Trace.  It returns an error if the program violates the
 // model's restrictions (cluster-confined messages, identical label
 // sequences, terminating Sync) or panics.  The program runs on the
-// process-wide DefaultEngine; use RunOpt to pick one explicitly.
+// BlockEngine.
 func Run[P any](v int, prog Program[P]) (*Trace, error) {
 	return RunOpt(v, prog, Options{})
 }
@@ -460,7 +460,7 @@ func RunOpt[P any](v int, prog Program[P], opts Options) (*Trace, error) {
 	}
 	eng := opts.Engine
 	if eng == nil {
-		eng = DefaultEngine()
+		eng = BlockEngine{}
 	}
 	if opts.Context != nil {
 		if err := opts.Context.Err(); err != nil {

@@ -76,7 +76,7 @@ func countEngineSpans(t *testing.T, p *obs.Probe) int {
 // emits exactly one engine-category span per executed superstep.
 func TestProbeSpansPerSuperstep(t *testing.T) {
 	const v = 32
-	for _, eng := range Engines() {
+	for _, eng := range []Engine{BlockEngine{}, GoroutineEngine{}} {
 		t.Run(eng.Name(), func(t *testing.T) {
 			probe := obs.NewProbe()
 			tr, err := RunOpt(v, probeTestProg, Options{Engine: eng, Probe: probe})

@@ -17,8 +17,9 @@ import (
 
 // TraceAlgorithm is a runnable algorithm descriptor — the open alg
 // registry's type.  Every entry derives its input from its own fixed
-// seed, so a run is a pure function of (engine, n): the property that
-// makes the trace store's (algorithm, n, engine) keying sound.
+// seed and every engine yields the same trace, so a run is a pure
+// function of (n, record): the property that makes the trace store's
+// (algorithm, n, record) keying sound.
 type TraceAlgorithm = alg.Algorithm
 
 // TraceAlgorithms returns the runnable algorithm registry sorted by name

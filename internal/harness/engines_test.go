@@ -43,9 +43,8 @@ func init() {
 // algorithm's own default size ladder and asserts byte-identical traces:
 // the BlockEngine must be a drop-in replacement for the reference
 // GoroutineEngine on every workload that can reach the registry.  The
-// engine reaches the algorithms through the threaded spec — never the
-// process-wide default — so the comparisons can themselves run under a
-// racing test schedule safely.
+// engine reaches the algorithms through the threaded spec, so the
+// comparisons can themselves run under a racing test schedule safely.
 func TestEngineEquivalenceAllAlgorithms(t *testing.T) {
 	if _, ok := TraceAlgorithmByName("zz-test-rotate"); !ok {
 		t.Fatal("registry is not open: the test-registered algorithm is missing")
@@ -87,8 +86,8 @@ func TestEngineEquivalenceRecordedPairs(t *testing.T) {
 }
 
 // TestSuiteEngineIsolation runs two suites concurrently on different
-// engines — the scenario the process-global default engine could not
-// support — and asserts both produce the same passing records.
+// engines, each threaded through harness.Config.Engine, and asserts
+// both produce the same passing records.
 func TestSuiteEngineIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-engine suite run is slow")

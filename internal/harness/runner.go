@@ -21,10 +21,10 @@ type Config struct {
 	Quick bool
 
 	// Engine selects the core execution engine for every
-	// specification-model run of the suite; nil uses
-	// core.DefaultEngine().  The engine is threaded explicitly through
-	// every algorithm call (never via the process-wide default), so
-	// concurrent suite runs with different engines cannot race.
+	// specification-model run of the suite; nil uses the BlockEngine.
+	// Tests set it to the GoroutineEngine to run the suite on the
+	// reference.  It is threaded explicitly through every algorithm
+	// call, so concurrent suites on different engines cannot race.
 	Engine core.Engine
 
 	// Parallel bounds the number of experiments running concurrently in
@@ -34,9 +34,10 @@ type Config struct {
 	Parallel int
 
 	// Store memoizes specification-model traces by (algorithm, n,
-	// engine) so overlapping experiments share one execution.  nil runs
-	// every request directly (no sharing); RunSuite installs a fresh
-	// store when the caller did not provide one.
+	// record) so overlapping experiments share one execution; the
+	// engine is not in the key, since every engine yields the same
+	// trace.  nil runs every request directly (no sharing); RunSuite
+	// installs a fresh store when the caller did not provide one.
 	Store *TraceStore
 
 	// Context cancels the suite: experiments not yet dispatched are
@@ -51,7 +52,7 @@ func (c Config) engine() core.Engine {
 	if c.Engine != nil {
 		return c.Engine
 	}
-	return core.DefaultEngine()
+	return core.BlockEngine{}
 }
 
 // ctx resolves the effective context.

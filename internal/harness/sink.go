@@ -209,14 +209,15 @@ const DocumentSchema = "nobl/results/v1"
 
 // Document is the JSON sink's payload: the full structured outcome of a
 // suite run.  It deliberately excludes wall-clock timings so that
-// parallel and sequential runs encode byte-identically; timings live in
-// the separate bench report (cmd/nobl -bench).
+// parallel and sequential runs encode byte-identically; timings come
+// from the benchmark under bench/.
 type Document struct {
 	// Schema is always DocumentSchema.
 	Schema string `json:"schema"`
 	// Quick records whether reduced problem sizes were used.
 	Quick bool `json:"quick"`
-	// Engine is the execution engine name the suite ran on.
+	// Engine is the execution engine name the suite ran on: "block"
+	// from every binary and the service.
 	Engine string `json:"engine"`
 	// Records holds one entry per experiment, in registry order.
 	Records []Record `json:"experiments"`
@@ -246,6 +247,9 @@ func DecodeDocument(r io.Reader) (Document, error) {
 			return Document{}, fmt.Errorf("harness: document record without experiment id")
 		}
 		for _, res := range rec.Results {
+			if res == nil {
+				return Document{}, fmt.Errorf("harness: %s: null result", rec.ID)
+			}
 			if len(res.Columns) == 0 {
 				return Document{}, fmt.Errorf("harness: %s: result %q has no columns", rec.ID, res.Title)
 			}

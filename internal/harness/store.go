@@ -56,10 +56,10 @@ func NewBoundedTraceStore(capacity int) *TraceStore {
 }
 
 // Get returns the memoized run of the named registry algorithm at size
-// n, executing it on the given engine on first use.  ctx bounds that
-// execution; because cancellation errors would otherwise be memoized for
-// every later caller of the key, a run failing with ctx's error is
-// forgotten instead of cached.
+// n, executing it on the given engine (nil: the BlockEngine) on first
+// use.  ctx bounds that execution; because cancellation errors would
+// otherwise be memoized for every later caller of the key, a run failing
+// with ctx's error is forgotten instead of cached.
 func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n int) (AlgRun, error) {
 	return ts.get(ctx, eng, name, n, false)
 }
@@ -73,9 +73,6 @@ func (ts *TraceStore) GetRecorded(ctx context.Context, eng core.Engine, name str
 }
 
 func (ts *TraceStore) get(ctx context.Context, eng core.Engine, name string, n int, record bool) (AlgRun, error) {
-	if eng == nil {
-		eng = core.DefaultEngine()
-	}
 	a, ok := TraceAlgorithmByName(name)
 	if !ok {
 		return AlgRun{}, fmt.Errorf("harness: unknown algorithm %q", name)

@@ -81,9 +81,8 @@ func (s Spec) Run() (*core.Trace, error) {
 	return core.Run(s.V, s.Program())
 }
 
-// RunSpec is Run with the unified run configuration (engine selection,
-// message recording, cancellation), so callers running specs concurrently
-// need not touch the process-wide default engine.
+// RunSpec is Run with the unified run configuration (engine, message
+// recording, cancellation).
 func (s Spec) RunSpec(spec alg.Spec) (*core.Trace, error) {
 	return core.RunOpt(s.V, s.Program(), spec.RunOptions())
 }

@@ -113,6 +113,12 @@ type Request struct {
 	Wait bool `json:"wait,omitempty"`
 }
 
+// maxNetworkP bounds the machines of a kind "network" request.  The
+// topology build and the routing are sized by p: at p=2^10 a request
+// answers in well under a second, while at p=2^14 one request allocates
+// gigabytes.
+const maxNetworkP = 1024
+
 // normalize fills defaults and validates what can be validated without
 // running anything.
 func (r *Request) normalize() error {
@@ -160,6 +166,12 @@ func (r *Request) normalize() error {
 		return fmt.Errorf("topology/strategy/seed only apply to kind %q", KindNetwork)
 	}
 	if r.Kind == KindNetwork {
+		// Checked before the topology below, which is built at p.
+		for _, m := range r.Machines {
+			if m.P > maxNetworkP {
+				return fmt.Errorf("kind %q: machine p=%d exceeds the limit p <= %d", KindNetwork, m.P, maxNetworkP)
+			}
+		}
 		p := r.maxMachineP(0)
 		if r.Topology != "" {
 			if _, err := network.TopologyByName(r.Topology, p); err != nil {
@@ -296,7 +308,7 @@ func (s *Server) runAnalysis(ctx context.Context, req Request, progress progress
 	}
 	doc := &harness.Document{
 		Schema: harness.DocumentSchema,
-		Engine: s.engine.Name(),
+		Engine: engineName,
 		Records: []harness.Record{{
 			ID:      string(req.Kind),
 			Title:   recordTitle(req),
@@ -404,14 +416,14 @@ func analyzeMachines(req Request) ([]*harness.Result, error) {
 // cache (recorded form only when the analysis needs message pairs).
 func (s *Server) algRun(ctx context.Context, req Request, recorded bool) (harness.AlgRun, error) {
 	if recorded {
-		return s.traces.GetRecorded(ctx, s.engine, req.Algorithm, req.N)
+		return s.traces.GetRecorded(ctx, nil, req.Algorithm, req.N)
 	}
-	return s.traces.Get(ctx, s.engine, req.Algorithm, req.N)
+	return s.traces.Get(ctx, nil, req.Algorithm, req.N)
 }
 
 // analyzeTrace runs the algorithm and measures every requested machine.
 func (s *Server) analyzeTrace(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
-	progress.emit("tracing", fmt.Sprintf("%s n=%d on %s", req.Algorithm, req.N, s.engine.Name()))
+	progress.emit("tracing", fmt.Sprintf("%s n=%d on %s", req.Algorithm, req.N, engineName))
 	run, err := s.algRun(ctx, req, false)
 	if err != nil {
 		return nil, err
@@ -456,7 +468,7 @@ func (s *Server) analyzeTrace(ctx context.Context, req Request, progress progres
 
 // analyzeDBSP folds the measured trace on the network presets.
 func (s *Server) analyzeDBSP(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
-	progress.emit("tracing", fmt.Sprintf("%s n=%d on %s", req.Algorithm, req.N, s.engine.Name()))
+	progress.emit("tracing", fmt.Sprintf("%s n=%d on %s", req.Algorithm, req.N, engineName))
 	run, err := s.algRun(ctx, req, false)
 	if err != nil {
 		return nil, err
@@ -503,7 +515,7 @@ var cacheSweepSizes = []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}
 // analyzeCache simulates the folded-to-one-processor execution under
 // ideal caches (the Section 6 conjecture's measurable content).
 func (s *Server) analyzeCache(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
-	progress.emit("tracing", fmt.Sprintf("%s n=%d (recorded) on %s", req.Algorithm, req.N, s.engine.Name()))
+	progress.emit("tracing", fmt.Sprintf("%s n=%d (recorded) on %s", req.Algorithm, req.N, engineName))
 	run, err := s.algRun(ctx, req, true)
 	if err != nil {
 		return nil, err

@@ -11,10 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
-
-	"netoblivious/internal/cluster"
 )
 
 // Client is a typed HTTP client for a nobld daemon, used by the
@@ -268,71 +265,6 @@ func (c *Client) AnalyzeBatch(ctx context.Context, reqs []Request) ([]Response, 
 		return nil, err
 	}
 	return out.Responses, nil
-}
-
-// AnalyzeBatchRouted splits a batch by shard ownership and sends each
-// owner its items directly, in parallel, bypassing the server-side
-// forwarding hop.  The ring view comes from GET /v1/cluster; when the
-// daemon is not clustered (or the view is unavailable) the whole batch
-// falls back to a single AnalyzeBatch through BaseURL.  Item order is
-// preserved.
-func (c *Client) AnalyzeBatchRouted(ctx context.Context, reqs []Request) ([]Response, error) {
-	view, err := c.Cluster(ctx, "")
-	if err != nil || len(view.Members) < 2 {
-		return c.AnalyzeBatch(ctx, reqs)
-	}
-	ring, err := cluster.New(view.Seed, view.VNodes, view.Members)
-	if err != nil {
-		return c.AnalyzeBatch(ctx, reqs)
-	}
-	out := make([]Response, len(reqs))
-	groups := map[string][]int{}
-	routed := make([]Request, len(reqs))
-	for i, req := range reqs {
-		rq := req
-		if err := rq.normalize(); err != nil {
-			out[i] = Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: err.Error(), Code: http.StatusBadRequest}
-			continue
-		}
-		routed[i] = rq
-		owner := ring.Owner(rq.Key())
-		groups[owner] = append(groups[owner], i)
-	}
-	var wg sync.WaitGroup
-	for owner, idxs := range groups {
-		wg.Add(1)
-		go func(owner string, idxs []int) {
-			defer wg.Done()
-			sub := make([]Request, len(idxs))
-			for i, idx := range idxs {
-				sub[i] = routed[idx]
-			}
-			sc := c
-			if owner != c.BaseURL {
-				sc = &Client{
-					BaseURL:    owner,
-					HTTPClient: c.HTTPClient,
-					MaxRetries: c.MaxRetries,
-					RetryBase:  c.RetryBase,
-					RetryMax:   c.RetryMax,
-					OnRetry:    c.OnRetry,
-					Header:     c.Header,
-				}
-			}
-			resps, err := sc.AnalyzeBatch(ctx, sub)
-			for i, idx := range idxs {
-				switch {
-				case err != nil:
-					out[idx] = Response{Schema: ResponseSchema, Status: string(StatusFailed),
-						Error: fmt.Sprintf("shard %s: %v", owner, err), Code: http.StatusBadGateway}
-				case i < len(resps):
-					out[idx] = resps[i]
-				}
-			}
-		}(owner, idxs)
-	}
-	wg.Wait()
-	return out, nil
 }
 
 // Job fetches a job's status, event log and (when terminal) response.

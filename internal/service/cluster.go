@@ -180,7 +180,7 @@ func (c *clusterState) mode() string {
 // locally.  Synchronous kinds are always local (they cost microseconds;
 // forwarding would cost more than answering).  The ring hashes
 // req.Key(), the same key every node caches under, so each answer is
-// computed exactly once fleet-wide whatever engine a node runs.
+// computed exactly once fleet-wide.
 //
 //nob:hotpath
 func (s *Server) routeOf(req *Request, forwarded bool) string {
@@ -312,9 +312,9 @@ type Ownership struct {
 	Local bool `json:"local"`
 }
 
-// ClusterResponse is the GET /v1/cluster payload: enough of the ring
-// configuration for a client to compute ownership itself (the
-// AnalyzeBatchRouted fast path), plus advisory peer health.
+// ClusterResponse is the GET /v1/cluster payload: the ring
+// configuration, which determines key ownership, plus advisory peer
+// health.
 type ClusterResponse struct {
 	Schema string `json:"schema"`
 	// Mode is "single", "node" or "router".
@@ -340,7 +340,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	resp := ClusterResponse{
 		Schema: ClusterSchema,
 		Mode:   c.mode(),
-		Engine: s.engine.Name(),
+		Engine: engineName,
 	}
 	if c != nil {
 		resp.Self = c.self

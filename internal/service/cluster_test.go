@@ -11,8 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"netoblivious/internal/core"
 )
 
 // testNode is one in-process cluster member: a Server plus the httptest
@@ -165,33 +163,6 @@ func TestClusterExactlyOnceCompute(t *testing.T) {
 	}
 	if done != 1 {
 		t.Errorf("summed jobs done = %d, want exactly 1", done)
-	}
-}
-
-// TestClusterMixedEnginesExactlyOnce: nodes running different engines
-// still share one key space.  The same request entering through every
-// node of a block/goroutine/block fleet is computed once fleet-wide,
-// because neither placement nor the result cache keys on the engine.
-func TestClusterMixedEnginesExactlyOnce(t *testing.T) {
-	engines := []core.Engine{core.BlockEngine{}, core.GoroutineEngine{}, core.BlockEngine{}}
-	nodes := newTestCluster(t, 3, func(i int, cfg *Config) { cfg.Engine = engines[i] })
-	req := Request{Algorithm: "fft", N: 256, Kind: KindTrace, Wait: true}
-	ctx := context.Background()
-	for _, nd := range nodes {
-		resp, err := nd.c.Analyze(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Status != string(StatusDone) || resp.Document == nil {
-			t.Fatalf("via %s: status %q", nd.url, resp.Status)
-		}
-	}
-	var misses int64
-	for _, nd := range nodes {
-		misses += nd.srv.results.Stats().Misses
-	}
-	if misses != 1 {
-		t.Errorf("summed result-cache misses = %d across a mixed-engine fleet, want exactly 1", misses)
 	}
 }
 
@@ -543,8 +514,7 @@ func TestBatchPartialPerItemStatus(t *testing.T) {
 }
 
 // TestClusterBatchRouting: a batch entering one node fans out across
-// the fleet server-side; AnalyzeBatchRouted does the same split
-// client-side, skipping the forwarding hop entirely.
+// the fleet server-side and partially succeeds item by item.
 func TestClusterBatchRouting(t *testing.T) {
 	nodes := newTestCluster(t, 3, nil)
 	ctx := context.Background()
@@ -554,8 +524,6 @@ func TestClusterBatchRouting(t *testing.T) {
 		{Algorithm: "fft", N: 32, Kind: KindTrace, Wait: true},
 		{Algorithm: "bad", N: 64, Kind: KindTrace},
 	}
-
-	// Server-side: the batch partially succeeds item by item.
 	resps, err := nodes[0].c.AnalyzeBatch(ctx, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -567,43 +535,5 @@ func TestClusterBatchRouting(t *testing.T) {
 	}
 	if resps[3].Code != http.StatusBadRequest {
 		t.Errorf("bad item: code %d, want 400", resps[3].Code)
-	}
-
-	// Client-side routing sends every item straight to its owner: no
-	// node records any new server-side forward.
-	var beforeForwards int64
-	snapshotForwards := func() int64 {
-		var total int64
-		for _, nd := range nodes {
-			snap, err := nd.c.Metrics(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if snap.Cluster != nil {
-				for _, v := range snap.Cluster.Forwards {
-					total += v
-				}
-			}
-		}
-		return total
-	}
-	beforeForwards = snapshotForwards()
-	routed, err := nodes[0].c.AnalyzeBatchRouted(ctx, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(routed) != len(reqs) {
-		t.Fatalf("routed batch returned %d responses for %d requests", len(routed), len(reqs))
-	}
-	for i := 0; i < 3; i++ {
-		if routed[i].Status != string(StatusDone) || routed[i].Document == nil {
-			t.Errorf("routed item %d: status %q", i, routed[i].Status)
-		}
-	}
-	if routed[3].Code != http.StatusBadRequest {
-		t.Errorf("routed bad item: code %d, want 400", routed[3].Code)
-	}
-	if after := snapshotForwards(); after != beforeForwards {
-		t.Errorf("client-side routing still caused %d server-side forwards", after-beforeForwards)
 	}
 }

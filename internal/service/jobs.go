@@ -414,7 +414,7 @@ func (s *Server) runJob(j *job) {
 	}
 	elapsed := time.Since(start)
 	s.metrics.observeLatency(j.req.Algorithm, elapsed)
-	s.metrics.observeRun(s.engine.Name(), elapsed)
+	s.metrics.observeRun(engineName, elapsed)
 	s.sched.release(j)
 
 	var finished bool

@@ -48,9 +48,6 @@ type Config struct {
 	TraceSpillDir string
 	// JobTimeout bounds each job's execution; 0 means 2 minutes.
 	JobTimeout time.Duration
-	// Engine is the execution engine for every specification run; nil
-	// means core.DefaultEngine().
-	Engine core.Engine
 	// Logger receives the service's structured logs (access lines, job
 	// lifecycle); nil discards them.
 	Logger *slog.Logger
@@ -94,9 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 2 * time.Minute
 	}
-	if c.Engine == nil {
-		c.Engine = core.DefaultEngine()
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -105,6 +99,11 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// engineName names the execution engine every server runs: the trace
+// store's nil engine, the BlockEngine.  The wire fields named "engine"
+// (document, healthz, /v1/cluster, /v1/algorithms) report it.
+var engineName = core.BlockEngine{}.Name()
 
 // ResponseSchema tags analyze responses; bump on breaking changes.
 const ResponseSchema = "nobld/response/v1"
@@ -176,10 +175,8 @@ type AlgorithmInfo struct {
 // AlgorithmsResponse is the GET /v1/algorithms payload.
 type AlgorithmsResponse struct {
 	Schema string `json:"schema"`
-	// Engine is the execution engine this server runs; Engines lists
-	// every engine a server may be configured with (nobld -engine).
+	// Engine is the execution engine this server runs (engineName).
 	Engine     string          `json:"engine"`
-	Engines    []string        `json:"engines"`
 	Algorithms []AlgorithmInfo `json:"algorithms"`
 	Kinds      []Kind          `json:"kinds"`
 	// Topologies and Strategies enumerate the network families and
@@ -194,7 +191,6 @@ type AlgorithmsResponse struct {
 // single-flight.
 type Server struct {
 	cfg     Config
-	engine  core.Engine
 	results *core.Store[*harness.Document]
 	traces  *harness.TraceStore
 	sched   *scheduler
@@ -236,7 +232,6 @@ func New(cfg Config) (*Server, error) {
 	traces.SetProbe(cfg.Probe)
 	s := &Server{
 		cfg:     cfg,
-		engine:  cfg.Engine,
 		results: core.NewBoundedStore[*harness.Document](cfg.CacheEntries),
 		traces:  traces,
 		sched:   newScheduler(cfg.QueueLimit, cfg.AdmitQueueHigh),
@@ -384,7 +379,7 @@ type HealthResponse struct {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:     "ok",
-		Engine:     s.engine.Name(),
+		Engine:     engineName,
 		Version:    obs.BuildVersion(),
 		GoVersion:  runtime.Version(),
 		UptimeSec:  time.Since(s.started).Seconds(),
@@ -397,8 +392,7 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	s.metrics.countRequest("algorithms")
 	resp := AlgorithmsResponse{
 		Schema:     "nobld/algorithms/v1",
-		Engine:     s.engine.Name(),
-		Engines:    core.EngineNames(),
+		Engine:     engineName,
 		Kinds:      Kinds(),
 		Topologies: network.TopologyNames(),
 		Strategies: network.RouterNames(),

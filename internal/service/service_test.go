@@ -299,8 +299,8 @@ func TestNetworkTopologyStrategySelection(t *testing.T) {
 }
 
 // TestNetworkValidation: unknown or size-invalid topology/strategy
-// selections fail fast with 400s, and the fields are rejected on
-// non-network kinds.
+// selections and machines above maxNetworkP fail fast with 400s before
+// any job is queued, and the fields are rejected on non-network kinds.
 func TestNetworkValidation(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
@@ -309,13 +309,21 @@ func TestNetworkValidation(t *testing.T) {
 		{Kind: KindNetwork, Strategy: "hot-potato"},
 		{Kind: KindNetwork, Topology: "torus3d", Machines: []MachineSpec{{P: 16}}}, // 16 is not a cube
 		{Kind: KindNetwork, Seed: -3},
+		{Kind: KindNetwork, Machines: []MachineSpec{{P: 2 * maxNetworkP}}},
+		{Kind: KindNetwork, Topology: "ring", Machines: []MachineSpec{{P: 64}, {P: 2 * maxNetworkP}}},
 		{Kind: KindTrace, Algorithm: "fft", N: 256, Topology: "ring"},
 		{Kind: KindBounds, Algorithm: "fft", N: 256, Strategy: "valiant"},
 	}
 	for _, req := range cases {
-		if _, err := c.Analyze(ctx, req); err == nil {
+		_, err := c.Analyze(ctx, req)
+		if err == nil {
 			t.Errorf("request %+v accepted, want validation error", req)
+		} else if !strings.Contains(err.Error(), "HTTP 400") {
+			t.Errorf("request %+v: %v, want HTTP 400", req, err)
 		}
+	}
+	if running, done := jobCounts(t, c); running+done != 0 {
+		t.Errorf("rejected requests left jobs behind (running %d, done %d)", running, done)
 	}
 }
 
