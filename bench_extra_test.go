@@ -123,10 +123,11 @@ func BenchmarkE16CacheSim(b *testing.B) {
 	b.ResetTimer()
 	var curve []int64
 	for i := 0; i < b.N; i++ {
-		curve, err = cachesim.MissCurve(res.Trace, 4, 8, []int{256, 2048})
+		cs, err := cachesim.MissCurve(res.Trace.Source(), 4, 8, []int{256, 2048})
 		if err != nil {
 			b.Fatal(err)
 		}
+		curve = cs.Misses()
 	}
 	b.ReportMetric(float64(curve[0]), "misses(M=256)")
 	b.ReportMetric(float64(curve[1]), "misses(M=2048)")

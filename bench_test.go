@@ -286,8 +286,12 @@ func BenchmarkE10FoldingLemma(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		fs, err := res.Trace.Summary()
+		if err != nil {
+			b.Fatal(err)
+		}
 		for p := 2; p <= n; p *= 2 {
-			if err := eval.CheckFoldingLemma(res.Trace, p); err != nil {
+			if err := eval.CheckFoldingLemma(fs, p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -320,7 +324,7 @@ func BenchmarkE11AscendDescend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		speedup = dbsp.CommTime(tr, pr) / pc.CommTime(pr)
+		speedup = nob.CommTime(tr, pr) / pc.CommTime(pr)
 	}
 	b.ReportMetric(speedup, "speedup-mesh1D")
 	b.ReportMetric(nob.Fullness(tr, v), "gamma")

@@ -102,7 +102,7 @@ func main() {
 		}
 		os.Exit(runSuite(cfg, f, *outDir, args[1:]))
 	case "algorithms":
-		for _, a := range harness.TraceAlgorithms() {
+		for _, a := range alg.All() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 			fmt.Printf("%-16s   sizes: %s (defaults %s)\n", "", a.SizeDoc, formatSizes(a.DefaultSizes()))
 		}
@@ -424,7 +424,7 @@ func runTrace(args []string) {
 		fmt.Fprintln(os.Stderr, "nobl trace: need exactly one algorithm name (see 'nobl algorithms')")
 		os.Exit(2)
 	}
-	a, ok := harness.TraceAlgorithmByName(name)
+	a, ok := alg.ByName(name)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "nobl trace: unknown algorithm %q (see 'nobl algorithms')\n", name)
 		os.Exit(1)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"netoblivious/alg"
-	"netoblivious/internal/harness"
 	"netoblivious/internal/obs"
 )
 
@@ -36,7 +35,7 @@ func runProf(args []string) int {
 		fmt.Fprintln(os.Stderr, "nobl prof: need exactly one algorithm name (see 'nobl algorithms')")
 		return 2
 	}
-	a, ok := harness.TraceAlgorithmByName(name)
+	a, ok := alg.ByName(name)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "nobl prof: unknown algorithm %q (see 'nobl algorithms')\n", name)
 		return 1

@@ -5,6 +5,7 @@ import (
 
 	"netoblivious/internal/eval"
 	"netoblivious/internal/theory"
+	"netoblivious/internal/tracetest"
 )
 
 func checkAll(t *testing.T, got []int64, want int64) {
@@ -81,7 +82,8 @@ func TestAwareMatchesLowerBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := eval.H(res.Trace, p, sigma)
+			fs := tracetest.Summary(t, res.Trace)
+			h := eval.H(fs, p, sigma)
 			lb := theory.LowerBoundBroadcast(p, sigma)
 			if h < lb*0.4 {
 				t.Errorf("p=%d σ=%v: H=%v below lower bound %v", p, sigma, h, lb)
@@ -103,8 +105,9 @@ func TestObliviousGapGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	gap := func(sigma float64) float64 {
-		return eval.H(res.Trace, p, sigma) / theory.LowerBoundBroadcast(p, sigma)
+		return eval.H(fs, p, sigma) / theory.LowerBoundBroadcast(p, sigma)
 	}
 	g8 := gap(8)
 	g512 := gap(512)
@@ -135,12 +138,14 @@ func TestFlatVsTreeCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	treeFS := tracetest.Summary(t, tree.Trace)
 	star, err := ObliviousFlat(p, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hTree := func(s float64) float64 { return eval.H(tree.Trace, p, s) }
-	hStar := func(s float64) float64 { return eval.H(star.Trace, p, s) }
+	starFS := tracetest.Summary(t, star.Trace)
+	hTree := func(s float64) float64 { return eval.H(treeFS, p, s) }
+	hStar := func(s float64) float64 { return eval.H(starFS, p, s) }
 	if hTree(0) >= hStar(0) {
 		t.Errorf("σ=0: tree (%v) should beat star (%v)", hTree(0), hStar(0))
 	}

@@ -151,30 +151,18 @@ func (ss *stepSchedule) run(rec *core.StepRec, touch func(addr int64)) error {
 
 // SimulateTrace executes the recorded algorithm sequentially on one
 // processor with an IC(M, B) cache (the trace must be recorded with
-// RecordMessages); see stepSchedule for the access model.
+// RecordMessages); see stepSchedule for the access model.  It simulates
+// one cache size per pass and is kept as the reference the single-pass
+// CurveSim is tested against.
 func SimulateTrace(tr *core.Trace, ctxWords int, cache *Cache) (SimStats, error) {
-	return SimulateSource(tr.Source(), ctxWords, cache)
-}
-
-// SimulateSource is SimulateTrace over a streaming TraceSource, so the
-// simulation's memory footprint is O(largest superstep) no matter how
-// long the trace is.  It does not Close the source.
-func SimulateSource(src core.TraceSource, ctxWords int, cache *Cache) (SimStats, error) {
-	ss, err := newStepSchedule(src.V(), ctxWords)
+	ss, err := newStepSchedule(tr.V, ctxWords)
 	if err != nil {
 		return SimStats{}, err
 	}
 	startMisses, startAccesses := cache.Misses, cache.Accesses
 	touch := func(addr int64) { cache.Access(addr) }
-	for {
-		rec, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return SimStats{}, err
-		}
-		if err := ss.run(rec, touch); err != nil {
+	for i := range tr.Steps {
+		if err := ss.run(&tr.Steps[i], touch); err != nil {
 			return SimStats{}, err
 		}
 	}
@@ -380,16 +368,12 @@ func (cs *CurveSim) Accesses() int64 { return cs.accesses }
 // Words returns the simulated memory footprint in words.
 func (cs *CurveSim) Words() int64 { return int64(cs.ss.v) * cs.ss.region }
 
-// MissCurve simulates the trace across a sweep of cache sizes (words),
-// returning the miss count for each.  B is the line length in words.
-// One traversal drives every size simultaneously; see CurveSim.
-func MissCurve(tr *core.Trace, ctxWords, bWords int, sizes []int) ([]int64, error) {
-	return MissCurveSource(tr.Source(), ctxWords, bWords, sizes)
-}
-
-// MissCurveSource is MissCurve over a streaming TraceSource.  It does
-// not Close the source.
-func MissCurveSource(src core.TraceSource, ctxWords, bWords int, sizes []int) ([]int64, error) {
+// MissCurve drains src through a CurveSim over a sweep of cache sizes
+// (words) and returns it: Misses gives the miss count per size, Accesses
+// and Words the shared access total and footprint.  B is the line length
+// in words.  One traversal drives every size simultaneously; see
+// CurveSim.  It does not Close the source.
+func MissCurve(src core.TraceSource, ctxWords, bWords int, sizes []int) (*CurveSim, error) {
 	cs, err := NewCurveSim(src.V(), ctxWords, bWords, sizes)
 	if err != nil {
 		return nil, err
@@ -397,7 +381,7 @@ func MissCurveSource(src core.TraceSource, ctxWords, bWords int, sizes []int) ([
 	for {
 		rec, err := src.Next()
 		if err == io.EOF {
-			return cs.Misses(), nil
+			return cs, nil
 		}
 		if err != nil {
 			return nil, err

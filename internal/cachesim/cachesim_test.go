@@ -137,10 +137,11 @@ func TestMissCurveMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := []int{64, 256, 1024, 4096}
-	curve, err := MissCurve(res.Trace, 4, 8, sizes)
+	cs, err := MissCurve(res.Trace.Source(), 4, 8, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	curve := cs.Misses()
 	for i := 1; i < len(curve); i++ {
 		if curve[i] > curve[i-1] {
 			t.Errorf("miss curve not monotone: %v", curve)
@@ -196,10 +197,11 @@ func TestMissCurveGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := MissCurve(tr, 4, 8, sizes)
+			cs, err := MissCurve(tr.Source(), 4, 8, sizes)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := cs.Misses()
 			for i := range want {
 				if got[i] != want[i] {
 					t.Errorf("%s sizes=%v: single-pass curve %v, reference %v", name, sizes, got, want)
@@ -220,14 +222,9 @@ func TestCurveSimAccesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := NewCurveSim(tr.V, 4, 8, []int{64, 256})
+	cs, err := MissCurve(tr.Source(), 4, 8, []int{64, 256})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := range tr.Steps {
-		if err := cs.Step(&tr.Steps[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
 	c, _ := New(64, 8)
 	st, err := SimulateTrace(tr, 4, c)
@@ -262,25 +259,18 @@ func TestSection6Conjecture(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := []int{128, 512, 2048}
-	curveRec, err := MissCurve(rec.Trace, 4, 8, sizes)
+	csRec, err := MissCurve(rec.Trace.Source(), 4, 8, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	curveIt, err := MissCurve(it.Trace, 4, 8, sizes)
+	csIt, err := MissCurve(it.Trace.Source(), 4, 8, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	curveRec, curveIt := csRec.Misses(), csIt.Misses()
 	// Compare per-access miss rates: the two algorithms touch different
 	// total word counts, so normalize.
-	var accRec, accIt float64
-	{
-		c1, _ := New(1<<20, 8)
-		st, _ := SimulateTrace(rec.Trace, 4, c1)
-		accRec = float64(st.Accesses)
-		c2, _ := New(1<<20, 8)
-		st2, _ := SimulateTrace(it.Trace, 4, c2)
-		accIt = float64(st2.Accesses)
-	}
+	accRec, accIt := float64(csRec.Accesses()), float64(csIt.Accesses())
 	for i, m := range sizes {
 		rRec := float64(curveRec[i]) / accRec
 		rIt := float64(curveIt[i]) / accIt

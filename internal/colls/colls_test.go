@@ -5,6 +5,7 @@ import (
 
 	"netoblivious/internal/core"
 	"netoblivious/internal/eval"
+	"netoblivious/internal/tracetest"
 )
 
 func add(a, b int64) int64 { return a + b }
@@ -154,6 +155,7 @@ func TestCollectiveCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	treeFS := tracetest.Summary(t, trTree)
 	trGather, err := core.Run(v, func(vp *core.VP[int64]) {
 		_ = AllGather(vp, 0, int64(vp.ID()))
 		vp.Sync(0)
@@ -161,17 +163,18 @@ func TestCollectiveCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gatherFS := tracetest.Summary(t, trGather)
 	// AllReduce folded on p: the log p butterfly stages with distance
 	// >= v/p cross blocks with every VP sending once, h = v/p each.
 	for p := 2; p <= v; p *= 4 {
-		h := eval.H(trTree, p, 0)
+		h := eval.H(treeFS, p, 0)
 		want := float64(v/p) * float64(core.Log2(p))
 		if h != want {
 			t.Errorf("allreduce H(%d) = %v, want %v", p, h, want)
 		}
 		// AllGather folded on p: each processor's v/p VPs each send
 		// v − v/p block-leaving messages: h = (v/p)·(v − v/p).
-		hg := eval.H(trGather, p, 0)
+		hg := eval.H(gatherFS, p, 0)
 		wantG := float64(v/p) * float64(v-v/p)
 		if hg != wantG {
 			t.Errorf("allgather H(%d) = %v, want %v", p, hg, wantG)

@@ -8,6 +8,7 @@ import (
 	"netoblivious/internal/core"
 	"netoblivious/internal/eval"
 	"netoblivious/internal/theory"
+	"netoblivious/internal/tracetest"
 )
 
 func isSorted(a []int64) bool {
@@ -159,8 +160,9 @@ func TestSortComplexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	for p := 2; p <= n; p *= 8 {
-		h := eval.H(res.Trace, p, 0)
+		h := eval.H(fs, p, 0)
 		pred := theory.PredictedSort(float64(n), p, 0)
 		ratio := h / pred
 		if ratio > 30 || ratio < 0.01 {
@@ -170,7 +172,7 @@ func TestSortComplexity(t *testing.T) {
 	// Optimality band for moderate p: H within a constant factor of the
 	// sorting lower bound when p = O(n^{1-δ}).
 	p := 1 << 4
-	beta := eval.BetaOptimality(theory.LowerBoundSort(float64(n), p, 0), eval.H(res.Trace, p, 0))
+	beta := eval.BetaOptimality(theory.LowerBoundSort(float64(n), p, 0), eval.H(fs, p, 0))
 	if beta < 0.02 {
 		t.Errorf("β(%d) = %v, want bounded below", p, beta)
 	}
@@ -188,13 +190,14 @@ func TestWiseness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	for p := 2; p <= n; p *= 4 {
-		if alpha := eval.Wiseness(res.Trace, p); alpha < 0.05 {
+		if alpha := eval.Wiseness(fs, p); alpha < 0.05 {
 			t.Errorf("α(%d) = %v, want Θ(1)", p, alpha)
 		}
 	}
 	for p := 2; p <= n; p *= 2 {
-		if err := eval.CheckFoldingLemma(res.Trace, p); err != nil {
+		if err := eval.CheckFoldingLemma(fs, p); err != nil {
 			t.Errorf("p=%d: %v", p, err)
 		}
 	}

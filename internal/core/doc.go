@@ -86,12 +86,14 @@
 //     representation, storing each superstep's pairs as flat columns;
 //   - TraceSource is the reading half — Trace.Source, NewTraceSource
 //     (format-sniffing stream reader), OpenTraceFile — over which the
-//     single-pass consumers run: Summarize folds a source into a
-//     FoldSummary, the O(log²v) accumulator from which H(n,p,σ),
-//     wiseness, fullness and the D-BSP communication time are computed
-//     without materializing the trace (eval.MeasureSummary,
-//     dbsp.CommTimeSummary), and the cache simulator's single-pass
-//     sweep (cachesim.CurveSim) consumes records the same way;
+//     single-pass consumers run: Summarize (Trace.Summary for an
+//     in-memory trace) folds a source into a FoldSummary, the O(log²v)
+//     accumulator that is the only derivation of S_i(n) and F_i(n,p) —
+//     H(n,p,σ), wiseness, fullness and the D-BSP communication time
+//     (the eval metrics, dbsp.CommTimeSummary) are computed from it
+//     alone, never from the steps — and the cache simulator's
+//     single-pass sweep (cachesim.MissCurve) consumes records the same
+//     way;
 //   - released pair records recycle their chunk storage through an
 //     internal pool, so a streaming recorded run reaches a steady state
 //     with near-zero pair allocation.

@@ -30,15 +30,16 @@ func TestJSONRoundTrip(t *testing.T) {
 	if got.V != tr.V || got.NumSupersteps() != tr.NumSupersteps() {
 		t.Fatalf("round trip mutated shape: %+v vs %+v", got, tr)
 	}
+	fa, fb := summary(t, tr), summary(t, got)
 	for p := 2; p <= 8; p *= 2 {
-		a, b := tr.F(p), got.F(p)
+		a, b := fa.F(p), fb.F(p)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Errorf("F(%d)[%d] = %d after round trip, want %d", p, i, b[i], a[i])
 			}
 		}
 	}
-	sa, sb := tr.S(), got.S()
+	sa, sb := fa.S(), fb.S()
 	for i := range sa {
 		if sa[i] != sb[i] {
 			t.Errorf("S[%d] mutated: %d vs %d", i, sb[i], sa[i])

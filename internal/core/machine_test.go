@@ -336,7 +336,7 @@ func TestInboxDiscardedAtNextSync(t *testing.T) {
 	}
 }
 
-// TestSAndF checks the trace summary vectors on a structured run.
+// TestSAndF checks the FoldSummary vectors on a structured run.
 func TestSAndF(t *testing.T) {
 	// v=8: one 0-superstep where everyone sends to their complement
 	// (crosses all folds), two 1-supersteps of pair exchange within
@@ -353,18 +353,19 @@ func TestSAndF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tr.S()
+	fs := summary(t, tr)
+	s := fs.S()
 	if s[0] != 2 || s[1] != 2 || s[2] != 0 {
 		t.Errorf("S = %v, want [2 2 0]", s)
 	}
 	// F at fold p=2: only labels < 1 count, i.e. the 0-supersteps.
-	f2 := tr.F(2)
+	f2 := fs.F(2)
 	if len(f2) != 1 || f2[0] != 4 {
 		t.Errorf("F(2) = %v, want [4]", f2)
 	}
 	// F at fold p=8: 0-superstep contributes degree 1 per VP; the pair
 	// exchanges contribute 1 each at label 1.
-	f8 := tr.F(8)
+	f8 := fs.F(8)
 	if f8[0] != 1 || f8[1] != 2 || f8[2] != 0 {
 		t.Errorf("F(8) = %v, want [1 2 0]", f8)
 	}

@@ -157,14 +157,14 @@ func ReadAll(src TraceSource) (*Trace, error) {
 	}
 }
 
-// FoldSummary is the O(log²v) fixed-size accumulator behind the
-// single-pass analyses: one Observe per superstep maintains the
-// superstep counts S_i(n) and the full fold-degree matrix
-// F_i(n, 2^j) for every fold j at once, which is everything the
-// paper's metrics — H(n,p,σ), wiseness, fullness, the D-BSP
-// communication time of Eq. 2 — need.  Summarizing a TraceSource
-// therefore costs O(steps·log v) time and O(log²v) memory regardless
-// of how many messages the trace records.
+// FoldSummary is the O(log²v) fixed-size accumulator every paper metric
+// reads: one Observe per superstep maintains the superstep counts S_i(n)
+// and the full fold-degree matrix F_i(n, 2^j) for every fold j at once,
+// which is everything H(n,p,σ), wiseness, fullness and the D-BSP
+// communication time of Eq. 2 need.  It is the only code that derives S
+// and F from superstep records.  Summarizing a TraceSource therefore
+// costs O(steps·log v) time and O(log²v) memory regardless of how many
+// messages the trace records.
 type FoldSummary struct {
 	v, logV  int
 	steps    int
@@ -220,7 +220,8 @@ func (fs *FoldSummary) Observe(rec *StepRec) error {
 func (fs *FoldSummary) V() int    { return fs.v }
 func (fs *FoldSummary) LogV() int { return fs.logV }
 
-// LabelBound mirrors Trace.LabelBound: max{1, log2 v}.
+// LabelBound returns the exclusive upper bound on superstep labels,
+// max{1, log2 v} per the paper's log convention.
 func (fs *FoldSummary) LabelBound() int {
 	if fs.logV < 1 {
 		return 1
@@ -233,27 +234,30 @@ func (fs *FoldSummary) LabelBound() int {
 func (fs *FoldSummary) NumSupersteps() int   { return fs.steps }
 func (fs *FoldSummary) TotalMessages() int64 { return fs.messages }
 
-// S returns the vector S_i(n), exactly as Trace.S would for the same
-// steps.  The slice is a copy.
+// S returns the vector S_i(n), for 0 <= i < LabelBound(): the number of
+// i-supersteps observed.  The slice is a copy.
 func (fs *FoldSummary) S() []int64 {
 	out := make([]int64, len(fs.s))
 	copy(out, fs.s)
 	return out
 }
 
-// TryF returns the vector F_i(n, p) for a fold onto p processors,
-// exactly as Trace.TryF would for the same steps.  The slice is a copy.
+// TryF returns the vector F_i(n, p), for 0 <= i < log2(p): the
+// cumulative degree of all i-supersteps when the algorithm is folded on
+// p processors (Section 2 of the paper).  p must be a power of two with
+// 1 < p <= v; p = 1, whose folding exchanges no messages, has no F
+// entries.  The slice is a copy.
 func (fs *FoldSummary) TryF(p int) ([]int64, error) {
 	lp := logOf(p)
 	if lp < 1 || lp > fs.logV {
-		return nil, fmt.Errorf("core: Trace.F: p=%d out of range for v=%d (need a power of two with 1 < p <= v)", p, fs.v)
+		return nil, fmt.Errorf("core: fold summary: p=%d out of range for v=%d (need a power of two with 1 < p <= v)", p, fs.v)
 	}
 	out := make([]int64, lp)
 	copy(out, fs.f[lp])
 	return out, nil
 }
 
-// F is TryF with the panic contract of Trace.F.
+// F is TryF for trusted p: any p TryF rejects panics.
 func (fs *FoldSummary) F(p int) []int64 {
 	f, err := fs.TryF(p)
 	if err != nil {
@@ -283,8 +287,8 @@ func Summarize(src TraceSource) (*FoldSummary, error) {
 	}
 }
 
-// Summary returns the trace's FoldSummary without re-deriving it per
-// analysis call.
+// Summary summarizes the trace's steps into a FoldSummary: the one pass
+// every metric of the trace is computed from.
 func (t *Trace) Summary() (*FoldSummary, error) {
 	return Summarize(t.Source())
 }

@@ -221,56 +221,6 @@ func (t *Trace) TotalMessages() int64 {
 	return tot
 }
 
-// LabelBound returns the exclusive upper bound on superstep labels,
-// max{1, log2 V} per the paper's log convention.
-func (t *Trace) LabelBound() int {
-	if t.LogV < 1 {
-		return 1
-	}
-	return t.LogV
-}
-
-// S returns the vector S_i(n), for 0 <= i < LabelBound(): the number of
-// i-supersteps executed by the algorithm.
-func (t *Trace) S() []int64 {
-	s := make([]int64, t.LabelBound())
-	for i := range t.Steps {
-		s[t.Steps[i].Label]++
-	}
-	return s
-}
-
-// F returns the vector F_i(n, p), for 0 <= i < log2(p): the cumulative
-// degree of all i-supersteps when the algorithm is folded on p processors
-// (Section 2 of the paper).
-//
-// Panic contract: p must be a power of two with 1 < p <= V; any other p
-// (including p = 1, whose folding exchanges no messages and has no F
-// entries) panics.  Use TryF when p comes from untrusted input.
-func (t *Trace) F(p int) []int64 {
-	f, err := t.TryF(p)
-	if err != nil {
-		panic(err.Error())
-	}
-	return f
-}
-
-// TryF is F with an error instead of a panic for out-of-range p.
-func (t *Trace) TryF(p int) ([]int64, error) {
-	lp := logOf(p)
-	if lp < 1 || lp > t.LogV {
-		return nil, fmt.Errorf("core: Trace.F: p=%d out of range for v=%d (need a power of two with 1 < p <= v)", p, t.V)
-	}
-	f := make([]int64, lp)
-	for i := range t.Steps {
-		rec := &t.Steps[i]
-		if rec.Label < lp {
-			f[rec.Label] += rec.Degree[lp]
-		}
-	}
-	return f, nil
-}
-
 // logOf returns log2(p) for a positive power of two, or -1 otherwise.
 func logOf(p int) int {
 	if p <= 0 || p&(p-1) != 0 {

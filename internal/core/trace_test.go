@@ -51,25 +51,36 @@ func TestLog2PanicContract(t *testing.T) {
 	Log2(3)
 }
 
-// TestTraceFEdges covers the p = 1 and p = V boundaries of the folding
-// vector: p = 1 is out of range (a single processor exchanges nothing and
-// F has no entries), p = V is the finest legal fold.
+// summary returns the FoldSummary of tr, failing the test on error.
+func summary(t *testing.T, tr *Trace) *FoldSummary {
+	t.Helper()
+	fs, err := tr.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// TestTraceFEdges covers the p = 1 and p = V boundaries of a trace's
+// folding vector: p = 1 is out of range (a single processor exchanges
+// nothing and F has no entries), p = V is the finest legal fold.
 func TestTraceFEdges(t *testing.T) {
 	tr := exchangeTrace(t)
+	fs := summary(t, tr)
 
-	if _, err := tr.TryF(1); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if _, err := fs.TryF(1); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("TryF(1) = %v, want out-of-range error", err)
 	}
-	if _, err := tr.TryF(2 * tr.V); err == nil {
+	if _, err := fs.TryF(2 * tr.V); err == nil {
 		t.Error("TryF(2V): want error")
 	}
-	if _, err := tr.TryF(3); err == nil {
+	if _, err := fs.TryF(3); err == nil {
 		t.Error("TryF(3): want error (not a power of two)")
 	}
 
 	// p = V: every VP is its own processor; the complement exchange is a
 	// 1-relation in the single 0-superstep.
-	f, err := tr.TryF(tr.V)
+	f, err := fs.TryF(tr.V)
 	if err != nil {
 		t.Fatalf("TryF(V): %v", err)
 	}
@@ -80,13 +91,13 @@ func TestTraceFEdges(t *testing.T) {
 		t.Errorf("F(V)[0] = %d, want 1", f[0])
 	}
 
-	// F and TryF agree in range.
+	// F and TryF agree in range, and F hands out copies.
 	for p := 2; p <= tr.V; p *= 2 {
-		want, err := tr.TryF(p)
+		want, err := fs.TryF(p)
 		if err != nil {
 			t.Fatalf("TryF(%d): %v", p, err)
 		}
-		got := tr.F(p)
+		got := fs.F(p)
 		if len(got) != len(want) {
 			t.Fatalf("F(%d) and TryF(%d) disagree", p, p)
 		}
@@ -95,6 +106,10 @@ func TestTraceFEdges(t *testing.T) {
 				t.Errorf("F(%d)[%d] = %d, TryF = %d", p, i, got[i], want[i])
 			}
 		}
+		got[0]++
+		if again := fs.F(p); again[0] != want[0] {
+			t.Errorf("F(%d) aliases the summary: mutating the result changed it to %v", p, again)
+		}
 	}
 
 	defer func() {
@@ -102,19 +117,27 @@ func TestTraceFEdges(t *testing.T) {
 			t.Error("F(1): want panic per the documented contract")
 		}
 	}()
-	tr.F(1)
+	fs.F(1)
 }
 
-// TestTraceFSingleVP: on M(1) no fold is legal (LogV = 0).
+// TestTraceFSingleVP: on M(1) no fold is legal (LogV = 0), and the
+// single label 0 still counts its supersteps.
 func TestTraceFSingleVP(t *testing.T) {
 	tr, err := Run(1, func(vp *VP[int]) { vp.Sync(0) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.TryF(1); err == nil {
+	fs := summary(t, tr)
+	if _, err := fs.TryF(1); err == nil {
 		t.Error("TryF(1) on M(1): want error")
 	}
-	if _, err := tr.TryF(2); err == nil {
+	if _, err := fs.TryF(2); err == nil {
 		t.Error("TryF(2) on M(1): want error (p > V)")
+	}
+	if fs.LabelBound() != 1 {
+		t.Errorf("LabelBound() on M(1) = %d, want 1", fs.LabelBound())
+	}
+	if s := fs.S(); len(s) != 1 || s[0] != int64(tr.NumSupersteps()) {
+		t.Errorf("S on M(1) = %v, want [%d]", s, tr.NumSupersteps())
 	}
 }

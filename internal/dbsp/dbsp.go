@@ -86,30 +86,10 @@ func (pr Params) Admissible() error {
 	return nil
 }
 
-// CommTime returns the communication time D_A(n, p, g, ℓ) (Equation 2) of
-// the recorded algorithm folded onto this machine.
-func CommTime(tr *core.Trace, pr Params) float64 {
-	lp := pr.LogP()
-	if lp > tr.LogV {
-		panic(fmt.Sprintf("dbsp: machine p=%d larger than specification v=%d", pr.P, tr.V))
-	}
-	f := tr.F(pr.P)
-	s := tr.S()
-	var d float64
-	for i := 0; i < lp; i++ {
-		d += float64(f[i]) * pr.G[i]
-		if i < len(s) {
-			d += float64(s[i]) * pr.L[i]
-		}
-	}
-	return d
-}
-
-// CommTimeSummary is CommTime over a FoldSummary: the D-BSP cost of a
-// streamed trace from one Summarize pass, no steps in memory.
+// CommTimeSummary returns the communication time D_A(n, p, g, ℓ)
+// (Equation 2) of the summarized algorithm folded onto this machine.
 func CommTimeSummary(fs *core.FoldSummary, pr Params) float64 {
-	lp := pr.LogP()
-	if lp > fs.LogV() {
+	if pr.LogP() > fs.LogV() {
 		panic(fmt.Sprintf("dbsp: machine p=%d larger than specification v=%d", pr.P, fs.V()))
 	}
 	return CommTimeOf(fs.F(pr.P), fs.S(), pr)

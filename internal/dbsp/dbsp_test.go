@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"netoblivious/internal/core"
+	"netoblivious/internal/eval"
 	"netoblivious/internal/randalg"
+	"netoblivious/internal/tracetest"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -78,16 +80,11 @@ func TestCommTimeMatchesHOnUniform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fs := tracetest.Summary(t, tr)
 		for p := 2; p <= v; p *= 2 {
 			for _, sigma := range []float64{0, 1, 7} {
-				d := CommTime(tr, Uniform(p, 1, sigma))
-				f := tr.F(p)
-				s := tr.S()
-				var want float64
-				for i := 0; i < core.Log2(p); i++ {
-					want += float64(f[i]) + float64(s[i])*sigma
-				}
-				if math.Abs(d-want) > 1e-9 {
+				d := CommTimeSummary(fs, Uniform(p, 1, sigma))
+				if want := eval.H(fs, p, sigma); math.Abs(d-want) > 1e-9 {
 					t.Errorf("trial %d p=%d σ=%v: D=%v, want %v", trial, p, sigma, d, want)
 				}
 			}
@@ -164,7 +161,7 @@ func TestAscendDescendUnbalancedPair(t *testing.T) {
 	}
 	p := v
 	pr := Mesh(1, p) // steep: g_0 = p
-	standard := CommTime(tr, pr)
+	standard := CommTimeSummary(tracetest.Summary(t, tr), pr)
 	pc, err := AscendDescend(tr, p)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +191,8 @@ func TestAscendDescendNeedsPairs(t *testing.T) {
 	}
 }
 
-// TestCommTimeOf sanity-checks the vector form against the trace form.
+// TestCommTimeOf checks the vector form, and the summary form built on
+// it, against Eq. 2 evaluated by hand.
 func TestCommTimeOf(t *testing.T) {
 	tr, err := core.Run(8, func(vp *core.VP[int]) {
 		vp.Send(7-vp.ID(), 0)
@@ -206,7 +204,15 @@ func TestCommTimeOf(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := Hypercube(8)
-	if got, want := CommTimeOf(tr.F(8), tr.S(), pr), CommTime(tr, pr); got != want {
-		t.Errorf("CommTimeOf = %v, CommTime = %v", got, want)
+	// v=8 on Hypercube(8) (g = 1, ℓ = [3 2 1]): the complement exchange
+	// is a 0-superstep of degree 1 (1·1 + 3) and the pair exchange a
+	// 2-superstep of degree 1 (1·1 + 1).
+	fs := tracetest.Summary(t, tr)
+	const want = 6
+	if got := CommTimeOf(fs.F(8), fs.S(), pr); got != want {
+		t.Errorf("CommTimeOf = %v, want %v", got, want)
+	}
+	if got := CommTimeSummary(fs, pr); got != want {
+		t.Errorf("CommTimeSummary = %v, want %v", got, want)
 	}
 }

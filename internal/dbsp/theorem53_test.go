@@ -7,6 +7,7 @@ import (
 
 	"netoblivious/internal/core"
 	"netoblivious/internal/eval"
+	"netoblivious/internal/tracetest"
 )
 
 // TestTheorem53PolylogOverhead: executing an already-wise algorithm
@@ -33,8 +34,9 @@ func TestTheorem53PolylogOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = rng
+	fs := tracetest.Summary(t, tr)
 	for _, pr := range Presets(v) {
-		direct := CommTime(tr, pr)
+		direct := CommTimeSummary(fs, pr)
 		pc, err := AscendDescend(tr, v)
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +45,7 @@ func TestTheorem53PolylogOverhead(t *testing.T) {
 		lg := math.Log2(float64(v))
 		// Theorem 5.3 budget: (1 + 1/γ)·log²p with our explicit protocol
 		// constants (2 supersteps + 2·log p prefix steps per level).
-		gamma := eval.Fullness(tr, v)
+		gamma := eval.Fullness(fs, v)
 		budget := (1 + 1/gamma) * lg * lg * 16
 		if reb > budget*direct {
 			t.Errorf("%s: ascend–descend %v exceeds Theorem 5.3 budget %v×direct (%v)", pr.Name, reb, budget, direct)

@@ -1,12 +1,22 @@
 package eval
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"netoblivious/alg"
 	"netoblivious/internal/colsort"
 	"netoblivious/internal/core"
 	"netoblivious/internal/matmul"
+
+	// Register the remaining built-in algorithms for the registry sweep.
+	_ "netoblivious/internal/broadcast"
+	_ "netoblivious/internal/fft"
+	_ "netoblivious/internal/prefix"
+	_ "netoblivious/internal/stencil"
 )
 
 // recomputeF derives F_i(n, p) from the raw recorded message pairs,
@@ -45,9 +55,36 @@ func recomputeF(tr *core.Trace, p int) []int64 {
 	return f
 }
 
-// TestMetricsCrossValidation: on full algorithm runs, every folded metric
-// derived from raw pairs matches the runtime's degree tables exactly.
+// recomputeS counts the supersteps of each label straight from the
+// recorded steps, independently of the FoldSummary.
+func recomputeS(tr *core.Trace) []int64 {
+	s := make([]int64, max(tr.LogV, 1))
+	for i := range tr.Steps {
+		s[tr.Steps[i].Label]++
+	}
+	return s
+}
+
+// TestMetricsCrossValidation: on full algorithm runs — every registry
+// algorithm at its two smallest default sizes, plus matmul and sort on
+// random inputs at v=256 — the FoldSummary's S and F, from which every
+// metric is computed, match a recount from the raw steps and message
+// pairs at every fold.
 func TestMetricsCrossValidation(t *testing.T) {
+	traces := map[string]*core.Trace{}
+	algos := alg.All()
+	if len(algos) < 10 {
+		t.Fatalf("registry has %d algorithms; the paper's built-ins alone are 10", len(algos))
+	}
+	for _, a := range algos {
+		for _, n := range a.DefaultSizes()[:2] {
+			res, err := a.Run(context.Background(), alg.Spec{Record: true}, n)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", a.Name, n, err)
+			}
+			traces[fmt.Sprintf("%s/n=%d", a.Name, n)] = res.Trace
+		}
+	}
 	rng := rand.New(rand.NewSource(77))
 	s := 16
 	a := make([]int64, s*s)
@@ -67,14 +104,19 @@ func TestMetricsCrossValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, tr := range map[string]*core.Trace{"matmul": mm.Trace, "sort": st.Trace} {
+	traces["matmul/random"], traces["sort/random"] = mm.Trace, st.Trace
+
+	for name, tr := range traces {
+		fs, err := tr.Summary()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := fs.S(), recomputeS(tr); !slices.Equal(got, want) {
+			t.Errorf("%s: S = %v, recount says %v", name, got, want)
+		}
 		for p := 2; p <= tr.V; p *= 2 {
-			want := recomputeF(tr, p)
-			got := tr.F(p)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("%s: F_%d(%d) = %d, brute force says %d", name, i, p, got[i], want[i])
-				}
+			if got, want := fs.F(p), recomputeF(tr, p); !slices.Equal(got, want) {
+				t.Errorf("%s: F(%d) = %v, brute force says %v", name, p, got, want)
 			}
 		}
 	}

@@ -8,8 +8,11 @@
 // latency/synchronization parameter σ: the cost of a superstep of degree h
 // is h + σ, regardless of its label.  A network-oblivious algorithm
 // specified on M(v(n)) is evaluated on M(p, σ), p <= v(n), through the
-// folding mechanism; all quantities here are exact functions of the
-// recorded core.Trace.
+// folding mechanism.  Every quantity here is an exact function of the
+// superstep counts S_i(n) and folded degrees F_i(n, p) alone, so every
+// metric reads a core.FoldSummary: summarize a trace once
+// (Trace.Summary, or core.Summarize over a stream), then measure any
+// number of (p, σ) points in O(log²v) each.
 package eval
 
 import (
@@ -36,31 +39,10 @@ type Folding struct {
 	S []int64
 }
 
-// foldView is the accessor pair shared by *core.Trace and
-// *core.FoldSummary; every metric in this package is a function of it,
-// so each has a Trace entry point and a Summary ("Of") entry point over
-// the same loop.
-type foldView interface {
-	F(p int) []int64
-	S() []int64
-}
-
-// Fold computes the folding of a recorded algorithm onto p processors.
-func Fold(tr *core.Trace, p int) Folding {
-	lp := core.Log2(p)
-	if lp < 1 || lp > tr.LogV {
-		panic(fmt.Sprintf("eval: Fold: p=%d invalid for v=%d", p, tr.V))
-	}
-	return Folding{P: p, LogP: lp, F: tr.F(p), S: tr.S()}
-}
-
-// FoldOf is Fold over a FoldSummary, so folded metrics of a streamed
-// trace never need the steps in memory.
-func FoldOf(fs *core.FoldSummary, p int) Folding {
-	lp := core.Log2(p)
-	if lp < 1 || lp > fs.LogV() {
-		panic(fmt.Sprintf("eval: FoldOf: p=%d invalid for v=%d", p, fs.V()))
-	}
+// Fold computes the folding of a summarized algorithm onto p processors.
+// p must be a power of two with 1 < p <= v; any other p panics.
+func Fold(fs *core.FoldSummary, p int) Folding {
+	lp := foldLog(fs, p, "Fold")
 	return Folding{P: p, LogP: lp, F: fs.F(p), S: fs.S()}
 }
 
@@ -98,13 +80,13 @@ func (f Folding) MessageLoad() int64 {
 	return msgs
 }
 
-// H is a convenience wrapper: the communication complexity of tr folded on
-// M(p, σ).
-func H(tr *core.Trace, p int, sigma float64) float64 {
-	return Fold(tr, p).H(sigma)
+// H is a convenience wrapper: the communication complexity of the
+// summarized algorithm folded on M(p, σ).
+func H(fs *core.FoldSummary, p int, sigma float64) float64 {
+	return Fold(fs, p).H(sigma)
 }
 
-// Wiseness returns the largest α such that the recorded algorithm is
+// Wiseness returns the largest α such that the summarized algorithm is
 // (α, p)-wise (Definition 3.2):
 //
 //	Σ_{i<j} F_i(n, 2^j)  >=  α · (p/2^j) · Σ_{i<j} F_i(n, p)
@@ -112,28 +94,12 @@ func H(tr *core.Trace, p int, sigma float64) float64 {
 // for every 1 <= j <= log p.  A ratio with zero denominator is vacuous and
 // skipped; if the algorithm exchanges no messages at any fold the result
 // is 1.  The result is in [0, 1]: by Lemma 3.1 the ratio never exceeds 1.
-func Wiseness(tr *core.Trace, p int) float64 {
-	lp := core.Log2(p)
-	if lp < 1 || lp > tr.LogV {
-		panic(fmt.Sprintf("eval: Wiseness: p=%d invalid for v=%d", p, tr.V))
-	}
-	return wiseness(tr, p, lp)
-}
-
-// WisenessOf is Wiseness over a FoldSummary.
-func WisenessOf(fs *core.FoldSummary, p int) float64 {
-	lp := core.Log2(p)
-	if lp < 1 || lp > fs.LogV() {
-		panic(fmt.Sprintf("eval: WisenessOf: p=%d invalid for v=%d", p, fs.V()))
-	}
-	return wiseness(fs, p, lp)
-}
-
-func wiseness(fv foldView, p, lp int) float64 {
-	fp := fv.F(p)
+func Wiseness(fs *core.FoldSummary, p int) float64 {
+	lp := foldLog(fs, p, "Wiseness")
+	fp := fs.F(p)
 	alpha := 1.0
 	for j := 1; j <= lp; j++ {
-		fj := fv.F(1 << uint(j))
+		fj := fs.F(1 << uint(j))
 		var num, den int64
 		for i := 0; i < j; i++ {
 			num += fj[i]
@@ -150,7 +116,7 @@ func wiseness(fv foldView, p, lp int) float64 {
 	return alpha
 }
 
-// Fullness returns the largest γ such that the recorded algorithm is
+// Fullness returns the largest γ such that the summarized algorithm is
 // (γ, p)-full (Definition 5.2):
 //
 //	Σ_{i<j} F_i(n, 2^j)  >=  γ · (p/2^j) · Σ_{i<j} S_i(n)
@@ -158,28 +124,12 @@ func wiseness(fv foldView, p, lp int) float64 {
 // for every 1 <= j <= log p.  Ratios with zero denominator are skipped;
 // if no superstep has a label below log p the result is +Inf is avoided
 // and 0 is returned (the notion is vacuous).
-func Fullness(tr *core.Trace, p int) float64 {
-	lp := core.Log2(p)
-	if lp < 1 || lp > tr.LogV {
-		panic(fmt.Sprintf("eval: Fullness: p=%d invalid for v=%d", p, tr.V))
-	}
-	return fullness(tr, p, lp)
-}
-
-// FullnessOf is Fullness over a FoldSummary.
-func FullnessOf(fs *core.FoldSummary, p int) float64 {
-	lp := core.Log2(p)
-	if lp < 1 || lp > fs.LogV() {
-		panic(fmt.Sprintf("eval: FullnessOf: p=%d invalid for v=%d", p, fs.V()))
-	}
-	return fullness(fs, p, lp)
-}
-
-func fullness(fv foldView, p, lp int) float64 {
-	s := fv.S()
+func Fullness(fs *core.FoldSummary, p int) float64 {
+	lp := foldLog(fs, p, "Fullness")
+	s := fs.S()
 	gamma := math.Inf(1)
 	for j := 1; j <= lp; j++ {
-		fj := fv.F(1 << uint(j))
+		fj := fs.F(1 << uint(j))
 		var num, den int64
 		for i := 0; i < j; i++ {
 			num += fj[i]
@@ -199,7 +149,7 @@ func fullness(fv foldView, p, lp int) float64 {
 	return gamma
 }
 
-// CheckFoldingLemma verifies Lemma 3.1 on a recorded trace: for every
+// CheckFoldingLemma verifies Lemma 3.1 on a summarized trace: for every
 // 1 <= j <= log p,
 //
 //	Σ_{i<j} F_i(n, 2^j)  <=  (p/2^j) · Σ_{i<j} F_i(n, p).
@@ -207,27 +157,14 @@ func fullness(fv foldView, p, lp int) float64 {
 // It returns an error describing the first violation, or nil.  The lemma
 // holds unconditionally for every static algorithm, so a violation
 // indicates a metrics bug; the property tests exercise this.
-func CheckFoldingLemma(tr *core.Trace, p int) error {
-	lp := core.Log2(p)
-	if lp < 1 || lp > tr.LogV {
-		return fmt.Errorf("eval: CheckFoldingLemma: p=%d invalid for v=%d", p, tr.V)
-	}
-	return checkFoldingLemma(tr, p, lp)
-}
-
-// CheckFoldingLemmaOf is CheckFoldingLemma over a FoldSummary.
-func CheckFoldingLemmaOf(fs *core.FoldSummary, p int) error {
+func CheckFoldingLemma(fs *core.FoldSummary, p int) error {
 	lp := core.Log2(p)
 	if lp < 1 || lp > fs.LogV() {
 		return fmt.Errorf("eval: CheckFoldingLemma: p=%d invalid for v=%d", p, fs.V())
 	}
-	return checkFoldingLemma(fs, p, lp)
-}
-
-func checkFoldingLemma(fv foldView, p, lp int) error {
-	fp := fv.F(p)
+	fp := fs.F(p)
 	for j := 1; j <= lp; j++ {
-		fj := fv.F(1 << uint(j))
+		fj := fs.F(1 << uint(j))
 		var lhs, rhs int64
 		for i := 0; i < j; i++ {
 			lhs += fj[i]
@@ -239,6 +176,16 @@ func checkFoldingLemma(fv foldView, p, lp int) error {
 		}
 	}
 	return nil
+}
+
+// foldLog returns log2(p) for a fold p valid on fs's machine, panicking
+// with the caller's name otherwise.
+func foldLog(fs *core.FoldSummary, p int, fn string) int {
+	lp := core.Log2(p)
+	if lp < 1 || lp > fs.LogV() {
+		panic(fmt.Sprintf("eval: %s: p=%d invalid for v=%d", fn, p, fs.V()))
+	}
+	return lp
 }
 
 // BetaOptimality returns the optimality factor β = lower/measured of a

@@ -6,16 +6,18 @@ import (
 
 	"netoblivious/internal/core"
 	"netoblivious/internal/randalg"
+	"netoblivious/internal/tracetest"
 )
 
-// runPattern executes a fixed communication pattern and returns its trace.
-func runPattern(t *testing.T, v int, prog core.Program[int]) *core.Trace {
+// runPattern executes a fixed communication pattern and returns the
+// FoldSummary of its trace.
+func runPattern(t *testing.T, v int, prog core.Program[int]) *core.FoldSummary {
 	t.Helper()
 	tr, err := core.Run(v, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return tracetest.Summary(t, tr)
 }
 
 // TestHAllToComplement: v=8, every VP sends one message to its bitwise
@@ -25,13 +27,13 @@ func runPattern(t *testing.T, v int, prog core.Program[int]) *core.Trace {
 // one and the final empty sync).
 func TestHAllToComplement(t *testing.T) {
 	const v = 8
-	tr := runPattern(t, v, func(vp *core.VP[int]) {
+	fs := runPattern(t, v, func(vp *core.VP[int]) {
 		vp.Send(v-1-vp.ID(), 0)
 		vp.Sync(0)
 		vp.Sync(0)
 	})
 	for _, p := range []int{2, 4, 8} {
-		f := Fold(tr, p)
+		f := Fold(fs, p)
 		wantF := int64(v / p)
 		if f.F[0] != wantF {
 			t.Errorf("p=%d: F_0 = %d, want %d", p, f.F[0], wantF)
@@ -51,13 +53,13 @@ func TestHAllToComplement(t *testing.T) {
 // exactly 1.
 func TestWisenessPerfect(t *testing.T) {
 	const v = 16
-	tr := runPattern(t, v, func(vp *core.VP[int]) {
+	fs := runPattern(t, v, func(vp *core.VP[int]) {
 		vp.Send(v-1-vp.ID(), 0)
 		vp.Sync(0)
 		vp.Sync(0)
 	})
 	for _, p := range []int{2, 4, 8, 16} {
-		if alpha := Wiseness(tr, p); alpha != 1 {
+		if alpha := Wiseness(fs, p); alpha != 1 {
 			t.Errorf("p=%d: α = %v, want 1", p, alpha)
 		}
 	}
@@ -70,7 +72,7 @@ func TestWisenessPerfect(t *testing.T) {
 func TestWisenessUnbalancedPair(t *testing.T) {
 	const v = 16
 	const n = 64
-	tr := runPattern(t, v, func(vp *core.VP[int]) {
+	fs := runPattern(t, v, func(vp *core.VP[int]) {
 		if vp.ID() == 0 {
 			for k := 0; k < n; k++ {
 				vp.Send(v/2, k)
@@ -81,13 +83,13 @@ func TestWisenessUnbalancedPair(t *testing.T) {
 	})
 	for _, p := range []int{4, 8, 16} {
 		want := 2.0 / float64(p)
-		if alpha := Wiseness(tr, p); alpha != want {
+		if alpha := Wiseness(fs, p); alpha != want {
 			t.Errorf("p=%d: α = %v, want %v", p, alpha, want)
 		}
 		// ... but it is (Θ(1), p)-full: F sums are n >= γ·(p/2^j)·S sums
 		// with S = 2 supersteps.  γ = min_j n·2^j/(p·#{i<j steps}).
 		// At j=1: n·2/(p·2) = n/p.
-		gamma := Fullness(tr, p)
+		gamma := Fullness(fs, p)
 		if gamma < 1 {
 			t.Errorf("p=%d: γ = %v, want >= 1 (full algorithm)", p, gamma)
 		}
@@ -107,11 +109,12 @@ func TestFoldingLemmaOnRandomAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		fs := tracetest.Summary(t, tr)
 		for p := 2; p <= v; p *= 2 {
-			if err := CheckFoldingLemma(tr, p); err != nil {
+			if err := CheckFoldingLemma(fs, p); err != nil {
 				t.Errorf("trial %d (v=%d, p=%d): %v", trial, v, p, err)
 			}
-			alpha := Wiseness(tr, p)
+			alpha := Wiseness(fs, p)
 			if alpha < 0 || alpha > 1 {
 				t.Errorf("trial %d: α(%d) = %v out of [0,1]", trial, p, alpha)
 			}
@@ -141,10 +144,11 @@ func TestWisenessMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		alphaV := Wiseness(tr, v)
+		fs := tracetest.Summary(t, tr)
+		alphaV := Wiseness(fs, v)
 		for p := 2; p < v; p *= 2 {
 			// (α(v), v)-wise implies (α(v), p)-wise: measured α(p) >= α(v).
-			if ap := Wiseness(tr, p); ap+1e-12 < alphaV {
+			if ap := Wiseness(fs, p); ap+1e-12 < alphaV {
 				t.Errorf("trial %d: α(%d)=%v < α(%d)=%v violates Def 3.2 monotonicity", trial, p, ap, v, alphaV)
 			}
 		}
@@ -160,8 +164,9 @@ func TestHAdditivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, tr)
 	for p := 2; p <= 16; p *= 2 {
-		f := Fold(tr, p)
+		f := Fold(fs, p)
 		h0 := f.H(0)
 		for _, sigma := range []float64{1, 3, 10} {
 			if got, want := f.H(sigma), h0+sigma*float64(f.Supersteps()); got != want {
@@ -197,11 +202,11 @@ func TestBetaOptimality(t *testing.T) {
 // labels >= log p has a vacuous fullness.
 func TestFullnessZeroWhenNoCoarseSteps(t *testing.T) {
 	const v = 8
-	tr := runPattern(t, v, func(vp *core.VP[int]) {
+	fs := runPattern(t, v, func(vp *core.VP[int]) {
 		vp.Send(vp.ID()^1, 0)
 		vp.Sync(2)
 	})
-	if gamma := Fullness(tr, 2); gamma != 0 {
+	if gamma := Fullness(fs, 2); gamma != 0 {
 		t.Errorf("γ = %v, want 0 (no supersteps below log p)", gamma)
 	}
 }

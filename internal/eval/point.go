@@ -4,8 +4,8 @@ import "netoblivious/internal/core"
 
 // Point is the complete metric set of one (p, σ) grid point of a folded
 // trace: the Result-friendly unit of measurement the experiment pipeline
-// records.  Every field is an exact function of the recorded trace, so a
-// Point is reproducible bit-for-bit from a stored trace file.
+// records.  Every field is an exact function of the trace's FoldSummary,
+// so a Point is reproducible bit-for-bit from a stored trace file.
 type Point struct {
 	// P is the evaluation-machine processor count (a power of two,
 	// 1 < P <= v).
@@ -24,36 +24,20 @@ type Point struct {
 	Gamma float64 `json:"gamma"`
 }
 
-// Measure computes the full metric set of tr folded on M(p, σ).
-// It shares the Fold/Wiseness/Fullness panic contracts: p must be a
-// power of two with 1 < p <= v.
-func Measure(tr *core.Trace, p int, sigma float64) Point {
-	f := Fold(tr, p)
-	return Point{
-		P:           p,
-		Sigma:       sigma,
-		H:           f.H(sigma),
-		MessageLoad: f.MessageLoad(),
-		Supersteps:  f.Supersteps(),
-		Alpha:       Wiseness(tr, p),
-		Gamma:       Fullness(tr, p),
-	}
-}
-
-// MeasureSummary is Measure over a FoldSummary: one Summarize pass over
-// a TraceSource, then any number of (p, σ) grid points in O(log²v) each
-// — the streaming path of `nobl stat` and the analysis service.  It
-// returns the same Point as Measure over the trace the summary was
-// built from (both are exact functions of S and F).
+// MeasureSummary computes the full metric set of the summarized
+// algorithm folded on M(p, σ): one Summarize pass over a trace, then any
+// number of (p, σ) grid points in O(log²v) each.  It shares the
+// Fold/Wiseness/Fullness panic contracts: p must be a power of two with
+// 1 < p <= v.
 func MeasureSummary(fs *core.FoldSummary, p int, sigma float64) Point {
-	f := FoldOf(fs, p)
+	f := Fold(fs, p)
 	return Point{
 		P:           p,
 		Sigma:       sigma,
 		H:           f.H(sigma),
 		MessageLoad: f.MessageLoad(),
 		Supersteps:  f.Supersteps(),
-		Alpha:       WisenessOf(fs, p),
-		Gamma:       FullnessOf(fs, p),
+		Alpha:       Wiseness(fs, p),
+		Gamma:       Fullness(fs, p),
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"netoblivious/internal/eval"
 	"netoblivious/internal/theory"
+	"netoblivious/internal/tracetest"
 )
 
 func randInput(rng *rand.Rand, n int) []complex128 {
@@ -97,12 +98,14 @@ func TestTransformComplexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	recFS := tracetest.Summary(t, rec.Trace)
 	it, err := TransformIterative(x, Options{Wise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	itFS := tracetest.Summary(t, it.Trace)
 	for p := 2; p <= n; p *= 4 {
-		h := eval.H(rec.Trace, p, 0)
+		h := eval.H(recFS, p, 0)
 		pred := theory.PredictedFFT(float64(n), p, 0)
 		if ratio := h / pred; ratio > 12 || ratio < 0.05 {
 			t.Errorf("p=%d: H=%v vs predicted %v (ratio %v)", p, h, pred, ratio)
@@ -117,8 +120,8 @@ func TestTransformComplexity(t *testing.T) {
 	// recursive σ·log n/log(n/p).
 	p := 1 << 5         // p = 32, n = 1024: log n/log(n/p) = 2, log p = 5
 	sigma := float64(n) // make σ dominate
-	hRec := eval.H(rec.Trace, p, sigma)
-	hIt := eval.H(it.Trace, p, sigma)
+	hRec := eval.H(recFS, p, sigma)
+	hIt := eval.H(itFS, p, sigma)
 	if hRec >= hIt {
 		t.Errorf("recursive (%v) should beat iterative (%v) at p=%d σ=%v", hRec, hIt, p, sigma)
 	}
@@ -133,8 +136,9 @@ func TestWiseness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	for p := 2; p <= n; p *= 4 {
-		if alpha := eval.Wiseness(res.Trace, p); alpha < 0.05 {
+		if alpha := eval.Wiseness(fs, p); alpha < 0.05 {
 			t.Errorf("α(%d) = %v, want Θ(1)", p, alpha)
 		}
 	}
@@ -148,8 +152,9 @@ func TestFoldingLemmaOnFFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	for p := 2; p <= n; p *= 2 {
-		if err := eval.CheckFoldingLemma(res.Trace, p); err != nil {
+		if err := eval.CheckFoldingLemma(fs, p); err != nil {
 			t.Errorf("p=%d: %v", p, err)
 		}
 	}

@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"netoblivious/alg"
 )
 
 // TestRegistryContract asserts the invariants every registered algorithm
@@ -11,7 +13,7 @@ import (
 // non-empty default size ladder whose every entry the algorithm's own
 // ValidSize accepts, and a size doc to render alongside size errors.
 func TestRegistryContract(t *testing.T) {
-	algos := TraceAlgorithms()
+	algos := alg.All()
 	if len(algos) < 10 {
 		t.Fatalf("registry has %d algorithms; the paper's built-ins alone are 10", len(algos))
 	}
@@ -50,46 +52,6 @@ func TestRegistryContract(t *testing.T) {
 	} {
 		if !seen[name] {
 			t.Errorf("built-in algorithm %q missing from the registry", name)
-		}
-	}
-}
-
-// TestRegistryLookupAllocationFree is the benchmark-backed regression
-// test for the registry-churn fix: TraceAlgorithms once rebuilt and
-// re-sorted the whole closure slice per call and TraceAlgorithmByName
-// linear-scanned a fresh copy — both on the service's per-request
-// validation path.  Neither may allocate now.
-func TestRegistryLookupAllocationFree(t *testing.T) {
-	if avg := testing.AllocsPerRun(100, func() {
-		if _, ok := TraceAlgorithmByName("matmul"); !ok {
-			t.Fatal("matmul missing")
-		}
-	}); avg != 0 {
-		t.Errorf("TraceAlgorithmByName allocates %.1f objects per call, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		if len(TraceAlgorithms()) == 0 {
-			t.Fatal("empty registry")
-		}
-	}); avg != 0 {
-		t.Errorf("TraceAlgorithms allocates %.1f objects per call, want 0", avg)
-	}
-}
-
-func BenchmarkTraceAlgorithmByName(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := TraceAlgorithmByName("stencil2"); !ok {
-			b.Fatal("stencil2 missing")
-		}
-	}
-}
-
-func BenchmarkTraceAlgorithms(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if len(TraceAlgorithms()) == 0 {
-			b.Fatal("empty registry")
 		}
 	}
 }

@@ -46,10 +46,10 @@ func init() {
 // engine reaches the algorithms through the threaded spec, so the
 // comparisons can themselves run under a racing test schedule safely.
 func TestEngineEquivalenceAllAlgorithms(t *testing.T) {
-	if _, ok := TraceAlgorithmByName("zz-test-rotate"); !ok {
+	if _, ok := alg.ByName("zz-test-rotate"); !ok {
 		t.Fatal("registry is not open: the test-registered algorithm is missing")
 	}
-	for _, a := range TraceAlgorithms() {
+	for _, a := range alg.All() {
 		ns := a.DefaultSizes()
 		if testing.Short() && len(ns) > 2 {
 			ns = ns[:len(ns)-1] // drop the largest size under -short

@@ -107,13 +107,13 @@ func runE1(cfg Config) ([]*Result, error) {
 	minBeta := 1.0
 	for _, s := range cfg.mmSizes() {
 		n := float64(s * s)
-		tr, err := cfg.Trace("matmul", s*s)
+		fs, err := cfg.Summary("matmul", s*s)
 		if err != nil {
 			return nil, err
 		}
 		for p := 4; p <= s*s; p *= 8 {
 			for _, sigma := range []float64{0, 4, 64} {
-				h := eval.H(tr, p, sigma)
+				h := eval.H(fs, p, sigma)
 				pred := theory.PredictedMM(n, p, sigma)
 				beta := eval.BetaOptimality(theory.LowerBoundMM(n, p, sigma), h)
 				if r := h / pred; r > worst {
@@ -156,9 +156,13 @@ func runE2(cfg Config) ([]*Result, error) {
 		if rsp.PeakEntries >= r8.PeakEntries {
 			spaceWins = false
 		}
+		fs, err := rsp.Trace.Summary()
+		if err != nil {
+			return nil, err
+		}
 		for p := 4; p <= s*s; p *= 8 {
 			for _, sigma := range []float64{0, 16} {
-				h := eval.H(rsp.Trace, p, sigma)
+				h := eval.H(fs, p, sigma)
 				pred := theory.PredictedMMSpace(n, p, sigma)
 				if r := h / pred; r > worst {
 					worst = r
@@ -189,11 +193,11 @@ func runE3(cfg Config) ([]*Result, error) {
 	}
 	worst, best := 0.0, 1e18
 	for _, n := range sizes {
-		rec, err := cfg.Trace("fft", n)
+		rec, err := cfg.Summary("fft", n)
 		if err != nil {
 			return nil, err
 		}
-		it, err := cfg.Trace("fft-iterative", n)
+		it, err := cfg.Summary("fft-iterative", n)
 		if err != nil {
 			return nil, err
 		}
@@ -234,13 +238,13 @@ func runE4(cfg Config) ([]*Result, error) {
 	worst := 0.0
 	minBeta := 1.0
 	for _, n := range sizes {
-		tr, err := cfg.Trace("sort", n)
+		fs, err := cfg.Summary("sort", n)
 		if err != nil {
 			return nil, err
 		}
 		for p := 4; p <= n; p *= 16 {
 			for _, sigma := range []float64{0, 8} {
-				h := eval.H(tr, p, sigma)
+				h := eval.H(fs, p, sigma)
 				pred := theory.PredictedSort(float64(n), p, sigma)
 				beta := eval.BetaOptimality(theory.LowerBoundSort(float64(n), p, sigma), h)
 				if r := h / pred; r > worst {
@@ -274,12 +278,12 @@ func runE5(cfg Config) ([]*Result, error) {
 	}
 	worst := 0.0
 	for _, n := range sizes {
-		tr, err := cfg.Trace("stencil1", n)
+		fs, err := cfg.Summary("stencil1", n)
 		if err != nil {
 			return nil, err
 		}
 		for p := 4; p <= n; p *= 4 {
-			h := eval.H(tr, p, 0)
+			h := eval.H(fs, p, 0)
 			pred := theory.PredictedStencil1(float64(n), p, 0)
 			lb := theory.LowerBoundStencil(float64(n), 1, p, 0)
 			if r := h / pred; r > worst {
@@ -307,12 +311,12 @@ func runE6(cfg Config) ([]*Result, error) {
 	}
 	worst := 0.0
 	for _, n := range sizes {
-		tr, err := cfg.Trace("stencil2", n)
+		fs, err := cfg.Summary("stencil2", n)
 		if err != nil {
 			return nil, err
 		}
 		for p := 4; p <= n*n; p *= 4 {
-			h := eval.H(tr, p, 0)
+			h := eval.H(fs, p, 0)
 			pred := theory.PredictedStencil2(float64(n), p, 0)
 			lb := theory.LowerBoundStencil(float64(n), 2, p, 0)
 			if r := h / pred; r > worst {
@@ -338,7 +342,7 @@ func runE7(cfg Config) ([]*Result, error) {
 		PaperRef: "Theorems 4.15–4.16",
 		Columns:  []string{"p", "σ", "κ(σ)", "H aware", "LB", "aware/LB", "H oblivious(tree)", "tree gap", "Thm4.16 curve [0,σ]"},
 	}
-	tree, err := cfg.Trace("broadcast-tree", p)
+	tree, err := cfg.Summary("broadcast-tree", p)
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +354,11 @@ func runE7(cfg Config) ([]*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		hA := eval.H(aw.Trace, p, sigma)
+		awfs, err := aw.Trace.Summary()
+		if err != nil {
+			return nil, err
+		}
+		hA := eval.H(awfs, p, sigma)
 		hT := eval.H(tree, p, sigma)
 		lb := theory.LowerBoundBroadcast(p, sigma)
 		gap := hT / lb

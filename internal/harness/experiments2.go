@@ -77,9 +77,9 @@ func (c Config) suiteSize(name string) int {
 	}
 }
 
-// suiteTrace pulls one cross-algorithm suite trace from the store.
-func (c Config) suiteTrace(name string) (*core.Trace, error) {
-	return c.Trace(name, c.suiteSize(name))
+// suiteSummary summarizes one cross-algorithm suite trace from the store.
+func (c Config) suiteSummary(name string) (*core.FoldSummary, error) {
+	return c.Summary(name, c.suiteSize(name))
 }
 
 // lbAt returns the σ=0 message lower bound of an algorithm at fold p.
@@ -129,7 +129,7 @@ func runE8(cfg Config) ([]*Result, error) {
 	}
 	worst := 0.0
 	for _, name := range []string{"matmul", "fft", "sort", "stencil1"} {
-		tr, err := cfg.suiteTrace(name)
+		fs, err := cfg.suiteSummary(name)
 		if err != nil {
 			return nil, err
 		}
@@ -137,10 +137,10 @@ func runE8(cfg Config) ([]*Result, error) {
 			if err := pr.Admissible(); err != nil {
 				return nil, err
 			}
-			alpha := eval.Wiseness(tr, p)
-			d := dbsp.CommTime(tr, pr)
-			lb := dbspLowerBound(name, tr.V, pr)
-			beta := eval.BetaOptimality(lbAt(name, tr.V, p), eval.H(tr, p, 0))
+			alpha := eval.Wiseness(fs, p)
+			d := dbsp.CommTimeSummary(fs, pr)
+			lb := dbspLowerBound(name, fs.V(), pr)
+			beta := eval.BetaOptimality(lbAt(name, fs.V(), p), eval.H(fs, p, 0))
 			if d/lb > worst {
 				worst = d / lb
 			}
@@ -171,34 +171,34 @@ func runE9(cfg Config) ([]*Result, error) {
 	x := randComplex(rng, n)
 	type variant struct {
 		name  string
-		plain func() (*core.Trace, error)
+		plain func() (*core.FoldSummary, error)
 	}
 	variants := []variant{
-		{"matmul", func() (*core.Trace, error) {
+		{"matmul", func() (*core.FoldSummary, error) {
 			r, err := matmul.Multiply(s, a, b, matmul.Options{Wise: false, Engine: cfg.engine()})
 			if err != nil {
 				return nil, err
 			}
-			return r.Trace, nil
+			return r.Trace.Summary()
 		}},
-		{"fft", func() (*core.Trace, error) {
+		{"fft", func() (*core.FoldSummary, error) {
 			r, err := fft.Transform(x, fft.Options{Wise: false, Engine: cfg.engine()})
 			if err != nil {
 				return nil, err
 			}
-			return r.Trace, nil
+			return r.Trace.Summary()
 		}},
-		{"sort", func() (*core.Trace, error) {
+		{"sort", func() (*core.FoldSummary, error) {
 			r, err := colsort.Sort(keys, colsort.Options{Wise: false, Engine: cfg.engine()})
 			if err != nil {
 				return nil, err
 			}
-			return r.Trace, nil
+			return r.Trace.Summary()
 		}},
 	}
 	dummiesWin := true
 	for _, vr := range variants {
-		wise, err := cfg.Trace(vr.name, n)
+		wise, err := cfg.Summary(vr.name, n)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +206,7 @@ func runE9(cfg Config) ([]*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range []int{4, 16, wise.V} {
+		for _, p := range []int{4, 16, wise.V()} {
 			aw, ap := eval.Wiseness(wise, p), eval.Wiseness(plain, p)
 			if aw < ap {
 				dummiesWin = false
@@ -227,9 +227,13 @@ func runE9(cfg Config) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	ubfs, err := ub.Summary()
+	if err != nil {
+		return nil, err
+	}
 	unbalancedExact := true
 	for _, p := range []int{4, 16, 256} {
-		alpha := eval.Wiseness(ub, p)
+		alpha := eval.Wiseness(ubfs, p)
 		if alpha != 2/float64(p) {
 			unbalancedExact = false
 		}
@@ -252,13 +256,13 @@ func runE10(cfg Config) ([]*Result, error) {
 	}
 	totalViol := 0
 	worstAll := 0.0
-	check := func(name string, tr *core.Trace) {
+	check := func(name string, fs *core.FoldSummary) {
 		checked, viol := 0, 0
 		worst := 0.0
-		for p := 2; p <= tr.V; p *= 2 {
-			fp := tr.F(p)
+		for p := 2; p <= fs.V(); p *= 2 {
+			fp := fs.F(p)
 			for j := 1; j <= core.Log2(p); j++ {
-				fj := tr.F(1 << uint(j))
+				fj := fs.F(1 << uint(j))
 				var lhs, rhs int64
 				for i := 0; i < j; i++ {
 					lhs += fj[i]
@@ -283,11 +287,11 @@ func runE10(cfg Config) ([]*Result, error) {
 		res.AddRow(name, checked, viol, worst)
 	}
 	for _, name := range []string{"matmul", "matmul-space", "fft", "fft-iterative", "sort", "stencil1"} {
-		tr, err := cfg.suiteTrace(name)
+		fs, err := cfg.suiteSummary(name)
 		if err != nil {
 			return nil, err
 		}
-		check(name, tr)
+		check(name, fs)
 	}
 	rng := seededRng()
 	for trial := 0; trial < 5; trial++ {
@@ -296,7 +300,11 @@ func runE10(cfg Config) ([]*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		check(fmt.Sprintf("random-%d", trial), tr)
+		fs, err := tr.Summary()
+		if err != nil {
+			return nil, err
+		}
+		check(fmt.Sprintf("random-%d", trial), fs)
 	}
 	res.Notes = append(res.Notes,
 		"zero violations expected: the lemma holds per-superstep for every static algorithm; max ratio 1 means the bound is tight (achieved by perfectly wise patterns)")
@@ -325,6 +333,10 @@ func runE11(cfg Config) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	fs, err := tr.Summary()
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		ID: "E11", Title: "ascend–descend execution of the unbalanced-pair workload",
 		PaperRef: "Section 5, Lemma 5.1, Theorem 5.3",
@@ -333,7 +345,7 @@ func runE11(cfg Config) ([]*Result, error) {
 	p := v
 	allFaster := true
 	for _, pr := range []dbsp.Params{dbsp.Mesh(1, p), dbsp.Mesh(2, p), dbsp.FatTree(p)} {
-		std := dbsp.CommTime(tr, pr)
+		std := dbsp.CommTimeSummary(fs, pr)
 		pc, err := dbsp.AscendDescend(tr, p)
 		if err != nil {
 			return nil, err
@@ -342,7 +354,7 @@ func runE11(cfg Config) ([]*Result, error) {
 		if std/reb <= 1 {
 			allFaster = false
 		}
-		pt := eval.Measure(tr, p, 0)
+		pt := eval.MeasureSummary(fs, p, 0)
 		res.AddRow(pr.Name, pt.Alpha, pt.Gamma, std, reb, std/reb)
 	}
 	res.Notes = append(res.Notes,
@@ -370,14 +382,14 @@ func runE12(cfg Config) ([]*Result, error) {
 	allPositive := true
 	mesh1Worst := true
 	for _, name := range []string{"matmul", "matmul-space", "fft", "fft-iterative", "sort", "stencil1"} {
-		tr, err := cfg.suiteTrace(name)
+		fs, err := cfg.suiteSummary(name)
 		if err != nil {
 			return nil, err
 		}
-		row := []any{name, tr.V}
+		row := []any{name, fs.V()}
 		rowMax, mesh1 := 0.0, 0.0
 		for _, pr := range presets {
-			d := dbsp.CommTime(tr, pr)
+			d := dbsp.CommTimeSummary(fs, pr)
 			if d <= 0 {
 				allPositive = false
 			}

@@ -38,11 +38,11 @@ func runE13(cfg Config) ([]*Result, error) {
 	colTrendDown := true
 	prevLargestP := math.Inf(1)
 	for _, n := range sizes {
-		col, err := cfg.Trace("sort", n)
+		col, err := cfg.Summary("sort", n)
 		if err != nil {
 			return nil, err
 		}
-		bit, err := cfg.Trace("bitonic", n)
+		bit, err := cfg.Summary("bitonic", n)
 		if err != nil {
 			return nil, err
 		}

@@ -48,11 +48,15 @@ func runE15(cfg Config) ([]*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		fs, err := r.Trace.Summary()
+		if err != nil {
+			return nil, err
+		}
 		for p := 4; p <= v; p *= 8 {
-			h := eval.H(r.Trace, p, 0)
+			h := eval.H(fs, p, 0)
 			pred := math.Pow(float64(m)*float64(k)*float64(n)/float64(p), 2.0/3.0) +
 				float64(m*k+k*n+m*n)/float64(p)
-			alpha := eval.Wiseness(r.Trace, p)
+			alpha := eval.Wiseness(fs, p)
 			if h/pred > worst {
 				worst = h / pred
 			}

@@ -33,35 +33,25 @@ func runE16(cfg Config) ([]*Result, error) {
 	}
 	const ctxWords, b = 4, 8
 	sizes := []int{1 << 7, 1 << 9, 1 << 11, 1 << 13}
-	curveRec, err := cachesim.MissCurve(rec.Trace, ctxWords, b, sizes)
+	csRec, err := cachesim.MissCurve(rec.Trace.Source(), ctxWords, b, sizes)
 	if err != nil {
 		return nil, err
 	}
-	curveIt, err := cachesim.MissCurve(it.Trace, ctxWords, b, sizes)
+	csIt, err := cachesim.MissCurve(it.Trace.Source(), ctxWords, b, sizes)
 	if err != nil {
 		return nil, err
 	}
-	// Total word accesses (for miss rates): simulate with a huge cache.
-	big1, _ := cachesim.New(1<<22, b)
-	stRec, err := cachesim.SimulateTrace(rec.Trace, ctxWords, big1)
-	if err != nil {
-		return nil, err
-	}
-	big2, _ := cachesim.New(1<<22, b)
-	stIt, err := cachesim.SimulateTrace(it.Trace, ctxWords, big2)
-	if err != nil {
-		return nil, err
-	}
+	curveRec, curveIt := csRec.Misses(), csIt.Misses()
 	res := &Result{
 		ID: "E16", Title: "IC(M,B) misses of the one-processor simulation of the two FFTs",
 		PaperRef: "Section 6",
 		Columns:  []string{"n", "M (words)", "B", "misses: recursive", "miss rate", "misses: iterative", "miss rate", "compulsory"},
 	}
-	compulsory := stRec.Words / int64(b)
+	compulsory := csRec.Words() / int64(b)
 	for i, m := range sizes {
 		res.AddRow(n, m, b,
-			curveRec[i], float64(curveRec[i])/float64(stRec.Accesses),
-			curveIt[i], float64(curveIt[i])/float64(stIt.Accesses),
+			curveRec[i], float64(curveRec[i])/float64(csRec.Accesses()),
+			curveIt[i], float64(curveIt[i])/float64(csIt.Accesses()),
 			compulsory)
 	}
 	res.Notes = append(res.Notes,

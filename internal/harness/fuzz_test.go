@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -48,4 +49,64 @@ func encodeDocument(tb testing.TB, doc Document) []byte {
 		tb.Fatalf("encoding a document: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// FuzzDecodeCSV drives the CSV decoder with arbitrary bytes.  Decoding
+// must never panic, and an accepted stream must survive a round trip:
+// its columns and rows, written back through EncodeCSV, decode to the
+// same columns and rows.
+//
+// Run it with: go test -run '^$' -fuzz FuzzDecodeCSV -fuzztime 15s ./internal/harness
+func FuzzDecodeCSV(f *testing.F) {
+	commas := &Result{ID: "EX", Title: "csv", PaperRef: "x", Columns: []string{"name", "v"}}
+	commas.AddRow("a,b", 1.5)
+	commas.AddRow("plain", 2)
+	for _, rec := range []Record{sampleRecord(), {ID: "EX", Results: []*Result{commas}}} {
+		var buf bytes.Buffer
+		if err := rec.Results[0].EncodeCSV(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		buf.Reset()
+		sink, err := NewSink(FormatCSV, &buf, Config{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := sink.Write(rec); err != nil {
+			f.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	// A lone empty field and a leading '#' once re-encoded as a blank
+	// line and a comment.
+	f.Add([]byte("a\n\"\"\n"))
+	f.Add([]byte("\"#a\",b\n1,2\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cols, rows, err := DecodeCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		res := &Result{Columns: cols}
+		for _, row := range rows {
+			cells := make([]any, len(row))
+			for i, c := range row {
+				cells[i] = c
+			}
+			res.AddRow(cells...)
+		}
+		var buf bytes.Buffer
+		if err := res.EncodeCSV(&buf); err != nil {
+			t.Fatalf("an accepted stream does not re-encode: %v", err)
+		}
+		cols2, rows2, err := DecodeCSV(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded stream does not decode: %v\n%q", err, buf.String())
+		}
+		if !reflect.DeepEqual(cols2, cols) || !reflect.DeepEqual(rows2, rows) {
+			t.Fatalf("round trip changed the grid:\ncolumns %q -> %q\nrows %q -> %q", cols, cols2, rows, rows2)
+		}
+	})
 }

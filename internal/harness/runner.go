@@ -70,25 +70,28 @@ func (c Config) runOpts(record bool) core.Options {
 	return core.Options{RecordMessages: record, Engine: c.engine(), Context: c.Context}
 }
 
-// Trace returns the memoized trace of a registry algorithm at size n,
-// executing it (on the configured engine) at most once per store.
-func (c Config) Trace(name string, n int) (*core.Trace, error) {
+// Summary returns the FoldSummary of a registry algorithm's memoized
+// trace at size n — the one input of every metric an experiment reports
+// — executing the algorithm (on the configured engine) at most once per
+// store.
+func (c Config) Summary(name string, n int) (*core.FoldSummary, error) {
 	run, err := c.AlgRun(name, n)
 	if err != nil {
 		return nil, err
 	}
-	return run.Trace, nil
+	return run.Trace.Summary()
 }
 
-// AlgRun is Trace plus the run metadata (peak memory) the matmul
-// experiments report.
-func (c Config) AlgRun(name string, n int) (AlgRun, error) {
+// AlgRun returns the memoized run of a registry algorithm at size n: its
+// trace plus the run metadata (peak memory) the matmul experiments
+// report.
+func (c Config) AlgRun(name string, n int) (alg.Result, error) {
 	if c.Store != nil {
 		return c.Store.Get(c.ctx(), c.engine(), name, n)
 	}
-	a, ok := TraceAlgorithmByName(name)
+	a, ok := alg.ByName(name)
 	if !ok {
-		return AlgRun{}, fmt.Errorf("harness: unknown algorithm %q", name)
+		return alg.Result{}, fmt.Errorf("harness: unknown algorithm %q", name)
 	}
 	return a.Run(c.ctx(), alg.Spec{Engine: c.engine()}, n)
 }

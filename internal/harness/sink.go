@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -177,14 +178,46 @@ func checkWord(pass bool) string {
 // presentation/metadata and stay out of the data stream.
 func (r *Result) EncodeCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(r.Columns); err != nil {
+	if err := writeCSVRecord(w, cw, r.Columns); err != nil {
 		return err
 	}
-	if err := cw.WriteAll(r.FormattedRows()); err != nil {
-		return err
+	for _, row := range r.FormattedRows() {
+		if err := writeCSVRecord(w, cw, row); err != nil {
+			return err
+		}
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// writeCSVRecord writes one record through cw so that DecodeCSV reads it
+// back unchanged.  encoding/csv alone does not guarantee that: its
+// reader turns "\r\n" inside a quoted field into "\n", reads a line
+// starting with '#' as a comment and skips a blank line, while its
+// writer quotes neither a leading '#' nor a lone empty field.
+func writeCSVRecord(w io.Writer, cw *csv.Writer, rec []string) error {
+	if slices.ContainsFunc(rec, func(f string) bool { return strings.Contains(f, "\r\n") }) {
+		rec = slices.Clone(rec)
+		for i, f := range rec {
+			rec[i] = strings.ReplaceAll(f, "\r\n", "\r\r\n") // read back as "\r\n"
+		}
+	}
+	if len(rec) == 0 || !strings.HasPrefix(rec[0], "#") && (len(rec) > 1 || rec[0] != "") {
+		return cw.Write(rec)
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return err
+	}
+	first := `"` + strings.ReplaceAll(rec[0], `"`, `""`) + `"`
+	if len(rec) == 1 {
+		_, err := io.WriteString(w, first+"\n")
+		return err
+	}
+	if _, err := io.WriteString(w, first+","); err != nil {
+		return err
+	}
+	return cw.Write(rec[1:])
 }
 
 // DecodeCSV reads a CSV stream written by EncodeCSV (or one section of

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"netoblivious/alg"
 	"netoblivious/internal/core"
 )
 
@@ -75,7 +76,7 @@ func NewSpillingTraceStore(budgetBytes int64, dir string) (*TraceStore, error) {
 		return nil, fmt.Errorf("harness: spill dir: %w", err)
 	}
 	return &TraceStore{
-		store: core.NewStore[AlgRun](),
+		store: core.NewStore[alg.Result](),
 		spill: &spiller{
 			dir:     dir,
 			budget:  budgetBytes,
@@ -122,27 +123,27 @@ func traceBytes(tr *core.Trace) int64 {
 // spillReload pages a previously spilled run back in.  Called from
 // inside the store's single-flight compute, so at most one reload per
 // key runs at a time.
-func (ts *TraceStore) spillReload(key string) (AlgRun, bool, error) {
+func (ts *TraceStore) spillReload(key string) (alg.Result, bool, error) {
 	sp := ts.spill
 	sp.mu.Lock()
 	e := sp.entries[key]
 	if e == nil || e.path == "" {
 		sp.mu.Unlock()
-		return AlgRun{}, false, nil
+		return alg.Result{}, false, nil
 	}
 	path, peak := e.path, e.peakEntries
 	sp.reloads++
 	sp.mu.Unlock()
 	src, err := core.OpenTraceFile(path)
 	if err != nil {
-		return AlgRun{}, false, fmt.Errorf("harness: reloading spilled trace %s: %w", key, err)
+		return alg.Result{}, false, fmt.Errorf("harness: reloading spilled trace %s: %w", key, err)
 	}
 	defer src.Close()
 	tr, err := core.ReadAll(src)
 	if err != nil {
-		return AlgRun{}, false, fmt.Errorf("harness: reloading spilled trace %s: %w", key, err)
+		return alg.Result{}, false, fmt.Errorf("harness: reloading spilled trace %s: %w", key, err)
 	}
-	return AlgRun{Trace: tr, PeakEntries: peak}, true, nil
+	return alg.Result{Trace: tr, PeakEntries: peak}, true, nil
 }
 
 // spillTouch charges a just-computed or just-reloaded run against the
@@ -150,7 +151,7 @@ func (ts *TraceStore) spillReload(key string) (AlgRun, bool, error) {
 // used runs while the budget is exceeded.  A single run larger than the
 // whole budget is written out immediately — later Gets page it in per
 // use, keeping the resident set bounded.
-func (ts *TraceStore) spillTouch(key string, run AlgRun) error {
+func (ts *TraceStore) spillTouch(key string, run alg.Result) error {
 	sp := ts.spill
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -180,7 +181,7 @@ func (ts *TraceStore) spillTouch(key string, run AlgRun) error {
 // writeOutLocked spills one resident entry: write its trace (once),
 // drop it from the memo store, and uncharge it.  Called with sp.mu
 // held.
-func (sp *spiller) writeOutLocked(store *core.Store[AlgRun], victim *spillEntry) error {
+func (sp *spiller) writeOutLocked(store *core.Store[alg.Result], victim *spillEntry) error {
 	run, err, ok := store.Peek(victim.key)
 	if !ok || err != nil || run.Trace == nil {
 		// The entry vanished from the store (a Forget) or never held a

@@ -10,11 +10,6 @@ import (
 	"netoblivious/internal/obs"
 )
 
-// AlgRun bundles a registry algorithm's communication trace with the run
-// metadata some experiments report alongside it (the alg registry's
-// result type).
-type AlgRun = alg.Result
-
 // TraceStore memoizes registry-algorithm runs by (algorithm, n, record).
 // The paper's algorithms are static — their communication depends only
 // on the input size — so one execution per key serves every experiment
@@ -33,7 +28,7 @@ type AlgRun = alg.Result
 // memory budget: runs beyond the budget move to disk and page back in on
 // demand instead of being recomputed.
 type TraceStore struct {
-	store *core.Store[AlgRun]
+	store *core.Store[alg.Result]
 	spill *spiller // nil unless built by NewSpillingTraceStore
 	probe *obs.Probe
 }
@@ -52,7 +47,7 @@ func NewTraceStore() *TraceStore {
 // NewBoundedTraceStore returns an empty store retaining at most capacity
 // completed runs under LRU eviction (0 = unbounded).
 func NewBoundedTraceStore(capacity int) *TraceStore {
-	return &TraceStore{store: core.NewBoundedStore[AlgRun](capacity)}
+	return &TraceStore{store: core.NewBoundedStore[alg.Result](capacity)}
 }
 
 // Get returns the memoized run of the named registry algorithm at size
@@ -60,7 +55,7 @@ func NewBoundedTraceStore(capacity int) *TraceStore {
 // use.  ctx bounds that execution; because cancellation errors would
 // otherwise be memoized for every later caller of the key, a run failing
 // with ctx's error is forgotten instead of cached.
-func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n int) (AlgRun, error) {
+func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n int) (alg.Result, error) {
 	return ts.get(ctx, eng, name, n, false)
 }
 
@@ -68,27 +63,27 @@ func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n i
 // simulator consumes).  Recorded and unrecorded runs of the same
 // algorithm are distinct store entries: their traces differ in payload,
 // and a consumer of a recorded trace must never receive the lighter one.
-func (ts *TraceStore) GetRecorded(ctx context.Context, eng core.Engine, name string, n int) (AlgRun, error) {
+func (ts *TraceStore) GetRecorded(ctx context.Context, eng core.Engine, name string, n int) (alg.Result, error) {
 	return ts.get(ctx, eng, name, n, true)
 }
 
-func (ts *TraceStore) get(ctx context.Context, eng core.Engine, name string, n int, record bool) (AlgRun, error) {
-	a, ok := TraceAlgorithmByName(name)
+func (ts *TraceStore) get(ctx context.Context, eng core.Engine, name string, n int, record bool) (alg.Result, error) {
+	a, ok := alg.ByName(name)
 	if !ok {
-		return AlgRun{}, fmt.Errorf("harness: unknown algorithm %q", name)
+		return alg.Result{}, fmt.Errorf("harness: unknown algorithm %q", name)
 	}
 	key := core.TraceKey{Algorithm: name, N: n}.String()
 	if record {
 		key += "+rec"
 	}
 	computed := false
-	run, err := ts.store.Get(key, func() (AlgRun, error) {
+	run, err := ts.store.Get(key, func() (alg.Result, error) {
 		computed = true
 		if ts.spill != nil {
 			// A spilled run is paged back in from its binary file instead
 			// of re-executing the algorithm.
 			if run, ok, lerr := ts.spillReload(key); lerr != nil {
-				return AlgRun{}, lerr
+				return alg.Result{}, lerr
 			} else if ok {
 				return run, nil
 			}
@@ -116,7 +111,7 @@ func (ts *TraceStore) get(ctx context.Context, eng core.Engine, name string, n i
 		// computation, a stale one can never evict the fresh entry a
 		// live caller has already started.  Genuine algorithm errors are
 		// unaffected and stay memoized.
-		ts.store.ForgetIf(key, func(_ AlgRun, err error) bool { return IsCancellation(err) })
+		ts.store.ForgetIf(key, func(_ alg.Result, err error) bool { return IsCancellation(err) })
 	}
 	return run, err
 }
@@ -134,7 +129,7 @@ func (ts *TraceStore) Stats() core.StoreStats { return ts.store.Stats() }
 
 // Store exposes the underlying keyed store, for consumers that report its
 // capacity and counters (the nobld metrics endpoint).
-func (ts *TraceStore) Store() *core.Store[AlgRun] { return ts.store }
+func (ts *TraceStore) Store() *core.Store[alg.Result] { return ts.store }
 
 // Len returns the number of memoized runs (completed or in flight).
 func (ts *TraceStore) Len() int { return ts.store.Len() }

@@ -18,7 +18,7 @@ import (
 func TestRegistryStreamedJSONByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	eng := core.BlockEngine{Workers: 2}
-	for _, a := range TraceAlgorithms() {
+	for _, a := range alg.All() {
 		sizes := a.DefaultSizes()
 		if len(sizes) == 0 {
 			t.Errorf("%s: no default sizes", a.Name)

@@ -7,6 +7,7 @@ import (
 
 	"netoblivious/internal/eval"
 	"netoblivious/internal/theory"
+	"netoblivious/internal/tracetest"
 )
 
 func randMatrix(rng *rand.Rand, s int) []int64 {
@@ -106,8 +107,9 @@ func TestMultiplyComplexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	for p := 2; p <= s*s; p *= 4 {
-		f := eval.Fold(res.Trace, p)
+		f := eval.Fold(fs, p)
 		h := f.H(0)
 		pred := theory.PredictedMM(n, p, 0)
 		ratio := h / pred
@@ -131,8 +133,9 @@ func TestSpaceEfficientComplexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	for p := 4; p <= s*s; p *= 4 {
-		h := eval.H(res.Trace, p, 0)
+		h := eval.H(fs, p, 0)
 		pred := theory.PredictedMMSpace(n, p, 0)
 		ratio := h / pred
 		if ratio > 16 || ratio < 0.05 {
@@ -151,8 +154,9 @@ func TestWisenessConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	for p := 2; p <= s*s; p *= 4 {
-		if alpha := eval.Wiseness(res.Trace, p); alpha < 0.05 {
+		if alpha := eval.Wiseness(fs, p); alpha < 0.05 {
 			t.Errorf("8-way: α(%d) = %v, want Θ(1)", p, alpha)
 		}
 	}
@@ -160,8 +164,9 @@ func TestWisenessConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs2 := tracetest.Summary(t, res2.Trace)
 	for p := 2; p <= s*s; p *= 4 {
-		if alpha := eval.Wiseness(res2.Trace, p); alpha < 0.05 {
+		if alpha := eval.Wiseness(fs2, p); alpha < 0.05 {
 			t.Errorf("space-efficient: α(%d) = %v, want Θ(1)", p, alpha)
 		}
 	}
@@ -176,8 +181,9 @@ func TestFoldingLemmaOnMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	for p := 2; p <= s*s; p *= 2 {
-		if err := eval.CheckFoldingLemma(res.Trace, p); err != nil {
+		if err := eval.CheckFoldingLemma(fs, p); err != nil {
 			t.Errorf("p=%d: %v", p, err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"netoblivious/internal/eval"
+	"netoblivious/internal/tracetest"
 )
 
 func randRect(rng *rand.Rand, m, n int) []int64 {
@@ -70,8 +71,9 @@ func TestMultiplyRectMatchesSquareBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	for p := 4; p <= v; p *= 4 {
-		h := eval.H(res.Trace, p, 0)
+		h := eval.H(fs, p, 0)
 		pred := float64(s*s) / math.Pow(float64(p), 2.0/3.0)
 		if ratio := h / pred; ratio > 24 || ratio < 0.1 {
 			t.Errorf("p=%d: H=%v vs n/p^{2/3}=%v (ratio %v)", p, h, pred, ratio)
@@ -92,6 +94,7 @@ func TestMultiplyRectTallSkinny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	want := SeqMultiplyRect(m, k, n, a, b, Plus())
 	for i := range want {
 		if res.C[i] != want[i] {
@@ -101,7 +104,7 @@ func TestMultiplyRectTallSkinny(t *testing.T) {
 	// m-splits only partition (B is tiny): per-fold load stays near the
 	// input term (mk + kn + mn)/p.
 	for p := 4; p <= v; p *= 4 {
-		h := eval.H(res.Trace, p, 0)
+		h := eval.H(fs, p, 0)
 		inputs := float64(m*k+k*n+m*n) / float64(p)
 		if h > 40*inputs {
 			t.Errorf("p=%d: H=%v far above input term %v", p, h, inputs)

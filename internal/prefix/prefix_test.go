@@ -7,6 +7,7 @@ import (
 
 	"netoblivious/internal/core"
 	"netoblivious/internal/eval"
+	"netoblivious/internal/tracetest"
 )
 
 func TestSeqScan(t *testing.T) {
@@ -95,17 +96,19 @@ func TestWorkAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	doublingFS := tracetest.Summary(t, doubling.Trace)
 	tree, err := ScanTree(xs, Sum(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	treeFS := tracetest.Summary(t, tree.Trace)
 	if m1, m2 := doubling.Trace.TotalMessages(), tree.Trace.TotalMessages(); m1 < 4*m2 {
 		t.Errorf("doubling (%d msgs) should be ~log n/2 times tree (%d msgs)", m1, m2)
 	}
 	// Folded on p=4: tree pays ~2·log p supersteps, doubling log n.
 	p := 4
-	st := eval.Fold(tree.Trace, p).Supersteps()
-	sd := eval.Fold(doubling.Trace, p).Supersteps()
+	st := eval.Fold(treeFS, p).Supersteps()
+	sd := eval.Fold(doublingFS, p).Supersteps()
 	if st >= sd {
 		t.Errorf("tree supersteps at p=4 (%d) should undercut doubling (%d)", st, sd)
 	}
@@ -123,11 +126,12 @@ func TestFullness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	treeFS := tracetest.Summary(t, tree.Trace)
 	for p := 2; p <= 256; p *= 4 {
-		if g := eval.Fullness(tree.Trace, p); g <= 0 {
+		if g := eval.Fullness(treeFS, p); g <= 0 {
 			t.Errorf("tree fullness γ(%d) = %v, want > 0", p, g)
 		}
-		if err := eval.CheckFoldingLemma(tree.Trace, p); err != nil {
+		if err := eval.CheckFoldingLemma(treeFS, p); err != nil {
 			t.Errorf("p=%d: %v", p, err)
 		}
 	}

@@ -414,7 +414,7 @@ func analyzeMachines(req Request) ([]*harness.Result, error) {
 
 // algRun pulls the request's specification run from the shared trace
 // cache (recorded form only when the analysis needs message pairs).
-func (s *Server) algRun(ctx context.Context, req Request, recorded bool) (harness.AlgRun, error) {
+func (s *Server) algRun(ctx context.Context, req Request, recorded bool) (alg.Result, error) {
 	if recorded {
 		return s.traces.GetRecorded(ctx, nil, req.Algorithm, req.N)
 	}
@@ -451,7 +451,7 @@ func (s *Server) analyzeTrace(ctx context.Context, req Request, progress progres
 	for _, m := range machines {
 		pt := eval.MeasureSummary(fs, m.P, m.Sigma)
 		res.AddRow(pt.P, pt.Sigma, pt.H, pt.MessageLoad, pt.Supersteps, pt.Alpha, pt.Gamma)
-		if err := eval.CheckFoldingLemmaOf(fs, m.P); err != nil {
+		if err := eval.CheckFoldingLemma(fs, m.P); err != nil {
 			folding = false
 		}
 	}

@@ -408,11 +408,33 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// maxRequestBytes caps the body of POST /v1/analyze and
+// /v1/analyze/batch.  A request is a few hundred bytes, so even a large
+// batch stays far below it; a larger body is refused with 413 before the
+// decoder buffers it.
+const maxRequestBytes = 1 << 20
+
+// decodeBody decodes at most maxRequestBytes of r's body into v.  On
+// failure it writes the error response itself — 413 for an oversized
+// body, 400 for malformed JSON — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, tooLarge.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
+	}
+	return false
+}
+
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.metrics.countRequest("analyze")
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, "request", &req) {
 		return
 	}
 	resp, status := s.analyze(r.Context(), req, isForwarded(r))
@@ -431,8 +453,7 @@ func isForwarded(r *http.Request) bool {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.countRequest("batch")
 	var batch BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding batch: %v", err)
+	if !decodeBody(w, r, "batch", &batch) {
 		return
 	}
 	if len(batch.Requests) == 0 {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"netoblivious/alg"
 	"netoblivious/internal/harness"
 )
 
@@ -46,8 +48,8 @@ func TestHealthAndAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(algs.Algorithms) != len(harness.TraceAlgorithms()) {
-		t.Errorf("algorithms listed %d, registry has %d", len(algs.Algorithms), len(harness.TraceAlgorithms()))
+	if len(algs.Algorithms) != len(alg.All()) {
+		t.Errorf("algorithms listed %d, registry has %d", len(algs.Algorithms), len(alg.All()))
 	}
 	if len(algs.Kinds) != len(Kinds()) {
 		t.Errorf("kinds listed %d, want %d", len(algs.Kinds), len(Kinds()))
@@ -214,7 +216,7 @@ func TestEveryAlgorithmEveryAsyncKind(t *testing.T) {
 		"stencil1": 64, "stencil2": 16,
 	}
 	var reqs []Request
-	for _, a := range harness.TraceAlgorithms() {
+	for _, a := range alg.All() {
 		n, ok := ns[a.Name]
 		if !ok {
 			n = 256
@@ -667,25 +669,13 @@ func TestMetricsTextFormat(t *testing.T) {
 // carries the algorithm's size doc so the client can self-correct.
 func TestSizeValidationRejectsEarly(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
-	post := func(body string) (int, string) {
-		t.Helper()
-		resp, err := http.Post(c.BaseURL+"/v1/analyze", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var sb strings.Builder
-		if _, err := copyBody(&sb, resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, sb.String()
-	}
+	post := func(body string) (int, string) { return postBody(t, c, "/v1/analyze", body) }
 	// matmul needs the square of a power of two; 6 is neither.
 	status, body := post(`{"algorithm":"matmul","n":6,"kind":"trace","wait":true}`)
 	if status != http.StatusBadRequest {
 		t.Fatalf("invalid size: status %d, want 400 (body %s)", status, body)
 	}
-	a, ok := harness.TraceAlgorithmByName("matmul")
+	a, ok := alg.ByName("matmul")
 	if !ok {
 		t.Fatal("matmul missing from registry")
 	}
@@ -707,6 +697,51 @@ func TestSizeValidationRejectsEarly(t *testing.T) {
 	if status != http.StatusOK {
 		t.Errorf("valid size: status %d (body %s)", status, body)
 	}
+}
+
+// TestRequestBodyLimit: a valid request padded past maxRequestBytes,
+// sent alone or in a batch, is refused with 413 and the usual JSON error
+// before any job runs.  The same request unpadded is served.
+func TestRequestBodyLimit(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	const req = `{"algorithm":"fft","n":8,"kind":"trace","wait":true}`
+	pad := strings.Repeat(" ", maxRequestBytes) // insignificant JSON whitespace
+	for path, body := range map[string]string{
+		"/v1/analyze":       `{"algorithm":"fft",` + pad + `"n":8,"kind":"trace","wait":true}`,
+		"/v1/analyze/batch": `{"requests":[` + pad + req + `]}`,
+	} {
+		status, resp := postBody(t, c, path, body)
+		if status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d, want 413 (body %.200s)", path, len(body), status, resp)
+			continue
+		}
+		var e apiError
+		if err := json.Unmarshal([]byte(resp), &e); err != nil || e.Error == "" {
+			t.Errorf("%s: 413 body is not a JSON error: %q (%v)", path, resp, err)
+		}
+	}
+	if running, done := jobCounts(t, c); running+done != 0 {
+		t.Errorf("oversized requests ran jobs (running %d, done %d)", running, done)
+	}
+	if status, resp := postBody(t, c, "/v1/analyze", req); status != http.StatusOK {
+		t.Errorf("unpadded request: status %d (body %s)", status, resp)
+	}
+}
+
+// postBody POSTs a raw JSON body to the server and returns the status
+// and response body.
+func postBody(t *testing.T, c *Client, path, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(c.BaseURL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sb strings.Builder
+	if _, err := copyBody(&sb, resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, sb.String()
 }
 
 // jobCounts reads the scheduler's running/done job counters via the

@@ -7,6 +7,7 @@ import (
 
 	"netoblivious/internal/eval"
 	"netoblivious/internal/theory"
+	"netoblivious/internal/tracetest"
 )
 
 func randInputs(rng *rand.Rand, m int) []int64 {
@@ -112,8 +113,9 @@ func TestStencil1Complexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	for p := 2; p <= n; p *= 4 {
-		h := eval.H(res.Trace, p, 0)
+		h := eval.H(fs, p, 0)
 		pred := theory.PredictedStencil1(float64(n), p, 0)
 		if ratio := h / pred; ratio > 8 || ratio < 0.005 {
 			t.Errorf("p=%d: H=%v vs predicted %v (ratio %v)", p, h, pred, ratio)
@@ -134,8 +136,9 @@ func TestStencil2Complexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	for p := 4; p <= n*n; p *= 4 {
-		h := eval.H(res.Trace, p, 0)
+		h := eval.H(fs, p, 0)
 		pred := theory.PredictedStencil2(float64(n), p, 0)
 		if ratio := h / pred; ratio > 8 || ratio < 0.002 {
 			t.Errorf("p=%d: H=%v vs predicted %v (ratio %v)", p, h, pred, ratio)
@@ -152,13 +155,14 @@ func TestFoldingAndWiseness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := tracetest.Summary(t, res.Trace)
 	for p := 2; p <= n; p *= 2 {
-		if err := eval.CheckFoldingLemma(res.Trace, p); err != nil {
+		if err := eval.CheckFoldingLemma(fs, p); err != nil {
 			t.Errorf("p=%d: %v", p, err)
 		}
 	}
 	for p := 2; p <= n; p *= 4 {
-		if alpha := eval.Wiseness(res.Trace, p); alpha < 0.02 {
+		if alpha := eval.Wiseness(fs, p); alpha < 0.02 {
 			t.Errorf("α(%d) = %v, want Θ(1)", p, alpha)
 		}
 	}

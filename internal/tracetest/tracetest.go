@@ -1,5 +1,6 @@
-// Package tracetest provides helpers for comparing communication traces
-// in tests, shared by the cross-engine equivalence suites.
+// Package tracetest provides test helpers for communication traces:
+// comparing them across engines, and summarizing them for the metric
+// tests.
 package tracetest
 
 import (
@@ -70,4 +71,15 @@ func EngineEquivalence(t testing.TB, a alg.Algorithm, sizes []int) int {
 		compared++
 	}
 	return compared
+}
+
+// Summary returns the FoldSummary every metric of tr is computed from,
+// failing the test if the trace is malformed.
+func Summary(t testing.TB, tr *core.Trace) *core.FoldSummary {
+	t.Helper()
+	fs, err := tr.Summary()
+	if err != nil {
+		t.Fatalf("tracetest: summarizing trace: %v", err)
+	}
+	return fs
 }
