@@ -48,10 +48,11 @@
 // independently, the way a network-oblivious algorithm commits to its
 // communication pattern without knowing the machine.  Any node accepts
 // any request; non-owned keys are transparently forwarded to the owning
-// shard (one hop, loop-free), concurrent forwards of one key coalesce,
-// and completed documents are kept as a bounded local replica
-// (-replica-entries) so hot entries stop costing a network hop.  Every
-// trace is computed exactly once cluster-wide.  Forwarded requests are
+// shard (one hop, loop-free) under the request's X-Request-ID, and the
+// entry node keeps each completed forwarded document in its own result
+// cache (-cache-entries), so a repeat stops costing a network hop.
+// Concurrent forwards of one key coalesce at the owner, so every trace
+// is computed exactly once cluster-wide.  Forwarded requests are
 // answered synchronously with the document itself; job IDs remain
 // node-local and never leak across nodes.  -ring-seed and -ring-vnodes
 // must match across the fleet.
@@ -116,7 +117,6 @@ func main() {
 	route := flag.Bool("route", false, "stateless router mode: own no shard, forward everything to -peers")
 	ringVNodes := flag.Int("ring-vnodes", 0, "virtual nodes per ring member (0 = default; must match across the fleet)")
 	ringSeed := flag.Uint64("ring-seed", 0, "consistent-hash placement seed (must match across the fleet)")
-	replicaEntries := flag.Int("replica-entries", 0, "read-through replica cache capacity (0 = default 256, -1 = disabled)")
 	maxForwards := flag.Int("max-forwards", 0, "max concurrent in-flight forwards before shedding 429 (0 = default 256)")
 	admitQueue := flag.Int("admit-queue", 0, "queue-depth high-water mark: shed enqueues beyond it with 429 + Retry-After (0 = disabled)")
 	healthInterval := flag.Duration("health-interval", 0, "peer health probe cadence (0 = default 2s)")
@@ -146,7 +146,6 @@ func main() {
 			RouteOnly:      *route,
 			VNodes:         *ringVNodes,
 			Seed:           *ringSeed,
-			ReplicaEntries: *replicaEntries,
 			MaxForwards:    *maxForwards,
 			HealthInterval: *healthInterval,
 		}

@@ -154,6 +154,25 @@ func (s *Store[V]) Peek(key string) (val V, err error, ok bool) {
 	return e.val, e.err, true
 }
 
+// Put stores v as the completed value for key when the key is absent,
+// and reports whether it did.  A completed or in-flight entry is left
+// alone, so Put never races a Get's single-flight.  Put counts neither a
+// hit nor a miss: the value was computed elsewhere.  The LRU bound
+// applies as for a completed Get.
+func (s *Store[V]) Put(key string, v V) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.entries[key]; ok {
+		return false
+	}
+	e := &storeEntry[V]{key: key, done: make(chan struct{}), val: v}
+	close(e.done)
+	s.entries[key] = e
+	e.elem = s.lru.PushFront(e)
+	s.evictLocked()
+	return true
+}
+
 // Forget removes key from the store, so a later Get recomputes it.  It
 // reports whether an entry (completed or in flight) was removed.  Waiters
 // already joined to an in-flight computation still observe its outcome;

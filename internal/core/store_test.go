@@ -257,3 +257,47 @@ func TestStorePeek(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss", st)
 	}
 }
+
+// TestStorePut: Put fills only an absent key, counts neither a hit nor
+// a miss, applies the LRU bound, and leaves in-flight entries alone.
+func TestStorePut(t *testing.T) {
+	s := NewBoundedStore[int](2)
+	if !s.Put("a", 1) || !s.Put("b", 2) {
+		t.Fatal("Put into an absent key failed")
+	}
+	if s.Put("a", 9) {
+		t.Error("Put overwrote a completed entry")
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("Put moved counters: %+v", st)
+	}
+	if v, err := s.Get("a", func() (int, error) { return 0, errors.New("recomputed") }); err != nil || v != 1 {
+		t.Errorf("Get after Put = %d, %v", v, err)
+	}
+	// "a" is now the most recent entry; a third Put evicts "b".
+	s.Put("c", 3)
+	if _, _, ok := s.Peek("b"); ok {
+		t.Error("LRU bound not applied to Put")
+	}
+	if st := s.Stats(); st.Evictions != 1 {
+		t.Errorf("evictions = %d, want 1", st.Evictions)
+	}
+
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, _ = s.Get("slow", func() (int, error) { close(started); <-release; return 5, nil })
+	}()
+	<-started
+	if s.Put("slow", 7) {
+		t.Error("Put replaced an in-flight entry")
+	}
+	close(release)
+	wg.Wait()
+	if v, _, ok := s.Peek("slow"); !ok || v != 5 {
+		t.Errorf("in-flight outcome lost: %d, %v", v, ok)
+	}
+}

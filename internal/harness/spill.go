@@ -149,8 +149,8 @@ func (ts *TraceStore) spillReload(key string) (alg.Result, bool, error) {
 // spillTouch charges a just-computed or just-reloaded run against the
 // budget, refreshes its LRU position, and writes out least recently
 // used runs while the budget is exceeded.  A single run larger than the
-// whole budget is written out immediately — later Gets page it in per
-// use, keeping the resident set bounded.
+// whole budget is written out alone, immediately, and the resident set
+// is left as it was — later Gets page it in per use.
 func (ts *TraceStore) spillTouch(key string, run alg.Result) error {
 	sp := ts.spill
 	sp.mu.Lock()
@@ -168,6 +168,11 @@ func (ts *TraceStore) spillTouch(key string, run alg.Result) error {
 	}
 	for sp.used > sp.budget && sp.lru.Len() > 0 {
 		victim := sp.lru.Back().Value.(*spillEntry)
+		if e.elem != nil && e.bytes > sp.budget {
+			// Alone it overflows the budget: write it out by itself
+			// instead of flushing the resident set first.
+			victim = e
+		}
 		if err := sp.writeOutLocked(ts.store, victim); err != nil {
 			// A failed write-out must not lose the run: leave it resident
 			// (the budget is advisory, the data is not) and surface the

@@ -153,3 +153,37 @@ func TestSpillingTraceStoreRejectsBadConfig(t *testing.T) {
 		t.Error("want error for negative budget")
 	}
 }
+
+// TestSpillingTraceStoreOversizedRunLeavesResidentSet: a run larger than
+// the whole budget is written out by itself; the runs already resident
+// stay in memory.
+func TestSpillingTraceStoreOversizedRunLeavesResidentSet(t *testing.T) {
+	ts, err := NewSpillingTraceStore(4408, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, n := range []int{8, 64} {
+		if _, err := ts.Get(ctx, nil, "fft", n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _ := ts.SpillStats()
+	if before.Resident != 2 || before.Spills != 0 {
+		t.Fatalf("setup: %+v, want both small runs resident and no spill", before)
+	}
+	big, err := ts.GetRecorded(ctx, nil, "fft", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := traceBytes(big.Trace); b <= before.BudgetBytes {
+		t.Fatalf("fft n=1024 is %d bytes, not above the %d-byte budget", b, before.BudgetBytes)
+	}
+	st, _ := ts.SpillStats()
+	if st.Resident != 2 || st.Spills != 1 {
+		t.Errorf("after the oversized run: resident %d, spills %d; want 2 and 1", st.Resident, st.Spills)
+	}
+	if st.UsedBytes != before.UsedBytes {
+		t.Errorf("used bytes %d -> %d; the oversized run must not stay charged", before.UsedBytes, st.UsedBytes)
+	}
+}

@@ -105,7 +105,8 @@ func retryAfterOf(resp *http.Response) time.Duration {
 }
 
 // do performs one request (no retries) and returns the response with
-// its body fully read.
+// its body fully read.  A request ID carried by ctx travels as
+// X-Request-ID unless Header already sets one.
 func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, []byte, error) {
 	var rd io.Reader
 	if body != nil {
@@ -119,6 +120,9 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*htt
 		for _, v := range vals {
 			req.Header.Add(name, v)
 		}
+	}
+	if rid := requestIDFrom(ctx); rid != "" && req.Header.Get(headerRequestID) == "" {
+		req.Header.Set(headerRequestID, rid)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"netoblivious/internal/cluster"
-	"netoblivious/internal/core"
 	"netoblivious/internal/obs"
 )
 
@@ -37,11 +35,6 @@ type ClusterConfig struct {
 	VNodes int
 	// Seed seeds the ring's placement hash.  Must match across the fleet.
 	Seed uint64
-	// ReplicaEntries bounds the hot-entry read-through replica cache a
-	// forwarding node keeps (completed documents fetched from owners);
-	// 0 means 256, negative disables replication.  Routers never keep
-	// replicas.
-	ReplicaEntries int
 	// MaxForwards bounds concurrent in-flight forwards per node; excess
 	// forwards are shed with 429.  0 means 256.
 	MaxForwards int
@@ -57,23 +50,13 @@ type ClusterConfig struct {
 // forwarding loop.
 const headerForwarded = "X-Nobld-Forwarded"
 
-// forwardOutcome is a memoized forwarded verdict: the owner's response
-// body and HTTP status.  Only completed documents stay memoized
-// (read-through replication); everything else is forgotten right after
-// delivery.
-type forwardOutcome struct {
-	resp   Response
-	status int
-}
-
 // clusterState is the per-server cluster runtime: the ring, the peer
-// clients, the health tracker, the replica cache and the forward gate.
+// clients, the health tracker and the forward gate.
 // All fields are set at construction; only the atomics mutate.
 type clusterState struct {
 	self      string
 	routeOnly bool
 	ring      *cluster.Ring
-	replicas  *core.Store[forwardOutcome] // nil for routers and ReplicaEntries < 0
 	tracker   *cluster.Tracker
 	clients   map[string]*Client // ring member -> forwarding client
 	seed      uint64
@@ -81,9 +64,6 @@ type clusterState struct {
 	inFlight       atomic.Int64
 	maxInFlight    int64
 	forwardTimeout time.Duration
-	baseCtx        context.Context
-	metrics        *metrics
-	logger         *slog.Logger
 }
 
 // newClusterState validates the cluster configuration and builds the
@@ -116,16 +96,6 @@ func newClusterState(s *Server, cc ClusterConfig) (*clusterState, error) {
 		seed:           cc.Seed,
 		maxInFlight:    maxForwards,
 		forwardTimeout: s.cfg.JobTimeout + 30*time.Second,
-		baseCtx:        s.baseCtx,
-		metrics:        s.metrics,
-		logger:         s.logger,
-	}
-	if !cc.RouteOnly && cc.ReplicaEntries >= 0 {
-		entries := cc.ReplicaEntries
-		if entries == 0 {
-			entries = 256
-		}
-		cs.replicas = core.NewBoundedStore[forwardOutcome](entries)
 	}
 	probeClient := &http.Client{Timeout: 5 * time.Second}
 	check := func(ctx context.Context, addr string) error {
@@ -175,17 +145,18 @@ func (c *clusterState) mode() string {
 	return "node"
 }
 
-// routeOf decides a normalized request's placement: the owning peer's
-// address when the request must be forwarded, "" when it is served
-// locally.  Synchronous kinds are always local (they cost microseconds;
-// forwarding would cost more than answering).  The ring hashes
-// req.Key(), the same key every node caches under, so each answer is
-// computed exactly once fleet-wide.
+// routeOf decides a normalized asynchronous request's placement: the
+// owning peer's address when the request must be forwarded, "" when it
+// is served locally.  Synchronous kinds never get here: analyzeStart
+// answers them on the entry node (they cost microseconds; forwarding
+// would cost more than answering).  The ring hashes req.Key(), the same
+// key every node caches under, so each answer is computed exactly once
+// fleet-wide.
 //
 //nob:hotpath
 func (s *Server) routeOf(req *Request, forwarded bool) string {
 	c := s.cluster
-	if c == nil || forwarded || req.Kind.Sync() {
+	if c == nil || forwarded {
 		return ""
 	}
 	owner := c.ring.Owner(req.Key())
@@ -195,96 +166,61 @@ func (s *Server) routeOf(req *Request, forwarded bool) string {
 	return owner
 }
 
-// forward relays a request to its owning peer.  On a non-router node
-// the relay is read-through: concurrent forwards of the same key
-// coalesce on the replica store's single-flight, and a completed
-// document stays as a bounded local replica so the next request for a
-// hot entry is answered without a network hop.  Routers forward every
-// request directly.  The round trip deliberately runs under the
-// server's base context, not the originating request's — see
-// forwardCompute.
-func (c *clusterState) forward(owner string, req Request) (Response, int) {
-	if c.replicas == nil {
-		return deliver(c.forwardCompute(owner, req))
-	}
-	key := req.Key()
-	if out, err, ok := c.replicas.Peek(key); ok && err == nil {
-		out.resp.Cached = true
-		return out.resp, out.status
-	}
-	out, err := c.replicas.Get(key, func() (forwardOutcome, error) {
-		return c.forwardCompute(owner, req)
-	})
-	// Replicate only completed documents: errors, sheds and failures
-	// describe a moment, not the key, and must not be sticky.
-	c.replicas.ForgetIf(key, func(o forwardOutcome, err error) bool {
-		return err != nil || o.status != http.StatusOK || o.resp.Status != string(StatusDone)
-	})
-	return deliver(out, err)
-}
-
-// deliver maps a forward outcome (or transport error) onto the response
-// the entry node returns to its client.
-func deliver(out forwardOutcome, err error) (Response, int) {
-	if err != nil {
-		return Response{
-			Schema: ResponseSchema,
-			Status: string(StatusFailed),
-			Error:  err.Error(),
-		}, http.StatusBadGateway
-	}
-	return out.resp, out.status
-}
-
-// forwardCompute performs one forwarded round trip to the owner.  It
-// runs under the server's base context (not the originating request's),
-// so a read-through replication in flight survives its first
-// requester's disconnect and still lands for the coalesced joiners.
-// The request is pinned to Wait so the owner answers with the document
-// itself; owner-local job IDs never leak across nodes.
-func (c *clusterState) forwardCompute(owner string, req Request) (forwardOutcome, error) {
+// forward relays a request to its owning peer and returns the owner's
+// verdict.  A non-router node stores a completed document in its own
+// result cache, so a repeat of the key is a plain result-cache hit.
+// Sheds, failures and transport errors describe a moment, not the key,
+// and are never stored.  Concurrent forwards of one key are not merged
+// here: they coalesce at the owner, on its job dedup and result
+// single-flight.
+//
+// The round trip runs under the server's base context, not the
+// originating request's, so a client's disconnect does not abort the
+// owner's answer; it carries the request's ID, so both nodes log the
+// request under one ID.  The request is pinned to Wait so the owner
+// answers with the document itself; owner-local job IDs never leak
+// across nodes.
+func (s *Server) forward(ctx context.Context, owner string, req Request) (Response, int) {
+	c := s.cluster
 	if c.inFlight.Add(1) > c.maxInFlight {
 		c.inFlight.Add(-1)
-		c.metrics.countShed("forwards")
-		return forwardOutcome{
-			resp: Response{
-				Schema:        ResponseSchema,
-				Status:        string(StatusFailed),
-				Error:         "too many in-flight forwards; retry later",
-				RetryAfterSec: 1,
-			},
-			status: http.StatusTooManyRequests,
-		}, nil
+		s.metrics.countShed("forwards")
+		return Response{
+			Schema:        ResponseSchema,
+			Status:        string(StatusFailed),
+			Error:         "too many in-flight forwards; retry later",
+			RetryAfterSec: 1,
+		}, http.StatusTooManyRequests
 	}
 	defer c.inFlight.Add(-1)
 	cl, ok := c.clients[owner]
 	if !ok {
-		return forwardOutcome{}, fmt.Errorf("no client for ring member %q", owner)
+		return Response{Schema: ResponseSchema, Status: string(StatusFailed),
+			Error: fmt.Sprintf("no client for ring member %q", owner)}, http.StatusBadGateway
 	}
-	ctx, cancel := context.WithTimeout(c.baseCtx, c.forwardTimeout)
+	rid := requestIDFrom(ctx)
+	fctx, cancel := context.WithTimeout(context.WithValue(s.baseCtx, ctxKeyRequestID{}, rid), c.forwardTimeout)
 	defer cancel()
 	rq := req
 	rq.Wait = true
-	c.metrics.countForward(owner)
-	resp, status, retryAfter, err := cl.postAnalyzeOnce(ctx, rq)
+	s.metrics.countForward(owner)
+	resp, status, retryAfter, err := cl.postAnalyzeOnce(fctx, rq)
 	if err != nil {
-		c.metrics.countForwardError(owner)
-		c.logger.Warn("forward failed", "peer", owner, "error", err.Error())
-		return forwardOutcome{}, fmt.Errorf("forwarding to %s: %w", owner, err)
+		s.metrics.countForwardError(owner)
+		s.logger.Warn("forward failed", "request_id", rid, "peer", owner, "error", err.Error())
+		return Response{
+			Schema: ResponseSchema,
+			Status: string(StatusFailed),
+			Error:  fmt.Sprintf("forwarding to %s: %v", owner, err),
+		}, http.StatusBadGateway
 	}
 	if status == http.StatusTooManyRequests && resp.RetryAfterSec == 0 {
 		resp.RetryAfterSec = retryAfter
 	}
-	return forwardOutcome{resp: resp, status: status}, nil
-}
-
-// replicaStats exposes the replica cache's counters (zero when the node
-// keeps no replicas).
-func (c *clusterState) replicaStats() (CacheStats, bool) {
-	if c == nil || c.replicas == nil {
-		return CacheStats{}, false
+	if !c.routeOnly && status == http.StatusOK && resp.Status == string(StatusDone) && resp.Document != nil {
+		s.results.Put(req.Key(), resp.Document)
 	}
-	return cacheStats(c.replicas), true
+	return resp, status
 }
 
 // ClusterSchema tags the GET /v1/cluster payload.
@@ -382,9 +318,6 @@ func (s *Server) registerClusterGauges() {
 		func() float64 { return float64(c.tracker.Healthy()) })
 	reg.GaugeFunc("nobld_cluster_forwards_inflight", "forwarded requests currently in flight",
 		func() float64 { return float64(c.inFlight.Load()) })
-	if c.replicas != nil {
-		registerCacheGauges(reg, "nobld_cluster_replica", func() CacheStats { return cacheStats(c.replicas) })
-	}
 }
 
 // countForward / countForwardError / countShed are the cluster counters.

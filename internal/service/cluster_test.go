@@ -120,9 +120,11 @@ func requestOwnedBy(t *testing.T, nodes []*testNode, want int) Request {
 // TestClusterExactlyOnceCompute is the acceptance gate: 64 concurrent
 // identical requests sprayed round-robin across a 3-node fleet must
 // compute the trace exactly once cluster-wide.  Every node's result
-// cache and job counters are summed — forwarders coalesce on their
-// replica store and the owner coalesces on its single-flight job, so
-// only the owner misses, once.
+// cache and job counters are summed.  Entry nodes forward every request
+// they cannot answer from their result cache, and store forwarded
+// documents without counting a miss; the owner coalesces the forwards
+// on its job dedup and result single-flight, so only the owner misses,
+// once.
 func TestClusterExactlyOnceCompute(t *testing.T) {
 	nodes := newTestCluster(t, 3, nil)
 	req := Request{Algorithm: "sort", N: 256, Kind: KindTrace, Wait: true}
@@ -168,7 +170,7 @@ func TestClusterExactlyOnceCompute(t *testing.T) {
 
 // TestClusterForwardFromNonOwner: a request entering at a non-owner is
 // forwarded to the owner, a repeat is answered from the non-owner's
-// replica cache without another hop, and a request already marked
+// result cache without another hop, and a request already marked
 // forwarded is served locally no matter what the ring says (loop
 // freedom).
 func TestClusterForwardFromNonOwner(t *testing.T) {
@@ -195,22 +197,25 @@ func TestClusterForwardFromNonOwner(t *testing.T) {
 		t.Fatalf("no forward recorded toward the owner: %+v", snap.Cluster)
 	}
 
-	// Repeat: served from the non-owner's replica, marked cached, no
-	// second forward.
+	// Repeat: served from the non-owner's result cache, marked cached,
+	// no second forward and no local computation.
 	before := snap.Cluster.Forwards[nodes[1].url]
 	resp2, err := entry.c.Analyze(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp2.Cached || resp2.Status != string(StatusDone) {
-		t.Errorf("repeat not served from replica: cached=%v status=%q", resp2.Cached, resp2.Status)
+		t.Errorf("repeat not served from the result cache: cached=%v status=%q", resp2.Cached, resp2.Status)
 	}
 	snap, err = entry.c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap.Cluster.Forwards[nodes[1].url] != before {
-		t.Errorf("replica hit still forwarded: %d -> %d", before, snap.Cluster.Forwards[nodes[1].url])
+		t.Errorf("result-cache hit still forwarded: %d -> %d", before, snap.Cluster.Forwards[nodes[1].url])
+	}
+	if st := entry.srv.results.Stats(); st.Misses != 0 || st.Hits != 1 {
+		t.Errorf("non-owner result cache after the repeat: %+v, want 1 hit and no miss", st)
 	}
 
 	// Loop freedom: a forwarded-marked request for a non-owned key is
@@ -241,8 +246,37 @@ func TestClusterForwardFromNonOwner(t *testing.T) {
 	}
 }
 
+// TestClusterForwardKeepsRequestID: a request entering at a non-owner
+// keeps its X-Request-ID across the forward hop, so the owner's job
+// record carries the ID the caller chose instead of a fresh one.
+func TestClusterForwardKeepsRequestID(t *testing.T) {
+	nodes := newTestCluster(t, 2, nil)
+	req := requestOwnedBy(t, nodes, 1)
+	rid := fmt.Sprintf("fwd-%d", req.N)
+	hdr := http.Header{}
+	hdr.Set(headerRequestID, rid)
+	entry := &Client{BaseURL: nodes[0].url, Header: hdr} // node 0 does not own req
+	resp, err := entry.Analyze(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != string(StatusDone) {
+		t.Fatalf("forwarded request: status %q", resp.Status)
+	}
+	owner := nodes[1].srv.sched
+	owner.mu.Lock()
+	var ids []string
+	for _, j := range owner.jobs {
+		ids = append(ids, j.requestID)
+	}
+	owner.mu.Unlock()
+	if len(ids) != 1 || ids[0] != rid {
+		t.Errorf("owner job request IDs = %q, want [%q]", ids, rid)
+	}
+}
+
 // TestClusterRouterMode: a cacheless router in front of two nodes
-// forwards everything and keeps nothing.
+// forwards everything and keeps nothing: its result cache stays empty.
 func TestClusterRouterMode(t *testing.T) {
 	nodes := newTestCluster(t, 2, nil)
 	router, err := New(Config{
@@ -288,6 +322,9 @@ func TestClusterRouterMode(t *testing.T) {
 	if m := router.results.Stats().Misses + router.results.Stats().Hits; m != 0 {
 		t.Errorf("router touched its result cache %d times", m)
 	}
+	if n := router.results.Len(); n != 0 {
+		t.Errorf("router stored %d forwarded documents", n)
+	}
 	snap, err := rc.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -301,9 +338,6 @@ func TestClusterRouterMode(t *testing.T) {
 	}
 	if forwards < 2 {
 		t.Errorf("router forwarded %d requests, want >= 2", forwards)
-	}
-	if snap.Cluster.Replicas != nil {
-		t.Error("router keeps a replica cache")
 	}
 }
 

@@ -3,12 +3,22 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
+)
+
+// Allocation budget of decoding and normalizing one request, as in the
+// trace decoder's fuzz target: a fixed allowance plus a constant
+// multiple of the input length.
+const (
+	fuzzAllocBase    = 1 << 20
+	fuzzAllocPerByte = 64
 )
 
 // FuzzRequestNormalize decodes arbitrary bytes as an analyze request the
 // way POST /v1/analyze does, then normalizes and keys it.  No step may
-// panic.  An accepted kind "network" request keeps every machine within
+// panic, and decoding plus normalizing must allocate within the budget
+// above.  An accepted kind "network" request keeps every machine within
 // maxNetworkP, and normalizing is idempotent: an accepted request
 // normalizes again to the same key.
 //
@@ -39,10 +49,17 @@ func FuzzRequestNormalize(f *testing.F) {
 	f.Add([]byte(`{"kind":"network","machines":[{"p":4194304}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request
-		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
-			return
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := json.NewDecoder(bytes.NewReader(data)).Decode(&req)
+		if err == nil {
+			err = req.normalize()
 		}
-		if err := req.normalize(); err != nil {
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > fuzzAllocBase+fuzzAllocPerByte*uint64(len(data)) {
+			t.Fatalf("decoding and normalizing %d bytes allocated %d bytes", len(data), d)
+		}
+		if err != nil {
 			return
 		}
 		key := req.Key()

@@ -212,7 +212,9 @@ type ClusterCounters struct {
 	Forwards      map[string]int64 `json:"forwards,omitempty"`
 	ForwardErrors map[string]int64 `json:"forward_errors,omitempty"`
 	Sheds         map[string]int64 `json:"sheds,omitempty"`
-	// Replicas is the read-through replica cache; absent on routers.
+	// Replicas is always nil: forwarded documents land in the result
+	// cache, and there is no separate replica store.  The field stays
+	// for readers compiled against the earlier schema.
 	Replicas *CacheStats `json:"replica_cache,omitempty"`
 }
 
@@ -320,9 +322,6 @@ func (s *Server) metricsSnapshot(osnap obs.Snapshot) MetricsSnapshot {
 			for _, ss := range f.Series {
 				cc.Sheds[labelValue(ss, "reason")] = int64(ss.Value)
 			}
-		}
-		if rs, ok := c.replicaStats(); ok {
-			cc.Replicas = &rs
 		}
 		snap.Cluster = cc
 	}

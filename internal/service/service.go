@@ -30,7 +30,8 @@ type Config struct {
 	// enqueues beyond it are rejected with 503.  0 means 1024.
 	QueueLimit int
 	// CacheEntries is the LRU capacity of the result cache (completed
-	// analysis documents); 0 means 512, negative means unbounded.
+	// analysis documents, including those a cluster node forwarded to
+	// their owner); 0 means 512, negative means unbounded.
 	CacheEntries int
 	// TraceEntries is the LRU capacity of the trace cache (memoized
 	// specification runs — the memory-heavy store); 0 means 64, negative
@@ -280,6 +281,10 @@ func (s *Server) Close() {
 // access logging).
 func (s *Server) Handler() http.Handler { return s.withObservability(s.mux) }
 
+// headerRequestID carries a request's correlation ID, both from clients
+// and across the forward hop.
+const headerRequestID = "X-Request-ID"
+
 // ctxKeyRequestID keys the per-request correlation ID in the request
 // context.
 type ctxKeyRequestID struct{}
@@ -315,11 +320,11 @@ func (w *statusWriter) Flush() {
 // request inherit it), and writes a sampled structured access line.
 func (s *Server) withObservability(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rid := r.Header.Get("X-Request-ID")
+		rid := r.Header.Get(headerRequestID)
 		if rid == "" {
 			rid = obs.NewRequestID()
 		}
-		w.Header().Set("X-Request-ID", rid)
+		w.Header().Set(headerRequestID, rid)
 		ctx := context.WithValue(r.Context(), ctxKeyRequestID{}, rid)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
@@ -480,19 +485,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				Error: err.Error(), Code: http.StatusBadRequest}
 			continue
 		}
+		if resp, status := s.analyzeStart(r.Context(), &req); resp != nil {
+			resp.Code = status
+			out.Responses[i] = *resp
+			continue
+		}
 		if owner := s.routeOf(&req, forwarded); owner != "" {
 			fwd.Add(1)
 			go func(i int, owner string, req Request) {
 				defer fwd.Done()
-				resp, status := s.cluster.forward(owner, req)
+				resp, status := s.forward(r.Context(), owner, req)
 				resp.Code = status
 				out.Responses[i] = resp
 			}(i, owner, req)
-			continue
-		}
-		if resp, status := s.analyzeStart(r.Context(), &req); resp != nil {
-			resp.Code = status
-			out.Responses[i] = *resp
 			continue
 		}
 		j, resp, status := s.startJob(r.Context(), req)
@@ -529,11 +534,11 @@ func (s *Server) analyze(ctx context.Context, req Request, forwarded bool) (Resp
 	if err := req.normalize(); err != nil {
 		return Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: err.Error()}, http.StatusBadRequest
 	}
-	if owner := s.routeOf(&req, forwarded); owner != "" {
-		return s.cluster.forward(owner, req)
-	}
 	if resp, status := s.analyzeStart(ctx, &req); resp != nil {
 		return *resp, status
+	}
+	if owner := s.routeOf(&req, forwarded); owner != "" {
+		return s.forward(ctx, owner, req)
 	}
 	j, resp, status := s.startJob(ctx, req)
 	if j == nil {
@@ -545,14 +550,11 @@ func (s *Server) analyze(ctx context.Context, req Request, forwarded bool) (Resp
 	return Response{Schema: ResponseSchema, Status: string(jobStatus(j)), JobID: j.id}, http.StatusAccepted
 }
 
-// analyzeStart handles validation, synchronous kinds and cache hits; a
-// nil response means the caller must start (or join) a job.  Routing
-// happens before this point — a request reaching analyzeStart is served
-// by this node.
+// analyzeStart answers a normalized request from this node when it can:
+// synchronous kinds, and result-cache hits, including documents earlier
+// forwarded from their owner.  A nil response means the caller must
+// forward the request or start (or join) a job.
 func (s *Server) analyzeStart(ctx context.Context, req *Request) (*Response, int) {
-	if err := req.normalize(); err != nil {
-		return &Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: err.Error()}, http.StatusBadRequest
-	}
 	if req.Kind.Sync() {
 		start := time.Now()
 		doc, err := s.runAnalysis(ctx, *req, nil)
