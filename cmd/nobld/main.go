@@ -48,11 +48,12 @@
 // independently, the way a network-oblivious algorithm commits to its
 // communication pattern without knowing the machine.  Any node accepts
 // any request; non-owned keys are transparently forwarded to the owning
-// shard (one hop, loop-free) under the request's X-Request-ID, and the
-// entry node keeps each completed forwarded document in its own result
-// cache (-cache-entries), so a repeat stops costing a network hop.
-// Concurrent forwards of one key coalesce at the owner, so every trace
-// is computed exactly once cluster-wide.  Forwarded requests are
+// shard (one hop, loop-free) under the request's X-Request-ID, through
+// the entry node's result cache (-cache-entries): concurrent requests
+// for one key share one forward, and a completed document stays, so a
+// repeat stops costing a network hop.  Forwards from several entry
+// nodes coalesce at the owner, so every trace is computed exactly once
+// cluster-wide.  Forwarded requests are
 // answered synchronously with the document itself; job IDs remain
 // node-local and never leak across nodes.  -ring-seed and -ring-vnodes
 // must match across the fleet.

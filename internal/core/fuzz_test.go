@@ -11,7 +11,9 @@ import (
 // allowance for reader state and the first column chunk, plus a constant
 // multiple of the input length.  A decoder whose allocation follows a
 // declared count instead of the bytes present exceeds it on a short
-// hostile input.
+// hostile input.  The other fuzz targets use tracetest.CheckAlloc with
+// the same budget; core's tests cannot import tracetest, which imports
+// core.
 const (
 	fuzzAllocBase    = 1 << 20
 	fuzzAllocPerByte = 64

@@ -106,6 +106,20 @@ func (s *Store[V]) Capacity() int { return s.capacity }
 // call.  compute runs at most once per key across all goroutines; callers
 // that find the computation in flight block until it completes.
 func (s *Store[V]) Get(key string, compute func() (V, error)) (V, error) {
+	return s.get(key, compute, false)
+}
+
+// Fill is Get for a value computed elsewhere, such as a document another
+// node owns.  Concurrent Fills and Gets of one key share one computation
+// as with Get, but Fill counts neither a hit nor a miss, and an error
+// from its computation reaches the callers that shared it and is then
+// dropped: it describes the attempt, not the key.  A value enters the
+// store under the LRU bound as with Get.
+func (s *Store[V]) Fill(key string, compute func() (V, error)) (V, error) {
+	return s.get(key, compute, true)
+}
+
+func (s *Store[V]) get(key string, compute func() (V, error), fill bool) (V, error) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if ok {
@@ -113,14 +127,18 @@ func (s *Store[V]) Get(key string, compute func() (V, error)) (V, error) {
 			s.lru.MoveToFront(e.elem)
 		}
 		s.mu.Unlock()
-		s.hits.Add(1)
+		if !fill {
+			s.hits.Add(1)
+		}
 		<-e.done
 		return e.val, e.err
 	}
 	e = &storeEntry[V]{key: key, done: make(chan struct{})}
 	s.entries[key] = e
 	s.mu.Unlock()
-	s.misses.Add(1)
+	if !fill {
+		s.misses.Add(1)
+	}
 	e.val, e.err = compute()
 	close(e.done)
 	s.mu.Lock()
@@ -128,8 +146,12 @@ func (s *Store[V]) Get(key string, compute func() (V, error)) (V, error) {
 	// Forget during the computation removed it from the map, in which case
 	// it must not resurface.
 	if s.entries[key] == e {
-		e.elem = s.lru.PushFront(e)
-		s.evictLocked()
+		if fill && e.err != nil {
+			delete(s.entries, key)
+		} else {
+			e.elem = s.lru.PushFront(e)
+			s.evictLocked()
+		}
 	}
 	s.mu.Unlock()
 	return e.val, e.err
@@ -152,25 +174,6 @@ func (s *Store[V]) Peek(key string) (val V, err error, ok bool) {
 	s.mu.Unlock()
 	s.hits.Add(1)
 	return e.val, e.err, true
-}
-
-// Put stores v as the completed value for key when the key is absent,
-// and reports whether it did.  A completed or in-flight entry is left
-// alone, so Put never races a Get's single-flight.  Put counts neither a
-// hit nor a miss: the value was computed elsewhere.  The LRU bound
-// applies as for a completed Get.
-func (s *Store[V]) Put(key string, v V) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
-		return false
-	}
-	e := &storeEntry[V]{key: key, done: make(chan struct{}), val: v}
-	close(e.done)
-	s.entries[key] = e
-	e.elem = s.lru.PushFront(e)
-	s.evictLocked()
-	return true
 }
 
 // Forget removes key from the store, so a later Get recomputes it.  It

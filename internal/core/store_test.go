@@ -258,46 +258,65 @@ func TestStorePeek(t *testing.T) {
 	}
 }
 
-// TestStorePut: Put fills only an absent key, counts neither a hit nor
-// a miss, applies the LRU bound, and leaves in-flight entries alone.
-func TestStorePut(t *testing.T) {
+// TestStoreFill: Fill shares one computation with concurrent Fills and
+// Gets, counts neither a hit nor a miss, keeps a value under the LRU
+// bound and drops an error once its waiters have it.
+func TestStoreFill(t *testing.T) {
 	s := NewBoundedStore[int](2)
-	if !s.Put("a", 1) || !s.Put("b", 2) {
-		t.Fatal("Put into an absent key failed")
-	}
-	if s.Put("a", 9) {
-		t.Error("Put overwrote a completed entry")
-	}
-	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("Put moved counters: %+v", st)
-	}
-	if v, err := s.Get("a", func() (int, error) { return 0, errors.New("recomputed") }); err != nil || v != 1 {
-		t.Errorf("Get after Put = %d, %v", v, err)
-	}
-	// "a" is now the most recent entry; a third Put evicts "b".
-	s.Put("c", 3)
-	if _, _, ok := s.Peek("b"); ok {
-		t.Error("LRU bound not applied to Put")
-	}
-	if st := s.Stats(); st.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", st.Evictions)
-	}
-
 	release := make(chan struct{})
 	started := make(chan struct{})
+	var computes atomic.Int64
+	slow := func() (int, error) {
+		if computes.Add(1) == 1 {
+			close(started)
+		}
+		<-release
+		return 5, nil
+	}
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _ = s.Get("slow", func() (int, error) { close(started); <-release; return 5, nil })
-	}()
-	<-started
-	if s.Put("slow", 7) {
-		t.Error("Put replaced an in-flight entry")
+	vals := make([]int, 4)
+	for i := range vals {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			vals[i], _ = s.Fill("slow", slow)
+		}(i)
+		if i == 0 {
+			<-started
+		}
 	}
 	close(release)
 	wg.Wait()
-	if v, _, ok := s.Peek("slow"); !ok || v != 5 {
-		t.Errorf("in-flight outcome lost: %d, %v", v, ok)
+	if n := computes.Load(); n != 1 {
+		t.Errorf("%d computations for one key, want 1", n)
+	}
+	for i, v := range vals {
+		if v != 5 {
+			t.Errorf("Fill %d = %d, want 5", i, v)
+		}
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("Fill moved counters: %+v", st)
+	}
+	if v, err := s.Get("slow", func() (int, error) { return 0, errors.New("recomputed") }); err != nil || v != 5 {
+		t.Errorf("Get after Fill = %d, %v", v, err)
+	}
+
+	boom := errors.New("transient")
+	if _, err := s.Fill("bad", func() (int, error) { return 0, boom }); err != boom {
+		t.Fatalf("Fill error = %v, want %v", err, boom)
+	}
+	if _, _, ok := s.Peek("bad"); ok {
+		t.Error("Fill kept an error")
+	}
+
+	// "slow" is the most recent entry; two more values evict it.
+	s.Fill("a", func() (int, error) { return 1, nil })
+	s.Fill("b", func() (int, error) { return 2, nil })
+	if _, _, ok := s.Peek("slow"); ok {
+		t.Error("LRU bound not applied to Fill")
+	}
+	if st := s.Stats(); st.Evictions != 1 {
+		t.Errorf("evictions = %d, want 1", st.Evictions)
 	}
 }

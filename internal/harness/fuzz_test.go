@@ -3,39 +3,18 @@ package harness
 import (
 	"bytes"
 	"reflect"
-	"runtime"
 	"testing"
-)
 
-// Allocation budget of one decode, as in the trace decoder's fuzz
-// target: a fixed allowance plus a constant multiple of the input
-// length.  A decoder whose allocation follows a declared count instead
-// of the bytes present exceeds it on a short hostile input.
-const (
-	fuzzAllocBase    = 1 << 20
-	fuzzAllocPerByte = 64
+	"netoblivious/internal/tracetest"
 )
-
-// checkDecodeAlloc runs decode and fails t when it allocated more than
-// the budget for n input bytes.
-func checkDecodeAlloc(t *testing.T, n int, decode func()) {
-	t.Helper()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	decode()
-	runtime.ReadMemStats(&after)
-	if d := after.TotalAlloc - before.TotalAlloc; d > fuzzAllocBase+fuzzAllocPerByte*uint64(n) {
-		t.Fatalf("decoding %d bytes allocated %d bytes", n, d)
-	}
-}
 
 // FuzzDecodeDocument drives the results-document decoder with arbitrary
-// bytes.  Decoding must never panic and must allocate within the budget
-// above.  An accepted document must
-// re-encode, and that encoding must decode back to a document that
-// encodes to the same bytes.  (Bytes, not values, are compared: encoding
-// omits an empty notes, checks or results list that the input spelled
-// out as [].)
+// bytes.  Decoding must never panic and must allocate within
+// tracetest.CheckAlloc's budget.  An accepted document must re-encode,
+// and that encoding must decode back to a document that encodes to the
+// same bytes.  (Bytes, not values, are compared: encoding omits an
+// empty notes, checks or results list that the input spelled out as
+// [].)
 //
 // Run it with: go test -run '^$' -fuzz FuzzDecodeDocument -fuzztime 15s ./internal/harness
 func FuzzDecodeDocument(f *testing.F) {
@@ -51,7 +30,7 @@ func FuzzDecodeDocument(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var doc Document
 		var err error
-		checkDecodeAlloc(t, len(data), func() { doc, err = DecodeDocument(bytes.NewReader(data)) })
+		tracetest.CheckAlloc(t, len(data), func() { doc, err = DecodeDocument(bytes.NewReader(data)) })
 		if err != nil {
 			return
 		}
@@ -78,10 +57,10 @@ func encodeDocument(tb testing.TB, doc Document) []byte {
 }
 
 // FuzzDecodeCSV drives the CSV decoder with arbitrary bytes.  Decoding
-// must never panic and must allocate within the budget above, and an
-// accepted stream must survive a round trip:
-// its columns and rows, written back through EncodeCSV, decode to the
-// same columns and rows.
+// must never panic and must allocate within tracetest.CheckAlloc's
+// budget, and an accepted stream must survive a round trip: its columns
+// and rows, written back through EncodeCSV, decode to the same columns
+// and rows.
 //
 // Run it with: go test -run '^$' -fuzz FuzzDecodeCSV -fuzztime 15s ./internal/harness
 func FuzzDecodeCSV(f *testing.F) {
@@ -115,7 +94,7 @@ func FuzzDecodeCSV(f *testing.F) {
 		var cols []string
 		var rows [][]string
 		var err error
-		checkDecodeAlloc(t, len(data), func() { cols, rows, err = DecodeCSV(bytes.NewReader(data)) })
+		tracetest.CheckAlloc(t, len(data), func() { cols, rows, err = DecodeCSV(bytes.NewReader(data)) })
 		if err != nil {
 			return
 		}

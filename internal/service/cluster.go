@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"netoblivious/internal/cluster"
+	"netoblivious/internal/harness"
 	"netoblivious/internal/obs"
 )
 
@@ -167,20 +169,57 @@ func (s *Server) routeOf(req *Request, forwarded bool) string {
 }
 
 // forward relays a request to its owning peer and returns the owner's
-// verdict.  A non-router node stores a completed document in its own
-// result cache, so a repeat of the key is a plain result-cache hit.
-// Sheds, failures and transport errors describe a moment, not the key,
-// and are never stored.  Concurrent forwards of one key are not merged
-// here: they coalesce at the owner, on its job dedup and result
-// single-flight.
-//
-// The round trip runs under the server's base context, not the
-// originating request's, so a client's disconnect does not abort the
-// owner's answer; it carries the request's ID, so both nodes log the
+// verdict.  On a non-router node the relay goes through the result
+// cache's Fill: concurrent forwards of one key share one round trip,
+// no miss is counted (the owner computed the document), and a completed
+// document stays, so a repeat of the key is a plain result-cache hit.
+// Sheds, failures and transport errors describe a moment, not the key:
+// they reach the requests that shared the round trip and are not kept.
+// Routers keep nothing and forward every request on its own.
+func (s *Server) forward(ctx context.Context, owner string, req Request) (Response, int) {
+	if s.cluster.routeOnly {
+		return s.forwardOnce(ctx, owner, req)
+	}
+	var resp Response
+	var status int
+	ran := false
+	doc, err := s.results.Fill(req.Key(), func() (*harness.Document, error) {
+		ran = true
+		resp, status = s.forwardOnce(ctx, owner, req)
+		if status != http.StatusOK || resp.Status != string(StatusDone) || resp.Document == nil {
+			return nil, &forwardError{resp: resp, status: status}
+		}
+		return resp.Document, nil
+	})
+	var fe *forwardError
+	switch {
+	case ran:
+		return resp, status
+	case errors.As(err, &fe):
+		return fe.resp, fe.status
+	case err != nil: // joined a local computation that failed
+		return Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: err.Error()}, http.StatusInternalServerError
+	}
+	return Response{Schema: ResponseSchema, Status: string(StatusDone), Document: doc}, http.StatusOK
+}
+
+// forwardError carries an owner's verdict that is not a completed
+// document, or a failed round trip, to every request that shared it.
+type forwardError struct {
+	resp   Response
+	status int
+}
+
+func (e *forwardError) Error() string { return e.resp.Error }
+
+// forwardOnce performs one round trip to the owner.  It runs under the
+// server's base context, not the originating request's, so a client's
+// disconnect does not abort an answer other requests may share; it
+// carries the ID of the request that started it, so both nodes log that
 // request under one ID.  The request is pinned to Wait so the owner
 // answers with the document itself; owner-local job IDs never leak
 // across nodes.
-func (s *Server) forward(ctx context.Context, owner string, req Request) (Response, int) {
+func (s *Server) forwardOnce(ctx context.Context, owner string, req Request) (Response, int) {
 	c := s.cluster
 	if c.inFlight.Add(1) > c.maxInFlight {
 		c.inFlight.Add(-1)
@@ -216,9 +255,6 @@ func (s *Server) forward(ctx context.Context, owner string, req Request) (Respon
 	}
 	if status == http.StatusTooManyRequests && resp.RetryAfterSec == 0 {
 		resp.RetryAfterSec = retryAfter
-	}
-	if !c.routeOnly && status == http.StatusOK && resp.Status == string(StatusDone) && resp.Document != nil {
-		s.results.Put(req.Key(), resp.Document)
 	}
 	return resp, status
 }

@@ -120,11 +120,11 @@ func requestOwnedBy(t *testing.T, nodes []*testNode, want int) Request {
 // TestClusterExactlyOnceCompute is the acceptance gate: 64 concurrent
 // identical requests sprayed round-robin across a 3-node fleet must
 // compute the trace exactly once cluster-wide.  Every node's result
-// cache and job counters are summed.  Entry nodes forward every request
-// they cannot answer from their result cache, and store forwarded
-// documents without counting a miss; the owner coalesces the forwards
-// on its job dedup and result single-flight, so only the owner misses,
-// once.
+// cache and job counters are summed.  Each entry node merges its
+// concurrent requests into one forward on its result cache's Fill,
+// which counts no miss; the owner coalesces the forwards from all entry
+// nodes on its job dedup and result single-flight, so only the owner
+// misses, once.
 func TestClusterExactlyOnceCompute(t *testing.T) {
 	nodes := newTestCluster(t, 3, nil)
 	req := Request{Algorithm: "sort", N: 256, Kind: KindTrace, Wait: true}
@@ -272,6 +272,78 @@ func TestClusterForwardKeepsRequestID(t *testing.T) {
 	owner.mu.Unlock()
 	if len(ids) != 1 || ids[0] != rid {
 		t.Errorf("owner job request IDs = %q, want [%q]", ids, rid)
+	}
+}
+
+// TestClusterForwardsCoalesceAtEntry: concurrent requests for one key
+// entering at a non-owner share one forward, so a burst larger than
+// MaxForwards is answered in full instead of being shed.  The owner
+// holds the forward until every request has been sent; requests that
+// arrive after it completes are result-cache hits, so the assertions
+// hold however the requests interleave.
+func TestClusterForwardsCoalesceAtEntry(t *testing.T) {
+	ownerSrv, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ownerSrv.Close)
+	var forwards atomic.Int64
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	ownerTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/analyze" {
+			forwards.Add(1)
+			<-release
+		}
+		ownerSrv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ownerTS.Close)
+	t.Cleanup(unblock) // runs before ownerTS.Close waits on the held forward
+
+	const self = "http://entry.test"
+	entrySrv, err := New(Config{Workers: 1, Cluster: &ClusterConfig{
+		Self: self, Peers: []string{self, ownerTS.URL}, MaxForwards: 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(entrySrv.Close)
+	entryTS := httptest.NewServer(entrySrv.Handler())
+	t.Cleanup(entryTS.Close)
+	req := requestOwnedBy(t, []*testNode{{srv: entrySrv, url: self}, {url: ownerTS.URL}}, 1)
+
+	const burst = 8
+	c := &Client{BaseURL: entryTS.URL, MaxRetries: -1} // a shed is an error, not a retry
+	var wg sync.WaitGroup
+	errs := make([]error, burst)
+	resps := make([]Response, burst)
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resps[i], errs[i] = c.Analyze(context.Background(), req)
+		}(i)
+	}
+	for forwards.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond) // let the rest of the burst reach the entry node
+	unblock()
+	wg.Wait()
+	for i := range errs {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if resps[i].Status != string(StatusDone) || resps[i].Document == nil {
+			t.Fatalf("request %d: status %q", i, resps[i].Status)
+		}
+	}
+	if n := forwards.Load(); n != 1 {
+		t.Errorf("%d forwards for %d concurrent requests of one key, want 1", n, burst)
+	}
+	if st := entrySrv.results.Stats(); st.Misses != 0 {
+		t.Errorf("entry node counted %d result-cache misses for a forwarded key", st.Misses)
 	}
 }
 

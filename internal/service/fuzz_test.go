@@ -3,22 +3,15 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
 	"testing"
-)
 
-// Allocation budget of decoding and normalizing one request, as in the
-// trace decoder's fuzz target: a fixed allowance plus a constant
-// multiple of the input length.
-const (
-	fuzzAllocBase    = 1 << 20
-	fuzzAllocPerByte = 64
+	"netoblivious/internal/tracetest"
 )
 
 // FuzzRequestNormalize decodes arbitrary bytes as an analyze request the
 // way POST /v1/analyze does, then normalizes and keys it.  No step may
-// panic, and decoding plus normalizing must allocate within the budget
-// above.  An accepted kind "network" request keeps every machine within
+// panic, and decoding plus normalizing must allocate within
+// tracetest.CheckAlloc's budget.  An accepted kind "network" request keeps every machine within
 // maxNetworkP, and normalizing is idempotent: an accepted request
 // normalizes again to the same key.
 //
@@ -49,16 +42,13 @@ func FuzzRequestNormalize(f *testing.F) {
 	f.Add([]byte(`{"kind":"network","machines":[{"p":4194304}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := json.NewDecoder(bytes.NewReader(data)).Decode(&req)
-		if err == nil {
-			err = req.normalize()
-		}
-		runtime.ReadMemStats(&after)
-		if d := after.TotalAlloc - before.TotalAlloc; d > fuzzAllocBase+fuzzAllocPerByte*uint64(len(data)) {
-			t.Fatalf("decoding and normalizing %d bytes allocated %d bytes", len(data), d)
-		}
+		var err error
+		tracetest.CheckAlloc(t, len(data), func() {
+			err = json.NewDecoder(bytes.NewReader(data)).Decode(&req)
+			if err == nil {
+				err = req.normalize()
+			}
+		})
 		if err != nil {
 			return
 		}

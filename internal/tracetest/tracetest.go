@@ -6,6 +6,7 @@ package tracetest
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -82,4 +83,26 @@ func Summary(t testing.TB, tr *core.Trace) *core.FoldSummary {
 		t.Fatalf("tracetest: summarizing trace: %v", err)
 	}
 	return fs
+}
+
+// Allocation budget of one decode in the fuzz targets: a fixed allowance
+// for reader state and the first chunk, plus a constant multiple of the
+// input length.  A decoder whose allocation follows a declared count
+// instead of the bytes present exceeds it on a short hostile input.
+const (
+	AllocBase    = 1 << 20
+	AllocPerByte = 64
+)
+
+// CheckAlloc runs f and fails tb when it allocated more than the budget
+// for n input bytes.
+func CheckAlloc(tb testing.TB, n int, f func()) {
+	tb.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > AllocBase+AllocPerByte*uint64(n) {
+		tb.Fatalf("%d input bytes allocated %d bytes, over the budget of %d", n, d, AllocBase+AllocPerByte*uint64(n))
+	}
 }
