@@ -83,7 +83,11 @@
 //   - the streamed JSON is byte-identical to Trace.EncodeJSON of the
 //     same run, so stored traces are indistinguishable from in-memory
 //     encodes; the binary format ("NOBTRC01") is the compact spill
-//     representation, storing each superstep's pairs as flat columns;
+//     representation, storing each superstep's pairs as flat columns.
+//     Both codecs are hand-written for their one schema, without
+//     encoding/json, and both readers validate every step with the same
+//     checks (validateStep); TraceJSONReader documents the JSON grammar
+//     it accepts and what it rejects;
 //   - TraceSource is the reading half — Trace.Source, NewTraceSource
 //     (format-sniffing stream reader), OpenTraceFile — over which the
 //     single-pass consumers run: Summarize (Trace.Summary for an

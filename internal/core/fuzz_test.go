@@ -24,6 +24,10 @@ const (
 // the budget above.  An input that decodes is re-encoded in both
 // formats: each encoding must decode back to the same steps, and
 // re-encoding that decode must reproduce the encoding byte for byte.
+// Two differential properties hold the JSON codec to encoding/json (see
+// jsonref_test.go): a JSON input the reader accepts, encoding/json
+// accepts with the same steps, and the writer's bytes for any decoded
+// trace equal encoding/json's.
 //
 // Run it with: go test -run '^$' -fuzz FuzzNewTraceSource -fuzztime 30s ./internal/core
 func FuzzNewTraceSource(f *testing.F) {
@@ -54,6 +58,18 @@ func FuzzNewTraceSource(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if !bytes.HasPrefix(data, []byte(traceBinaryMagic)) {
+			rt, err := refDecodeJSON(data)
+			if err != nil {
+				t.Fatalf("the JSON reader accepts an input encoding/json rejects: %v", err)
+			}
+			if !sameAsRef(tr, rt) {
+				t.Fatalf("the JSON reader and encoding/json decode different steps")
+			}
+		}
+		if enc, ref := encodeTrace(t, tr, TraceJSON), refEncodeJSON(t, tr); !bytes.Equal(enc, ref) {
+			t.Fatalf("the JSON writer's bytes differ from encoding/json's:\n%s\n%s", enc, ref)
 		}
 		for _, format := range []TraceFormat{TraceJSON, TraceBinary} {
 			enc := encodeTrace(t, tr, format)

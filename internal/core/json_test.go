@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -23,7 +22,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := tr.EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeJSON(&buf)
+	got, err := decodeTrace(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +57,24 @@ func TestDecodeJSONRejectsCorruptTraces(t *testing.T) {
 		"negative degree": `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,-1,0],"Messages":0}]}`,
 		"local degree":    `{"v":4,"log_v":2,"steps":[{"Label":1,"Degree":[0,2,0],"Messages":0}]}`,
 		"negative msgs":   `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,0,0],"Messages":-1}]}`,
+		"fraction":        `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,0,0],"Messages":1.0}]}`,
+		"exponent":        `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,0,0],"Messages":1e0}]}`,
+		"leading zero":    `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,0,0],"Messages":01}]}`,
+		"lone minus":      `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,0,0],"Messages":-}]}`,
+		"int32 overflow":  `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,1,1],"Messages":1,"Pairs":[[0,2147483648]]}]}`,
+		"int64 overflow":  `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,0,0],"Messages":9223372036854775808}]}`,
+		"null label":      `{"v":4,"log_v":2,"steps":[{"Label":null,"Degree":[0,0,0],"Messages":0}]}`,
+		"long degree":     `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,0,0,0],"Messages":0}]}`,
+		"trailing comma":  `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,0,0],"Messages":0},]}`,
+		"missing comma":   `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,0,0] "Messages":0}]}`,
+		"extra pairs":     `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,1,1],"Messages":1,"Pairs":[[0,1],[1,0]]}]}`,
+		"steps first":     `{"steps":[],"v":4,"log_v":2}`,
+		"unknown header":  `{"v":4,"log_v":2,"x":0,"steps":[]}`,
+		"truncated":       `{"v":4,"log_v":2,"steps":[{"Label":0,"Degree":[0,0,0],"Messages":0}]`,
+		"trailing key":    `{"v":4,"log_v":2,"steps":[],"v":4}`,
 	}
 	for name, payload := range cases {
-		if _, err := DecodeJSON(strings.NewReader(payload)); err == nil {
+		if _, err := decodeTrace([]byte(payload)); err == nil {
 			t.Errorf("%s: decode should fail", name)
 		}
 	}
@@ -76,7 +90,7 @@ func TestDecodeJSONAcceptsSingleVP(t *testing.T) {
 	if err := tr.EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeJSON(&buf); err != nil {
+	if _, err := decodeTrace(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"fmt"
 	"iter"
 	"sync"
 )
@@ -43,8 +41,10 @@ var pairChunkPool = sync.Pool{New: func() any {
 // completes, which lets consumers such as the trace store share one
 // list across traces without copying.
 //
-// The JSON form is the flat [[src, dst], ...] array the pre-columnar
-// trace format used, so archived traces decode unchanged.
+// PairList has no JSON form of its own: the trace codec
+// (TraceJSONWriter, TraceJSONReader) writes and reads a step's pairs as
+// the flat [[src, dst], ...] array the pre-columnar format used, so
+// archived traces decode unchanged.
 type PairList struct {
 	chunks []*pairChunk
 	n      int
@@ -182,61 +182,4 @@ func PairListOf(pairs [][2]int32) *PairList {
 		p.Append(pr[0], pr[1])
 	}
 	return p
-}
-
-// MarshalJSON renders the list in the stable flat wire format
-// [[src, dst], ...] regardless of the chunk layout.
-func (p *PairList) MarshalJSON() ([]byte, error) {
-	if p.Len() == 0 {
-		return []byte("[]"), nil
-	}
-	// Hand-rolled encoding: a trace at large n carries millions of pairs
-	// and fmt/reflect dominate the generic path.
-	buf := make([]byte, 0, p.n*8)
-	buf = append(buf, '[')
-	first := true
-	for src, dst := range p.All() {
-		if !first {
-			buf = append(buf, ',')
-		}
-		first = false
-		buf = append(buf, '[')
-		buf = appendInt32(buf, src)
-		buf = append(buf, ',')
-		buf = appendInt32(buf, dst)
-		buf = append(buf, ']')
-	}
-	buf = append(buf, ']')
-	return buf, nil
-}
-
-// appendInt32 appends the decimal form of v.
-func appendInt32(buf []byte, v int32) []byte {
-	if v < 0 {
-		buf = append(buf, '-')
-		v = -v
-	}
-	var tmp [11]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(buf, tmp[i:]...)
-}
-
-// UnmarshalJSON decodes the flat wire format back into chunks.
-func (p *PairList) UnmarshalJSON(data []byte) error {
-	var flat [][2]int32
-	if err := json.Unmarshal(data, &flat); err != nil {
-		return fmt.Errorf("core: decoding pair list: %w", err)
-	}
-	// Size the first chunk from the decoded count, so a small step costs
-	// its own pairs and not a full pooled chunk.
-	*p = *PairListOf(flat)
-	return nil
 }

@@ -189,8 +189,9 @@ func NewFoldSummary(v int) (*FoldSummary, error) {
 }
 
 // Observe folds one superstep into the summary.  It validates the same
-// structural invariants DecodeJSON enforces, so summarizing an
-// untrusted stream is safe.
+// structural invariants both codec readers (TraceJSONReader,
+// TraceBinaryReader) enforce, so summarizing an untrusted stream is
+// safe.
 func (fs *FoldSummary) Observe(rec *StepRec) error {
 	i := fs.steps
 	if rec.Label < 0 || rec.Label >= fs.LabelBound() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -89,28 +90,19 @@ func ownerIndex(t *testing.T, nodes []*testNode, req Request) int {
 	return -1
 }
 
-// requestOwnedBy searches input sizes, then evaluation machines, until
-// it finds a trace request the ring places on nodes[want].  Keys that
-// differ only in their last characters can cluster on one member of a
-// two-node ring, so the machine sweep widens the search well beyond the
-// size ladder.
+// requestOwnedBy searches the σ of one evaluation machine until it
+// finds a trace request the ring places on nodes[want].  Keys that differ
+// only in their last characters can cluster on one member of a two-node
+// ring, so the search does not stop at a fixed count: σ values of growing
+// length lengthen the key until it lands on the wanted node.  Tests that
+// can choose their entry node fix the request and use ownerIndex instead.
 func requestOwnedBy(t *testing.T, nodes []*testNode, want int) Request {
 	t.Helper()
-	for n := 8; n <= 4096; n *= 2 {
-		for _, algo := range []string{"fft", "sort"} {
-			req := Request{Algorithm: algo, N: n, Kind: KindTrace, Wait: true}
-			if ownerIndex(t, nodes, req) == want {
-				return req
-			}
-		}
-	}
-	for p := 2; p <= 64; p *= 2 {
-		for sigma := 0; sigma < 32; sigma++ {
-			req := Request{Algorithm: "fft", N: 64, Kind: KindTrace, Wait: true,
-				Machines: []MachineSpec{{P: p, Sigma: float64(sigma)}}}
-			if ownerIndex(t, nodes, req) == want {
-				return req
-			}
+	for sigma := 0; sigma < 1<<20; sigma++ {
+		req := Request{Algorithm: "fft", N: 64, Kind: KindTrace, Wait: true,
+			Machines: []MachineSpec{{P: 2, Sigma: float64(sigma)}}}
+		if ownerIndex(t, nodes, req) == want {
+			return req
 		}
 	}
 	t.Fatal("no probed request hashes to the wanted node")
@@ -176,8 +168,9 @@ func TestClusterExactlyOnceCompute(t *testing.T) {
 func TestClusterForwardFromNonOwner(t *testing.T) {
 	nodes := newTestCluster(t, 2, nil)
 	ctx := context.Background()
-	req := requestOwnedBy(t, nodes, 1)
-	entry := nodes[0] // not the owner
+	req := Request{Algorithm: "fft", N: 64, Kind: KindTrace, Wait: true}
+	idx := ownerIndex(t, nodes, req)
+	owner, entry := nodes[idx], nodes[1-idx]
 
 	resp, err := entry.c.Analyze(ctx, req)
 	if err != nil {
@@ -193,13 +186,13 @@ func TestClusterForwardFromNonOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Cluster == nil || snap.Cluster.Forwards[nodes[1].url] == 0 {
+	if snap.Cluster == nil || snap.Cluster.Forwards[owner.url] == 0 {
 		t.Fatalf("no forward recorded toward the owner: %+v", snap.Cluster)
 	}
 
 	// Repeat: served from the non-owner's result cache, marked cached,
 	// no second forward and no local computation.
-	before := snap.Cluster.Forwards[nodes[1].url]
+	before := snap.Cluster.Forwards[owner.url]
 	resp2, err := entry.c.Analyze(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -211,22 +204,32 @@ func TestClusterForwardFromNonOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Cluster.Forwards[nodes[1].url] != before {
-		t.Errorf("result-cache hit still forwarded: %d -> %d", before, snap.Cluster.Forwards[nodes[1].url])
+	if snap.Cluster.Forwards[owner.url] != before {
+		t.Errorf("result-cache hit still forwarded: %d -> %d", before, snap.Cluster.Forwards[owner.url])
 	}
 	if st := entry.srv.results.Stats(); st.Misses != 0 || st.Hits != 1 {
 		t.Errorf("non-owner result cache after the repeat: %+v, want 1 hit and no miss", st)
 	}
 
 	// Loop freedom: a forwarded-marked request for a non-owned key is
-	// answered locally, never re-forwarded.  Node 1 already has one
-	// result-cache miss from computing the forwarded request above; the
-	// forwarded-marked one must add a second, locally.
-	other := requestOwnedBy(t, nodes, 0)
-	missesBefore := nodes[1].srv.results.Stats().Misses
+	// answered locally, never re-forwarded.  The node that does not own
+	// `other` may already count a miss (and, as the entry above, a
+	// forward); the forwarded-marked request must add one miss and no
+	// forward.
+	other := Request{Algorithm: "sort", N: 64, Kind: KindTrace, Wait: true}
+	target := nodes[1-ownerIndex(t, nodes, other)] // does not own `other`
+	missesBefore := target.srv.results.Stats().Misses
+	targetSnap, err := target.c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwardsBefore := map[string]int64{}
+	if targetSnap.Cluster != nil {
+		maps.Copy(forwardsBefore, targetSnap.Cluster.Forwards)
+	}
 	hdr := http.Header{}
 	hdr.Set(headerForwarded, "1")
-	fc := &Client{BaseURL: nodes[1].url, Header: hdr} // node 1 does not own `other`
+	fc := &Client{BaseURL: target.url, Header: hdr}
 	resp3, err := fc.Analyze(ctx, other)
 	if err != nil {
 		t.Fatal(err)
@@ -234,15 +237,15 @@ func TestClusterForwardFromNonOwner(t *testing.T) {
 	if resp3.Status != string(StatusDone) {
 		t.Fatalf("forwarded-marked request: status %q", resp3.Status)
 	}
-	if m := nodes[1].srv.results.Stats().Misses; m != missesBefore+1 {
+	if m := target.srv.results.Stats().Misses; m != missesBefore+1 {
 		t.Errorf("forwarded-marked request not computed locally: misses %d -> %d", missesBefore, m)
 	}
-	ownerSnap, err := nodes[1].c.Metrics(ctx)
+	targetSnap, err = target.c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ownerSnap.Cluster != nil && len(ownerSnap.Cluster.Forwards) != 0 {
-		t.Errorf("forwarded-marked request was re-forwarded: %+v", ownerSnap.Cluster.Forwards)
+	if targetSnap.Cluster != nil && !maps.Equal(targetSnap.Cluster.Forwards, forwardsBefore) {
+		t.Errorf("forwarded-marked request was re-forwarded: %+v -> %+v", forwardsBefore, targetSnap.Cluster.Forwards)
 	}
 }
 
@@ -251,11 +254,12 @@ func TestClusterForwardFromNonOwner(t *testing.T) {
 // record carries the ID the caller chose instead of a fresh one.
 func TestClusterForwardKeepsRequestID(t *testing.T) {
 	nodes := newTestCluster(t, 2, nil)
-	req := requestOwnedBy(t, nodes, 1)
+	req := Request{Algorithm: "fft", N: 64, Kind: KindTrace, Wait: true}
+	ownerIdx := ownerIndex(t, nodes, req)
 	rid := fmt.Sprintf("fwd-%d", req.N)
 	hdr := http.Header{}
 	hdr.Set(headerRequestID, rid)
-	entry := &Client{BaseURL: nodes[0].url, Header: hdr} // node 0 does not own req
+	entry := &Client{BaseURL: nodes[1-ownerIdx].url, Header: hdr} // does not own req
 	resp, err := entry.Analyze(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +267,7 @@ func TestClusterForwardKeepsRequestID(t *testing.T) {
 	if resp.Status != string(StatusDone) {
 		t.Fatalf("forwarded request: status %q", resp.Status)
 	}
-	owner := nodes[1].srv.sched
+	owner := nodes[ownerIdx].srv.sched
 	owner.mu.Lock()
 	var ids []string
 	for _, j := range owner.jobs {
