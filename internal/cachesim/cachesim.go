@@ -3,13 +3,13 @@
 // network-oblivious ones using a suitable adaptation of the technique
 // developed in Pietracaprina et al. [2006]".
 //
-// It provides the ideal cache model IC(M, B) of the cache-oblivious
-// framework (fully associative, LRU, M words in lines of B words) and a
-// sequential simulator that executes a recorded M(v) trace VP by VP,
-// superstep by superstep — the natural folding-to-one-processor schedule —
-// touching each VP's context and writing each message into its
-// destination's mailbox.  The cache-miss count of this simulation is the
-// I/O complexity of the derived sequential algorithm.
+// It simulates the ideal cache model IC(M, B) of the cache-oblivious
+// framework (fully associative, LRU, M words in lines of B words) under
+// a sequential execution of a recorded M(v) trace VP by VP, superstep by
+// superstep — the natural folding-to-one-processor schedule — touching
+// each VP's context and writing each message into its destination's
+// mailbox.  The cache-miss count of this simulation is the I/O
+// complexity of the derived sequential algorithm.
 //
 // The measurable content of the conjecture (experiment E16): algorithms
 // whose supersteps have fine labels (communication confined to small
@@ -21,10 +21,10 @@
 package cachesim
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"netoblivious/internal/core"
@@ -36,151 +36,6 @@ import (
 // to re-run `nobl trace -record`).
 var ErrNoPairs = errors.New("cachesim: trace must be recorded with RecordMessages (message pairs are missing)")
 
-// Cache is an ideal cache IC(M, B): fully associative, LRU replacement.
-type Cache struct {
-	mWords, bWords int
-	capacity       int // number of lines
-	lines          map[int64]*list.Element
-	lru            *list.List // front = most recent; values are line ids
-
-	// Misses counts line fetches; Accesses counts word accesses.
-	Misses, Accesses int64
-}
-
-// New builds an IC(M, B) cache; M and B are in words, B must divide M.
-func New(mWords, bWords int) (*Cache, error) {
-	if mWords <= 0 || bWords <= 0 || mWords%bWords != 0 {
-		return nil, fmt.Errorf("cachesim: invalid cache M=%d B=%d", mWords, bWords)
-	}
-	return &Cache{
-		mWords:   mWords,
-		bWords:   bWords,
-		capacity: mWords / bWords,
-		lines:    make(map[int64]*list.Element),
-		lru:      list.New(),
-	}, nil
-}
-
-// Access touches one word of memory, updating LRU state and miss counts.
-func (c *Cache) Access(addr int64) (miss bool) {
-	c.Accesses++
-	line := addr / int64(c.bWords)
-	if el, ok := c.lines[line]; ok {
-		c.lru.MoveToFront(el)
-		return false
-	}
-	c.Misses++
-	if c.lru.Len() == c.capacity {
-		back := c.lru.Back()
-		delete(c.lines, back.Value.(int64))
-		c.lru.Remove(back)
-	}
-	c.lines[line] = c.lru.PushFront(line)
-	return true
-}
-
-// AccessRange touches words [addr, addr+n).
-func (c *Cache) AccessRange(addr int64, n int) {
-	for i := 0; i < n; i++ {
-		c.Access(addr + int64(i))
-	}
-}
-
-// SimStats summarizes a trace simulation.  Misses and Accesses count
-// this simulation only: SimulateTrace snapshots the cache's cumulative
-// counters on entry and reports deltas, so one Cache can be reused
-// across traces (warm-cache studies) without conflating runs.
-type SimStats struct {
-	// Misses is the IC(M,B) miss count of the sequential execution.
-	Misses int64
-	// Accesses is the total word accesses.
-	Accesses int64
-	// Words is the simulated memory footprint in words.
-	Words int64
-}
-
-// stepSchedule is the reusable per-superstep driver of the sequential
-// simulation: each VP in ascending order touches its ctxWords-word
-// context, then writes one word into the destination mailbox of every
-// message it sends.  Mailboxes are laid out next to their owner's
-// context, so locality of communication translates into locality of
-// reference — the mechanism behind the Section 6 conjecture.  The
-// per-source buckets are retained across supersteps, so driving a
-// streamed trace allocates O(largest superstep), not O(trace).
-type stepSchedule struct {
-	v        int
-	ctxWords int
-	region   int64 // per-VP region: context followed by a mailbox slot
-	bySrc    [][]int32
-}
-
-func newStepSchedule(v, ctxWords int) (*stepSchedule, error) {
-	if ctxWords < 1 {
-		return nil, fmt.Errorf("cachesim: ctxWords must be positive")
-	}
-	if v < 1 {
-		return nil, fmt.Errorf("cachesim: invalid machine width v=%d", v)
-	}
-	return &stepSchedule{v: v, ctxWords: ctxWords, region: int64(ctxWords + 1), bySrc: make([][]int32, v)}, nil
-}
-
-// run feeds one superstep's address stream to touch.  Pairs order within
-// a superstep is unspecified, so messages are bucketed by source first
-// for the per-VP schedule.
-func (ss *stepSchedule) run(rec *core.StepRec, touch func(addr int64)) error {
-	if rec.Messages > 0 && rec.Pairs.Len() == 0 {
-		return ErrNoPairs
-	}
-	for i := range ss.bySrc {
-		ss.bySrc[i] = ss.bySrc[i][:0]
-	}
-	for src, dst := range rec.Pairs.All() {
-		ss.bySrc[src] = append(ss.bySrc[src], dst)
-	}
-	for w := 0; w < ss.v; w++ {
-		base := int64(w) * ss.region
-		for i := 0; i < ss.ctxWords; i++ {
-			touch(base + int64(i))
-		}
-		for _, dst := range ss.bySrc[w] {
-			touch(int64(dst)*ss.region + int64(ss.ctxWords))
-		}
-	}
-	return nil
-}
-
-// SimulateTrace executes the recorded algorithm sequentially on one
-// processor with an IC(M, B) cache (the trace must be recorded with
-// RecordMessages); see stepSchedule for the access model.  It simulates
-// one cache size per pass and is kept as the reference the single-pass
-// CurveSim is tested against.
-func SimulateTrace(tr *core.Trace, ctxWords int, cache *Cache) (SimStats, error) {
-	ss, err := newStepSchedule(tr.V, ctxWords)
-	if err != nil {
-		return SimStats{}, err
-	}
-	startMisses, startAccesses := cache.Misses, cache.Accesses
-	touch := func(addr int64) { cache.Access(addr) }
-	for i := range tr.Steps {
-		if err := ss.run(&tr.Steps[i], touch); err != nil {
-			return SimStats{}, err
-		}
-	}
-	return SimStats{
-		Misses:   cache.Misses - startMisses,
-		Accesses: cache.Accesses - startAccesses,
-		Words:    int64(ss.v) * ss.region,
-	}, nil
-}
-
-// curveNode is one resident cache line of the CurveSim's shared LRU
-// stack.
-type curveNode struct {
-	line       int64
-	band       int
-	prev, next *curveNode
-}
-
 // CurveSim simulates every cache size of a sweep in a single traversal
 // of the address stream, exploiting the inclusion property of fully
 // associative LRU (Mattson's stack algorithm): for a fixed line size, a
@@ -190,17 +45,44 @@ type curveNode struct {
 // the index of the smallest cache in the sweep that still holds it —
 // and markers are nudged in O(sizes) per access, turning the
 // O(sizes × trace) per-size re-simulation into O(trace).
+//
+// The access model: in each superstep, VP w in ascending order touches
+// its ctxWords-word context, then writes one word into the mailbox slot
+// of the destination of every message it sends, in send order.  Each
+// VP's region is its context followed by its mailbox slot, so locality
+// of communication becomes locality of reference — the mechanism behind
+// the Section 6 conjecture.
+//
+// The footprint of v·(ctxWords+1) words is known up front, so the stack
+// is dense: prev, next and band arrays indexed by line, with band -1 for
+// a line that is not resident.  Consecutive accesses to one line — most
+// of a VP's context — collapse into one stack update: after an access
+// the line is the stack head, whose band is 0, so the rest are band-0
+// hits.  A superstep's pairs are grouped by source with a counting sort
+// into reused arrays, which keeps each source's send order.
+//
+// The per-VP and per-line state is allocated on the first Step, so a
+// trace without supersteps costs O(sizes) whatever its v.  Each Step
+// costs O(v + pairs) time and the state O(v) memory, because every
+// superstep touches every VP's context.
 type CurveSim struct {
-	ss     *stepSchedule
-	bWords int
-	sizes  []int // the sweep, in caller order
-	caps   []int // strictly increasing unique line capacities
-	capIdx []int // sizes[i] -> index into caps
+	v        int
+	ctxWords int
+	region   int64 // words per VP: its context, then its mailbox slot
+	bWords   int64
+	lines    int   // footprint in lines
+	sizes    []int // the sweep, in caller order
+	caps     []int // strictly increasing unique line capacities
+	capIdx   []int // sizes[i] -> index into caps
 
-	nodes      map[int64]*curveNode
-	head, tail *curveNode
-	length     int
-	markers    []*curveNode // markers[i]: node at stack position caps[i]; nil while shorter
+	// The LRU stack over line indices, allocated on the first Step.
+	prev, next, band []int32
+	head, tail       int32 // -1 while the stack is empty
+	length           int
+	markers          []int32 // markers[i]: line at stack position caps[i]; -1 while shorter
+
+	offsets []int32 // offsets[w]: end of VP w's destinations in order
+	order   []int32 // the current superstep's destinations, grouped by source
 
 	hits     []int64 // hits[b]: accesses to lines resident with band b
 	cold     int64   // accesses missing even the largest cache
@@ -212,18 +94,21 @@ type CurveSim struct {
 // over the given cache sizes (words); B is the line length in words and
 // every size must be a positive multiple of it.
 func NewCurveSim(v, ctxWords, bWords int, sizes []int) (*CurveSim, error) {
-	ss, err := newStepSchedule(v, ctxWords)
-	if err != nil {
-		return nil, err
+	if ctxWords < 1 {
+		return nil, fmt.Errorf("cachesim: ctxWords must be positive")
+	}
+	if v < 1 {
+		return nil, fmt.Errorf("cachesim: invalid machine width v=%d", v)
 	}
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("cachesim: empty cache-size sweep")
 	}
-	cs := &CurveSim{ss: ss, bWords: bWords, sizes: sizes, capIdx: make([]int, len(sizes))}
+	cs := &CurveSim{v: v, ctxWords: ctxWords, region: int64(ctxWords) + 1, bWords: int64(bWords),
+		sizes: sizes, capIdx: make([]int, len(sizes)), head: -1, tail: -1}
 	uniq := map[int]bool{}
 	for _, m := range sizes {
-		if _, err := New(m, bWords); err != nil {
-			return nil, err
+		if m <= 0 || bWords <= 0 || m%bWords != 0 {
+			return nil, fmt.Errorf("cachesim: invalid cache M=%d B=%d", m, bWords)
 		}
 		if c := m / bWords; !uniq[c] {
 			uniq[c] = true
@@ -234,66 +119,72 @@ func NewCurveSim(v, ctxWords, bWords int, sizes []int) (*CurveSim, error) {
 	for i, m := range sizes {
 		cs.capIdx[i] = sort.SearchInts(cs.caps, m/bWords)
 	}
-	cs.nodes = make(map[int64]*curveNode)
-	cs.markers = make([]*curveNode, len(cs.caps))
+	// Lines are int32 indices.
+	if cs.region > math.MaxInt64/int64(v) || (cs.Words()-1)/cs.bWords >= math.MaxInt32 {
+		return nil, fmt.Errorf("cachesim: footprint of v=%d VPs of %d words exceeds %d lines of %d words",
+			v, cs.region, math.MaxInt32, bWords)
+	}
+	cs.lines = int((cs.Words()-1)/cs.bWords + 1)
+	cs.markers = make([]int32, len(cs.caps))
+	for i := range cs.markers {
+		cs.markers[i] = -1
+	}
 	cs.hits = make([]int64, len(cs.caps))
 	return cs, nil
 }
 
-func (cs *CurveSim) pushFront(n *curveNode) {
-	n.prev = nil
-	n.next = cs.head
-	if cs.head != nil {
-		cs.head.prev = n
+func (cs *CurveSim) pushFront(l int32) {
+	cs.prev[l] = -1
+	cs.next[l] = cs.head
+	if cs.head >= 0 {
+		cs.prev[cs.head] = l
+	} else {
+		cs.tail = l
 	}
-	cs.head = n
-	if cs.tail == nil {
-		cs.tail = n
+	cs.head = l
+}
+
+func (cs *CurveSim) unlink(l int32) {
+	p, n := cs.prev[l], cs.next[l]
+	if p >= 0 {
+		cs.next[p] = n
+	} else {
+		cs.head = n
+	}
+	if n >= 0 {
+		cs.prev[n] = p
+	} else {
+		cs.tail = p
 	}
 }
 
-func (cs *CurveSim) unlink(n *curveNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		cs.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		cs.tail = n.prev
-	}
-}
-
-// touch classifies one word access against every cache size at once.
-func (cs *CurveSim) touch(addr int64) {
-	cs.accesses++
-	line := addr / int64(cs.bWords)
-	if n, ok := cs.nodes[line]; ok {
-		b := n.band
+// touch classifies one access to line l against every cache size at
+// once.  The caller counts the access.
+func (cs *CurveSim) touch(l int32) {
+	if b := cs.band[l]; b >= 0 {
 		cs.hits[b]++
-		if n == cs.head {
+		if l == cs.head {
 			return // stack order unchanged
 		}
-		// Markers whose capacity lies strictly in front of n's position
-		// see their element slide one position down the stack.  m.prev
-		// is nil exactly when the capacity is a single line (m is the
+		// Markers whose capacity lies strictly in front of l's position
+		// see their line slide one position down the stack.  prev is -1
+		// exactly when the capacity is a single line (the marker is the
 		// head); that marker is re-pointed at the new head below.
-		for i := 0; i < b; i++ {
+		for i := int32(0); i < b; i++ {
 			m := cs.markers[i]
-			cs.markers[i] = m.prev
-			m.band = i + 1
+			cs.markers[i] = cs.prev[m]
+			cs.band[m] = i + 1
 		}
-		// When n is itself the marker of its band, the element now at
-		// that capacity is n's predecessor.
-		if cs.markers[b] == n {
-			cs.markers[b] = n.prev
+		// When l is itself the marker of its band, the line now at that
+		// capacity is l's predecessor.
+		if cs.markers[b] == l {
+			cs.markers[b] = cs.prev[l]
 		}
-		cs.unlink(n)
-		cs.pushFront(n)
-		n.band = 0
+		cs.unlink(l)
+		cs.pushFront(l)
+		cs.band[l] = 0
 		if cs.caps[0] == 1 {
-			cs.markers[0] = cs.head
+			cs.markers[0] = l
 		}
 		return
 	}
@@ -301,25 +192,19 @@ func (cs *CurveSim) touch(addr int64) {
 	// largest cache (inclusion makes those the same class).
 	cs.cold++
 	for i, m := range cs.markers {
-		if m != nil {
-			cs.markers[i] = m.prev
-			m.band = i + 1
+		if m >= 0 {
+			cs.markers[i] = cs.prev[m]
+			cs.band[m] = int32(i + 1)
 		}
 	}
-	maxCap := cs.caps[len(cs.caps)-1]
-	var n *curveNode
-	if cs.length == maxCap {
-		n = cs.tail // just slid past the largest capacity: evict and reuse
-		cs.unlink(n)
-		delete(cs.nodes, n.line)
+	if cs.length == cs.caps[len(cs.caps)-1] {
+		t := cs.tail // just slid past the largest capacity: evict
+		cs.unlink(t)
+		cs.band[t] = -1
 		cs.length--
-	} else {
-		n = &curveNode{}
 	}
-	n.line = line
-	n.band = 0
-	cs.pushFront(n)
-	cs.nodes[line] = n
+	cs.pushFront(l)
+	cs.band[l] = 0
 	cs.length++
 	// The stack may have just grown to exactly one of the capacities,
 	// defining that marker for the first time: the tail is at that
@@ -331,15 +216,78 @@ func (cs *CurveSim) touch(addr int64) {
 		}
 	}
 	if cs.caps[0] == 1 {
-		cs.markers[0] = cs.head
+		cs.markers[0] = l
 	}
 }
 
-// Step folds one superstep's address stream into the curve.
+// bucket groups the pairs by source into order with a counting sort:
+// VP w's destinations, in send order, end at offsets[w] and start where
+// VP w-1's end.
+func (cs *CurveSim) bucket(pairs *core.PairList) error {
+	n := pairs.Len()
+	if n > math.MaxInt32 {
+		return fmt.Errorf("cachesim: step %d has %d pairs, more than %d", cs.steps, n, math.MaxInt32)
+	}
+	off := cs.offsets
+	clear(off)
+	for src, dst := range pairs.All() {
+		if uint32(src) >= uint32(cs.v) || uint32(dst) >= uint32(cs.v) {
+			return fmt.Errorf("cachesim: step %d has pair [%d, %d], outside [0, %d)", cs.steps, src, dst, cs.v)
+		}
+		off[src+1]++
+	}
+	for w := 1; w < len(off); w++ {
+		off[w] += off[w-1]
+	}
+	if cap(cs.order) < n {
+		cs.order = make([]int32, n)
+	}
+	order := cs.order[:n]
+	for src, dst := range pairs.All() {
+		order[off[src]] = dst
+		off[src]++
+	}
+	cs.order = order
+	return nil
+}
+
+// Step folds one superstep's address stream into the curve.  Every pair
+// endpoint must be a VP of the machine.
 func (cs *CurveSim) Step(rec *core.StepRec) error {
-	if err := cs.ss.run(rec, cs.touch); err != nil {
+	if rec.Messages > 0 && rec.Pairs.Len() == 0 {
+		return ErrNoPairs
+	}
+	if cs.band == nil {
+		cs.prev = make([]int32, cs.lines)
+		cs.next = make([]int32, cs.lines)
+		cs.band = make([]int32, cs.lines)
+		for l := range cs.band {
+			cs.band[l] = -1
+		}
+		cs.offsets = make([]int32, cs.v+1)
+	}
+	if err := cs.bucket(rec.Pairs); err != nil {
 		return err
 	}
+	ctx, b := int64(cs.ctxWords), cs.bWords
+	var start int32
+	for w := 0; w < cs.v; w++ {
+		// The context, one stack update per line it spans.
+		base := int64(w) * cs.region
+		for a, end := base, base+ctx; a < end; {
+			l := a / b
+			next := min((l+1)*b, end)
+			cs.touch(int32(l))
+			cs.hits[0] += next - a - 1
+			a = next
+		}
+		end := cs.offsets[w]
+		for _, dst := range cs.order[start:end] {
+			cs.touch(int32((int64(dst)*cs.region + ctx) / b))
+		}
+		start = end
+	}
+	cs.accesses += int64(cs.v)*ctx + int64(len(cs.order))
 	cs.steps++
 	return nil
 }
@@ -366,7 +314,7 @@ func (cs *CurveSim) Misses() []int64 {
 func (cs *CurveSim) Accesses() int64 { return cs.accesses }
 
 // Words returns the simulated memory footprint in words.
-func (cs *CurveSim) Words() int64 { return int64(cs.ss.v) * cs.ss.region }
+func (cs *CurveSim) Words() int64 { return int64(cs.v) * cs.region }
 
 // MissCurve drains src through a CurveSim over a sweep of cache sizes
 // (words) and returns it: Misses gives the miss count per size, Accesses
@@ -390,23 +338,4 @@ func MissCurve(src core.TraceSource, ctxWords, bWords int, sizes []int) (*CurveS
 			return nil, err
 		}
 	}
-}
-
-// missCurveReference is the pre-single-pass implementation — one full
-// re-simulation per size — retained as the oracle for the golden
-// equality test of CurveSim.
-func missCurveReference(tr *core.Trace, ctxWords, bWords int, sizes []int) ([]int64, error) {
-	out := make([]int64, len(sizes))
-	for i, m := range sizes {
-		c, err := New(m, bWords)
-		if err != nil {
-			return nil, err
-		}
-		st, err := SimulateTrace(tr, ctxWords, c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st.Misses
-	}
-	return out, nil
 }

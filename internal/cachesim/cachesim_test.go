@@ -2,6 +2,9 @@ package cachesim
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"netoblivious/internal/core"
@@ -279,6 +282,104 @@ func TestSection6Conjecture(t *testing.T) {
 		// absolute traffic but not an asymptotic rate penalty.
 		if rRec > rIt*1.5 {
 			t.Errorf("M=%d: recursive miss rate %.4f worse than iterative %.4f", m, rRec, rIt)
+		}
+	}
+}
+
+// TestMissCurveRandomDifferential holds CurveSim to the per-size
+// reference on random pair streams over random machines, for contexts
+// that span one to three lines and every line length, with sweeps that
+// include a one-line cache, duplicate and unsorted sizes and a cache
+// larger than the footprint.
+func TestMissCurveRandomDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	ctxs := []int{1, 3, 8, 13, 17}
+	bs := []int{1, 2, 8, 16}
+	for trial := 0; trial < 300; trial++ {
+		ctx, b := ctxs[trial%len(ctxs)], bs[trial/len(ctxs)%len(bs)]
+		v := 1 + rng.Intn(64)
+		tr := &core.Trace{V: v}
+		for step, steps := 0, 1+rng.Intn(6); step < steps; step++ {
+			var pairs [][2]int32
+			for i, n := 0, rng.Intn(3*v+1); i < n; i++ {
+				src := rng.Intn(v)
+				dst := rng.Intn(v)
+				if rng.Intn(2) == 0 { // local traffic
+					dst = min(v-1, src^(1<<rng.Intn(3)))
+				}
+				pairs = append(pairs, [2]int32{int32(src), int32(dst)})
+			}
+			rec := core.StepRec{Messages: int64(len(pairs))}
+			if len(pairs) > 0 {
+				rec.Pairs = core.PairListOf(pairs)
+			}
+			tr.Steps = append(tr.Steps, rec)
+		}
+		lines := (v*(ctx+1) + b - 1) / b
+		sizes := []int{b} // one line
+		for i, n := 0, 1+rng.Intn(5); i < n; i++ {
+			sizes = append(sizes, b*(1+rng.Intn(lines+2)))
+		}
+		sizes = append(sizes, sizes[rng.Intn(len(sizes))]) // a duplicate
+		if rng.Intn(2) == 0 {
+			sizes = append(sizes, b*(lines+1+rng.Intn(8))) // no line is ever evicted
+		}
+		rng.Shuffle(len(sizes), func(i, j int) { sizes[i], sizes[j] = sizes[j], sizes[i] })
+
+		want, err := missCurveReference(tr, ctx, b, sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := MissCurve(tr.Source(), ctx, b, sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _ := New(b, b)
+		ref, err := SimulateTrace(tr, ctx, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cs.Misses(); !slices.Equal(got, want) || cs.Accesses() != ref.Accesses {
+			t.Fatalf("trial %d (v=%d ctx=%d B=%d sizes=%v): misses %v accesses %d, reference %v accesses %d",
+				trial, v, ctx, b, sizes, got, cs.Accesses(), want, ref.Accesses)
+		}
+	}
+}
+
+// TestCurveSimRejectsOutOfRangePairs: an in-memory trace bypasses the
+// decoders' checks, so Step itself rejects a pair endpoint that is not a
+// VP of the machine.
+func TestCurveSimRejectsOutOfRangePairs(t *testing.T) {
+	for _, pair := range [][2]int32{{9, 2}, {4, 0}, {-1, 0}, {0, -7}, {0, 4}} {
+		cs, err := NewCurveSim(4, 4, 8, []int{64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := core.StepRec{Messages: 2, Pairs: core.PairListOf([][2]int32{{1, 3}, pair})}
+		if err := cs.Step(&rec); err == nil || !strings.Contains(err.Error(), "outside [0, 4)") {
+			t.Errorf("pair %v: err = %v, want an out-of-range error", pair, err)
+		}
+	}
+}
+
+// TestCurveSimAllocatesOnFirstStep: a header-only trace of a huge
+// machine costs nothing per VP; the stack is allocated by the first Step.
+func TestCurveSimAllocatesOnFirstStep(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cs, err := NewCurveSim(1<<30, 8, 8, []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := cs.Misses()
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("NewCurveSim(2^30 VPs) and Misses allocated %d bytes, want < 1 MiB", d)
+	}
+	for i, m := range misses {
+		if m != 0 {
+			t.Errorf("misses[%d] = %d before any step", i, m)
 		}
 	}
 }

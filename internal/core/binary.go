@@ -250,11 +250,11 @@ func (br *TraceBinaryReader) Next() (*StepRec, error) {
 		return nil, fmt.Errorf("core: decoding trace: step %d declares %d pairs, more than an int can count", br.idx, n)
 	}
 	if n > 0 {
-		src, err := br.readColumn(int(n))
+		src, err := br.readColumn(int(n), "src")
 		if err != nil {
 			return nil, err
 		}
-		dst, err := br.readColumn(int(n))
+		dst, err := br.readColumn(int(n), "dst")
 		if err != nil {
 			return nil, err
 		}
@@ -268,8 +268,9 @@ func (br *TraceBinaryReader) Next() (*StepRec, error) {
 // untrusted, so a column grows only as its bytes actually arrive.
 const readChunk = 16 << 10
 
-// readColumn reads n int32 values in chunks of at most readChunk.
-func (br *TraceBinaryReader) readColumn(n int) ([]int32, error) {
+// readColumn reads n int32 values in chunks of at most readChunk.  Every
+// value is a pair endpoint (side names which) and must lie in [0, v).
+func (br *TraceBinaryReader) readColumn(n int, side string) ([]int32, error) {
 	col := make([]int32, 0, min(n, readChunk))
 	for len(col) < n {
 		k := min(n-len(col), readChunk)
@@ -278,7 +279,11 @@ func (br *TraceBinaryReader) readColumn(n int) ([]int32, error) {
 			return nil, fmt.Errorf("core: decoding trace: %w (truncated spill file?)", err)
 		}
 		for i := 0; i < k; i++ {
-			col = append(col, int32(binary.LittleEndian.Uint32(raw[4*i:])))
+			x := binary.LittleEndian.Uint32(raw[4*i:])
+			if x >= uint32(br.v) {
+				return nil, fmt.Errorf("core: decoding trace step %d: pair %d has %s %d, outside [0, %d)", br.idx, len(col), side, int32(x), br.v)
+			}
+			col = append(col, int32(x))
 		}
 	}
 	return col, nil

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -38,6 +40,10 @@ func FuzzNewTraceSource(f *testing.F) {
 	f.Add(hostileStep(1<<40, 1<<40))
 	f.Add(hostileStep(-1, 1<<40))
 	f.Add([]byte(`{"v":1,"log_v":0,"steps":null}`))
+	for _, tc := range outOfRangePairCases() {
+		f.Add(encodeTrace(f, tc.tr, TraceJSON))
+		f.Add(encodeTrace(f, tc.tr, TraceBinary))
+	}
 	// Many one-pair steps: the pair storage must follow the pairs present,
 	// not a chunk per step.
 	many := []byte(`{"v":2,"log_v":1,"steps":[`)
@@ -150,4 +156,50 @@ func sameSteps(a, b *Trace) bool {
 		}
 	}
 	return true
+}
+
+// outOfRangePairCases are v=4 traces whose only defect is one pair
+// endpoint outside [0, v), in the step named by step.
+func outOfRangePairCases() []struct {
+	name string
+	step int
+	tr   *Trace
+} {
+	good := StepRec{Degree: []int64{0, 1, 1}, Messages: 1, Pairs: PairListOf([][2]int32{{0, 2}})}
+	bad := func(src, dst int32, before int) *Trace {
+		tr := &Trace{V: 4, LogV: 2}
+		for i := 0; i < before; i++ {
+			tr.Steps = append(tr.Steps, good)
+		}
+		step := good
+		step.Pairs = PairListOf([][2]int32{{1, 3}, {src, dst}})
+		step.Messages = 2
+		tr.Steps = append(tr.Steps, step)
+		return tr
+	}
+	return []struct {
+		name string
+		step int
+		tr   *Trace
+	}{
+		{"src >= v", 0, bad(9, 2, 0)},
+		{"src == v", 1, bad(4, 0, 1)},
+		{"src < 0", 0, bad(-1, 0, 0)},
+		{"dst < 0", 0, bad(0, -7, 0)},
+		{"dst >= v", 2, bad(3, 1<<31-1, 2)},
+	}
+}
+
+// TestDecodersRejectOutOfRangePairs: a pair endpoint that is not a VP of
+// the machine is a decode error naming the step, in both formats.
+func TestDecodersRejectOutOfRangePairs(t *testing.T) {
+	for _, tc := range outOfRangePairCases() {
+		for _, format := range []TraceFormat{TraceJSON, TraceBinary} {
+			_, err := decodeTrace(encodeTrace(t, tc.tr, format))
+			want := fmt.Sprintf("decoding trace step %d: ", tc.step)
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "outside [0, 4)") {
+				t.Errorf("%s, format %d: err = %v, want one containing %q and the range", tc.name, format, err, want)
+			}
+		}
+	}
 }

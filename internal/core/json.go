@@ -193,7 +193,8 @@ func (t *Trace) EncodeJSON(w io.Writer) error {
 // encoding/json, and applies the same validation as the NOBTRC01
 // reader: the header's v must be a power of two with log_v = log2(v),
 // and every step must pass the structural checks of FoldSummary.Observe
-// plus "no more pairs than messages".
+// plus "no more pairs than messages" and "every pair endpoint in
+// [0, v)".
 //
 // Accepted:
 //   - insignificant JSON whitespace (space, tab, CR, LF) between tokens;
@@ -619,7 +620,8 @@ func (jr *TraceJSONReader) readStep() error {
 	}
 }
 
-// readPair reads one [src, dst] element onto the pair columns.
+// readPair reads one [src, dst] element onto the pair columns; both
+// endpoints must be VPs of the machine.
 func (jr *TraceJSONReader) readPair(src, dst *[]int32) error {
 	if err := jr.expect('['); err != nil {
 		return err
@@ -643,6 +645,9 @@ func (jr *TraceJSONReader) readPair(src, dst *[]int32) error {
 			return jr.fail("pair %d has more than two elements, want [src, dst]", len(*src))
 		}
 		return jr.fail("expected ']' closing pair %d, got %q", len(*src), c)
+	}
+	if s < 0 || s >= int64(jr.v) || d < 0 || d >= int64(jr.v) {
+		return jr.fail("pair %d is [%d, %d], outside [0, %d)", len(*src), s, d, jr.v)
 	}
 	*src, *dst = append(*src, int32(s)), append(*dst, int32(d))
 	return nil

@@ -32,7 +32,8 @@ type StepRec struct {
 	Messages int64
 
 	// Pairs lists the (src, dst) of every message of the superstep, in no
-	// particular order.  Populated only under Options.RecordMessages.
+	// particular order; both lie in [0, v), which the trace decoders
+	// check.  Populated only under Options.RecordMessages.
 	// The chunked columnar representation keeps recording message-heavy
 	// supersteps from repeatedly re-growing (and transiently doubling)
 	// one flat slice.
