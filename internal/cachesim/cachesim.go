@@ -63,8 +63,8 @@ var ErrNoPairs = errors.New("cachesim: trace must be recorded with RecordMessage
 //
 // The per-VP and per-line state is allocated on the first Step, so a
 // trace without supersteps costs O(sizes) whatever its v.  Each Step
-// costs O(v + pairs) time and the state O(v) memory, because every
-// superstep touches every VP's context.
+// makes O(v + pairs) stack updates and the state takes O(v) memory,
+// because every superstep touches every VP's context.
 type CurveSim struct {
 	v        int
 	ctxWords int
