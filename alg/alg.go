@@ -26,7 +26,7 @@
 // Registered algorithms must be deterministic: a run may depend only on
 // (n, Spec.Record), never on ambient state, and every engine must yield
 // the same trace.  Derive inputs from SeededRand (or any fixed seed) so
-// the trace store's (algorithm, n, record) keying stays sound.  See
+// the trace store's (algorithm, n) keying stays sound.  See
 // examples/custom-algorithm for a complete user-defined algorithm
 // flowing through every surface.
 package alg
@@ -159,6 +159,6 @@ const SeededRandSeed = 20070326
 
 // SeededRand returns a deterministic RNG for registry-algorithm inputs.
 // Using it (or any fixed seed) keeps a run a pure function of
-// (n, record) — the property the shared trace store's (algorithm, n,
-// record) keying relies on.
+// (n, record) — the property the shared trace store's (algorithm, n)
+// keying relies on.
 func SeededRand() *rand.Rand { return rand.New(rand.NewSource(SeededRandSeed)) }

@@ -28,6 +28,11 @@
 //	      -log-level info -log-format text -log-sample 1 \
 //	      -pprof-addr localhost:6060
 //
+// -cache-entries bounds the result cache of analysis documents.
+// -trace-entries bounds the trace cache, which keeps one fold summary of
+// a few KB per (algorithm, n) for the trace and dbsp kinds; the cache
+// kind records its own run, and its document lands in the result cache.
+//
 // Every run uses the block engine; there is no engine to choose.  Result
 // documents, /healthz, /v1/cluster and /v1/algorithms name it in their
 // "engine" field, and a request's "engine" field is accepted and
@@ -103,11 +108,7 @@ func main() {
 	workers := flag.Int("workers", 0, "job worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 1024, "max queued jobs before 503")
 	cacheEntries := flag.Int("cache-entries", 512, "result cache LRU capacity (-1 = unbounded)")
-	traceEntries := flag.Int("trace-entries", 64, "trace cache LRU capacity (-1 = unbounded; ignored with -trace-mem-budget)")
-	traceMemBudget := flag.Int64("trace-mem-budget", 0,
-		"trace cache memory budget in bytes; beyond it, runs spill to disk and page back on demand (0 = count-based eviction)")
-	traceSpillDir := flag.String("trace-spill-dir", "",
-		"directory for spilled traces (default: a fresh temp dir; only with -trace-mem-budget)")
+	traceEntries := flag.Int("trace-entries", 64, "trace cache LRU capacity in fold summaries of a few KB each (-1 = unbounded)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-job execution timeout")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
 	logFormat := flag.String("log-format", "text", "log format: text|json")
@@ -133,8 +134,6 @@ func main() {
 		QueueLimit:     *queue,
 		CacheEntries:   *cacheEntries,
 		TraceEntries:   *traceEntries,
-		TraceMemBudget: *traceMemBudget,
-		TraceSpillDir:  *traceSpillDir,
 		JobTimeout:     *timeout,
 		Logger:         logger,
 		LogSample:      *logSample,

@@ -28,7 +28,7 @@ func transposeAlgorithm() nob.Algorithm {
 		Valid:   alg.SquareOfPowerOfTwo(4),
 		RunFn: func(ctx context.Context, spec nob.Spec, n int) (nob.AlgResult, error) {
 			// Pin the wise form: a registry run must be a pure function of
-			// (n, record) for the shared trace store's keying.
+			// (n, record) for the shared trace store's (algorithm, n) keying.
 			spec.Wise = true
 			s := alg.SquareSide(n)
 			rng := alg.SeededRand()

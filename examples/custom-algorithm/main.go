@@ -63,7 +63,7 @@ func main() {
 		}
 	}
 
-	// 3. The shared trace store memoizes it by (algorithm, n, record).
+	// 3. The shared trace store memoizes its fold summary by (algorithm, n).
 	store := harness.NewTraceStore()
 	if _, err := store.Get(ctx, nil, "transpose", n); err != nil {
 		log.Fatal(err)

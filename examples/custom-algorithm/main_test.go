@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -130,7 +131,8 @@ func TestTransposeThroughDaemon(t *testing.T) {
 }
 
 // TestTransposeThroughTraceStore covers the memoization surface: two
-// gets, one execution.
+// gets, one execution, and the stored fold summary is the one a direct
+// run yields.
 func TestTransposeThroughTraceStore(t *testing.T) {
 	store := harness.NewTraceStore()
 	ctx := context.Background()
@@ -142,10 +144,22 @@ func TestTransposeThroughTraceStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Trace != r2.Trace {
+	if r1.Summary != r2.Summary {
 		t.Error("second Get re-executed instead of serving the memoized run")
 	}
 	if st := store.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("store stats %+v, want 1 hit / 1 miss", st)
+	}
+	a, _ := nob.AlgorithmByName("transpose")
+	direct, err := a.Run(ctx, nob.Spec{}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := direct.Trace.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r1.Summary, want) {
+		t.Error("stored summary differs from a direct run's")
 	}
 }

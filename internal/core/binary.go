@@ -11,13 +11,12 @@ import (
 	"path/filepath"
 )
 
-// This file implements the compact binary trace format used for
-// spilling traces to disk.  Like the JSON codec it is fully streaming —
-// one superstep in memory at a time, on both sides — but it stores each
-// step's pairs as two flat []int32 columns (the Schedule's CSR column
-// layout), so a spilled trace costs ~8 bytes per message instead of the
-// ~16 bytes of decimal JSON, and decoding is a bulk byte copy instead
-// of a parse.
+// This file implements the compact binary trace format, NOBTRC01.  Like
+// the JSON codec it is fully streaming — one superstep in memory at a
+// time, on both sides — but it stores each step's pairs as two flat
+// []int32 columns (the Schedule's CSR column layout), so a stored
+// trace costs ~8 bytes per message instead of the ~16 bytes of decimal
+// JSON, and decoding is a bulk byte copy instead of a parse.
 //
 // Layout (little-endian):
 //
@@ -37,7 +36,7 @@ const (
 	binTagEnd  byte = 0xFF
 )
 
-// TraceBinaryWriter is a TraceSink encoding the binary spill format.
+// TraceBinaryWriter is a TraceSink encoding the compact binary format.
 type TraceBinaryWriter struct {
 	// ReleasePairs has the same contract as TraceJSONWriter.ReleasePairs:
 	// enable only when the writer owns its records exclusively.
@@ -157,7 +156,7 @@ func (bw *TraceBinaryWriter) buf(n int) []byte {
 	return bw.scratch[:0]
 }
 
-// TraceBinaryReader is a TraceSource over the binary spill format.
+// TraceBinaryReader is a TraceSource over the compact binary format.
 type TraceBinaryReader struct {
 	br         *bufio.Reader
 	v, logV    int
@@ -208,14 +207,14 @@ func (br *TraceBinaryReader) Next() (*StepRec, error) {
 	}
 	tag, err := br.br.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("core: decoding trace: %w (truncated spill file?)", err)
+		return nil, fmt.Errorf("core: decoding trace: %w (truncated trace file?)", err)
 	}
 	switch tag {
 	case binTagEnd:
 		br.done = true
 		var cnt [8]byte
 		if _, err := io.ReadFull(br.br, cnt[:]); err != nil {
-			return nil, fmt.Errorf("core: decoding trace: %w (truncated spill file?)", err)
+			return nil, fmt.Errorf("core: decoding trace: %w (truncated trace file?)", err)
 		}
 		if got := binary.LittleEndian.Uint64(cnt[:]); got != uint64(br.idx) {
 			return nil, fmt.Errorf("core: decoding trace: footer declares %d steps but %d were read", got, br.idx)
@@ -227,7 +226,7 @@ func (br *TraceBinaryReader) Next() (*StepRec, error) {
 	}
 	fixed := br.buf(4 + 8 + (br.logV+1)*8 + 8)
 	if _, err := io.ReadFull(br.br, fixed); err != nil {
-		return nil, fmt.Errorf("core: decoding trace: %w (truncated spill file?)", err)
+		return nil, fmt.Errorf("core: decoding trace: %w (truncated trace file?)", err)
 	}
 	br.rec = StepRec{
 		Label:    int(int32(binary.LittleEndian.Uint32(fixed))),
@@ -276,7 +275,7 @@ func (br *TraceBinaryReader) readColumn(n int, side string) ([]int32, error) {
 		k := min(n-len(col), readChunk)
 		raw := br.buf(4 * k)
 		if _, err := io.ReadFull(br.br, raw); err != nil {
-			return nil, fmt.Errorf("core: decoding trace: %w (truncated spill file?)", err)
+			return nil, fmt.Errorf("core: decoding trace: %w (truncated trace file?)", err)
 		}
 		for i := 0; i < k; i++ {
 			x := binary.LittleEndian.Uint32(raw[4*i:])
@@ -306,7 +305,7 @@ type TraceFormat int
 const (
 	// TraceJSON is the archival wire format (EncodeJSON).
 	TraceJSON TraceFormat = iota
-	// TraceBinary is the compact spill format.
+	// TraceBinary is the compact binary format (NOBTRC01).
 	TraceBinary
 )
 
@@ -316,13 +315,6 @@ const (
 // or cancelled run removes the temporary, so a partial trace file is
 // never left behind under the target name.
 type TraceFileSink struct {
-	// KeepPairs leaves each record's pair chunks intact after encoding.
-	// By default the sink owns its records — a run streaming into a file
-	// recycles pooled chunks as they are written.  A caller writing out a
-	// still-live in-memory trace (the harness spill path) must keep them:
-	// the trace still references the chunks.
-	KeepPairs bool
-
 	path   string
 	format TraceFormat
 	f      *os.File
@@ -349,14 +341,16 @@ func (fs *TraceFileSink) BeginTrace(v, logV int) error {
 		return fmt.Errorf("core: trace sink: %w", err)
 	}
 	fs.f = f
+	// The sink owns its records: pooled pair chunks are recycled as
+	// steps are encoded.
 	switch fs.format {
 	case TraceBinary:
 		w := NewTraceBinaryWriter(f)
-		w.ReleasePairs = !fs.KeepPairs
+		w.ReleasePairs = true
 		fs.inner = w
 	default:
 		w := NewTraceJSONWriter(f)
-		w.ReleasePairs = !fs.KeepPairs
+		w.ReleasePairs = true
 		fs.inner = w
 	}
 	return fs.inner.BeginTrace(v, logV)
@@ -414,7 +408,7 @@ func (cs *closerSource) Close() error {
 }
 
 // NewTraceSource returns a streaming TraceSource over r, sniffing the
-// encoding: the binary spill magic selects the binary reader, anything
+// encoding: the NOBTRC01 magic selects the binary reader, anything
 // else is treated as the JSON wire format.  The caller retains
 // ownership of r; Close does not close it.
 func NewTraceSource(r io.Reader) (TraceSource, error) {

@@ -62,9 +62,10 @@
 //
 // A static algorithm's communication at a fixed input size is a pure
 // function of that size, so its trace is keyed by (algorithm, n) alone —
-// TraceKey carries no engine.  Memoizing traces is the job of the
-// harness trace store and the service's result cache above this
-// package; every run through core executes the program.
+// TraceKey carries no engine.  Memoizing runs is the job of the
+// harness trace store (which keeps each key's FoldSummary) and the
+// service's result cache above this package; every run through core
+// executes the program.
 //
 // # Streaming traces
 //
@@ -82,8 +83,8 @@
 //     format, discarding partial output when the run fails);
 //   - the streamed JSON is byte-identical to Trace.EncodeJSON of the
 //     same run, so stored traces are indistinguishable from in-memory
-//     encodes; the binary format ("NOBTRC01") is the compact spill
-//     representation, storing each superstep's pairs as flat columns.
+//     encodes; the binary format ("NOBTRC01") is the compact binary
+//     format, storing each superstep's pairs as flat columns.
 //     Both codecs are hand-written for their one schema, without
 //     encoding/json, and both readers validate every step with the same
 //     checks (validateStep); TraceJSONReader documents the JSON grammar

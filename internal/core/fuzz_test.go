@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"slices"
 	"strings"
@@ -119,6 +120,31 @@ func decodeTrace(data []byte) (*Trace, error) {
 	}
 	defer src.Close()
 	return ReadAll(src)
+}
+
+// ReadAll drains a TraceSource into an in-memory Trace, copying each
+// record (sources reuse their decode state between Next calls).  It
+// does not Close the source.  It lives in a test file of package core,
+// so the external tests reach it as core.ReadAll.
+func ReadAll(src TraceSource) (*Trace, error) {
+	v := src.V()
+	logV, err := TryLog2(v)
+	if err != nil || logV != src.LogV() {
+		return nil, fmt.Errorf("core: trace log_v=%d inconsistent with v=%d", src.LogV(), v)
+	}
+	tr := &Trace{V: v, LogV: logV}
+	for {
+		rec, err := src.Next()
+		if err == io.EOF {
+			return tr, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		cp := *rec
+		cp.Degree = append([]int64(nil), rec.Degree...)
+		tr.Steps = append(tr.Steps, cp)
+	}
 }
 
 // encodeTrace encodes tr through the streaming codec writer of format.

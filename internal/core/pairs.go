@@ -79,7 +79,9 @@ func newPairChunk(hint int) *pairChunk {
 // not come from the pool (decoded columns, undersized hint chunks)
 // are left for the garbage collector.  Releasing a nil or empty list is
 // a no-op; releasing the same pairs twice is a caller bug that corrupts
-// the pool, which is why only the codec sinks ever call this.
+// the pool, which is why only owners of a whole record call this: the
+// codec sinks, and the service's cache analysis once it has simulated
+// a step of its own recorded run.
 func (p *PairList) Release() {
 	if p == nil {
 		return

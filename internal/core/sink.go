@@ -132,31 +132,6 @@ func (s *traceSliceSource) Next() (*StepRec, error) {
 
 func (s *traceSliceSource) Close() error { return nil }
 
-// ReadAll drains a TraceSource into an in-memory Trace, copying each
-// record (sources reuse their decode state between Next calls).  It is
-// the inverse of streaming: the harness uses it to page a spilled trace
-// back in.  It does not Close the source.
-func ReadAll(src TraceSource) (*Trace, error) {
-	v := src.V()
-	logV, err := TryLog2(v)
-	if err != nil || logV != src.LogV() {
-		return nil, fmt.Errorf("core: trace log_v=%d inconsistent with v=%d", src.LogV(), v)
-	}
-	tr := &Trace{V: v, LogV: logV}
-	for {
-		rec, err := src.Next()
-		if err == io.EOF {
-			return tr, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		cp := *rec
-		cp.Degree = append([]int64(nil), rec.Degree...)
-		tr.Steps = append(tr.Steps, cp)
-	}
-}
-
 // FoldSummary is the O(log²v) fixed-size accumulator every paper metric
 // reads: one Observe per superstep maintains the superstep counts S_i(n)
 // and the full fold-degree matrix F_i(n, 2^j) for every fold j at once,

@@ -54,7 +54,7 @@ func (s StoreStats) HitRate() float64 {
 // computation is not retried, so every caller of a key observes the same
 // outcome — a property the experiment suite relies on for
 // schedule-independent output.  (Callers that must not memoize an error —
-// e.g. a cancelled context — Forget the key instead.)
+// e.g. a cancelled context — drop it with ForgetIf instead.)
 //
 // A bounded store (NewBoundedStore) keeps at most capacity completed
 // entries, discarding the least recently used beyond that; a long-running
@@ -142,16 +142,14 @@ func (s *Store[V]) get(key string, compute func() (V, error), fill bool) (V, err
 	e.val, e.err = compute()
 	close(e.done)
 	s.mu.Lock()
-	// The entry enters the LRU order only now that it is completed; a
-	// Forget during the computation removed it from the map, in which case
-	// it must not resurface.
-	if s.entries[key] == e {
-		if fill && e.err != nil {
-			delete(s.entries, key)
-		} else {
-			e.elem = s.lru.PushFront(e)
-			s.evictLocked()
-		}
+	// The entry enters the LRU order only now that it is completed.  An
+	// in-flight entry is never removed (eviction and ForgetIf touch
+	// completed entries only), so it is still the map's entry for key.
+	if fill && e.err != nil {
+		delete(s.entries, key)
+	} else {
+		e.elem = s.lru.PushFront(e)
+		s.evictLocked()
 	}
 	s.mu.Unlock()
 	return e.val, e.err
@@ -176,32 +174,12 @@ func (s *Store[V]) Peek(key string) (val V, err error, ok bool) {
 	return e.val, e.err, true
 }
 
-// Forget removes key from the store, so a later Get recomputes it.  It
-// reports whether an entry (completed or in flight) was removed.  Waiters
-// already joined to an in-flight computation still observe its outcome;
-// the outcome is simply not retained.  Forget is how callers drop a
-// memoized error they do not want to be sticky (e.g. a cancelled run).
-func (s *Store[V]) Forget(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return false
-	}
-	if e.elem != nil {
-		s.lru.Remove(e.elem)
-		e.elem = nil
-	}
-	delete(s.entries, key)
-	return true
-}
-
 // ForgetIf removes key only when its entry is completed and its outcome
 // satisfies pred.  In-flight computations and entries that fail pred are
 // left untouched, so a caller reacting to a stale outcome (e.g. a
 // cancellation error it received earlier) can never evict the fresh
-// entry that replaced it — the race unconditional Forget is exposed to
-// when several waiters of one failed computation all try to drop it.
+// entry that replaced it, even when several waiters of one failed
+// computation all try to drop it.
 func (s *Store[V]) ForgetIf(key string, pred func(val V, err error) bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

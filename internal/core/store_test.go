@@ -136,61 +136,6 @@ func TestStoreLRUSingleFlightInteraction(t *testing.T) {
 	}
 }
 
-func TestStoreForget(t *testing.T) {
-	s := NewStore[int]()
-	sentinel := errors.New("boom")
-	if _, err := s.Get("k", func() (int, error) { return 0, sentinel }); !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v", err)
-	}
-	// Errors are sticky until forgotten.
-	if _, err := s.Get("k", func() (int, error) { return 1, nil }); !errors.Is(err, sentinel) {
-		t.Fatalf("memoized error not returned: %v", err)
-	}
-	if !s.Forget("k") {
-		t.Fatal("Forget found nothing")
-	}
-	if s.Forget("k") {
-		t.Fatal("double Forget succeeded")
-	}
-	v, err := s.Get("k", func() (int, error) { return 1, nil })
-	if err != nil || v != 1 {
-		t.Fatalf("Get after Forget = %d, %v", v, err)
-	}
-}
-
-// TestStoreForgetInFlight: forgetting a key mid-computation detaches it —
-// waiters still get the outcome, but the store does not retain it.
-func TestStoreForgetInFlight(t *testing.T) {
-	s := NewStore[int]()
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		v, err := s.Get("k", func() (int, error) {
-			close(started)
-			<-release
-			return 9, nil
-		})
-		if err != nil || v != 9 {
-			t.Errorf("Get = %d, %v", v, err)
-		}
-	}()
-	<-started
-	if !s.Forget("k") {
-		t.Fatal("Forget of in-flight entry failed")
-	}
-	close(release)
-	wg.Wait()
-	if _, _, ok := s.Peek("k"); ok {
-		t.Error("forgotten in-flight entry resurfaced after completion")
-	}
-	if s.Len() != 0 {
-		t.Errorf("Len = %d, want 0", s.Len())
-	}
-}
-
 // TestStoreForgetIf: conditional removal touches only completed entries
 // whose outcome matches the predicate — the guard that keeps a stale
 // waiter from evicting a fresh recomputation.

@@ -51,7 +51,7 @@ func TestTraceStoreGetCancellationNotMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("key poisoned by cancelled run: %v", err)
 	}
-	if run.Trace == nil || run.Trace.V != 4096 {
+	if run.Summary == nil || run.Summary.V() != 4096 {
 		t.Fatal("recomputed run is wrong")
 	}
 }

@@ -156,10 +156,7 @@ func runE2(cfg Config) ([]*Result, error) {
 		if rsp.PeakEntries >= r8.PeakEntries {
 			spaceWins = false
 		}
-		fs, err := rsp.Trace.Summary()
-		if err != nil {
-			return nil, err
-		}
+		fs := rsp.Summary
 		for p := 4; p <= s*s; p *= 8 {
 			for _, sigma := range []float64{0, 16} {
 				h := eval.H(fs, p, sigma)

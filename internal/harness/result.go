@@ -7,8 +7,9 @@
 //
 //   - measurement: each registered Experiment maps a Config to typed
 //     Result values — parameter grid points with measured metrics plus
-//     machine-checkable pass/fail Checks — pulling shared specification
-//     traces from the per-run TraceStore instead of re-executing them;
+//     machine-checkable pass/fail Checks — pulling the shared fold
+//     summaries of specification runs from the per-run TraceStore
+//     instead of re-executing them;
 //   - execution: RunSuite drives independent experiments through a
 //     bounded worker pool with a determinism guarantee (parallel and
 //     sequential runs emit byte-identical rendered output);

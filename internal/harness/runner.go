@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"netoblivious/alg"
 	"netoblivious/internal/core"
 )
 
@@ -33,11 +32,12 @@ type Config struct {
 	// rendered output (the golden test enforces it).
 	Parallel int
 
-	// Store memoizes specification-model traces by (algorithm, n,
-	// record) so overlapping experiments share one execution; the
-	// engine is not in the key, since every engine yields the same
-	// trace.  nil runs every request directly (no sharing); RunSuite
-	// installs a fresh store when the caller did not provide one.
+	// Store memoizes the fold summary of each specification-model run
+	// by (algorithm, n), so overlapping experiments share one
+	// execution; the engine is not in the key, since every engine
+	// yields the same trace.  nil runs every request directly (no
+	// sharing); RunSuite installs a fresh store when the caller did not
+	// provide one.
 	Store *TraceStore
 
 	// Context cancels the suite: experiments not yet dispatched are
@@ -70,30 +70,23 @@ func (c Config) runOpts(record bool) core.Options {
 	return core.Options{RecordMessages: record, Engine: c.engine(), Context: c.Context}
 }
 
-// Summary returns the FoldSummary of a registry algorithm's memoized
-// trace at size n — the one input of every metric an experiment reports
-// — executing the algorithm (on the configured engine) at most once per
-// store.
+// Summary returns the FoldSummary of a registry algorithm at size n —
+// the one input of every metric an experiment reports — executing the
+// algorithm (on the configured engine) at most once per store.
 func (c Config) Summary(name string, n int) (*core.FoldSummary, error) {
 	run, err := c.AlgRun(name, n)
-	if err != nil {
-		return nil, err
-	}
-	return run.Trace.Summary()
+	return run.Summary, err
 }
 
 // AlgRun returns the memoized run of a registry algorithm at size n: its
-// trace plus the run metadata (peak memory) the matmul experiments
-// report.
-func (c Config) AlgRun(name string, n int) (alg.Result, error) {
-	if c.Store != nil {
-		return c.Store.Get(c.ctx(), c.engine(), name, n)
+// fold summary plus the run metadata (peak memory) the matmul
+// experiments report.  Without a store the run is not shared.
+func (c Config) AlgRun(name string, n int) (Run, error) {
+	store := c.Store
+	if store == nil {
+		store = NewTraceStore()
 	}
-	a, ok := alg.ByName(name)
-	if !ok {
-		return alg.Result{}, fmt.Errorf("harness: unknown algorithm %q", name)
-	}
-	return a.Run(c.ctx(), alg.Spec{Engine: c.engine()}, n)
+	return store.Get(c.ctx(), c.engine(), name, n)
 }
 
 // Experiment couples an identifier with its runner.

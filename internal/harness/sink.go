@@ -1,12 +1,16 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Format names an output encoding of the experiment pipeline.
@@ -63,21 +67,44 @@ type valueDTO struct {
 	F *float64 `json:"f,omitempty"`
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler.  Numbers are appended in
+// encoding/json's own format, without a reflective Marshal per cell;
+// strings, and the floats JSON cannot represent (whose error Marshal
+// reports), go through json.Marshal.
 func (v Value) MarshalJSON() ([]byte, error) {
 	switch v.Kind {
 	case KindString:
 		return json.Marshal(valueDTO{S: &v.Str})
 	case KindInt:
-		return json.Marshal(valueDTO{I: &v.Int})
+		return append(strconv.AppendInt([]byte(`{"i":`), v.Int, 10), '}'), nil
 	default:
-		return json.Marshal(valueDTO{F: &v.Float})
+		f := v.Float
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return json.Marshal(valueDTO{F: &v.Float})
+		}
+		// encoding/json's float64 format: shortest repr, exponent form
+		// outside [1e-6, 1e21), and a two-digit negative exponent
+		// trimmed to one ("1e-07" -> "1e-7").
+		format := byte('f')
+		if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		b := strconv.AppendFloat([]byte(`{"f":`), f, format, -1, 64)
+		if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+		return append(b, '}'), nil
 	}
 }
 
 // UnmarshalJSON implements json.Unmarshaler, rejecting cells that do not
 // carry exactly one kind.
 func (v *Value) UnmarshalJSON(data []byte) error {
+	if cell, ok := decodeCanonicalCell(data); ok {
+		*v = cell
+		return nil
+	}
 	var dto valueDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
 		return err
@@ -99,6 +126,107 @@ func (v *Value) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("harness: cell must carry exactly one of s/i/f, got %d", set)
 	}
 	return nil
+}
+
+// decodeCanonicalCell decodes the three forms MarshalJSON writes —
+// {"i":N}, {"f":X} and {"s":"text"} with no escape in the text, with or
+// without indentation — without a reflective Unmarshal per cell.  ok is
+// false for every other input, which then takes encoding/json's path,
+// so the accepted values are exactly those that path would produce.
+func decodeCanonicalCell(data []byte) (Value, bool) {
+	data = bytes.TrimLeft(data, jsonSpace)
+	if len(data) < 1 || data[0] != '{' {
+		return Value{}, false
+	}
+	data = bytes.TrimLeft(data[1:], jsonSpace)
+	if len(data) < 3 || data[0] != '"' || data[2] != '"' {
+		return Value{}, false
+	}
+	kind := data[1]
+	data = bytes.TrimLeft(data[3:], jsonSpace)
+	if len(data) < 1 || data[0] != ':' {
+		return Value{}, false
+	}
+	body := bytes.TrimRight(data[1:], jsonSpace)
+	if len(body) < 1 || body[len(body)-1] != '}' {
+		return Value{}, false
+	}
+	body = bytes.Trim(body[:len(body)-1], jsonSpace)
+	switch kind {
+	case 'i':
+		if !isJSONNumber(body, false) {
+			return Value{}, false
+		}
+		i, err := strconv.ParseInt(string(body), 10, 64)
+		if err != nil {
+			return Value{}, false
+		}
+		return Int(i), true
+	case 'f':
+		if !isJSONNumber(body, true) {
+			return Value{}, false
+		}
+		f, err := strconv.ParseFloat(string(body), 64)
+		if err != nil {
+			return Value{}, false
+		}
+		return Float(f), true
+	case 's':
+		if len(body) < 2 || body[0] != '"' || body[len(body)-1] != '"' {
+			return Value{}, false
+		}
+		text := body[1 : len(body)-1]
+		for _, c := range text {
+			if c == '"' || c == '\\' || c < 0x20 {
+				return Value{}, false
+			}
+		}
+		if !utf8.Valid(text) {
+			return Value{}, false
+		}
+		return String(string(text)), true
+	}
+	return Value{}, false
+}
+
+// jsonSpace is the JSON whitespace set.
+const jsonSpace = " \t\n\r"
+
+// isJSONNumber reports whether b is a JSON number: -?(0|[1-9][0-9]*),
+// then, when frac is set, an optional fraction and exponent.
+func isJSONNumber(b []byte, frac bool) bool {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	digits := func() int {
+		start := i
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			i++
+		}
+		return i - start
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if digits() == 0 {
+		return false
+	}
+	if frac && i < len(b) && b[i] == '.' {
+		i++
+		if digits() == 0 {
+			return false
+		}
+	}
+	if frac && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if digits() == 0 {
+			return false
+		}
+	}
+	return i == len(b)
 }
 
 // Text renders the result as an aligned plain-text table with notes and

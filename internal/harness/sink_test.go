@@ -2,6 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,6 +107,77 @@ func TestValueJSONKinds(t *testing.T) {
 	}
 	if err := v.UnmarshalJSON([]byte(`{"i":1,"f":2}`)); err == nil {
 		t.Error("double-kind cell accepted")
+	}
+}
+
+// TestValueJSONMatchesReflective holds the direct cell codec to the
+// reflective one it replaces: every cell encodes to the bytes
+// json.Marshal of its valueDTO gives, and every input decodes to the
+// value (or the failure) json.Unmarshal into a valueDTO gives.
+func TestValueJSONMatchesReflective(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vals := []Value{Int(0), Int(-1), Int(math.MaxInt64), Int(math.MinInt64), String(""), String("<a&b>"),
+		String("é\u2028\"q\""), Float(0), Float(math.Copysign(0, -1)), Float(1e-6), Float(9.99e-7), Float(1e21),
+		Float(9.99e20), Float(-1e-7), Float(1e-100), Float(math.MaxFloat64), Float(math.SmallestNonzeroFloat64),
+		Float(math.NaN()), Float(math.Inf(1))}
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, Int(rng.Int63()-rng.Int63()), Float(math.Float64frombits(rng.Uint64())),
+			Float(rng.NormFloat64()*math.Pow(10, float64(rng.Intn(60)-30))))
+	}
+	for _, v := range vals {
+		var ref []byte
+		var refErr error
+		switch v.Kind {
+		case KindString:
+			ref, refErr = json.Marshal(valueDTO{S: &v.Str})
+		case KindInt:
+			ref, refErr = json.Marshal(valueDTO{I: &v.Int})
+		default:
+			ref, refErr = json.Marshal(valueDTO{F: &v.Float})
+		}
+		got, err := v.MarshalJSON()
+		if (err != nil) != (refErr != nil) || !bytes.Equal(got, ref) {
+			t.Fatalf("%+v: MarshalJSON = %s, %v; json.Marshal = %s, %v", v, got, err, ref, refErr)
+		}
+	}
+	inputs := []string{`{"i":0}`, `{"i":-0}`, `{"i":01}`, `{"i":1.0}`, `{"i":1e2}`, `{"i":99999999999999999999}`,
+		`{"i":-}`, `{"i":+1}`, `{"f":.5}`, `{"f":1.}`, `{"f":1e}`, `{"f":1e+}`, `{"f":-1.5E-3}`, `{"f":1e400}`,
+		`{"f":0.000001}`, `{"s":""}`, `{"s":"a\"b"}`, `{"s":"a\\b"}`, `{"s":"\u00e9"}`, "{\"s\":\"\xff\"}",
+		"{\"s\":\"a\tb\"}", `{"s":1}`, `{"i":"1"}`, `{"I":3}`, `{"x":3}`, `{"s":"a","s":"b"}`, `{ "i":1}`,
+		"{\n  \"f\": 2.5\n}", "\t{\"s\" :\r\"x\" } ", `{"s":"a" "b"}`, `{"i":1 2}`, `{"i"::1}`, `{"f":}`, `{"s":"}`}
+	for _, v := range vals {
+		data, _ := v.MarshalJSON()
+		var indented bytes.Buffer
+		if json.Indent(&indented, data, "    ", "  ") == nil {
+			inputs = append(inputs, string(data), indented.String())
+		}
+	}
+	for _, in := range inputs {
+		var got Value
+		err := got.UnmarshalJSON([]byte(in))
+		var dto valueDTO
+		refErr := json.Unmarshal([]byte(in), &dto)
+		var want Value
+		set := 0
+		if dto.S != nil {
+			want, set = String(*dto.S), set+1
+		}
+		if dto.I != nil {
+			want, set = Int(*dto.I), set+1
+		}
+		if dto.F != nil {
+			want, set = Float(*dto.F), set+1
+		}
+		if refErr != nil || set != 1 {
+			if err == nil {
+				t.Errorf("%s: decoded %+v, reflective decoder refuses it", in, got)
+			}
+			continue
+		}
+		if err != nil || got.Kind != want.Kind || got.Str != want.Str || got.Int != want.Int ||
+			math.Float64bits(got.Float) != math.Float64bits(want.Float) {
+			t.Errorf("%s: decoded %+v, %v; want %+v", in, got, err, want)
+		}
 	}
 }
 

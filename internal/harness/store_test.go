@@ -3,10 +3,12 @@ package harness
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"netoblivious/alg"
 	"netoblivious/internal/core"
 )
 
@@ -81,9 +83,8 @@ func TestCoreStoreSingleFlight(t *testing.T) {
 }
 
 // TestTraceStoreSharesAcrossEngines asserts the store keys runs by
-// (algorithm, n, record) only: a run computed on one engine serves a
-// caller on another, a recorded run stays a distinct entry, and the
-// trace key renders its canonical form.
+// (algorithm, n) only: a run computed on one engine serves a caller on
+// another, and the trace key renders its canonical form.
 func TestTraceStoreSharesAcrossEngines(t *testing.T) {
 	store := NewTraceStore()
 	ctx := context.Background()
@@ -95,21 +96,11 @@ func TestTraceStoreSharesAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Trace != b.Trace {
+	if a.Summary != b.Summary {
 		t.Error("the same (algorithm, n) on two engines computed two runs")
 	}
 	if st := store.Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("stats = %+v, want 1 miss + 1 hit across engines", st)
-	}
-	rec, err := store.GetRecorded(ctx, core.GoroutineEngine{}, "broadcast-tree", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Trace == a.Trace {
-		t.Error("recorded run aliased the unrecorded one")
-	}
-	if st := store.Stats(); st.Misses != 2 {
-		t.Errorf("misses = %d, want 2 (the recorded run is its own entry)", st.Misses)
 	}
 	if _, err := store.Get(ctx, nil, "no-such-alg", 8); err == nil {
 		t.Error("unknown algorithm accepted")
@@ -117,5 +108,55 @@ func TestTraceStoreSharesAcrossEngines(t *testing.T) {
 	key := core.TraceKey{Algorithm: "fft", N: 256}
 	if key.String() != "fft/n=256" {
 		t.Errorf("TraceKey.String() = %q", key.String())
+	}
+}
+
+// TestTraceStoreSummaryMatchesRun: the store keeps the fold summary of
+// the run, not its trace, and that summary equals one built from a
+// direct run of the algorithm.  A revisit is served from memory.
+func TestTraceStoreSummaryMatchesRun(t *testing.T) {
+	ctx := context.Background()
+	a, _ := alg.ByName("fft")
+	direct, err := a.Run(ctx, alg.Spec{}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := direct.Trace.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewTraceStore()
+	for i := 0; i < 2; i++ {
+		run, err := store.Get(ctx, nil, "fft", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(run.Summary, want) {
+			t.Fatalf("Get %d: stored summary differs from the direct run's", i)
+		}
+	}
+	if st := store.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 miss + 1 hit", st)
+	}
+}
+
+// TestTraceStorePreservesMetadata: the run metadata the matmul
+// experiments report travels with the summary.
+func TestTraceStorePreservesMetadata(t *testing.T) {
+	ctx := context.Background()
+	a, _ := alg.ByName("matmul")
+	direct, err := a.Run(ctx, alg.Spec{}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.PeakEntries == 0 {
+		t.Fatal("matmul run reported no PeakEntries; test needs an algorithm with the metric")
+	}
+	run, err := NewTraceStore().Get(ctx, nil, "matmul", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.PeakEntries != direct.PeakEntries {
+		t.Errorf("stored PeakEntries = %d, want %d", run.PeakEntries, direct.PeakEntries)
 	}
 }

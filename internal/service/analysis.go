@@ -32,6 +32,7 @@ import (
 
 	"netoblivious/alg"
 	"netoblivious/internal/cachesim"
+	"netoblivious/internal/core"
 	"netoblivious/internal/dbsp"
 	"netoblivious/internal/eval"
 	"netoblivious/internal/harness"
@@ -94,6 +95,7 @@ type Request struct {
 	// Machines lists the evaluation machines M(p, σ).  Empty means a
 	// default sweep: powers of two up to min(v, 64) at σ ∈ {0, 16}
 	// (for "machines"/"network"/"dbsp", the largest p of the sweep).
+	// Kind "cache" validates the list and then ignores it.
 	Machines []MachineSpec `json:"machines,omitempty"`
 	// Topology selects the simulated network family for kind "network"
 	// (ring, torus2d, torus3d, hypercube, fattree); empty means the full
@@ -161,6 +163,11 @@ func (r *Request) normalize() error {
 		if m.Sigma < 0 || math.IsNaN(m.Sigma) || math.IsInf(m.Sigma, 0) {
 			return fmt.Errorf("machine sigma=%v must be finite and nonnegative", m.Sigma)
 		}
+	}
+	if r.Kind == KindCache {
+		// The miss curve reads no machine: once validated, the list is
+		// dropped so requests that differ only in it share one key.
+		r.Machines = nil
 	}
 	if r.Kind != KindNetwork && (r.Topology != "" || r.Strategy != "" || r.Seed != 0) {
 		return fmt.Errorf("topology/strategy/seed only apply to kind %q", KindNetwork)
@@ -412,38 +419,24 @@ func analyzeMachines(req Request) ([]*harness.Result, error) {
 	return out, nil
 }
 
-// algRun pulls the request's specification run from the shared trace
-// cache (recorded form only when the analysis needs message pairs).
-func (s *Server) algRun(ctx context.Context, req Request, recorded bool) (alg.Result, error) {
-	if recorded {
-		return s.traces.GetRecorded(ctx, nil, req.Algorithm, req.N)
-	}
-	return s.traces.Get(ctx, nil, req.Algorithm, req.N)
-}
-
 // analyzeTrace runs the algorithm and measures every requested machine.
 func (s *Server) analyzeTrace(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
 	progress.emit("tracing", fmt.Sprintf("%s n=%d on %s", req.Algorithm, req.N, engineName))
-	run, err := s.algRun(ctx, req, false)
+	// The trace store keeps the run's O(log²v) FoldSummary; every machine
+	// of the grid is measured from it without touching the steps again.
+	run, err := s.traces.Get(ctx, nil, req.Algorithm, req.N)
 	if err != nil {
 		return nil, err
 	}
-	tr := run.Trace
-	machines, dropped, err := req.machinesWithin(tr.V)
+	fs := run.Summary
+	machines, dropped, err := req.machinesWithin(fs.V())
 	if err != nil {
 		return nil, err
 	}
-	// One pass over the supersteps builds the O(log²v) FoldSummary; every
-	// machine of the grid is then measured from it without touching the
-	// steps again.
-	fs, err := tr.Summary()
-	if err != nil {
-		return nil, err
-	}
-	progress.emit("measuring", fmt.Sprintf("v=%d, %d supersteps, %d messages", tr.V, fs.NumSupersteps(), fs.TotalMessages()))
+	progress.emit("measuring", fmt.Sprintf("v=%d, %d supersteps, %d messages", fs.V(), fs.NumSupersteps(), fs.TotalMessages()))
 	res := &harness.Result{
 		ID:       string(KindTrace),
-		Title:    fmt.Sprintf("measured metrics of %s at n=%d (v=%d)", req.Algorithm, req.N, tr.V),
+		Title:    fmt.Sprintf("measured metrics of %s at n=%d (v=%d)", req.Algorithm, req.N, fs.V()),
 		PaperRef: "Eq. 1; Def. 3.2; Def. 5.2",
 		Columns:  []string{"p", "sigma", "H(n,p,sigma)", "msg load", "supersteps", "alpha", "gamma"},
 	}
@@ -458,7 +451,7 @@ func (s *Server) analyzeTrace(ctx context.Context, req Request, progress progres
 	res.AddCheck("folding inequality (Lemma 3.1)", folding,
 		"H never shrinks under coarser folding across %d machines", len(res.Rows))
 	if len(dropped) > 0 {
-		res.Notes = append(res.Notes, droppedNote(dropped, tr.V))
+		res.Notes = append(res.Notes, droppedNote(dropped, fs.V()))
 	}
 	if run.PeakEntries > 0 {
 		res.Notes = append(res.Notes, fmt.Sprintf("peak per-VP matrix entries: %d", run.PeakEntries))
@@ -469,12 +462,12 @@ func (s *Server) analyzeTrace(ctx context.Context, req Request, progress progres
 // analyzeDBSP folds the measured trace on the network presets.
 func (s *Server) analyzeDBSP(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
 	progress.emit("tracing", fmt.Sprintf("%s n=%d on %s", req.Algorithm, req.N, engineName))
-	run, err := s.algRun(ctx, req, false)
+	run, err := s.traces.Get(ctx, nil, req.Algorithm, req.N)
 	if err != nil {
 		return nil, err
 	}
-	tr := run.Trace
-	machines, dropped, err := req.machinesWithin(tr.V)
+	fs := run.Summary
+	machines, dropped, err := req.machinesWithin(fs.V())
 	if err != nil {
 		return nil, err
 	}
@@ -485,10 +478,6 @@ func (s *Server) analyzeDBSP(ctx context.Context, req Request, progress progress
 		}
 	}
 	progress.emit("folding", fmt.Sprintf("onto D-BSP presets at p=%d", p))
-	fs, err := tr.Summary()
-	if err != nil {
-		return nil, err
-	}
 	res := &harness.Result{
 		ID:       string(KindDBSP),
 		Title:    fmt.Sprintf("communication time of %s at n=%d on D-BSP presets (p=%d)", req.Algorithm, req.N, p),
@@ -504,7 +493,7 @@ func (s *Server) analyzeDBSP(ctx context.Context, req Request, progress progress
 	}
 	res.AddCheck("folded on every preset", true, "%d networks at p=%d", len(res.Rows), p)
 	if len(dropped) > 0 {
-		res.Notes = append(res.Notes, droppedNote(dropped, tr.V))
+		res.Notes = append(res.Notes, droppedNote(dropped, fs.V()))
 	}
 	return []*harness.Result{res}, nil
 }
@@ -513,12 +502,24 @@ func (s *Server) analyzeDBSP(ctx context.Context, req Request, progress progress
 var cacheSweepSizes = []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}
 
 // analyzeCache simulates the folded-to-one-processor execution under
-// ideal caches (the Section 6 conjecture's measurable content).
+// ideal caches (the Section 6 conjecture's measurable content).  It
+// needs the message pairs, so it records its own run instead of asking
+// the trace store, whose entries keep only fold summaries; the result
+// cache memoizes the document.
 func (s *Server) analyzeCache(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
 	progress.emit("tracing", fmt.Sprintf("%s n=%d (recorded) on %s", req.Algorithm, req.N, engineName))
-	run, err := s.algRun(ctx, req, true)
+	a, ok := alg.ByName(req.Algorithm)
+	if !ok {
+		return nil, fmt.Errorf("unknown algorithm %q", req.Algorithm)
+	}
+	start := s.probe.Now()
+	run, err := a.Run(ctx, alg.Spec{Record: true, Probe: s.probe}, req.N)
 	if err != nil {
 		return nil, err
+	}
+	if s.probe != nil {
+		key := core.TraceKey{Algorithm: req.Algorithm, N: req.N}.String()
+		s.probe.Span("store", "trace-compute", 0, start, map[string]any{"key": key, "record": true})
 	}
 	tr := run.Trace
 	const ctxWords, bWords = 8, 8
@@ -549,7 +550,11 @@ func (s *Server) analyzeCache(ctx context.Context, req Request, progress progres
 		if err != nil {
 			return nil, err
 		}
-		if err := cs.Step(rec); err != nil {
+		err = cs.Step(rec)
+		// The run is this job's own and CurveSim keeps no pair, so the
+		// step's pooled chunks go back for the next recorded run.
+		rec.Pairs.Release()
+		if err != nil {
 			return nil, err
 		}
 	}

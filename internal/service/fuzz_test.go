@@ -11,9 +11,10 @@ import (
 // FuzzRequestNormalize decodes arbitrary bytes as an analyze request the
 // way POST /v1/analyze does, then normalizes and keys it.  No step may
 // panic, and decoding plus normalizing must allocate within
-// tracetest.CheckAlloc's budget.  An accepted kind "network" request keeps every machine within
-// maxNetworkP, and normalizing is idempotent: an accepted request
-// normalizes again to the same key.
+// tracetest.CheckAlloc's budget.  An accepted kind "network" request
+// keeps every machine within maxNetworkP, an accepted kind "cache"
+// request carries no machines, and normalizing is idempotent: an
+// accepted request normalizes again to the same key.
 //
 // Run it with: go test -run '^$' -fuzz FuzzRequestNormalize -fuzztime 15s ./internal/service
 func FuzzRequestNormalize(f *testing.F) {
@@ -25,6 +26,7 @@ func FuzzRequestNormalize(f *testing.F) {
 		{Algorithm: "matmul", N: 6, Kind: KindTrace, Wait: true},
 		{Algorithm: "fft", N: 64, Kind: KindTrace, Machines: []MachineSpec{{P: 3}}},
 		{Algorithm: "stencil1", N: 256, Kind: KindCache},
+		{Algorithm: "fft", N: 256, Kind: KindCache, Machines: []MachineSpec{{P: 16, Sigma: 4}}},
 		{Algorithm: "fft", N: 512, Kind: KindDBSP},
 		{Kind: KindNetwork, Topology: "fattree", Strategy: "valiant", Seed: 11, Machines: []MachineSpec{{P: 64}}},
 		{Kind: KindNetwork, Topology: "torus3d", Machines: []MachineSpec{{P: 16}}},
@@ -53,6 +55,9 @@ func FuzzRequestNormalize(f *testing.F) {
 			return
 		}
 		key := req.Key()
+		if req.Kind == KindCache && len(req.Machines) > 0 {
+			t.Fatalf("a normalized cache request carries machines %v", req.Machines)
+		}
 		if req.Kind == KindNetwork {
 			for _, m := range req.Machines {
 				if m.P > maxNetworkP {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"netoblivious/internal/core"
-	"netoblivious/internal/harness"
 	"netoblivious/internal/obs"
 )
 
@@ -26,7 +25,7 @@ var queueWaitBuckets = []float64{0.25, 1, 4, 16, 64, 256, 1024, 4096, 16384}
 // obs.Registry, from which both /metrics renderings (Prometheus text and
 // the MetricsSnapshot JSON) are derived — one snapshot, two encodings,
 // so they can never disagree.  Values owned elsewhere (cache stats,
-// queue depth, spill counters) are registered as gauge callbacks in
+// queue depth) are registered as gauge callbacks in
 // (*Server).registerGauges rather than mirrored by writes.
 type metrics struct {
 	reg *obs.Registry
@@ -119,26 +118,6 @@ func (s *Server) registerGauges() {
 		func() float64 { return float64(s.sched.depth()) })
 	registerCacheGauges(reg, "nobld_cache", func() CacheStats { return cacheStats(s.results) })
 	registerCacheGauges(reg, "nobld_trace_cache", func() CacheStats { return cacheStats(s.traces.Store()) })
-	if _, ok := s.traces.SpillStats(); ok {
-		spill := func(read func(harness.SpillStats) float64) func() float64 {
-			return func() float64 {
-				sp, _ := s.traces.SpillStats()
-				return read(sp)
-			}
-		}
-		reg.GaugeFunc("nobld_trace_spill_resident", "trace-cache runs resident in memory",
-			spill(func(sp harness.SpillStats) float64 { return float64(sp.Resident) }))
-		reg.GaugeFunc("nobld_trace_spill_spilled", "trace-cache runs spilled to disk",
-			spill(func(sp harness.SpillStats) float64 { return float64(sp.Spilled) }))
-		reg.GaugeFunc("nobld_trace_spill_used_bytes", "estimated bytes of resident spillable traces",
-			spill(func(sp harness.SpillStats) float64 { return float64(sp.UsedBytes) }))
-		reg.GaugeFunc("nobld_trace_spill_budget_bytes", "trace spill memory budget",
-			spill(func(sp harness.SpillStats) float64 { return float64(sp.BudgetBytes) }))
-		reg.GaugeFunc("nobld_trace_spill_spills_total", "cumulative spill-to-disk operations",
-			spill(func(sp harness.SpillStats) float64 { return float64(sp.Spills) }))
-		reg.GaugeFunc("nobld_trace_spill_reloads_total", "cumulative page-back-in operations",
-			spill(func(sp harness.SpillStats) float64 { return float64(sp.Reloads) }))
-	}
 }
 
 // registerCacheGauges installs the five per-store gauges under prefix.
@@ -188,7 +167,6 @@ type MetricsSnapshot struct {
 	Requests   map[string]int64             `json:"requests"`
 	Results    CacheStats                   `json:"result_cache"`
 	Traces     CacheStats                   `json:"trace_cache"`
-	Spill      *harness.SpillStats          `json:"trace_spill,omitempty"`
 	QueueDepth int64                        `json:"queue_depth"`
 	Jobs       JobCounters                  `json:"jobs"`
 	Latency    map[string]HistogramSnapshot `json:"latency_ms"`
@@ -277,9 +255,6 @@ func (s *Server) metricsSnapshot(osnap obs.Snapshot) MetricsSnapshot {
 		},
 		Latency: map[string]HistogramSnapshot{},
 		Runs:    map[string]HistogramSnapshot{},
-	}
-	if sp, ok := s.traces.SpillStats(); ok {
-		snap.Spill = &sp
 	}
 	if f := osnap.Family("nobld_requests_total"); f != nil {
 		for _, ss := range f.Series {

@@ -1,13 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -33,20 +33,10 @@ type Config struct {
 	// analysis documents, including those a cluster node forwarded to
 	// their owner); 0 means 512, negative means unbounded.
 	CacheEntries int
-	// TraceEntries is the LRU capacity of the trace cache (memoized
-	// specification runs — the memory-heavy store); 0 means 64, negative
-	// means unbounded.  Ignored when TraceMemBudget is set.
+	// TraceEntries is the LRU capacity of the trace cache: one fold
+	// summary of a few KB per (algorithm, n), which the trace and dbsp
+	// kinds read; 0 means 64, negative means unbounded.
 	TraceEntries int
-	// TraceMemBudget, when positive, replaces the trace cache's
-	// count-based eviction with a memory budget (bytes of estimated
-	// trace footprint): least recently used runs beyond the budget spill
-	// to binary files under TraceSpillDir and page back in on demand
-	// instead of being recomputed.
-	TraceMemBudget int64
-	// TraceSpillDir is the spill directory for TraceMemBudget; empty
-	// means a fresh directory under os.TempDir().  The server does not
-	// remove it on shutdown.
-	TraceSpillDir string
 	// JobTimeout bounds each job's execution; 0 means 2 minutes.
 	JobTimeout time.Duration
 	// Logger receives the service's structured logs (access lines, job
@@ -211,25 +201,10 @@ type Server struct {
 }
 
 // New builds a Server and starts its worker pool.  Callers must Close
-// it.  It fails only on an unusable trace-spill configuration.
+// it.  It fails only on an unusable cluster configuration.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	traces := harness.NewBoundedTraceStore(cfg.TraceEntries)
-	if cfg.TraceMemBudget > 0 {
-		dir := cfg.TraceSpillDir
-		if dir == "" {
-			d, err := os.MkdirTemp("", "nobld-spill-")
-			if err != nil {
-				return nil, fmt.Errorf("service: trace spill dir: %w", err)
-			}
-			dir = d
-		}
-		ts, err := harness.NewSpillingTraceStore(cfg.TraceMemBudget, dir)
-		if err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
-		traces = ts
-	}
 	traces.SetProbe(cfg.Probe)
 	s := &Server{
 		cfg:     cfg,
@@ -358,11 +333,45 @@ type apiError struct {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	je := jsonEncoders.Get().(*jsonEncoder)
+	defer je.put()
 	w.Header().Set("Content-Type", "application/json")
+	if err := je.enc.Encode(v); err != nil {
+		w.WriteHeader(status)
+		return
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(je.buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(je.buf.Bytes())
+}
+
+// jsonEncoder is an indenting encoder over its own buffer.  Pooling the
+// pair reuses both the output buffer and the encoder's indent buffer
+// across responses: a cached answer is re-encoded on every hit, and
+// without the pool those two buffers are most of the bytes a hit
+// allocates.
+type jsonEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledEncoderBytes keeps one oversized response from pinning its
+// buffers in the pool.
+const maxPooledEncoderBytes = 1 << 20
+
+var jsonEncoders = sync.Pool{New: func() any {
+	je := &jsonEncoder{}
+	je.enc = json.NewEncoder(&je.buf)
+	je.enc.SetIndent("", "  ")
+	return je
+}}
+
+func (je *jsonEncoder) put() {
+	if je.buf.Cap() > maxPooledEncoderBytes {
+		return
+	}
+	je.buf.Reset()
+	jsonEncoders.Put(je)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {

@@ -1,11 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +16,7 @@ import (
 
 	"netoblivious/alg"
 	"netoblivious/internal/harness"
+	"netoblivious/internal/obs"
 )
 
 func copyBody(dst io.Writer, resp *http.Response) (int64, error) {
@@ -163,42 +166,86 @@ func TestWaitInlineAndCaching(t *testing.T) {
 	}
 }
 
-// TestTraceMemBudgetSpills runs trace analyses under a 1-byte trace
-// memory budget: every specification run spills to disk, later analyses
-// of the same key page it back in, and the answers match the
-// unconstrained server's.
-func TestTraceMemBudgetSpills(t *testing.T) {
-	dir := t.TempDir()
-	srv, c := newTestServer(t, Config{Workers: 2, TraceMemBudget: 1, TraceSpillDir: dir})
-	_, cRef := newTestServer(t, Config{Workers: 2})
+// TestTraceTierServesEveryKind sends trace, dbsp and cache for one
+// (algorithm, n).  The trace tier keeps one fold summary for the key,
+// computed by the first request and hit by the second; the cache kind
+// records its own run outside the tier.  Both runs appear as
+// trace-compute spans in the probe timeline.
+func TestTraceTierServesEveryKind(t *testing.T) {
+	probe := obs.NewProbe()
+	srv, c := newTestServer(t, Config{Workers: 2, Probe: probe})
 	ctx := context.Background()
-	for _, kind := range []Kind{KindTrace, KindDBSP, KindTrace} {
-		req := Request{Algorithm: "fft", N: 64, Kind: kind, Wait: true}
-		resp, err := c.Analyze(ctx, req)
+	for _, kind := range []Kind{KindTrace, KindDBSP, KindCache} {
+		resp, err := c.Analyze(ctx, Request{Algorithm: "fft", N: 64, Kind: kind, Wait: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.Status != "done" || resp.Document == nil {
-			t.Fatalf("%s under spill budget: %+v", kind, resp)
-		}
-		ref, err := cRef.Analyze(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := len(resp.Document.Records), len(ref.Document.Records); got != want {
-			t.Fatalf("%s: %d records under budget, %d without", kind, got, want)
+			t.Fatalf("%s: %+v", kind, resp)
 		}
 	}
-	st, ok := srv.traces.SpillStats()
-	if !ok {
-		t.Fatal("budgeted server is not using a spilling trace store")
+	if n := srv.traces.Len(); n != 1 {
+		t.Errorf("trace tier holds %d entries, want 1", n)
 	}
-	if st.Spills < 1 {
-		t.Errorf("spills = %d, want >= 1 under a 1-byte budget", st.Spills)
+	if st := srv.traces.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("trace tier stats %+v, want 1 miss + 1 hit", st)
 	}
-	snap := srv.metricsSnapshot(srv.metrics.reg.Snapshot())
-	if snap.Spill == nil {
-		t.Error("metrics snapshot missing trace_spill section")
+	var b bytes.Buffer
+	if err := probe.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Cat  string         `json:"cat"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	computes, recorded := 0, 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Cat == "store" && ev.Name == "trace-compute" && ev.Ph == "X" {
+			computes++
+			if ev.Args["record"] == true {
+				recorded++
+			}
+		}
+	}
+	if computes != 2 || recorded != 1 {
+		t.Errorf("%d trace-compute spans (%d recorded), want 2 (1 recorded)", computes, recorded)
+	}
+}
+
+// TestCacheKindIgnoresMachines: the miss curve reads no machine, so a
+// cache request with a machine list is answered from the entry of the
+// same request without one.  An invalid machine is still refused.
+func TestCacheKindIgnoresMachines(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	req := Request{Algorithm: "fft", N: 256, Kind: KindCache, Wait: true}
+	first, err := c.Analyze(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Machines = []MachineSpec{{P: 16, Sigma: 4}}
+	second, err := c.Analyze(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.Cached || second.Document == nil {
+		t.Fatalf("cache request with machines not served from cache: %+v", second)
+	}
+	a, _ := json.Marshal(first.Document.Records)
+	b, _ := json.Marshal(second.Document.Records)
+	if !bytes.Equal(a, b) {
+		t.Errorf("records differ:\n%s\n%s", a, b)
+	}
+	req.Machines = []MachineSpec{{P: 3}}
+	if _, err := c.Analyze(ctx, req); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+		t.Errorf("invalid machine p=3: %v, want HTTP 400", err)
 	}
 }
 
@@ -753,4 +800,31 @@ func jobCounts(t *testing.T, c *Client) (running, done int) {
 		t.Fatal(err)
 	}
 	return int(snap.Jobs.Running), int(snap.Jobs.Done)
+}
+
+// TestWriteJSONMatchesEncoder: the pooled encoder writes the bytes a
+// fresh indenting json.Encoder writes, with a matching Content-Length,
+// including after the pooled buffers served a larger response.
+func TestWriteJSONMatchesEncoder(t *testing.T) {
+	res := &harness.Result{ID: "x", Title: "t", Columns: []string{"a", "b"}}
+	res.AddRow(1, 2.5)
+	res.AddRow("s", 1e-9)
+	big := Response{Schema: ResponseSchema, Status: "done", Document: &harness.Document{
+		Schema: harness.DocumentSchema, Records: []harness.Record{{ID: "x", Results: []*harness.Result{res}}}}}
+	for _, v := range []any{big, apiError{Error: "small"}, big} {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusTeapot, v)
+		if rec.Code != http.StatusTeapot || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			t.Fatalf("writeJSON wrote %d %q, want %q", rec.Code, rec.Body.Bytes(), want.Bytes())
+		}
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(want.Len()) {
+			t.Errorf("Content-Length %q, want %d", got, want.Len())
+		}
+	}
 }
