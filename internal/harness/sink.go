@@ -101,7 +101,7 @@ func (v Value) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON implements json.Unmarshaler, rejecting cells that do not
 // carry exactly one kind.
 func (v *Value) UnmarshalJSON(data []byte) error {
-	if cell, ok := decodeCanonicalCell(data); ok {
+	if cell, ok := decodeCell(data); ok {
 		*v = cell
 		return nil
 	}
@@ -128,105 +128,48 @@ func (v *Value) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// decodeCanonicalCell decodes the three forms MarshalJSON writes —
-// {"i":N}, {"f":X} and {"s":"text"} with no escape in the text, with or
-// without indentation — without a reflective Unmarshal per cell.  ok is
-// false for every other input, which then takes encoding/json's path,
-// so the accepted values are exactly those that path would produce.
-func decodeCanonicalCell(data []byte) (Value, bool) {
-	data = bytes.TrimLeft(data, jsonSpace)
-	if len(data) < 1 || data[0] != '{' {
+// decodeCell parses the cells MarshalJSON writes, {"i":N}, {"f":X} and
+// {"s":"text"} with no escape in the text, indented or not, without a
+// reflective Unmarshal per cell.  ok is false for every other input,
+// which then takes the reflective path.  encoding/json hands an
+// Unmarshaler one valid JSON value, so what follows the colon is JSON
+// too, and strconv accepts a number there exactly when the reflective
+// path would.
+func decodeCell(data []byte) (Value, bool) {
+	b := bytes.TrimSpace(data)
+	if len(b) < 2 || b[0] != '{' || b[len(b)-1] != '}' {
 		return Value{}, false
 	}
-	data = bytes.TrimLeft(data[1:], jsonSpace)
-	if len(data) < 3 || data[0] != '"' || data[2] != '"' {
+	b = bytes.TrimSpace(b[1 : len(b)-1])
+	if len(b) < 4 || b[0] != '"' || b[2] != '"' {
 		return Value{}, false
 	}
-	kind := data[1]
-	data = bytes.TrimLeft(data[3:], jsonSpace)
-	if len(data) < 1 || data[0] != ':' {
+	kind := b[1]
+	b = bytes.TrimSpace(b[3:])
+	if len(b) < 2 || b[0] != ':' {
 		return Value{}, false
 	}
-	body := bytes.TrimRight(data[1:], jsonSpace)
-	if len(body) < 1 || body[len(body)-1] != '}' {
-		return Value{}, false
-	}
-	body = bytes.Trim(body[:len(body)-1], jsonSpace)
+	val := bytes.TrimSpace(b[1:])
 	switch kind {
 	case 'i':
-		if !isJSONNumber(body, false) {
-			return Value{}, false
+		if i, err := strconv.ParseInt(string(val), 10, 64); err == nil {
+			return Int(i), true
 		}
-		i, err := strconv.ParseInt(string(body), 10, 64)
-		if err != nil {
-			return Value{}, false
-		}
-		return Int(i), true
 	case 'f':
-		if !isJSONNumber(body, true) {
-			return Value{}, false
+		if f, err := strconv.ParseFloat(string(val), 64); err == nil {
+			return Float(f), true
 		}
-		f, err := strconv.ParseFloat(string(body), 64)
-		if err != nil {
-			return Value{}, false
-		}
-		return Float(f), true
 	case 's':
-		if len(body) < 2 || body[0] != '"' || body[len(body)-1] != '"' {
-			return Value{}, false
+		// Without an escape, the text is the bytes between the quotes;
+		// invalid UTF-8 is left for the reflective path to replace.
+		if len(val) < 2 || val[0] != '"' {
+			break
 		}
-		text := body[1 : len(body)-1]
-		for _, c := range text {
-			if c == '"' || c == '\\' || c < 0x20 {
-				return Value{}, false
-			}
+		if text := val[1 : len(val)-1]; !bytes.ContainsAny(text, `"\`) && utf8.Valid(text) {
+			return String(string(text)), true
 		}
-		if !utf8.Valid(text) {
-			return Value{}, false
-		}
-		return String(string(text)), true
 	}
 	return Value{}, false
-}
-
-// jsonSpace is the JSON whitespace set.
-const jsonSpace = " \t\n\r"
-
-// isJSONNumber reports whether b is a JSON number: -?(0|[1-9][0-9]*),
-// then, when frac is set, an optional fraction and exponent.
-func isJSONNumber(b []byte, frac bool) bool {
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	digits := func() int {
-		start := i
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-		return i - start
-	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if digits() == 0 {
-		return false
-	}
-	if frac && i < len(b) && b[i] == '.' {
-		i++
-		if digits() == 0 {
-			return false
-		}
-	}
-	if frac && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if digits() == 0 {
-			return false
-		}
-	}
-	return i == len(b)
 }
 
 // Text renders the result as an aligned plain-text table with notes and

@@ -111,9 +111,10 @@ func TestValueJSONKinds(t *testing.T) {
 }
 
 // TestValueJSONMatchesReflective holds the direct cell codec to the
-// reflective one it replaces: every cell encodes to the bytes
-// json.Marshal of its valueDTO gives, and every input decodes to the
-// value (or the failure) json.Unmarshal into a valueDTO gives.
+// reflective one: every cell encodes to the bytes json.Marshal of its
+// valueDTO gives, and every input, including the indented cells a
+// served document carries, decodes through json.Unmarshal to the value
+// (or the failure) json.Unmarshal into a valueDTO gives.
 func TestValueJSONMatchesReflective(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	vals := []Value{Int(0), Int(-1), Int(math.MaxInt64), Int(math.MinInt64), String(""), String("<a&b>"),
@@ -144,7 +145,9 @@ func TestValueJSONMatchesReflective(t *testing.T) {
 		`{"i":-}`, `{"i":+1}`, `{"f":.5}`, `{"f":1.}`, `{"f":1e}`, `{"f":1e+}`, `{"f":-1.5E-3}`, `{"f":1e400}`,
 		`{"f":0.000001}`, `{"s":""}`, `{"s":"a\"b"}`, `{"s":"a\\b"}`, `{"s":"\u00e9"}`, "{\"s\":\"\xff\"}",
 		"{\"s\":\"a\tb\"}", `{"s":1}`, `{"i":"1"}`, `{"I":3}`, `{"x":3}`, `{"s":"a","s":"b"}`, `{ "i":1}`,
-		"{\n  \"f\": 2.5\n}", "\t{\"s\" :\r\"x\" } ", `{"s":"a" "b"}`, `{"i":1 2}`, `{"i"::1}`, `{"f":}`, `{"s":"}`}
+		"{\n  \"f\": 2.5\n}", "\t{\"s\" :\r\"x\" } ", `{"s":"a" "b"}`, `{"i":1 2}`, `{"i"::1}`, `{"f":}`, `{"s":"}`,
+		`{"f":"1"}`, `{"f":null}`, `{"i":true}`, `{"f":{"f":1}}`, `{"i":1,"i":2}`, `{"s":"a","i":1}`, `{"s":"a\u0000"}`,
+		"{\"i\":\v1}", `{"s":"`, `{"s"}`, `{"s":}`, `{"s":""`, `null`, `[]`, `{}`}
 	for _, v := range vals {
 		data, _ := v.MarshalJSON()
 		var indented bytes.Buffer
@@ -154,7 +157,7 @@ func TestValueJSONMatchesReflective(t *testing.T) {
 	}
 	for _, in := range inputs {
 		var got Value
-		err := got.UnmarshalJSON([]byte(in))
+		err := json.Unmarshal([]byte(in), &got)
 		var dto valueDTO
 		refErr := json.Unmarshal([]byte(in), &dto)
 		var want Value

@@ -132,31 +132,11 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*htt
 		return nil, nil, fmt.Errorf("service client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := readBody(resp)
+	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service client: reading %s: %w", path, err)
 	}
 	return resp, data, nil
-}
-
-// maxSizedBody bounds the up-front allocation readBody makes on the
-// word of a Content-Length header.
-const maxSizedBody = 64 << 20
-
-// readBody reads the whole response body.  A declared length sizes the
-// buffer once instead of growing it by doubling; the declared length is
-// only trusted up to maxSizedBody, and a body shorter than declared is
-// an error, as io.ReadAll would report from the transport.
-func readBody(resp *http.Response) ([]byte, error) {
-	n := resp.ContentLength
-	if n <= 0 || n > maxSizedBody {
-		return io.ReadAll(resp.Body)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(resp.Body, data); err != nil {
-		return nil, err
-	}
-	return data, nil
 }
 
 // doJSON performs one request and decodes the JSON response into out,
