@@ -50,8 +50,9 @@ type Spec struct {
 	// change scheduling cost only, and every engine produces the
 	// identical trace for a valid program.
 	Engine core.Engine
-	// Record enables message-pair recording in the trace, which the
-	// cache-simulation analyses require and everything else skips.
+	// Record enables message-pair recording in each superstep record,
+	// which the cache simulation and the trace codecs need and
+	// everything else skips; with Sink, one step's pairs at a time.
 	Record bool
 	// Wise adds the paper's dummy messages where the algorithm supports
 	// them, making it (Θ(1), v)-wise (Definition 3.2).  Algorithms
@@ -60,11 +61,11 @@ type Spec struct {
 	// Ctx cancels the specification-model run at superstep granularity;
 	// nil disables cancellation.
 	Ctx context.Context
-	// Sink streams the trace out of the run superstep by superstep
-	// instead of accumulating it in memory, bounding peak memory by the
-	// largest superstep rather than the whole trace (see
+	// Sink receives each superstep record as the run completes it —
+	// a codec writer, a file, or the cache simulator — bounding peak
+	// memory by the largest superstep rather than the whole trace (see
 	// core.Options.Sink).  The Result then carries a metadata-only
-	// Trace.  nil keeps the in-memory default.
+	// Trace.  nil collects the records in Result.Trace.Steps.
 	Sink core.TraceSink
 	// Probe records per-superstep engine spans for timeline export (see
 	// core.Options.Probe and `nobl prof`).  nil — the default — disables

@@ -53,6 +53,8 @@ func checkV(v int) error {
 // i-superstep) doubles the informed set from the v/2^i-strided
 // representatives to the v/2^{i+1}-strided ones.  Network-oblivious: no
 // machine parameter appears.
+//
+//nob:deterministic
 func Oblivious(v int, value int64, opts Options) (*Result, error) {
 	if err := checkV(v); err != nil {
 		return nil, err

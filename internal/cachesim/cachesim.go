@@ -92,18 +92,16 @@ type CurveSim struct {
 
 // NewCurveSim builds a single-pass simulator for a machine of v VPs
 // over the given cache sizes (words); B is the line length in words and
-// every size must be a positive multiple of it.
+// every size must be a positive multiple of it.  A run's BeginTrace
+// re-sizes it, so a sink may be built before its machine is known.
 func NewCurveSim(v, ctxWords, bWords int, sizes []int) (*CurveSim, error) {
 	if ctxWords < 1 {
 		return nil, fmt.Errorf("cachesim: ctxWords must be positive")
 	}
-	if v < 1 {
-		return nil, fmt.Errorf("cachesim: invalid machine width v=%d", v)
-	}
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("cachesim: empty cache-size sweep")
 	}
-	cs := &CurveSim{v: v, ctxWords: ctxWords, region: int64(ctxWords) + 1, bWords: int64(bWords),
+	cs := &CurveSim{ctxWords: ctxWords, region: int64(ctxWords) + 1, bWords: int64(bWords),
 		sizes: sizes, capIdx: make([]int, len(sizes)), head: -1, tail: -1}
 	uniq := map[int]bool{}
 	for _, m := range sizes {
@@ -119,12 +117,9 @@ func NewCurveSim(v, ctxWords, bWords int, sizes []int) (*CurveSim, error) {
 	for i, m := range sizes {
 		cs.capIdx[i] = sort.SearchInts(cs.caps, m/bWords)
 	}
-	// Lines are int32 indices.
-	if cs.region > math.MaxInt64/int64(v) || (cs.Words()-1)/cs.bWords >= math.MaxInt32 {
-		return nil, fmt.Errorf("cachesim: footprint of v=%d VPs of %d words exceeds %d lines of %d words",
-			v, cs.region, math.MaxInt32, bWords)
+	if err := cs.BeginTrace(v, 0); err != nil {
+		return nil, err
 	}
-	cs.lines = int((cs.Words()-1)/cs.bWords + 1)
 	cs.markers = make([]int32, len(cs.caps))
 	for i := range cs.markers {
 		cs.markers[i] = -1
@@ -132,6 +127,35 @@ func NewCurveSim(v, ctxWords, bWords int, sizes []int) (*CurveSim, error) {
 	cs.hits = make([]int64, len(cs.caps))
 	return cs, nil
 }
+
+// BeginTrace implements core.TraceSink: it sizes the simulator for a
+// machine of v VPs (logV is not needed), which the first Step fixes.
+func (cs *CurveSim) BeginTrace(v, logV int) error {
+	if cs.band != nil {
+		return fmt.Errorf("cachesim: BeginTrace after the first step")
+	}
+	if v < 1 {
+		return fmt.Errorf("cachesim: invalid machine width v=%d", v)
+	}
+	// Lines are int32 indices.
+	if cs.region > math.MaxInt64/int64(v) || (int64(v)*cs.region-1)/cs.bWords >= math.MaxInt32 {
+		return fmt.Errorf("cachesim: footprint of v=%d VPs of %d words exceeds %d lines of %d words",
+			v, cs.region, math.MaxInt32, cs.bWords)
+	}
+	cs.v = v
+	cs.lines = int((cs.Words()-1)/cs.bWords + 1)
+	return nil
+}
+
+// WriteStep implements core.TraceSink: Step, then release the pairs.
+func (cs *CurveSim) WriteStep(rec core.StepRec) error {
+	err := cs.Step(&rec)
+	rec.Pairs.Release()
+	return err
+}
+
+// EndTrace implements core.TraceSink.
+func (cs *CurveSim) EndTrace(runErr error) error { return nil }
 
 func (cs *CurveSim) pushFront(l int32) {
 	cs.prev[l] = -1

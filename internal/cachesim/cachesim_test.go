@@ -383,3 +383,42 @@ func TestCurveSimAllocatesOnFirstStep(t *testing.T) {
 		}
 	}
 }
+
+// TestCurveSimAsSink: a CurveSim passed as the run's sink, built before
+// the machine is known, reads the same curve as MissCurve over the
+// in-memory recording of the same run, and refuses a second machine
+// once it has simulated a step.
+func TestCurveSimAsSink(t *testing.T) {
+	x := make([]complex128, 256)
+	for i := range x {
+		x[i] = complex(float64(i%7), 0)
+	}
+	sizes := []int{1 << 7, 1 << 9, 1 << 11}
+	mem, err := fft.Transform(x, fft.Options{Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := MissCurve(mem.Trace.Source(), 4, 8, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewCurveSim(1, 4, 8, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := fft.Transform(x, fft.Options{Record: true, Sink: cs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Trace.Steps) != 0 || run.Trace.NumSupersteps() != mem.Trace.NumSupersteps() {
+		t.Errorf("streamed run kept %d steps and counted %d, want 0 and %d",
+			len(run.Trace.Steps), run.Trace.NumSupersteps(), mem.Trace.NumSupersteps())
+	}
+	if !slices.Equal(cs.Misses(), ref.Misses()) || cs.Accesses() != ref.Accesses() || cs.Words() != ref.Words() {
+		t.Errorf("sink misses %v accesses %d words %d, MissCurve %v %d %d",
+			cs.Misses(), cs.Accesses(), cs.Words(), ref.Misses(), ref.Accesses(), ref.Words())
+	}
+	if err := cs.BeginTrace(512, 9); err == nil {
+		t.Error("BeginTrace after the first step succeeded")
+	}
+}

@@ -20,6 +20,8 @@ import (
 // — a log p·log n/(log n/log(n/p))^{log_{3/2}4}... in particular a
 // Θ(log²p) factor off the Lemma 4.7 lower bound at p = n^Θ(1), whereas
 // Columnsort is Θ(1)-optimal there (experiment E13).
+//
+//nob:deterministic
 func SortBitonic(keys []int64, opts Options) (*Result, error) {
 	n := len(keys)
 	if n < 1 || n&(n-1) != 0 {

@@ -82,6 +82,8 @@ func Shape(size int) (r, s int) {
 
 // Sort runs the network-oblivious Columnsort on M(n), n = len(keys),
 // with the default brute-force base-case size of 8.
+//
+//nob:deterministic
 func Sort(keys []int64, opts Options) (*Result, error) {
 	return SortBase(keys, 0, opts)
 }

@@ -69,18 +69,18 @@
 //
 // # Streaming traces
 //
-// By default a run accumulates its whole Trace in memory.  For input
-// sizes whose trace exceeds RAM, Options.Sink streams it instead: every
-// engine hands each completed StepRec to the TraceSink at the barrier
-// that completes it and retains nothing, so the run's peak trace
-// footprint is the largest superstep, not the total.  The sink side of
-// the pipeline:
+// Every run records through one pending window, which a superstep
+// leaves, in order, once every VP has completed it: into Trace.Steps,
+// or, under Options.Sink, into the TraceSink with nothing retained, so
+// the run's peak trace footprint is the largest superstep, not the
+// total.  The sink side of the pipeline:
 //
 //   - TraceSink implementations: an accumulating *Trace (the in-memory
 //     default expressed as a sink), DiscardSink (measurement), the
-//     codec writers TraceJSONWriter and TraceBinaryWriter, and
+//     codec writers TraceJSONWriter and TraceBinaryWriter,
 //     TraceFileSink (atomic tmp-and-rename file output in either
-//     format, discarding partial output when the run fails);
+//     format, discarding partial output when the run fails), and
+//     cachesim.CurveSim, which simulates each step as it arrives;
 //   - the streamed JSON is byte-identical to Trace.EncodeJSON of the
 //     same run, so stored traces are indistinguishable from in-memory
 //     encodes; the binary format ("NOBTRC01") is the compact binary
@@ -96,12 +96,11 @@
 //     accumulator that is the only derivation of S_i(n) and F_i(n,p) —
 //     H(n,p,σ), wiseness, fullness and the D-BSP communication time
 //     (the eval metrics, dbsp.CommTimeSummary) are computed from it
-//     alone, never from the steps — and the cache simulator's
-//     single-pass sweep (cachesim.MissCurve) consumes records the same
-//     way;
+//     alone, never from the steps — and cachesim.MissCurve drives the
+//     cache simulator over a source the same way;
 //   - released pair records recycle their chunk storage through an
-//     internal pool, so a streaming recorded run reaches a steady state
-//     with near-zero pair allocation.
+//     internal pool, so a recorded run into a releasing sink reaches a
+//     steady state with near-zero pair allocation.
 //
 // Sinks see BeginTrace exactly once, WriteStep per superstep in order,
 // and EndTrace exactly once with the run's error — see the TraceSink
@@ -115,15 +114,16 @@
 //   - message delivery is deterministic — the messages a VP finds in its
 //     inbox are ordered by (source VP, send order);
 //   - the recorded Trace is identical: Steps, Labels, Degrees at every
-//     fold, and Messages match entry for entry (StepRec.Pairs is
-//     order-free on every engine; its multiset is identical);
+//     fold, and Messages match entry for entry, and StepRec.Pairs holds
+//     the same multiset — on the BlockEngine, in the same order (source
+//     VP, then send order), so its recorded bytes are stable;
 //   - invalid programs (cluster-escaping messages, divergent label
 //     sequences, uneven superstep counts, panics) are reported as errors
 //     on every engine, never hangs — the engines may detect a violation
 //     at different points, so only the error class is portable.
 //
-// The cross-engine equivalence tests (core and harness packages) enforce
-// all three properties on every algorithm in the repository.
+// The cross-engine equivalence and recorded-bytes tests (core and
+// harness packages) enforce them on every algorithm in the repository.
 //
 // # Probe contract
 //
@@ -165,7 +165,8 @@
 //	invariant                                          analyzer   annotation
 //	-------------------------------------------------  ---------  ------------------
 //	deterministic outputs (codec writers, Route*,       maporder   //nob:deterministic
-//	  /metrics and Chrome-trace renderers) never
+//	  /metrics and Chrome-trace renderers, every
+//	  registry algorithm's entry point) never
 //	  iterate a map unsorted
 //	every exported *obs.Probe method begins with a      nilprobe   //nob:nilsafe
 //	  nil-receiver guard (the nil-probe guarantee)

@@ -26,10 +26,10 @@ type staged[P any] struct {
 
 // Options configures a run of an algorithm on M(v).
 type Options struct {
-	// RecordMessages stores the (src, dst) pair of every message in the
-	// Trace.  It is required by the executable ascend–descend protocol
-	// and by debugging tools, and costs memory proportional to the total
-	// message count.
+	// RecordMessages stores the (src, dst) pair of every message in its
+	// superstep's record, as the cache simulation and the executable
+	// ascend–descend protocol need.  Without a Sink the Trace keeps them
+	// all, costing memory proportional to the total message count.
 	RecordMessages bool
 
 	// Engine selects the execution engine.  nil uses BlockEngine{}; tests
@@ -46,14 +46,14 @@ type Options struct {
 	// cancellation.
 	Context context.Context
 
-	// Sink streams the trace instead of accumulating it: every completed
-	// superstep record is handed to the sink at the barrier completing
-	// it, and RunOpt returns a metadata-only Trace (dimensions plus
-	// NumSupersteps/TotalMessages counters, empty Steps).  With a
-	// file-backed sink a run's peak memory is O(largest superstep)
-	// rather than O(total messages), which is what lets `nobl trace`
-	// record sizes whose full Trace would not fit in RAM.  nil keeps the
-	// classic accumulate-in-memory behaviour.
+	// Sink receives every superstep record, in order, at the barrier
+	// completing it, and RunOpt returns a metadata-only Trace
+	// (dimensions plus NumSupersteps/TotalMessages counters, empty
+	// Steps).  A run's peak trace memory is then O(largest superstep)
+	// rather than O(total messages), which lets `nobl trace` record
+	// sizes whose full Trace would not fit in RAM and the cache
+	// simulation replay a run as it executes.  nil appends the records
+	// to Trace.Steps instead.
 	Sink TraceSink
 
 	// Probe records per-superstep spans and engine events for timeline
@@ -506,11 +506,11 @@ func RunOpt[P any](v int, prog Program[P], opts Options) (*Trace, error) {
 				return fmt.Errorf("core: VPs executed different numbers of supersteps (%d vs %d on VP %d)", steps, m.vps[i].step, m.vps[i].id)
 			}
 		}
-		if got := m.trace.recordedSteps(); got != steps {
-			return fmt.Errorf("core: internal error: %d supersteps executed but %d recorded", steps, got)
-		}
 		if pending := m.trace.pendingSteps(); pending != 0 {
 			return fmt.Errorf("core: internal error: %d supersteps still pending after the run completed", pending)
+		}
+		if got := m.trace.NumSupersteps(); got != steps {
+			return fmt.Errorf("core: internal error: %d supersteps executed but %d recorded", steps, got)
 		}
 		return nil
 	}()

@@ -23,11 +23,11 @@ type pairChunk struct {
 	pooled   bool
 }
 
-// pairChunkPool recycles full-size chunks so a streaming run — where a
-// sink consumes and Releases each superstep's pairs at the barrier —
-// stops allocating two fresh 16 KiB columns per 4096 messages per
-// superstep.  Non-streaming runs retain their traces, never Release,
-// and simply bypass the pool's benefit.
+// pairChunkPool recycles full-size chunks so a run into a sink that
+// Releases each superstep's pairs at the barrier (the codec writers,
+// DiscardSink, the cache simulator) stops allocating two fresh 16 KiB
+// columns per 4096 messages per superstep.  A run without a sink keeps
+// every record in Trace.Steps, never Releases, and draws fresh chunks.
 var pairChunkPool = sync.Pool{New: func() any {
 	return &pairChunk{
 		src:    make([]int32, 0, pairChunkLen),
@@ -80,8 +80,7 @@ func newPairChunk(hint int) *pairChunk {
 // are left for the garbage collector.  Releasing a nil or empty list is
 // a no-op; releasing the same pairs twice is a caller bug that corrupts
 // the pool, which is why only owners of a whole record call this: the
-// codec sinks, and the service's cache analysis once it has simulated
-// a step of its own recorded run.
+// codec sinks, DiscardSink and the cache simulator's WriteStep.
 func (p *PairList) Release() {
 	if p == nil {
 		return
@@ -147,8 +146,8 @@ func (p *PairList) Splice(other *PairList) {
 }
 
 // All iterates the pairs in append order (across spliced shards, shard
-// order).  No order is guaranteed between runs — pairs are a multiset;
-// see the Trace documentation.
+// order).  For a record of a BlockEngine run that is source VP, then
+// send order, the same in every run; see StepRec.Pairs.
 func (p *PairList) All() iter.Seq2[int32, int32] {
 	return func(yield func(int32, int32) bool) {
 		if p == nil {

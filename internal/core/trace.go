@@ -31,9 +31,11 @@ type StepRec struct {
 	// and self-messages) exchanged in the superstep across the machine.
 	Messages int64
 
-	// Pairs lists the (src, dst) of every message of the superstep, in no
-	// particular order; both lie in [0, v), which the trace decoders
-	// check.  Populated only under Options.RecordMessages.
+	// Pairs lists the (src, dst) of every message of the superstep; both
+	// lie in [0, v), which the trace decoders check.  The BlockEngine
+	// orders them by source VP, then send order, at every worker count
+	// (the GoroutineEngine orders clusters by barrier completion).
+	// Populated only under Options.RecordMessages.
 	// The chunked columnar representation keeps recording message-heavy
 	// supersteps from repeatedly re-growing (and transiently doubling)
 	// one flat slice.
@@ -50,35 +52,29 @@ type Trace struct {
 	V int
 	// LogV is log2(V) (0 when V == 1).
 	LogV int
-	// Steps holds one record per superstep, in superstep order.  In
-	// streaming mode (Options.Sink) it is only the pending window of
-	// supersteps not yet completed by every VP; finished records are
-	// flushed to the sink and removed.
+	// Steps holds one record per superstep, in superstep order.  A run
+	// with Options.Sink hands every record to the sink instead and leaves
+	// Steps empty.
 	Steps []StepRec
 
 	mu sync.Mutex
 
-	// Streaming state, used only when sink is non-nil.  base is the
-	// superstep index of Steps[0]; seen[i] counts the VPs whose cluster
-	// has merged into Steps[i]; flushed and flushedMsgs summarize the
-	// records already handed to the sink, keeping NumSupersteps and
+	// The pending window: window[i] is superstep base+i and seen[i]
+	// counts the VPs merged into it.  flushed and flushedMsgs summarize
+	// the records handed to sink, keeping NumSupersteps and
 	// TotalMessages valid on the metadata-only Trace a streaming run
 	// returns.
-	sink        TraceSink
-	base        int
+	window      []StepRec
 	seen        []int
+	base        int
+	sink        TraceSink
 	flushed     int
 	flushedMsgs int64
 
-	// Probe state, used only when probe is non-nil (Options.Probe).  A
-	// superstep's span ends when every VP has merged into its record;
-	// probeSeen counts merged VPs per pending step outside streaming mode
-	// (streaming mode reuses seen), probeDone is the next step to emit,
-	// and probeLast is the end time of the previous span — so spans tile
-	// the run without gaps.
+	// probe, when non-nil (Options.Probe), receives one span per
+	// superstep as the step leaves the window; probeLast is the end time
+	// of the previous span, so spans tile the run without gaps.
 	probe     *obs.Probe
-	probeSeen []int
-	probeDone int
 	probeLast time.Time
 }
 
@@ -87,29 +83,26 @@ func newTrace(v, logV int) *Trace {
 }
 
 // merge folds the metrics of one cluster's barrier completion into the
-// global per-superstep record.  levelMax is indexed by j-label-1 for
-// j in (label, logV]; vps is the number of VPs in the merging cluster,
-// which is how streaming mode knows a superstep is complete (all V VPs
-// accounted for) and can be flushed to the sink.  The GoroutineEngine
-// merges once per cluster — clusters run ahead of each other, so the
-// pending window can transiently hold a few supersteps — while the
-// BlockEngine merges whole supersteps and keeps the window at one.
-// Pairs are built by the engines outside the lock and spliced in here —
-// an O(chunks) pointer move, never a per-pair copy.
+// pending window.  levelMax is indexed by j-label-1 for j in (label,
+// logV]; vps is the number of VPs in the merging cluster, which is how
+// the window knows a superstep is complete (all V VPs accounted for).
+// The GoroutineEngine merges once per cluster — clusters run ahead of
+// each other, so the window can transiently hold a few supersteps —
+// while the BlockEngine merges whole supersteps and keeps the window at
+// one.  Pairs are built by the engines outside the lock and spliced in
+// here — an O(chunks) pointer move, never a per-pair copy.
 func (t *Trace) merge(step, label int, levelMax []int64, msgs int64, pairs *PairList, vps int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	idx := step - t.base
 	if idx < 0 {
-		return fmt.Errorf("core: internal error: superstep %d merged after being flushed to the trace sink", step)
+		return fmt.Errorf("core: internal error: superstep %d merged after leaving the pending window", step)
 	}
-	for len(t.Steps) <= idx {
-		t.Steps = append(t.Steps, StepRec{Label: -1, Degree: make([]int64, t.LogV+1)})
-		if t.sink != nil {
-			t.seen = append(t.seen, 0)
-		}
+	for len(t.window) <= idx {
+		t.window = append(t.window, StepRec{Label: -1, Degree: make([]int64, t.LogV+1)})
+		t.seen = append(t.seen, 0)
 	}
-	rec := &t.Steps[idx]
+	rec := &t.window[idx]
 	if rec.Label == -1 {
 		rec.Label = label
 	} else if rec.Label != label {
@@ -127,19 +120,6 @@ func (t *Trace) merge(step, label int, levelMax []int64, msgs int64, pairs *Pair
 			rec.Pairs = &PairList{}
 		}
 		rec.Pairs.Splice(pairs)
-	}
-	if t.sink == nil {
-		if t.probe != nil {
-			for len(t.probeSeen) <= idx {
-				t.probeSeen = append(t.probeSeen, 0)
-			}
-			t.probeSeen[idx] += vps
-			for t.probeDone < len(t.probeSeen) && t.probeSeen[t.probeDone] >= t.V {
-				t.probeStepDoneLocked(t.probeDone, &t.Steps[t.probeDone])
-				t.probeDone++
-			}
-		}
-		return nil
 	}
 	t.seen[idx] += vps
 	return t.flushLocked()
@@ -160,60 +140,50 @@ func (t *Trace) probeStepDoneLocked(step int, rec *StepRec) {
 	})
 }
 
-// flushLocked writes the completed prefix of the pending window to the
-// sink, in superstep order, and shifts the window.
+// flushLocked delivers the completed prefix of the pending window, in
+// superstep order: to Steps, or to the sink when the run has one.
 func (t *Trace) flushLocked() error {
-	for len(t.Steps) > 0 && t.seen[0] >= t.V {
+	for len(t.window) > 0 && t.seen[0] >= t.V {
 		if t.seen[0] > t.V {
 			return fmt.Errorf("core: internal error: superstep %d merged %d VPs on a machine of %d", t.base, t.seen[0], t.V)
 		}
-		rec := t.Steps[0]
+		rec := t.window[0]
 		if t.probe != nil {
 			t.probeStepDoneLocked(t.base, &rec)
 		}
-		if err := t.sink.WriteStep(rec); err != nil {
-			return fmt.Errorf("core: trace sink: %w", err)
+		if t.sink == nil {
+			t.Steps = append(t.Steps, rec)
+		} else {
+			if err := t.sink.WriteStep(rec); err != nil {
+				return fmt.Errorf("core: trace sink: %w", err)
+			}
+			t.flushed++
+			t.flushedMsgs += rec.Messages
 		}
-		t.flushed++
-		t.flushedMsgs += rec.Messages
 		t.base++
-		n := copy(t.Steps, t.Steps[1:])
-		t.Steps[n] = StepRec{}
-		t.Steps = t.Steps[:n]
-		m := copy(t.seen, t.seen[1:])
-		t.seen = t.seen[:m]
+		t.window[0] = StepRec{}
+		t.window, t.seen = t.window[1:], t.seen[1:]
 	}
 	return nil
 }
 
-// recordedSteps returns the number of complete supersteps the trace has
-// accounted for (flushed plus pending), under the lock.
-func (t *Trace) recordedSteps() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.flushed + len(t.Steps)
-}
-
-// pendingSteps returns the size of the streaming window: supersteps
-// merged by some but not all VPs.  Zero outside streaming mode and at
-// the end of every successful streaming run.
+// pendingSteps returns the size of the pending window: supersteps
+// merged by some but not all VPs.  Zero at the end of every successful
+// run.
 func (t *Trace) pendingSteps() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.sink == nil {
-		return 0
-	}
-	return len(t.Steps)
+	return len(t.window)
 }
 
 // NumSupersteps returns the number of supersteps executed.  On the
 // metadata-only Trace returned by a streaming run it counts the steps
-// flushed to the sink.
+// handed to the sink.
 func (t *Trace) NumSupersteps() int { return t.flushed + len(t.Steps) }
 
 // TotalMessages returns the total number of messages exchanged during the
 // run, including dummy messages and, in streaming mode, the messages of
-// every step already flushed to the sink.
+// every step handed to the sink.
 func (t *Trace) TotalMessages() int64 {
 	tot := t.flushedMsgs
 	for i := range t.Steps {

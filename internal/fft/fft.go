@@ -103,6 +103,8 @@ func validate(x []complex128) error {
 }
 
 // Transform runs the recursive network-oblivious n-FFT on M(n), n = len(x).
+//
+//nob:deterministic
 func Transform(x []complex128, opts Options) (*Result, error) {
 	if err := validate(x); err != nil {
 		return nil, err
@@ -201,6 +203,8 @@ func fftRec(vp *core.VP[complex128], base, size int, val complex128, wise bool) 
 // superstep (decimation in frequency), followed by a bit-reversal
 // unscrambling superstep.  Network-oblivious but only
 // H = Θ((n/p + σ)·log p): the baseline of experiment E3.
+//
+//nob:deterministic
 func TransformIterative(x []complex128, opts Options) (*Result, error) {
 	if err := validate(x); err != nil {
 		return nil, err

@@ -85,6 +85,38 @@ func TestEngineEquivalenceRecordedPairs(t *testing.T) {
 	}
 }
 
+// TestRecordedTraceBytesStable: a recorded trace is a pure function of
+// its key.  Every registry algorithm at each default size, plus stencil2
+// at n=32, is recorded through the JSON writer on the BlockEngine at two
+// worker counts, and the raw bytes — pair order included, with no
+// canonicalization — must match.  stencil1/1024 and stencil2/64, which
+// the serving workloads also leave out, are skipped for time.
+func TestRecordedTraceBytesStable(t *testing.T) {
+	skip := map[core.TraceKey]bool{{Algorithm: "stencil1", N: 1024}: true, {Algorithm: "stencil2", N: 64}: true}
+	keys := []core.TraceKey{{Algorithm: "stencil2", N: 32}}
+	for _, a := range alg.All() {
+		for _, n := range a.DefaultSizes() {
+			if k := (core.TraceKey{Algorithm: a.Name, N: n}); !skip[k] {
+				keys = append(keys, k)
+			}
+		}
+	}
+	record := func(a alg.Algorithm, n, workers int) []byte {
+		var buf bytes.Buffer
+		spec := alg.Spec{Record: true, Engine: core.BlockEngine{Workers: workers}, Sink: core.NewTraceJSONWriter(&buf)}
+		if _, err := a.Run(context.Background(), spec, n); err != nil {
+			t.Fatalf("%s n=%d, %d workers: %v", a.Name, n, workers, err)
+		}
+		return buf.Bytes()
+	}
+	for _, k := range keys {
+		a, _ := alg.ByName(k.Algorithm)
+		if one, three := record(a, k.N, 1), record(a, k.N, 3); !bytes.Equal(one, three) {
+			t.Errorf("%s: recorded bytes differ between 1 and 3 workers (%d and %d bytes)", k, len(one), len(three))
+		}
+	}
+}
+
 // TestSuiteEngineIsolation runs two suites concurrently on different
 // engines, each threaded through harness.Config.Engine, and asserts
 // both produce the same passing records.

@@ -21,24 +21,23 @@ func runE16(cfg Config) ([]*Result, error) {
 		n = 1 << 8
 	}
 	x := randComplex(rng, n)
-	// These runs need recorded message pairs and run dummy-free, so they
-	// are E16's own rather than trace-store entries.
-	rec, err := fft.Transform(x, fft.Options{Wise: false, Record: true, Engine: cfg.engine()})
-	if err != nil {
-		return nil, err
-	}
-	it, err := fft.TransformIterative(x, fft.Options{Wise: false, Record: true, Engine: cfg.engine()})
-	if err != nil {
-		return nil, err
-	}
 	const ctxWords, b = 4, 8
 	sizes := []int{1 << 7, 1 << 9, 1 << 11, 1 << 13}
-	csRec, err := cachesim.MissCurve(rec.Trace.Source(), ctxWords, b, sizes)
+	// These runs need recorded message pairs and run dummy-free, so they
+	// are E16's own rather than trace-store entries; each streams into
+	// its simulator, which the run's BeginTrace sizes.
+	csRec, err := cachesim.NewCurveSim(1, ctxWords, b, sizes)
 	if err != nil {
 		return nil, err
 	}
-	csIt, err := cachesim.MissCurve(it.Trace.Source(), ctxWords, b, sizes)
+	if _, err := fft.Transform(x, fft.Options{Wise: false, Record: true, Engine: cfg.engine(), Sink: csRec}); err != nil {
+		return nil, err
+	}
+	csIt, err := cachesim.NewCurveSim(1, ctxWords, b, sizes)
 	if err != nil {
+		return nil, err
+	}
+	if _, err := fft.TransformIterative(x, fft.Options{Wise: false, Record: true, Engine: cfg.engine(), Sink: csIt}); err != nil {
 		return nil, err
 	}
 	curveRec, curveIt := csRec.Misses(), csIt.Misses()

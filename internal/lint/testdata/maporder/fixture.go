@@ -61,6 +61,29 @@ func renderHelper(m map[string]int) []string {
 	return out
 }
 
+// walker mirrors a per-VP evaluator: its method is reached only from a
+// function literal inside the root, the shape of a core.Program body.
+type walker struct{ vals map[string]int }
+
+func (w *walker) emit(out *[]string) {
+	for k, v := range w.vals { // want "range over map"
+		*out = append(*out, line(k, v))
+	}
+}
+
+// RunProgram reaches a method through the function literal it builds.
+//
+//nob:deterministic
+func RunProgram(m map[string]int) []string {
+	var out []string
+	prog := func() {
+		w := &walker{vals: m}
+		w.emit(&out)
+	}
+	prog()
+	return out
+}
+
 // Sum reaches an order-insensitive iteration carrying an own-line
 // suppression.
 //

@@ -113,6 +113,8 @@ func validate(s int, a, b []int64) error {
 // product together with its communication trace.  Input and output
 // matrices are evenly distributed: VP r holds A[r], B[r] and produces
 // C[r].
+//
+//nob:deterministic
 func Multiply(s int, a, b []int64, opts Options) (*Result, error) {
 	return MultiplySemiring(s, a, b, Plus(), opts)
 }

@@ -15,6 +15,8 @@ import (
 // round 2 computes A01·B10, A00·B01, A10·B00, A11·B11.  Segment 2h+k is
 // responsible for output quadrant C_{hk} in both rounds; the A-quadrant it
 // consumes in round r is A_{h,l} with l = h⊕k⊕r.
+//
+//nob:deterministic
 func MultiplySpaceEfficient(s int, a, b []int64, opts Options) (*Result, error) {
 	return MultiplySpaceEfficientSemiring(s, a, b, Plus(), opts)
 }

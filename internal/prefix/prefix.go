@@ -29,6 +29,8 @@ type Op struct {
 }
 
 // Sum is the addition monoid.
+//
+//nob:deterministic
 func Sum() Op {
 	return Op{Combine: func(a, b int64) int64 { return a + b }, Identity: 0}
 }
@@ -115,6 +117,8 @@ func Scan(xs []int64, op Op, opts Options) (*Result, error) {
 // ScanTree computes the inclusive prefix with the work-efficient
 // up-sweep/down-sweep tree: 2·log v supersteps of degree 1, Θ(v) total
 // messages.
+//
+//nob:deterministic
 func ScanTree(xs []int64, op Op, opts Options) (*Result, error) {
 	if err := checkLen(xs); err != nil {
 		return nil, err

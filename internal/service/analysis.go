@@ -24,7 +24,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -504,59 +503,39 @@ var cacheSweepSizes = []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}
 // analyzeCache simulates the folded-to-one-processor execution under
 // ideal caches (the Section 6 conjecture's measurable content).  It
 // needs the message pairs, so it records its own run instead of asking
-// the trace store, whose entries keep only fold summaries; the result
+// the trace store, whose entries keep only fold summaries; the run
+// streams into the simulator superstep by superstep, so the job holds
+// the engine state plus one superstep, never the trace.  The result
 // cache memoizes the document.
 func (s *Server) analyzeCache(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
-	progress.emit("tracing", fmt.Sprintf("%s n=%d (recorded) on %s", req.Algorithm, req.N, engineName))
 	a, ok := alg.ByName(req.Algorithm)
 	if !ok {
 		return nil, fmt.Errorf("unknown algorithm %q", req.Algorithm)
 	}
-	start := s.probe.Now()
-	run, err := a.Run(ctx, alg.Spec{Record: true, Probe: s.probe}, req.N)
+	const ctxWords, bWords = 8, 8
+	// The run's BeginTrace sizes the simulator for its machine.
+	cs, err := cachesim.NewCurveSim(1, ctxWords, bWords, cacheSweepSizes)
 	if err != nil {
 		return nil, err
 	}
+	// One traversal of the run drives every cache size of the sweep at
+	// once (Mattson stack simulation).
+	progress.emit("tracing", fmt.Sprintf("%s n=%d (recorded) on %s into the IC sweep %v",
+		req.Algorithm, req.N, engineName, cacheSweepSizes))
+	start := s.probe.Now()
+	if _, err := a.Run(ctx, alg.Spec{Record: true, Sink: cs, Probe: s.probe}, req.N); err != nil {
+		return nil, err
+	}
 	if s.probe != nil {
+		// The span covers the run and the simulation it drives.
 		key := core.TraceKey{Algorithm: req.Algorithm, N: req.N}.String()
 		s.probe.Span("store", "trace-compute", 0, start, map[string]any{"key": key, "record": true})
 	}
-	tr := run.Trace
-	const ctxWords, bWords = 8, 8
 	res := &harness.Result{
 		ID:       string(KindCache),
 		Title:    fmt.Sprintf("ideal-cache miss curve of %s at n=%d", req.Algorithm, req.N),
 		PaperRef: "§6 conjecture; Pietracaprina et al. 2006",
 		Columns:  []string{"M (words)", "B (words)", "misses", "miss rate"},
-	}
-	// One traversal of the trace drives every cache size of the sweep
-	// at once (Mattson stack simulation); cancellation is checked at
-	// superstep granularity.
-	progress.emit("simulating", fmt.Sprintf("IC sweep %v, single pass", cacheSweepSizes))
-	cs, err := cachesim.NewCurveSim(tr.V, ctxWords, bWords, cacheSweepSizes)
-	if err != nil {
-		return nil, err
-	}
-	src := tr.Source()
-	defer src.Close()
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cache analysis cancelled: %w", err)
-		}
-		rec, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		err = cs.Step(rec)
-		// The run is this job's own and CurveSim keeps no pair, so the
-		// step's pooled chunks go back for the next recorded run.
-		rec.Pairs.Release()
-		if err != nil {
-			return nil, err
-		}
 	}
 	misses := cs.Misses()
 	monotone := true

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +16,8 @@ import (
 	"time"
 
 	"netoblivious/alg"
+	"netoblivious/internal/cachesim"
+	"netoblivious/internal/core"
 	"netoblivious/internal/harness"
 	"netoblivious/internal/obs"
 )
@@ -247,6 +250,86 @@ func TestCacheKindIgnoresMachines(t *testing.T) {
 	if _, err := c.Analyze(ctx, req); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 		t.Errorf("invalid machine p=3: %v, want HTTP 400", err)
 	}
+}
+
+// TestCacheKindMatchesInMemoryReplay: the cache kind streams its run
+// into the simulator; the rows it serves must equal MissCurve's over an
+// in-memory recording of the same run.
+func TestCacheKindMatchesInMemoryReplay(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	for _, k := range []core.TraceKey{{Algorithm: "fft", N: 256}, {Algorithm: "sort", N: 64}, {Algorithm: "stencil2", N: 8}, {Algorithm: "stencil1", N: 256}} {
+		a, _ := alg.ByName(k.Algorithm)
+		run, err := a.Run(ctx, alg.Spec{Record: true}, k.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := cachesim.MissCurve(run.Trace.Source(), 8, 8, cacheSweepSizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &harness.Result{}
+		for i, m := range cacheSweepSizes {
+			ref.AddRow(m, 8, cs.Misses()[i], float64(cs.Misses()[i])/float64(cs.Accesses()))
+		}
+		resp, err := c.Analyze(ctx, Request{Algorithm: k.Algorithm, N: k.N, Kind: KindCache, Wait: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != "done" || resp.Document == nil {
+			t.Fatalf("%s: %+v", k, resp)
+		}
+		got, _ := json.Marshal(resp.Document.Records[0].Results[0].Rows)
+		want, _ := json.Marshal(ref.Rows)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: served rows %s, in-memory replay %s", k, got, want)
+		}
+	}
+}
+
+// TestCacheKindMemoryBounded: a cache job holds the engine state plus
+// one superstep, not the recorded trace.  The sampled peak of HeapAlloc
+// (garbage included) over the post-GC baseline stays under 16 MiB for
+// stencil1 n=256, whose in-memory recording alone holds about 90 MiB.
+func TestCacheKindMemoryBounded(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	baseline := ms.HeapAlloc
+	done := make(chan struct{})
+	peak := make(chan uint64)
+	go func() {
+		var ms runtime.MemStats
+		var mx uint64
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			runtime.ReadMemStats(&ms)
+			mx = max(mx, ms.HeapAlloc)
+			select {
+			case <-done:
+				peak <- mx
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	resp, err := c.Analyze(ctx, Request{Algorithm: "stencil1", N: 256, Kind: KindCache, Wait: true})
+	close(done)
+	mx := <-peak
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != "done" {
+		t.Fatalf("cache job finished %s: %s", resp.Status, resp.Error)
+	}
+	delta := int64(mx) - int64(baseline)
+	if delta > 16<<20 {
+		t.Errorf("cache job peak heap %.1f MiB over baseline, want under 16 MiB", float64(delta)/(1<<20))
+	}
+	t.Logf("cache job peak heap %.1f MiB over baseline", float64(delta)/(1<<20))
 }
 
 // TestEveryAlgorithmEveryAsyncKind exercises the full registry surface
@@ -516,43 +599,53 @@ func TestSingleFlightDedupOfInflightRequests(t *testing.T) {
 	}
 }
 
-// TestJobCancellation cancels a running job and asserts it terminates
-// quickly with cancelled status and does not poison the cache.
+// TestJobCancellation cancels a running job of each engine-driven kind
+// and asserts it terminates quickly with cancelled status and does not
+// poison the cache.
 func TestJobCancellation(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 1})
-	ctx := context.Background()
-	// sort at n=4096 runs for seconds here: long enough to cancel.
-	resp, err := c.Analyze(ctx, Request{Algorithm: "sort", N: 4096, Kind: KindTrace})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.JobID == "" {
-		t.Fatalf("no job id: %+v", resp)
-	}
-	// Give the worker a moment to start, then cancel.
-	time.Sleep(20 * time.Millisecond)
-	if _, err := c.CancelJob(ctx, resp.JobID); err != nil {
-		t.Fatal(err)
-	}
-	waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	info, err := c.WaitJob(waitCtx, resp.JobID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Status != StatusCancelled && info.Status != StatusDone {
-		t.Fatalf("cancelled job finished %s", info.Status)
-	}
-	if info.Status == StatusDone {
-		t.Skip("job completed before the cancel landed")
-	}
-	// The key must not be poisoned: a fresh identical request succeeds.
-	resp2, err := c.Analyze(ctx, Request{Algorithm: "sort", N: 4096, Kind: KindTrace, Wait: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp2.Status != "done" || resp2.Document == nil {
-		t.Fatalf("post-cancel request: %+v", resp2)
+	for _, kind := range []Kind{KindTrace, KindCache} {
+		t.Run(string(kind), func(t *testing.T) {
+			srv, c := newTestServer(t, Config{Workers: 1})
+			ctx := context.Background()
+			// sort at n=4096 runs for seconds here: long enough to cancel.
+			req := Request{Algorithm: "sort", N: 4096, Kind: kind}
+			resp, err := c.Analyze(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.JobID == "" {
+				t.Fatalf("no job id: %+v", resp)
+			}
+			// Give the worker a moment to start, then cancel.
+			time.Sleep(20 * time.Millisecond)
+			if _, err := c.CancelJob(ctx, resp.JobID); err != nil {
+				t.Fatal(err)
+			}
+			waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
+			defer cancel()
+			info, err := c.WaitJob(waitCtx, resp.JobID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Status != StatusCancelled && info.Status != StatusDone {
+				t.Fatalf("cancelled job finished %s", info.Status)
+			}
+			if info.Status == StatusDone {
+				t.Skip("job completed before the cancel landed")
+			}
+			if _, _, ok := srv.results.Peek(req.Key()); ok {
+				t.Fatal("the cancelled job's outcome was memoized")
+			}
+			// The key must not be poisoned: a fresh identical request succeeds.
+			req.Wait = true
+			resp2, err := c.Analyze(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp2.Status != "done" || resp2.Document == nil || resp2.Cached {
+				t.Fatalf("post-cancel request: %+v", resp2)
+			}
+		})
 	}
 }
 

@@ -94,6 +94,8 @@ func Run(n, d int, in []int64, opts Options) (*Result, error) {
 // RunK is Run with an explicit recursion degree k, a knob the ablation
 // benchmarks sweep; k must be a power of two in [2, n], and 0 selects
 // the paper's default.
+//
+//nob:deterministic
 func RunK(n, d, k int, in []int64, opts Options) (*Result, error) {
 	if n < 1 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("stencil: n=%d must be a positive power of two", n)
@@ -168,6 +170,8 @@ type evaluator struct {
 	grid []int64
 	wise bool
 	vals map[node]int64
+	// own lists the nodes this VP evaluated, in evaluation order.
+	own []node
 }
 
 func (e *evaluator) label(z int) int {
@@ -177,6 +181,7 @@ func (e *evaluator) label(z int) int {
 // store records a computed value and publishes it to the shared grid.
 func (e *evaluator) store(nd node, v int64) {
 	e.vals[nd] = v
+	e.own = append(e.own, nd)
 	e.grid[e.g.gridIndex(nd)] = v
 }
 
@@ -203,26 +208,27 @@ func (e *evaluator) evalBox(bx box) {
 	}
 	lab := e.label(bx.z)
 	myQ := (e.vp.ID() - bx.sb) / (bx.z / g.kd)
+	// Every node of bx is evaluated inside this call, so the values this
+	// VP evaluates from here on are exactly its values inside bx.
+	mark := len(e.own)
 	for phi := 0; phi < g.phases(); phi++ {
 		// Redistribution superstep: forward values produced in earlier
-		// phases of this box (and box inputs delivered by ancestors) to
-		// the owners of their phase-phi consumers.
-		e.redistribute(bx, phi, lab)
+		// phases of this box to the owners of their phase-phi consumers.
+		e.redistribute(bx, phi, lab, e.own[mark:])
 		e.evalBox(g.subBox(bx, phi, myQ))
 	}
 }
 
-// redistribute sends, for every value this VP canonically owns, the value
-// to the compute-owners of its consumers that are evaluated in phase phi
-// of box bx.  One superstep, label lab.
-func (e *evaluator) redistribute(bx box, phi, lab int) {
+// redistribute sends each value of owned — the nodes this VP evaluated
+// inside box bx, in evaluation order — to the compute-owners of its
+// consumers that are evaluated in phase phi of bx.  One superstep,
+// label lab.
+func (e *evaluator) redistribute(bx box, phi, lab int, owned []node) {
 	g := e.g
 	var cbuf [9]node
 	var targets [9]int
-	for nd, v := range e.vals {
-		if !g.contains(bx, nd) || g.computeOwner(nd) != e.vp.ID() {
-			continue
-		}
+	for _, nd := range owned {
+		v := e.vals[nd]
 		nt := 0
 		for _, ch := range g.consumers(nd, cbuf[:0]) {
 			if !g.contains(bx, ch) {

@@ -15,9 +15,10 @@ import (
 )
 
 // Canonical serializes a trace with per-step Pairs sorted so traces can
-// be compared byte for byte.  Pairs carry no order guarantee (the
-// GoroutineEngine appends them in cluster-completion order, which is
-// scheduling dependent), so they are compared as multisets.
+// be compared byte for byte across engines.  Only the BlockEngine fixes
+// pair order (the GoroutineEngine appends them in cluster-completion
+// order, which is scheduling dependent), so they are compared as
+// multisets.
 func Canonical(t testing.TB, tr *core.Trace) []byte {
 	t.Helper()
 	c := &core.Trace{V: tr.V, LogV: tr.LogV, Steps: make([]core.StepRec, len(tr.Steps))}
