@@ -64,8 +64,10 @@ type Spec struct {
 	// Sink receives each superstep record as the run completes it —
 	// a codec writer, a file, or the cache simulator — bounding peak
 	// memory by the largest superstep rather than the whole trace (see
-	// core.Options.Sink).  The Result then carries a metadata-only
-	// Trace.  nil collects the records in Result.Trace.Steps.
+	// core.Options.Sink).  The Result's Trace then holds no steps but
+	// still carries the run's fold summary, so every metric of it reads
+	// as for an in-memory run.  nil collects the records in
+	// Result.Trace.Steps.
 	Sink core.TraceSink
 	// Probe records per-superstep engine spans for timeline export (see
 	// core.Options.Probe and `nobl prof`).  nil — the default — disables

@@ -164,34 +164,27 @@ func WisenessDummies[P any](vp *VP[P], label, count int) {
 	core.WisenessDummies(vp, label, count)
 }
 
+// The metrics below read the fold summary the run built as each
+// superstep completed (Trace.Summary), so they cost O(log²v) whether the
+// trace's steps were kept in memory or streamed to a RunOptions.Sink.
+
 // Fold computes the folding of a trace onto p processors.
-func Fold(tr *Trace, p int) Folding { return eval.Fold(summary(tr), p) }
+func Fold(tr *Trace, p int) Folding { return eval.Fold(tr.Summary(), p) }
 
 // H returns the communication complexity H(n, p, σ) on the evaluation
 // model M(p, σ) (Equation 1 of the paper).
-func H(tr *Trace, p int, sigma float64) float64 { return eval.H(summary(tr), p, sigma) }
+func H(tr *Trace, p int, sigma float64) float64 { return eval.H(tr.Summary(), p, sigma) }
 
 // Wiseness returns the measured wiseness α of Definition 3.2.
-func Wiseness(tr *Trace, p int) float64 { return eval.Wiseness(summary(tr), p) }
+func Wiseness(tr *Trace, p int) float64 { return eval.Wiseness(tr.Summary(), p) }
 
 // Fullness returns the measured fullness γ of Definition 5.2.
-func Fullness(tr *Trace, p int) float64 { return eval.Fullness(summary(tr), p) }
+func Fullness(tr *Trace, p int) float64 { return eval.Fullness(tr.Summary(), p) }
 
 // CommTime returns the communication time D(n, p, g, ℓ) on a D-BSP
 // machine (Equation 2 of the paper).
 func CommTime(tr *Trace, machine DBSP) float64 {
-	return dbsp.CommTimeSummary(summary(tr), machine)
-}
-
-// summary is the one pass over tr's supersteps that every metric above
-// reads.  A Trace recorded by Run or RunOpt always summarizes; one that
-// fails validation panics, like an out-of-range p.
-func summary(tr *Trace) *core.FoldSummary {
-	fs, err := tr.Summary()
-	if err != nil {
-		panic(err)
-	}
-	return fs
+	return dbsp.CommTimeSummary(tr.Summary(), machine)
 }
 
 // Mesh returns D-BSP parameters modeling a d-dimensional mesh of p

@@ -1,10 +1,12 @@
 package netoblivious_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	nob "netoblivious"
+	"netoblivious/internal/core"
 )
 
 // TestFacadeEndToEnd drives the whole public API surface: write an
@@ -94,5 +96,33 @@ func TestRootRegistryReExports(t *testing.T) {
 	var se *nob.SizeError
 	if err := a.ValidSize(65); !errors.As(err, &se) {
 		t.Errorf("ValidSize(65) = %v, want a *SizeError", err)
+	}
+}
+
+// TestFacadeStreamedMetrics: a run streamed into a sink returns a Trace
+// whose metrics equal those of the same run kept in memory.
+func TestFacadeStreamedMetrics(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"fft", 256}, {"sort", 64}, {"stencil2", 8}} {
+		a, ok := nob.AlgorithmByName(tc.name)
+		if !ok {
+			t.Fatalf("%s: not registered", tc.name)
+		}
+		mem, err := a.Run(ctx, nob.Spec{}, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := a.Run(ctx, nob.Spec{Sink: &core.DiscardSink{}}, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 2; p <= mem.Trace.V; p *= 2 {
+			if got, want := nob.H(streamed.Trace, p, 0), nob.H(mem.Trace, p, 0); got != want {
+				t.Errorf("%s n=%d: streamed H(%d) = %v, in memory %v", tc.name, tc.n, p, got, want)
+			}
+		}
 	}
 }

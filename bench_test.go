@@ -286,10 +286,7 @@ func BenchmarkE10FoldingLemma(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fs, err := res.Trace.Summary()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fs := res.Trace.Summary()
 		for p := 2; p <= n; p *= 2 {
 			if err := eval.CheckFoldingLemma(fs, p); err != nil {
 				b.Fatal(err)

@@ -444,15 +444,16 @@ func runTrace(args []string) {
 		sink = jw
 	} else {
 		// A file sink writes to <path>.tmp and renames on success, so a
-		// failed or interrupted run never leaves a truncated trace file.
-		sink = core.NewTraceFileSink(*out, core.TraceJSON)
+		// failed or interrupted run never leaves a truncated trace file;
+		// a named pipe or device is written in place.
+		sink = core.NewTraceFileSink(*out)
 	}
 	run, err := a.Run(context.Background(), alg.Spec{Record: *record, Sink: sink}, *n)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nobl trace: %v\n", err)
 		os.Exit(1)
 	}
-	tr := run.Trace // metadata-only: the steps went to the sink
+	tr := run.Trace // no steps (they went to the sink), but counted and summarized
 	fmt.Fprintf(os.Stderr, "nobl: %s on M(%d): %d supersteps, %d messages (streamed)\n",
 		a.Name, tr.V, tr.NumSupersteps(), tr.TotalMessages())
 }

@@ -155,11 +155,7 @@ func TestTransposeThroughTraceStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := direct.Trace.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1.Summary, want) {
+	if !reflect.DeepEqual(r1.Summary, direct.Trace.Summary()) {
 		t.Error("stored summary differs from a direct run's")
 	}
 }

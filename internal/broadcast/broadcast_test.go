@@ -5,7 +5,6 @@ import (
 
 	"netoblivious/internal/eval"
 	"netoblivious/internal/theory"
-	"netoblivious/internal/tracetest"
 )
 
 func checkAll(t *testing.T, got []int64, want int64) {
@@ -82,7 +81,7 @@ func TestAwareMatchesLowerBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fs := tracetest.Summary(t, res.Trace)
+			fs := res.Trace.Summary()
 			h := eval.H(fs, p, sigma)
 			lb := theory.LowerBoundBroadcast(p, sigma)
 			if h < lb*0.4 {
@@ -105,7 +104,7 @@ func TestObliviousGapGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	gap := func(sigma float64) float64 {
 		return eval.H(fs, p, sigma) / theory.LowerBoundBroadcast(p, sigma)
 	}
@@ -138,12 +137,12 @@ func TestFlatVsTreeCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	treeFS := tracetest.Summary(t, tree.Trace)
+	treeFS := tree.Trace.Summary()
 	star, err := ObliviousFlat(p, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	starFS := tracetest.Summary(t, star.Trace)
+	starFS := star.Trace.Summary()
 	hTree := func(s float64) float64 { return eval.H(treeFS, p, s) }
 	hStar := func(s float64) float64 { return eval.H(starFS, p, s) }
 	if hTree(0) >= hStar(0) {

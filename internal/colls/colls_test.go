@@ -5,7 +5,6 @@ import (
 
 	"netoblivious/internal/core"
 	"netoblivious/internal/eval"
-	"netoblivious/internal/tracetest"
 )
 
 func add(a, b int64) int64 { return a + b }
@@ -155,7 +154,7 @@ func TestCollectiveCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	treeFS := tracetest.Summary(t, trTree)
+	treeFS := trTree.Summary()
 	trGather, err := core.Run(v, func(vp *core.VP[int64]) {
 		_ = AllGather(vp, 0, int64(vp.ID()))
 		vp.Sync(0)
@@ -163,7 +162,7 @@ func TestCollectiveCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gatherFS := tracetest.Summary(t, trGather)
+	gatherFS := trGather.Summary()
 	// AllReduce folded on p: the log p butterfly stages with distance
 	// >= v/p cross blocks with every VP sending once, h = v/p each.
 	for p := 2; p <= v; p *= 4 {

@@ -7,7 +7,6 @@ import (
 
 	"netoblivious/internal/eval"
 	"netoblivious/internal/theory"
-	"netoblivious/internal/tracetest"
 )
 
 // TestBitonicCorrectness: bitonic output matches sort.Slice on assorted
@@ -92,7 +91,7 @@ func TestBitonicVsColumnsort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eval.H(tracetest.Summary(t, res.Trace), p, 0) * float64(p) / float64(n)
+		return eval.H(res.Trace.Summary(), p, 0) * float64(p) / float64(n)
 	}
 	// Bitonic: normalized cost equals log p(log p+1) (the wiseness
 	// dummies double the ideal log p(log p+1)/2) at every n.

@@ -8,7 +8,6 @@ import (
 	"netoblivious/internal/core"
 	"netoblivious/internal/eval"
 	"netoblivious/internal/theory"
-	"netoblivious/internal/tracetest"
 )
 
 func isSorted(a []int64) bool {
@@ -160,7 +159,7 @@ func TestSortComplexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	for p := 2; p <= n; p *= 8 {
 		h := eval.H(fs, p, 0)
 		pred := theory.PredictedSort(float64(n), p, 0)
@@ -190,7 +189,7 @@ func TestWiseness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	for p := 2; p <= n; p *= 4 {
 		if alpha := eval.Wiseness(fs, p); alpha < 0.05 {
 			t.Errorf("α(%d) = %v, want Θ(1)", p, alpha)

@@ -299,100 +299,6 @@ func (br *TraceBinaryReader) buf(n int) []byte {
 	return br.scratch[:n]
 }
 
-// TraceFormat selects a trace file encoding.
-type TraceFormat int
-
-const (
-	// TraceJSON is the archival wire format (EncodeJSON).
-	TraceJSON TraceFormat = iota
-	// TraceBinary is the compact binary format (NOBTRC01).
-	TraceBinary
-)
-
-// TraceFileSink is a TraceSink writing a trace file atomically: output
-// goes to a temporary sibling (path + ".tmp") created at BeginTrace and
-// renamed over path only when EndTrace sees a successful run.  A failed
-// or cancelled run removes the temporary, so a partial trace file is
-// never left behind under the target name.
-type TraceFileSink struct {
-	path   string
-	format TraceFormat
-	f      *os.File
-	inner  TraceSink
-}
-
-// NewTraceFileSink returns a sink that will write path in the given
-// format.  Nothing touches the filesystem until BeginTrace.  The sink
-// owns its records: pooled pair chunks are recycled as steps are
-// encoded.
-func NewTraceFileSink(path string, format TraceFormat) *TraceFileSink {
-	return &TraceFileSink{path: path, format: format}
-}
-
-func (fs *TraceFileSink) tmpPath() string { return fs.path + ".tmp" }
-
-// BeginTrace implements TraceSink.
-func (fs *TraceFileSink) BeginTrace(v, logV int) error {
-	if fs.inner != nil {
-		return fmt.Errorf("core: trace writer: BeginTrace called twice; a codec writer serializes exactly one trace (one machine per run)")
-	}
-	f, err := os.OpenFile(fs.tmpPath(), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("core: trace sink: %w", err)
-	}
-	fs.f = f
-	// The sink owns its records: pooled pair chunks are recycled as
-	// steps are encoded.
-	switch fs.format {
-	case TraceBinary:
-		w := NewTraceBinaryWriter(f)
-		w.ReleasePairs = true
-		fs.inner = w
-	default:
-		w := NewTraceJSONWriter(f)
-		w.ReleasePairs = true
-		fs.inner = w
-	}
-	return fs.inner.BeginTrace(v, logV)
-}
-
-// WriteStep implements TraceSink.
-func (fs *TraceFileSink) WriteStep(rec StepRec) error {
-	if fs.inner == nil {
-		return fmt.Errorf("core: trace writer: WriteStep outside BeginTrace/EndTrace")
-	}
-	return fs.inner.WriteStep(rec)
-}
-
-// EndTrace implements TraceSink: finalize and rename on success, remove
-// the temporary on failure.
-func (fs *TraceFileSink) EndTrace(runErr error) error {
-	if fs.f == nil {
-		return nil
-	}
-	f := fs.f
-	fs.f = nil
-	if runErr != nil {
-		f.Close()
-		os.Remove(fs.tmpPath())
-		return nil
-	}
-	if err := fs.inner.EndTrace(nil); err != nil {
-		f.Close()
-		os.Remove(fs.tmpPath())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(fs.tmpPath())
-		return fmt.Errorf("core: trace sink: %w", err)
-	}
-	if err := os.Rename(fs.tmpPath(), fs.path); err != nil {
-		os.Remove(fs.tmpPath())
-		return fmt.Errorf("core: trace sink: %w", err)
-	}
-	return nil
-}
-
 // closerSource wraps a TraceSource with the owning file handle.
 type closerSource struct {
 	TraceSource

@@ -70,16 +70,19 @@
 // # Streaming traces
 //
 // Every run records through one pending window, which a superstep
-// leaves, in order, once every VP has completed it: into Trace.Steps,
-// or, under Options.Sink, into the TraceSink with nothing retained, so
-// the run's peak trace footprint is the largest superstep, not the
-// total.  The sink side of the pipeline:
+// leaves, in order, once every VP has completed it: into the run's
+// FoldSummary, and then into Trace.Steps or, under Options.Sink, into
+// the TraceSink with nothing retained, so the run's peak trace
+// footprint is the largest superstep, not the total.  Either way the
+// returned Trace carries the summary (Trace.Summary).  The sink side of
+// the pipeline:
 //
 //   - TraceSink implementations: an accumulating *Trace (the in-memory
-//     default expressed as a sink), DiscardSink (measurement), the
-//     codec writers TraceJSONWriter and TraceBinaryWriter,
-//     TraceFileSink (atomic tmp-and-rename file output in either
-//     format, discarding partial output when the run fails), and
+//     default expressed as a sink, summarizing what it collects),
+//     DiscardSink (measurement), the codec writers TraceJSONWriter and
+//     TraceBinaryWriter, TraceFileSink (atomic tmp-and-rename JSON
+//     file output, discarding partial output when the run fails, or
+//     in-place output to a named pipe or device), and
 //     cachesim.CurveSim, which simulates each step as it arrives;
 //   - the streamed JSON is byte-identical to Trace.EncodeJSON of the
 //     same run, so stored traces are indistinguishable from in-memory
@@ -91,13 +94,13 @@
 //     it accepts and what it rejects;
 //   - TraceSource is the reading half — Trace.Source, NewTraceSource
 //     (format-sniffing stream reader), OpenTraceFile — over which the
-//     single-pass consumers run: Summarize (Trace.Summary for an
-//     in-memory trace) folds a source into a FoldSummary, the O(log²v)
-//     accumulator that is the only derivation of S_i(n) and F_i(n,p) —
-//     H(n,p,σ), wiseness, fullness and the D-BSP communication time
-//     (the eval metrics, dbsp.CommTimeSummary) are computed from it
-//     alone, never from the steps — and cachesim.MissCurve drives the
-//     cache simulator over a source the same way;
+//     single-pass consumers run: FoldSummary.Observe folds each
+//     decoded step into a FoldSummary, the O(log²v) accumulator that
+//     is the only derivation of S_i(n) and F_i(n,p) — H(n,p,σ),
+//     wiseness, fullness and the D-BSP communication time (the eval
+//     metrics, dbsp.CommTimeSummary) are computed from it alone, never
+//     from the steps — and cachesim.MissCurve drives the cache
+//     simulator over a source the same way;
 //   - released pair records recycle their chunk storage through an
 //     internal pool, so a recorded run into a releasing sink reaches a
 //     steady state with near-zero pair allocation.

@@ -35,15 +35,15 @@ const (
 // Run it with: go test -run '^$' -fuzz FuzzNewTraceSource -fuzztime 30s ./internal/core
 func FuzzNewTraceSource(f *testing.F) {
 	for _, tr := range fuzzSeedTraces(f) {
-		f.Add(encodeTrace(f, tr, TraceJSON))
-		f.Add(encodeTrace(f, tr, TraceBinary))
+		f.Add(encodeTrace(f, tr, jsonCodec))
+		f.Add(encodeTrace(f, tr, binaryCodec))
 	}
 	f.Add(hostileStep(1<<40, 1<<40))
 	f.Add(hostileStep(-1, 1<<40))
 	f.Add([]byte(`{"v":1,"log_v":0,"steps":null}`))
 	for _, tc := range outOfRangePairCases() {
-		f.Add(encodeTrace(f, tc.tr, TraceJSON))
-		f.Add(encodeTrace(f, tc.tr, TraceBinary))
+		f.Add(encodeTrace(f, tc.tr, jsonCodec))
+		f.Add(encodeTrace(f, tc.tr, binaryCodec))
 	}
 	// Many one-pair steps: the pair storage must follow the pairs present,
 	// not a chunk per step.
@@ -75,10 +75,10 @@ func FuzzNewTraceSource(f *testing.F) {
 				t.Fatalf("the JSON reader and encoding/json decode different steps")
 			}
 		}
-		if enc, ref := encodeTrace(t, tr, TraceJSON), refEncodeJSON(t, tr); !bytes.Equal(enc, ref) {
+		if enc, ref := encodeTrace(t, tr, jsonCodec), refEncodeJSON(t, tr); !bytes.Equal(enc, ref) {
 			t.Fatalf("the JSON writer's bytes differ from encoding/json's:\n%s\n%s", enc, ref)
 		}
-		for _, format := range []TraceFormat{TraceJSON, TraceBinary} {
+		for _, format := range []traceCodec{jsonCodec, binaryCodec} {
 			enc := encodeTrace(t, tr, format)
 			got, err := decodeTrace(enc)
 			if err != nil {
@@ -127,12 +127,10 @@ func decodeTrace(data []byte) (*Trace, error) {
 // does not Close the source.  It lives in a test file of package core,
 // so the external tests reach it as core.ReadAll.
 func ReadAll(src TraceSource) (*Trace, error) {
-	v := src.V()
-	logV, err := TryLog2(v)
-	if err != nil || logV != src.LogV() {
-		return nil, fmt.Errorf("core: trace log_v=%d inconsistent with v=%d", src.LogV(), v)
+	tr := &Trace{}
+	if err := tr.BeginTrace(src.V(), src.LogV()); err != nil {
+		return nil, err
 	}
-	tr := &Trace{V: v, LogV: logV}
 	for {
 		rec, err := src.Next()
 		if err == io.EOF {
@@ -143,16 +141,26 @@ func ReadAll(src TraceSource) (*Trace, error) {
 		}
 		cp := *rec
 		cp.Degree = append([]int64(nil), rec.Degree...)
-		tr.Steps = append(tr.Steps, cp)
+		if err := tr.WriteStep(cp); err != nil {
+			return nil, err
+		}
 	}
 }
 
+// traceCodec selects the codec writer encodeTrace uses.
+type traceCodec int
+
+const (
+	jsonCodec traceCodec = iota
+	binaryCodec
+)
+
 // encodeTrace encodes tr through the streaming codec writer of format.
-func encodeTrace(tb testing.TB, tr *Trace, format TraceFormat) []byte {
+func encodeTrace(tb testing.TB, tr *Trace, format traceCodec) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	var sink TraceSink = NewTraceJSONWriter(&buf)
-	if format == TraceBinary {
+	if format == binaryCodec {
 		sink = NewTraceBinaryWriter(&buf)
 	}
 	if err := sink.BeginTrace(tr.V, tr.LogV); err != nil {
@@ -220,7 +228,7 @@ func outOfRangePairCases() []struct {
 // the machine is a decode error naming the step, in both formats.
 func TestDecodersRejectOutOfRangePairs(t *testing.T) {
 	for _, tc := range outOfRangePairCases() {
-		for _, format := range []TraceFormat{TraceJSON, TraceBinary} {
+		for _, format := range []traceCodec{jsonCodec, binaryCodec} {
 			_, err := decodeTrace(encodeTrace(t, tc.tr, format))
 			want := fmt.Sprintf("decoding trace step %d: ", tc.step)
 			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "outside [0, 4)") {

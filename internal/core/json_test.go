@@ -29,7 +29,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if got.V != tr.V || got.NumSupersteps() != tr.NumSupersteps() {
 		t.Fatalf("round trip mutated shape: %+v vs %+v", got, tr)
 	}
-	fa, fb := summary(t, tr), summary(t, got)
+	fa, fb := tr.Summary(), got.Summary()
 	for p := 2; p <= 8; p *= 2 {
 		a, b := fa.F(p), fb.F(p)
 		for i := range a {

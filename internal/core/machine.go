@@ -47,9 +47,10 @@ type Options struct {
 	Context context.Context
 
 	// Sink receives every superstep record, in order, at the barrier
-	// completing it, and RunOpt returns a metadata-only Trace
-	// (dimensions plus NumSupersteps/TotalMessages counters, empty
-	// Steps).  A run's peak trace memory is then O(largest superstep)
+	// completing it, and RunOpt returns a Trace with empty Steps that
+	// still carries the run's fold summary (Trace.Summary), so its
+	// counters and every metric read as for an in-memory run.  A run's
+	// peak trace memory is then O(largest superstep)
 	// rather than O(total messages), which lets `nobl trace` record
 	// sizes whose full Trace would not fit in RAM and the cache
 	// simulation replay a run as it executes.  nil appends the records

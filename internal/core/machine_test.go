@@ -353,7 +353,7 @@ func TestSAndF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := summary(t, tr)
+	fs := tr.Summary()
 	s := fs.S()
 	if s[0] != 2 || s[1] != 2 || s[2] != 0 {
 		t.Errorf("S = %v, want [2 2 0]", s)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"os"
 )
 
 // TraceSink receives the supersteps of a run as they complete.  Selected
@@ -35,7 +36,8 @@ type TraceSink interface {
 }
 
 // BeginTrace implements TraceSink: a Trace is the accumulating sink,
-// collecting every step in memory exactly as a non-streaming run would.
+// collecting and summarizing every step in memory exactly as a
+// non-streaming run would.
 func (t *Trace) BeginTrace(v, logV int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -45,13 +47,20 @@ func (t *Trace) BeginTrace(v, logV int) error {
 	t.V = v
 	t.LogV = logV
 	t.Steps = t.Steps[:0]
+	t.sum = newFoldSummary(v, logV)
 	return nil
 }
 
-// WriteStep implements TraceSink by retaining the record.
+// WriteStep implements TraceSink by summarizing and retaining the record.
 func (t *Trace) WriteStep(rec StepRec) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.sum == nil {
+		return fmt.Errorf("core: trace writer: WriteStep outside BeginTrace/EndTrace")
+	}
+	if err := t.sum.Observe(&rec); err != nil {
+		return err
+	}
 	t.Steps = append(t.Steps, rec)
 	return nil
 }
@@ -63,11 +72,9 @@ func (t *Trace) EndTrace(runErr error) error { return nil }
 
 // DiscardSink accepts and releases every step.  It exists for
 // measurement: a run into a DiscardSink exposes the engine's true
-// streaming footprint (TestStreamedRunMemoryBounded measures with it).
-type DiscardSink struct {
-	steps    int
-	messages int64
-}
+// streaming footprint (TestStreamedRunMemoryBounded measures with it),
+// and the run's Trace still counts and summarizes the steps.
+type DiscardSink struct{}
 
 // BeginTrace implements TraceSink.
 func (d *DiscardSink) BeginTrace(v, logV int) error { return nil }
@@ -75,8 +82,6 @@ func (d *DiscardSink) BeginTrace(v, logV int) error { return nil }
 // WriteStep implements TraceSink, returning the record's pooled pair
 // chunks for reuse.
 func (d *DiscardSink) WriteStep(rec StepRec) error {
-	d.steps++
-	d.messages += rec.Messages
 	rec.Pairs.Release()
 	return nil
 }
@@ -84,10 +89,86 @@ func (d *DiscardSink) WriteStep(rec StepRec) error {
 // EndTrace implements TraceSink.
 func (d *DiscardSink) EndTrace(runErr error) error { return nil }
 
-// Steps returns the number of supersteps written to the sink, and
-// Messages their message total.
-func (d *DiscardSink) Steps() int      { return d.steps }
-func (d *DiscardSink) Messages() int64 { return d.messages }
+// TraceFileSink is a TraceSink writing a JSON trace file atomically:
+// output goes to a temporary sibling (path + ".tmp") created at
+// BeginTrace and renamed over path only when EndTrace sees a successful
+// run.  A failed or cancelled run removes the temporary, so a partial
+// trace file is never left behind under the target name.  A target that
+// exists and is not a regular file (a named pipe, a device) is written
+// in place instead: it cannot be replaced, only fed.
+type TraceFileSink struct {
+	path    string
+	inPlace bool
+	f       *os.File
+	inner   *TraceJSONWriter
+}
+
+// NewTraceFileSink returns a sink that will write path.  Nothing touches
+// the filesystem until BeginTrace.  The sink owns its records: pooled
+// pair chunks are recycled as steps are encoded.
+func NewTraceFileSink(path string) *TraceFileSink {
+	return &TraceFileSink{path: path}
+}
+
+func (fs *TraceFileSink) tmpPath() string { return fs.path + ".tmp" }
+
+// BeginTrace implements TraceSink.
+func (fs *TraceFileSink) BeginTrace(v, logV int) error {
+	if fs.inner != nil {
+		return fmt.Errorf("core: trace writer: BeginTrace called twice; a codec writer serializes exactly one trace (one machine per run)")
+	}
+	name, flag := fs.tmpPath(), os.O_WRONLY|os.O_CREATE|os.O_TRUNC
+	if st, err := os.Stat(fs.path); err == nil && !st.Mode().IsRegular() {
+		fs.inPlace = true
+		name, flag = fs.path, os.O_WRONLY
+	}
+	f, err := os.OpenFile(name, flag, 0o644)
+	if err != nil {
+		return fmt.Errorf("core: trace sink: %w", err)
+	}
+	fs.f = f
+	fs.inner = NewTraceJSONWriter(f)
+	fs.inner.ReleasePairs = true
+	return fs.inner.BeginTrace(v, logV)
+}
+
+// WriteStep implements TraceSink.
+func (fs *TraceFileSink) WriteStep(rec StepRec) error {
+	if fs.inner == nil {
+		return fmt.Errorf("core: trace writer: WriteStep outside BeginTrace/EndTrace")
+	}
+	return fs.inner.WriteStep(rec)
+}
+
+// EndTrace implements TraceSink: finalize and rename on success, remove
+// the temporary on failure.  A failed run's error is the caller's
+// already, so it is not returned again.
+func (fs *TraceFileSink) EndTrace(runErr error) error {
+	if fs.f == nil {
+		return nil
+	}
+	f := fs.f
+	fs.f = nil
+	err := runErr
+	if err == nil {
+		err = fs.inner.EndTrace(nil)
+	}
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("core: trace sink: %w", cerr)
+	}
+	if err == nil && !fs.inPlace {
+		if rerr := os.Rename(fs.tmpPath(), fs.path); rerr != nil {
+			err = fmt.Errorf("core: trace sink: %w", rerr)
+		}
+	}
+	if err != nil && !fs.inPlace {
+		os.Remove(fs.tmpPath())
+	}
+	if runErr != nil {
+		return nil
+	}
+	return err
+}
 
 // TraceSource iterates a trace one superstep at a time, so analyses can
 // process traces far larger than RAM.  Sources exist over an in-memory
@@ -137,8 +218,9 @@ func (s *traceSliceSource) Close() error { return nil }
 // and the full fold-degree matrix F_i(n, 2^j) for every fold j at once,
 // which is everything H(n,p,σ), wiseness, fullness and the D-BSP
 // communication time of Eq. 2 need.  It is the only code that derives S
-// and F from superstep records.  Summarizing a TraceSource therefore
-// costs O(steps·log v) time and O(log²v) memory regardless of how many
+// and F from superstep records.  Every run builds one as its supersteps
+// complete (Trace.Summary); observing a decoded TraceSource costs
+// O(steps·log v) time and O(log²v) memory regardless of how many
 // messages the trace records.
 type FoldSummary struct {
 	v, logV  int
@@ -154,13 +236,17 @@ func NewFoldSummary(v int) (*FoldSummary, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: fold summary: %w", err)
 	}
+	return newFoldSummary(v, logV), nil
+}
+
+func newFoldSummary(v, logV int) *FoldSummary {
 	fs := &FoldSummary{v: v, logV: logV}
 	fs.s = make([]int64, fs.LabelBound())
 	fs.f = make([][]int64, logV+1)
 	for lp := 1; lp <= logV; lp++ {
 		fs.f[lp] = make([]int64, lp)
 	}
-	return fs, nil
+	return fs
 }
 
 // Observe folds one superstep into the summary.  It validates the same
@@ -168,20 +254,8 @@ func NewFoldSummary(v int) (*FoldSummary, error) {
 // TraceBinaryReader) enforce, so summarizing an untrusted stream is
 // safe.
 func (fs *FoldSummary) Observe(rec *StepRec) error {
-	i := fs.steps
-	if rec.Label < 0 || rec.Label >= fs.LabelBound() {
-		return fmt.Errorf("core: trace step %d has invalid label %d", i, rec.Label)
-	}
-	if len(rec.Degree) != fs.logV+1 {
-		return fmt.Errorf("core: trace step %d has %d degree entries, want %d", i, len(rec.Degree), fs.logV+1)
-	}
-	for j, d := range rec.Degree {
-		if d < 0 {
-			return fmt.Errorf("core: trace step %d degree[%d] negative", i, j)
-		}
-		if j <= rec.Label && d != 0 {
-			return fmt.Errorf("core: trace step %d has nonzero degree at fold %d <= label %d", i, j, rec.Label)
-		}
+	if err := validateStep(rec, fs.steps, fs.logV, fs.LabelBound()); err != nil {
+		return err
 	}
 	fs.steps++
 	fs.messages += rec.Messages
@@ -240,31 +314,4 @@ func (fs *FoldSummary) F(p int) []int64 {
 		panic(err.Error())
 	}
 	return f
-}
-
-// Summarize drains a TraceSource into a FoldSummary in one pass.  It
-// does not Close the source.
-func Summarize(src TraceSource) (*FoldSummary, error) {
-	fs, err := NewFoldSummary(src.V())
-	if err != nil {
-		return nil, err
-	}
-	for {
-		rec, err := src.Next()
-		if err == io.EOF {
-			return fs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := fs.Observe(rec); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// Summary summarizes the trace's steps into a FoldSummary: the one pass
-// every metric of the trace is computed from.
-func (t *Trace) Summary() (*FoldSummary, error) {
-	return Summarize(t.Source())
 }

@@ -8,11 +8,14 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"netoblivious/alg"
+	_ "netoblivious/internal/colsort" // registers "sort"
 	"netoblivious/internal/core"
-	_ "netoblivious/internal/fft" // registers "fft"
+	_ "netoblivious/internal/fft"     // registers "fft"
+	_ "netoblivious/internal/stencil" // registers "stencil2"
 )
 
 // exchangeProgram is a deterministic workload: steps supersteps, each VP
@@ -58,11 +61,61 @@ func TestStreamedJSONByteIdentical(t *testing.T) {
 			t.Errorf("record=%v: streamed JSON differs from in-memory EncodeJSON", record)
 		}
 		if meta.NumSupersteps() != ref.NumSupersteps() || meta.TotalMessages() != ref.TotalMessages() {
-			t.Errorf("record=%v: metadata-only trace counters %d/%d, want %d/%d", record,
+			t.Errorf("record=%v: streamed trace counters %d/%d, want %d/%d", record,
 				meta.NumSupersteps(), meta.TotalMessages(), ref.NumSupersteps(), ref.TotalMessages())
 		}
 		if len(meta.Steps) != 0 {
 			t.Errorf("record=%v: streamed run retained %d steps in memory", record, len(meta.Steps))
+		}
+	}
+}
+
+// TestStreamedRunSummary: a run's Trace carries the fold summary of its
+// supersteps however they left the engine.  Kept in memory, streamed
+// into a DiscardSink, or streamed into a *Trace used as a sink (whose
+// own summary is checked too), every run agrees on S, on F at every
+// fold, and on the superstep and message counts.
+func TestStreamedRunSummary(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"fft", 256}, {"sort", 64}, {"stencil2", 8}} {
+		a, ok := alg.ByName(tc.name)
+		if !ok {
+			t.Fatalf("%s: not registered", tc.name)
+		}
+		mem, err := a.Run(ctx, alg.Spec{}, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		discarded, err := a.Run(ctx, alg.Spec{Sink: &core.DiscardSink{}}, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acc core.Trace
+		accRun, err := a.Run(ctx, alg.Spec{Sink: &acc}, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mem.Trace.Summary()
+		for _, got := range []struct {
+			how string
+			tr  *core.Trace
+		}{{"DiscardSink run", discarded.Trace}, {"Trace-sink run", accRun.Trace}, {"Trace sink", &acc}} {
+			fs := got.tr.Summary()
+			if !slices.Equal(fs.S(), want.S()) {
+				t.Errorf("%s n=%d, %s: S = %v, in memory %v", tc.name, tc.n, got.how, fs.S(), want.S())
+			}
+			for p := 2; p <= want.V(); p *= 2 {
+				if !slices.Equal(fs.F(p), want.F(p)) {
+					t.Errorf("%s n=%d, %s: F(%d) = %v, in memory %v", tc.name, tc.n, got.how, p, fs.F(p), want.F(p))
+				}
+			}
+			if got.tr.NumSupersteps() != mem.Trace.NumSupersteps() || got.tr.TotalMessages() != mem.Trace.TotalMessages() {
+				t.Errorf("%s n=%d, %s: %d supersteps / %d messages, in memory %d / %d", tc.name, tc.n, got.how,
+					got.tr.NumSupersteps(), got.tr.TotalMessages(), mem.Trace.NumSupersteps(), mem.Trace.TotalMessages())
+			}
 		}
 	}
 }
@@ -87,10 +140,10 @@ func TestStreamedJSONZeroSteps(t *testing.T) {
 	}
 }
 
-// TestTraceFileSinkBothFormats: a run streamed into a file sink round-
-// trips through OpenTraceFile in both formats, the JSON file is exactly
-// the EncodeJSON bytes, and no temporary files survive.
-func TestTraceFileSinkBothFormats(t *testing.T) {
+// TestTraceFileSinkJSON: a run streamed into a file sink round-trips
+// through OpenTraceFile, the file is exactly the EncodeJSON bytes, and
+// no temporary file survives.
+func TestTraceFileSinkJSON(t *testing.T) {
 	prog := randomProgram(11, 32, 9)
 	ref, err := core.RunOpt(32, prog, core.Options{Engine: streamEngine, RecordMessages: true})
 	if err != nil {
@@ -101,50 +154,40 @@ func TestTraceFileSinkBothFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	for _, tc := range []struct {
-		name   string
-		format core.TraceFormat
-	}{
-		{"trace.json", core.TraceJSON},
-		{"trace.bin", core.TraceBinary},
-	} {
-		path := filepath.Join(dir, tc.name)
-		sink := core.NewTraceFileSink(path, tc.format)
-		if _, err := core.RunOpt(32, prog, core.Options{Engine: streamEngine, RecordMessages: true, Sink: sink}); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		src, err := core.OpenTraceFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		back, err := core.ReadAll(src)
-		src.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		var got bytes.Buffer
-		if err := back.EncodeJSON(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Errorf("%s: file round-trip changed the trace", tc.name)
-		}
-		if tc.format == core.TraceJSON {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want.Bytes(), raw) {
-				t.Error("streamed JSON file is not byte-identical to EncodeJSON")
-			}
-		}
+	path := filepath.Join(dir, "trace.json")
+	sink := core.NewTraceFileSink(path)
+	if _, err := core.RunOpt(32, prog, core.Options{Engine: streamEngine, RecordMessages: true, Sink: sink}); err != nil {
+		t.Fatal(err)
+	}
+	src, err := core.OpenTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := core.ReadAll(src)
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := back.EncodeJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Error("file round-trip changed the trace")
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), raw) {
+		t.Error("streamed JSON file is not byte-identical to EncodeJSON")
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
-		t.Errorf("directory holds %d entries, want exactly the 2 trace files", len(entries))
+	if len(entries) != 1 {
+		t.Errorf("directory holds %d entries, want exactly the trace file", len(entries))
 	}
 }
 
@@ -164,7 +207,7 @@ func TestTraceFileSinkCancellationLeavesNoFiles(t *testing.T) {
 			vp.Sync(0)
 		}
 	}
-	sink := core.NewTraceFileSink(filepath.Join(dir, "partial.json"), core.TraceJSON)
+	sink := core.NewTraceFileSink(filepath.Join(dir, "partial.json"))
 	_, err := core.RunOpt(8, prog, core.Options{RecordMessages: true, Context: ctx, Sink: sink})
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
@@ -279,13 +322,13 @@ func (s *memProbeSink) EndTrace(runErr error) error { return s.discard.EndTrace(
 func TestPooledPairChunksSteadyState(t *testing.T) {
 	const v, steps, fanout = 64, 50, 64 // 4096 pairs/step: full pooled chunks
 	run := func() int64 {
-		sink := &core.DiscardSink{}
-		if _, err := core.RunOpt(v, exchangeProgram(v, steps, fanout), core.Options{
-			RecordMessages: true, Sink: sink, Engine: core.BlockEngine{Workers: 1},
-		}); err != nil {
+		tr, err := core.RunOpt(v, exchangeProgram(v, steps, fanout), core.Options{
+			RecordMessages: true, Sink: &core.DiscardSink{}, Engine: core.BlockEngine{Workers: 1},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return int64(sink.Messages())
+		return tr.TotalMessages()
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var messages int64

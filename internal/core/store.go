@@ -2,6 +2,8 @@ package core
 
 import (
 	"container/list"
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -26,6 +28,14 @@ type TraceKey struct {
 // the memo-store key and as a stable file-name stem for archived traces.
 func (k TraceKey) String() string {
 	return fmt.Sprintf("%s/n=%d", k.Algorithm, k.N)
+}
+
+// IsCancellation reports whether err is (or wraps) a context
+// cancellation or deadline: the class of errors that describe the
+// caller rather than the computation, and therefore are never memoized
+// for a key.
+func IsCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // StoreStats reports the cumulative effectiveness of a Store.
@@ -53,8 +63,10 @@ func (s StoreStats) HitRate() float64 {
 // that single computation.  Errors are cached alongside values: a failed
 // computation is not retried, so every caller of a key observes the same
 // outcome — a property the experiment suite relies on for
-// schedule-independent output.  (Callers that must not memoize an error —
-// e.g. a cancelled context — drop it with ForgetIf instead.)
+// schedule-independent output.  A cancellation (IsCancellation) is the
+// exception: it describes the caller whose context ended, not the key,
+// so it reaches the callers that shared the computation and is then
+// dropped, and the next Get recomputes.
 //
 // A bounded store (NewBoundedStore) keeps at most capacity completed
 // entries, discarding the least recently used beyond that; a long-running
@@ -143,9 +155,9 @@ func (s *Store[V]) get(key string, compute func() (V, error), fill bool) (V, err
 	close(e.done)
 	s.mu.Lock()
 	// The entry enters the LRU order only now that it is completed.  An
-	// in-flight entry is never removed (eviction and ForgetIf touch
-	// completed entries only), so it is still the map's entry for key.
-	if fill && e.err != nil {
+	// in-flight entry is never evicted, so it is still the map's entry
+	// for key.
+	if (fill && e.err != nil) || IsCancellation(e.err) {
 		delete(s.entries, key)
 	} else {
 		e.elem = s.lru.PushFront(e)
@@ -172,28 +184,6 @@ func (s *Store[V]) Peek(key string) (val V, err error, ok bool) {
 	s.mu.Unlock()
 	s.hits.Add(1)
 	return e.val, e.err, true
-}
-
-// ForgetIf removes key only when its entry is completed and its outcome
-// satisfies pred.  In-flight computations and entries that fail pred are
-// left untouched, so a caller reacting to a stale outcome (e.g. a
-// cancellation error it received earlier) can never evict the fresh
-// entry that replaced it, even when several waiters of one failed
-// computation all try to drop it.
-func (s *Store[V]) ForgetIf(key string, pred func(val V, err error) bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok || e.elem == nil {
-		return false
-	}
-	if !pred(e.val, e.err) {
-		return false
-	}
-	s.lru.Remove(e.elem)
-	e.elem = nil
-	delete(s.entries, key)
-	return true
 }
 
 // evictLocked discards least-recently-used completed entries beyond the

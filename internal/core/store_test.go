@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -136,50 +138,58 @@ func TestStoreLRUSingleFlightInteraction(t *testing.T) {
 	}
 }
 
-// TestStoreForgetIf: conditional removal touches only completed entries
-// whose outcome matches the predicate — the guard that keeps a stale
-// waiter from evicting a fresh recomputation.
-func TestStoreForgetIf(t *testing.T) {
+// TestStoreDropsCancellation: a computation that ends in a cancellation
+// reaches every waiter that joined it and is then dropped, so the next
+// Get recomputes; any other error stays memoized.
+func TestStoreDropsCancellation(t *testing.T) {
+	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
+		s := NewStore[int]()
+		const waiters = 3
+		release := make(chan struct{})
+		started := make(chan struct{})
+		errs := make(chan error, waiters+1)
+		go func() {
+			_, err := s.Get("k", func() (int, error) {
+				close(started)
+				<-release
+				return 0, fmt.Errorf("run cancelled: %w", cause)
+			})
+			errs <- err
+		}()
+		<-started
+		for i := 0; i < waiters; i++ {
+			go func() {
+				_, err := s.Get("k", func() (int, error) { return 1, nil })
+				errs <- err
+			}()
+		}
+		for s.Stats().Hits < waiters {
+			runtime.Gosched()
+		}
+		close(release)
+		for i := 0; i < waiters+1; i++ {
+			if err := <-errs; !errors.Is(err, cause) {
+				t.Errorf("%v: caller %d got %v, want the cancellation", cause, i, err)
+			}
+		}
+		if _, _, ok := s.Peek("k"); ok || s.Len() != 0 {
+			t.Errorf("%v: cancellation kept: Peek ok=%v, Len=%d", cause, ok, s.Len())
+		}
+		if v, err := s.Get("k", func() (int, error) { return 7, nil }); err != nil || v != 7 {
+			t.Errorf("%v: Get after the cancellation = %d, %v; want a recomputed 7", cause, v, err)
+		}
+	}
+
 	s := NewStore[int]()
 	boom := errors.New("boom")
-	isBoom := func(_ int, err error) bool { return errors.Is(err, boom) }
-	if s.ForgetIf("k", isBoom) {
-		t.Fatal("ForgetIf removed an absent key")
+	computes := 0
+	for i := 0; i < 2; i++ {
+		if _, err := s.Get("e", func() (int, error) { computes++; return 0, boom }); !errors.Is(err, boom) {
+			t.Fatalf("Get %d: %v, want boom", i, err)
+		}
 	}
-	if _, err := s.Get("k", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
-		t.Fatal(err)
-	}
-	if !s.ForgetIf("k", isBoom) {
-		t.Fatal("ForgetIf did not remove the matching error entry")
-	}
-	// A fresh successful entry for the same key must survive a stale
-	// ForgetIf with the old predicate.
-	if _, err := s.Get("k", func() (int, error) { return 5, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if s.ForgetIf("k", isBoom) {
-		t.Fatal("stale ForgetIf evicted the fresh entry")
-	}
-	if v, _, ok := s.Peek("k"); !ok || v != 5 {
-		t.Fatalf("fresh entry lost: %d, %v", v, ok)
-	}
-	// In-flight entries are never touched.
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _ = s.Get("slow", func() (int, error) { close(started); <-release; return 1, nil })
-	}()
-	<-started
-	if s.ForgetIf("slow", func(int, error) bool { return true }) {
-		t.Error("ForgetIf removed an in-flight entry")
-	}
-	close(release)
-	wg.Wait()
-	if _, _, ok := s.Peek("slow"); !ok {
-		t.Error("in-flight entry vanished after completion")
+	if _, err, ok := s.Peek("e"); computes != 1 || !ok || !errors.Is(err, boom) {
+		t.Errorf("a plain error was not memoized: %d computes, Peek ok=%v err=%v", computes, ok, err)
 	}
 }
 

@@ -59,17 +59,18 @@ type Trace struct {
 
 	mu sync.Mutex
 
+	// sum is the fold summary of every step that has left the pending
+	// window, whether to Steps or to sink, so a streamed run's Trace
+	// summarizes like an in-memory one.  A Trace built as a struct
+	// literal has none; BeginTrace creates it.
+	sum *FoldSummary
+
 	// The pending window: window[i] is superstep base+i and seen[i]
-	// counts the VPs merged into it.  flushed and flushedMsgs summarize
-	// the records handed to sink, keeping NumSupersteps and
-	// TotalMessages valid on the metadata-only Trace a streaming run
-	// returns.
-	window      []StepRec
-	seen        []int
-	base        int
-	sink        TraceSink
-	flushed     int
-	flushedMsgs int64
+	// counts the VPs merged into it.
+	window []StepRec
+	seen   []int
+	base   int
+	sink   TraceSink
 
 	// probe, when non-nil (Options.Probe), receives one span per
 	// superstep as the step leaves the window; probeLast is the end time
@@ -79,7 +80,7 @@ type Trace struct {
 }
 
 func newTrace(v, logV int) *Trace {
-	return &Trace{V: v, LogV: logV}
+	return &Trace{V: v, LogV: logV, sum: newFoldSummary(v, logV)}
 }
 
 // merge folds the metrics of one cluster's barrier completion into the
@@ -141,7 +142,8 @@ func (t *Trace) probeStepDoneLocked(step int, rec *StepRec) {
 }
 
 // flushLocked delivers the completed prefix of the pending window, in
-// superstep order: to Steps, or to the sink when the run has one.
+// superstep order: into the summary, then to Steps, or to the sink when
+// the run has one.
 func (t *Trace) flushLocked() error {
 	for len(t.window) > 0 && t.seen[0] >= t.V {
 		if t.seen[0] > t.V {
@@ -151,14 +153,13 @@ func (t *Trace) flushLocked() error {
 		if t.probe != nil {
 			t.probeStepDoneLocked(t.base, &rec)
 		}
+		if err := t.sum.Observe(&rec); err != nil {
+			return fmt.Errorf("core: internal error: %w", err)
+		}
 		if t.sink == nil {
 			t.Steps = append(t.Steps, rec)
-		} else {
-			if err := t.sink.WriteStep(rec); err != nil {
-				return fmt.Errorf("core: trace sink: %w", err)
-			}
-			t.flushed++
-			t.flushedMsgs += rec.Messages
+		} else if err := t.sink.WriteStep(rec); err != nil {
+			return fmt.Errorf("core: trace sink: %w", err)
 		}
 		t.base++
 		t.window[0] = StepRec{}
@@ -176,21 +177,21 @@ func (t *Trace) pendingSteps() int {
 	return len(t.window)
 }
 
-// NumSupersteps returns the number of supersteps executed.  On the
-// metadata-only Trace returned by a streaming run it counts the steps
-// handed to the sink.
-func (t *Trace) NumSupersteps() int { return t.flushed + len(t.Steps) }
+// NumSupersteps returns the number of supersteps executed, including
+// those a streaming run handed to its sink.
+func (t *Trace) NumSupersteps() int { return t.sum.NumSupersteps() }
 
 // TotalMessages returns the total number of messages exchanged during the
-// run, including dummy messages and, in streaming mode, the messages of
-// every step handed to the sink.
-func (t *Trace) TotalMessages() int64 {
-	tot := t.flushedMsgs
-	for i := range t.Steps {
-		tot += t.Steps[i].Messages
-	}
-	return tot
-}
+// run, including dummy messages and those of steps handed to a sink.
+func (t *Trace) TotalMessages() int64 { return t.sum.TotalMessages() }
+
+// Summary returns the run's fold summary: the S_i and F_i vectors every
+// metric of the trace is computed from, built as each superstep
+// completed (streamed ones included).  It is the Trace's own summary,
+// not a copy; callers must not Observe into it.  A Trace built as a
+// struct literal, rather than by a run or BeginTrace, has none: Summary
+// is nil and NumSupersteps and TotalMessages panic.
+func (t *Trace) Summary() *FoldSummary { return t.sum }
 
 // logOf returns log2(p) for a positive power of two, or -1 otherwise.
 func logOf(p int) int {

@@ -51,22 +51,12 @@ func TestLog2PanicContract(t *testing.T) {
 	Log2(3)
 }
 
-// summary returns the FoldSummary of tr, failing the test on error.
-func summary(t *testing.T, tr *Trace) *FoldSummary {
-	t.Helper()
-	fs, err := tr.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fs
-}
-
 // TestTraceFEdges covers the p = 1 and p = V boundaries of a trace's
 // folding vector: p = 1 is out of range (a single processor exchanges
 // nothing and F has no entries), p = V is the finest legal fold.
 func TestTraceFEdges(t *testing.T) {
 	tr := exchangeTrace(t)
-	fs := summary(t, tr)
+	fs := tr.Summary()
 
 	if _, err := fs.TryF(1); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("TryF(1) = %v, want out-of-range error", err)
@@ -127,7 +117,7 @@ func TestTraceFSingleVP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := summary(t, tr)
+	fs := tr.Summary()
 	if _, err := fs.TryF(1); err == nil {
 		t.Error("TryF(1) on M(1): want error")
 	}

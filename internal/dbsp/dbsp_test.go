@@ -9,7 +9,6 @@ import (
 	"netoblivious/internal/core"
 	"netoblivious/internal/eval"
 	"netoblivious/internal/randalg"
-	"netoblivious/internal/tracetest"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -80,7 +79,7 @@ func TestCommTimeMatchesHOnUniform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := tracetest.Summary(t, tr)
+		fs := tr.Summary()
 		for p := 2; p <= v; p *= 2 {
 			for _, sigma := range []float64{0, 1, 7} {
 				d := CommTimeSummary(fs, Uniform(p, 1, sigma))
@@ -161,7 +160,7 @@ func TestAscendDescendUnbalancedPair(t *testing.T) {
 	}
 	p := v
 	pr := Mesh(1, p) // steep: g_0 = p
-	standard := CommTimeSummary(tracetest.Summary(t, tr), pr)
+	standard := CommTimeSummary(tr.Summary(), pr)
 	pc, err := AscendDescend(tr, p)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +206,7 @@ func TestCommTimeOf(t *testing.T) {
 	// v=8 on Hypercube(8) (g = 1, ℓ = [3 2 1]): the complement exchange
 	// is a 0-superstep of degree 1 (1·1 + 3) and the pair exchange a
 	// 2-superstep of degree 1 (1·1 + 1).
-	fs := tracetest.Summary(t, tr)
+	fs := tr.Summary()
 	const want = 6
 	if got := CommTimeOf(fs.F(8), fs.S(), pr); got != want {
 		t.Errorf("CommTimeOf = %v, want %v", got, want)

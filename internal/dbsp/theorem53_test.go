@@ -7,7 +7,6 @@ import (
 
 	"netoblivious/internal/core"
 	"netoblivious/internal/eval"
-	"netoblivious/internal/tracetest"
 )
 
 // TestTheorem53PolylogOverhead: executing an already-wise algorithm
@@ -34,7 +33,7 @@ func TestTheorem53PolylogOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = rng
-	fs := tracetest.Summary(t, tr)
+	fs := tr.Summary()
 	for _, pr := range Presets(v) {
 		direct := CommTimeSummary(fs, pr)
 		pc, err := AscendDescend(tr, v)

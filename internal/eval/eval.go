@@ -10,9 +10,10 @@
 // specified on M(v(n)) is evaluated on M(p, σ), p <= v(n), through the
 // folding mechanism.  Every quantity here is an exact function of the
 // superstep counts S_i(n) and folded degrees F_i(n, p) alone, so every
-// metric reads a core.FoldSummary: summarize a trace once
-// (Trace.Summary, or core.Summarize over a stream), then measure any
-// number of (p, σ) points in O(log²v) each.
+// metric reads a core.FoldSummary: the one a run builds as it goes
+// (Trace.Summary) or one observed from a decoded stream
+// (FoldSummary.Observe), then measure any number of (p, σ) points in
+// O(log²v) each.
 package eval
 
 import (

@@ -6,7 +6,6 @@ import (
 
 	"netoblivious/internal/core"
 	"netoblivious/internal/randalg"
-	"netoblivious/internal/tracetest"
 )
 
 // runPattern executes a fixed communication pattern and returns the
@@ -17,7 +16,7 @@ func runPattern(t *testing.T, v int, prog core.Program[int]) *core.FoldSummary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tracetest.Summary(t, tr)
+	return tr.Summary()
 }
 
 // TestHAllToComplement: v=8, every VP sends one message to its bitwise
@@ -109,7 +108,7 @@ func TestFoldingLemmaOnRandomAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		fs := tracetest.Summary(t, tr)
+		fs := tr.Summary()
 		for p := 2; p <= v; p *= 2 {
 			if err := CheckFoldingLemma(fs, p); err != nil {
 				t.Errorf("trial %d (v=%d, p=%d): %v", trial, v, p, err)
@@ -144,7 +143,7 @@ func TestWisenessMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		fs := tracetest.Summary(t, tr)
+		fs := tr.Summary()
 		alphaV := Wiseness(fs, v)
 		for p := 2; p < v; p *= 2 {
 			// (α(v), v)-wise implies (α(v), p)-wise: measured α(p) >= α(v).
@@ -164,7 +163,7 @@ func TestHAdditivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, tr)
+	fs := tr.Summary()
 	for p := 2; p <= 16; p *= 2 {
 		f := Fold(fs, p)
 		h0 := f.H(0)

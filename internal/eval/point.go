@@ -25,8 +25,8 @@ type Point struct {
 }
 
 // MeasureSummary computes the full metric set of the summarized
-// algorithm folded on M(p, σ): one Summarize pass over a trace, then any
-// number of (p, σ) grid points in O(log²v) each.  It shares the
+// algorithm folded on M(p, σ): the run's one summary, then any number of
+// (p, σ) grid points in O(log²v) each.  It shares the
 // Fold/Wiseness/Fullness panic contracts: p must be a power of two with
 // 1 < p <= v.
 func MeasureSummary(fs *core.FoldSummary, p int, sigma float64) Point {

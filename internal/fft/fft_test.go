@@ -8,7 +8,6 @@ import (
 
 	"netoblivious/internal/eval"
 	"netoblivious/internal/theory"
-	"netoblivious/internal/tracetest"
 )
 
 func randInput(rng *rand.Rand, n int) []complex128 {
@@ -98,12 +97,12 @@ func TestTransformComplexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recFS := tracetest.Summary(t, rec.Trace)
+	recFS := rec.Trace.Summary()
 	it, err := TransformIterative(x, Options{Wise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	itFS := tracetest.Summary(t, it.Trace)
+	itFS := it.Trace.Summary()
 	for p := 2; p <= n; p *= 4 {
 		h := eval.H(recFS, p, 0)
 		pred := theory.PredictedFFT(float64(n), p, 0)
@@ -136,7 +135,7 @@ func TestWiseness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	for p := 2; p <= n; p *= 4 {
 		if alpha := eval.Wiseness(fs, p); alpha < 0.05 {
 			t.Errorf("α(%d) = %v, want Θ(1)", p, alpha)
@@ -152,7 +151,7 @@ func TestFoldingLemmaOnFFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	for p := 2; p <= n; p *= 2 {
 		if err := eval.CheckFoldingLemma(fs, p); err != nil {
 			t.Errorf("p=%d: %v", p, err)

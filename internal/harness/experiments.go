@@ -351,11 +351,7 @@ func runE7(cfg Config) ([]*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		awfs, err := aw.Trace.Summary()
-		if err != nil {
-			return nil, err
-		}
-		hA := eval.H(awfs, p, sigma)
+		hA := eval.H(aw.Trace.Summary(), p, sigma)
 		hT := eval.H(tree, p, sigma)
 		lb := theory.LowerBoundBroadcast(p, sigma)
 		gap := hT / lb

@@ -82,23 +82,6 @@ func (c Config) suiteSummary(name string) (*core.FoldSummary, error) {
 	return c.Summary(name, c.suiteSize(name))
 }
 
-// lbAt returns the σ=0 message lower bound of an algorithm at fold p.
-func lbAt(name string, v, p int) float64 {
-	switch {
-	case strings.HasPrefix(name, "matmul-space"):
-		return theory.LowerBoundMMSpace(float64(v), p, 0)
-	case strings.HasPrefix(name, "matmul"):
-		return theory.LowerBoundMM(float64(v), p, 0)
-	case strings.HasPrefix(name, "fft"):
-		return theory.LowerBoundFFT(float64(v), p, 0)
-	case name == "sort":
-		return theory.LowerBoundSort(float64(v), p, 0)
-	case name == "stencil1":
-		return theory.LowerBoundStencil(float64(v), 1, p, 0)
-	}
-	return 0
-}
-
 // dbspLowerBound transports the evaluation-model message lower bound to a
 // D-BSP machine: the algorithm folded on 2^j processors must exchange
 // LB(2^j) messages, each crossing a level-(j−1) cluster boundary and thus
@@ -109,7 +92,7 @@ func lbAt(name string, v, p int) float64 {
 func dbspLowerBound(name string, v int, pr dbsp.Params) float64 {
 	best := 0.0
 	for j := 1; j <= pr.LogP(); j++ {
-		lb := lbAt(name, v, 1<<uint(j))
+		lb, _, _ := theory.Bounds(name, float64(v), 1<<uint(j), 0)
 		if t := lb * pr.G[j-1] * float64(int64(1)<<uint(j)) / float64(pr.P); t > best {
 			best = t
 		}
@@ -140,7 +123,8 @@ func runE8(cfg Config) ([]*Result, error) {
 			alpha := eval.Wiseness(fs, p)
 			d := dbsp.CommTimeSummary(fs, pr)
 			lb := dbspLowerBound(name, fs.V(), pr)
-			beta := eval.BetaOptimality(lbAt(name, fs.V(), p), eval.H(fs, p, 0))
+			lb0, _, _ := theory.Bounds(name, float64(fs.V()), p, 0)
+			beta := eval.BetaOptimality(lb0, eval.H(fs, p, 0))
 			if d/lb > worst {
 				worst = d / lb
 			}
@@ -179,21 +163,21 @@ func runE9(cfg Config) ([]*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			return r.Trace.Summary()
+			return r.Trace.Summary(), nil
 		}},
 		{"fft", func() (*core.FoldSummary, error) {
 			r, err := fft.Transform(x, fft.Options{Wise: false, Engine: cfg.engine()})
 			if err != nil {
 				return nil, err
 			}
-			return r.Trace.Summary()
+			return r.Trace.Summary(), nil
 		}},
 		{"sort", func() (*core.FoldSummary, error) {
 			r, err := colsort.Sort(keys, colsort.Options{Wise: false, Engine: cfg.engine()})
 			if err != nil {
 				return nil, err
 			}
-			return r.Trace.Summary()
+			return r.Trace.Summary(), nil
 		}},
 	}
 	dummiesWin := true
@@ -227,10 +211,7 @@ func runE9(cfg Config) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ubfs, err := ub.Summary()
-	if err != nil {
-		return nil, err
-	}
+	ubfs := ub.Summary()
 	unbalancedExact := true
 	for _, p := range []int{4, 16, 256} {
 		alpha := eval.Wiseness(ubfs, p)
@@ -300,11 +281,7 @@ func runE10(cfg Config) ([]*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		fs, err := tr.Summary()
-		if err != nil {
-			return nil, err
-		}
-		check(fmt.Sprintf("random-%d", trial), fs)
+		check(fmt.Sprintf("random-%d", trial), tr.Summary())
 	}
 	res.Notes = append(res.Notes,
 		"zero violations expected: the lemma holds per-superstep for every static algorithm; max ratio 1 means the bound is tight (achieved by perfectly wise patterns)")
@@ -333,10 +310,7 @@ func runE11(cfg Config) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs, err := tr.Summary()
-	if err != nil {
-		return nil, err
-	}
+	fs := tr.Summary()
 	res := &Result{
 		ID: "E11", Title: "ascend–descend execution of the unbalanced-pair workload",
 		PaperRef: "Section 5, Lemma 5.1, Theorem 5.3",

@@ -48,10 +48,7 @@ func runE15(cfg Config) ([]*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		fs, err := r.Trace.Summary()
-		if err != nil {
-			return nil, err
-		}
+		fs := r.Trace.Summary()
 		for p := 4; p <= v; p *= 8 {
 			h := eval.H(fs, p, 0)
 			pred := math.Pow(float64(m)*float64(k)*float64(n)/float64(p), 2.0/3.0) +

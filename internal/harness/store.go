@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"netoblivious/alg"
@@ -60,10 +59,9 @@ func NewBoundedTraceStore(capacity int) *TraceStore {
 
 // Get returns the memoized run of the named registry algorithm at size
 // n, executing it on the given engine (nil: the BlockEngine) and
-// summarizing its trace on first use.  ctx bounds that execution;
-// because cancellation errors would otherwise be memoized for every
-// later caller of the key, a run failing with ctx's error is forgotten
-// instead of cached.
+// summarizing its trace on first use.  ctx bounds that execution; a run
+// failing with ctx's error is not memoized (core.Store never keeps a
+// cancellation), so the next caller of the key recomputes.
 func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n int) (Run, error) {
 	a, ok := alg.ByName(name)
 	if !ok {
@@ -81,34 +79,12 @@ func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n i
 		if ts.probe != nil {
 			ts.probe.Span("store", "trace-compute", 0, start, map[string]any{"key": key})
 		}
-		fs, err := r.Trace.Summary()
-		if err != nil {
-			return Run{}, err
-		}
-		return Run{Summary: fs, PeakEntries: r.PeakEntries}, nil
+		return Run{Summary: r.Trace.Summary(), PeakEntries: r.PeakEntries}, nil
 	})
 	if ts.probe != nil && !computed {
 		ts.probe.Instant("store", "trace-hit", 0, map[string]any{"key": key})
 	}
-	if IsCancellation(err) {
-		// The computation died of a cancelled context: that outcome
-		// belongs to whichever caller was cancelled, not to the key, so
-		// drop it and let the next live caller recompute.  ForgetIf
-		// matches the outcome, so when several waiters observe the same
-		// dead computation, a stale one can never evict the fresh entry
-		// a live caller has already started.  Genuine algorithm errors
-		// are unaffected and stay memoized.
-		ts.store.ForgetIf(key, func(_ Run, err error) bool { return IsCancellation(err) })
-	}
 	return run, err
-}
-
-// IsCancellation reports whether err is (or wraps) a context
-// cancellation or deadline — the class of errors that describe the
-// caller rather than the computation, and therefore must never be
-// memoized for a key.
-func IsCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // Stats returns the cumulative hit/miss/eviction counters.

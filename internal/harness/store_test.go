@@ -121,10 +121,7 @@ func TestTraceStoreSummaryMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := direct.Trace.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := direct.Trace.Summary()
 	store := NewTraceStore()
 	for i := 0; i < 2; i++ {
 		run, err := store.Get(ctx, nil, "fft", 64)

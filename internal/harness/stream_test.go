@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -91,19 +92,27 @@ func TestArchivedTraceFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := core.Summarize(src)
+		decoded, err := core.NewFoldSummary(src.V())
 		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+			t.Fatal(err)
+		}
+		for {
+			rec, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err == nil {
+				err = decoded.Observe(rec)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
 		}
 		live, err := a.Run(ctx, alg.Spec{Record: true}, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := live.Trace.Summary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameFoldSummary(decoded, want) {
+		if !sameFoldSummary(decoded, live.Trace.Summary()) {
 			t.Errorf("%s: archived fold summary differs from a live run's", name)
 		}
 	}

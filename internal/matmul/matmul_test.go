@@ -7,7 +7,6 @@ import (
 
 	"netoblivious/internal/eval"
 	"netoblivious/internal/theory"
-	"netoblivious/internal/tracetest"
 )
 
 func randMatrix(rng *rand.Rand, s int) []int64 {
@@ -107,7 +106,7 @@ func TestMultiplyComplexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	for p := 2; p <= s*s; p *= 4 {
 		f := eval.Fold(fs, p)
 		h := f.H(0)
@@ -133,7 +132,7 @@ func TestSpaceEfficientComplexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	for p := 4; p <= s*s; p *= 4 {
 		h := eval.H(fs, p, 0)
 		pred := theory.PredictedMMSpace(n, p, 0)
@@ -154,7 +153,7 @@ func TestWisenessConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	for p := 2; p <= s*s; p *= 4 {
 		if alpha := eval.Wiseness(fs, p); alpha < 0.05 {
 			t.Errorf("8-way: α(%d) = %v, want Θ(1)", p, alpha)
@@ -164,7 +163,7 @@ func TestWisenessConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs2 := tracetest.Summary(t, res2.Trace)
+	fs2 := res2.Trace.Summary()
 	for p := 2; p <= s*s; p *= 4 {
 		if alpha := eval.Wiseness(fs2, p); alpha < 0.05 {
 			t.Errorf("space-efficient: α(%d) = %v, want Θ(1)", p, alpha)
@@ -181,7 +180,7 @@ func TestFoldingLemmaOnMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	for p := 2; p <= s*s; p *= 2 {
 		if err := eval.CheckFoldingLemma(fs, p); err != nil {
 			t.Errorf("p=%d: %v", p, err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"netoblivious/internal/eval"
-	"netoblivious/internal/tracetest"
 )
 
 func randRect(rng *rand.Rand, m, n int) []int64 {
@@ -71,7 +70,7 @@ func TestMultiplyRectMatchesSquareBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	for p := 4; p <= v; p *= 4 {
 		h := eval.H(fs, p, 0)
 		pred := float64(s*s) / math.Pow(float64(p), 2.0/3.0)
@@ -94,7 +93,7 @@ func TestMultiplyRectTallSkinny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	want := SeqMultiplyRect(m, k, n, a, b, Plus())
 	for i := range want {
 		if res.C[i] != want[i] {

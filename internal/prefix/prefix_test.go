@@ -7,7 +7,6 @@ import (
 
 	"netoblivious/internal/core"
 	"netoblivious/internal/eval"
-	"netoblivious/internal/tracetest"
 )
 
 func TestSeqScan(t *testing.T) {
@@ -96,12 +95,12 @@ func TestWorkAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doublingFS := tracetest.Summary(t, doubling.Trace)
+	doublingFS := doubling.Trace.Summary()
 	tree, err := ScanTree(xs, Sum(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	treeFS := tracetest.Summary(t, tree.Trace)
+	treeFS := tree.Trace.Summary()
 	if m1, m2 := doubling.Trace.TotalMessages(), tree.Trace.TotalMessages(); m1 < 4*m2 {
 		t.Errorf("doubling (%d msgs) should be ~log n/2 times tree (%d msgs)", m1, m2)
 	}
@@ -126,7 +125,7 @@ func TestFullness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	treeFS := tracetest.Summary(t, tree.Trace)
+	treeFS := tree.Trace.Summary()
 	for p := 2; p <= 256; p *= 4 {
 		if g := eval.Fullness(treeFS, p); g <= 0 {
 			t.Errorf("tree fullness γ(%d) = %v, want > 0", p, g)

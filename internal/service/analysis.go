@@ -335,34 +335,6 @@ func recordTitle(req Request) string {
 	}
 }
 
-// boundsFor maps a registry algorithm to its closed-form (lower,
-// predicted) communication bounds on M(p, σ).  The bool result reports
-// whether the paper provides closed forms for the algorithm.
-func boundsFor(alg string, n float64, p int, sigma float64) (lower, predicted float64, ok bool) {
-	switch alg {
-	case "matmul":
-		return theory.LowerBoundMM(n, p, sigma), theory.PredictedMM(n, p, sigma), true
-	case "matmul-space":
-		return theory.LowerBoundMMSpace(n, p, sigma), theory.PredictedMMSpace(n, p, sigma), true
-	case "fft":
-		return theory.LowerBoundFFT(n, p, sigma), theory.PredictedFFT(n, p, sigma), true
-	case "fft-iterative":
-		return theory.LowerBoundFFT(n, p, sigma), theory.PredictedIterativeFFT(n, p, sigma), true
-	case "sort":
-		return theory.LowerBoundSort(n, p, sigma), theory.PredictedSort(n, p, sigma), true
-	case "bitonic":
-		return theory.LowerBoundSort(n, p, sigma), theory.PredictedBitonic(n, p, sigma), true
-	case "stencil1":
-		return theory.LowerBoundStencil(n, 1, p, sigma), theory.PredictedStencil1(n, p, sigma), true
-	case "stencil2":
-		return theory.LowerBoundStencil(n, 2, p, sigma), theory.PredictedStencil2(n, p, sigma), true
-	case "broadcast-tree":
-		return theory.LowerBoundBroadcast(p, sigma), theory.PredictedBroadcastAware(p, sigma), true
-	default:
-		return 0, 0, false
-	}
-}
-
 // analyzeBounds builds the closed-form bound table.
 func (s *Server) analyzeBounds(req Request) ([]*harness.Result, error) {
 	res := &harness.Result{
@@ -374,7 +346,7 @@ func (s *Server) analyzeBounds(req Request) ([]*harness.Result, error) {
 	n := float64(req.N)
 	worst := 0.0
 	for _, m := range req.machines(0) {
-		lower, pred, ok := boundsFor(req.Algorithm, n, m.P, m.Sigma)
+		lower, pred, ok := theory.Bounds(req.Algorithm, n, m.P, m.Sigma)
 		if !ok {
 			res.Notes = append(res.Notes,
 				fmt.Sprintf("no closed-form bounds for %q; run a trace analysis instead", req.Algorithm))

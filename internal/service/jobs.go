@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"netoblivious/internal/core"
 	"netoblivious/internal/harness"
 )
 
@@ -397,13 +398,11 @@ func (s *Server) runJob(j *job) {
 		doc, err = s.results.Get(key, func() (*harness.Document, error) {
 			return s.runAnalysis(jobCtx, j.req, j.publish)
 		})
-		if !harness.IsCancellation(err) {
+		// The store never keeps a cancellation: it describes a job, not
+		// the key.
+		if !core.IsCancellation(err) {
 			break
 		}
-		// A cancellation describes a job, not the key: never leave it
-		// memoized.  ForgetIf so a stale waiter cannot evict a fresh
-		// entry another caller has already recomputed.
-		s.results.ForgetIf(key, func(_ *harness.Document, err error) bool { return harness.IsCancellation(err) })
 		if jobCtx.Err() != nil || attempt >= 2 {
 			break // our own cancellation/timeout (or giving up): terminal
 		}

@@ -7,7 +7,6 @@ import (
 
 	"netoblivious/internal/eval"
 	"netoblivious/internal/theory"
-	"netoblivious/internal/tracetest"
 )
 
 func randInputs(rng *rand.Rand, m int) []int64 {
@@ -113,7 +112,7 @@ func TestStencil1Complexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	for p := 2; p <= n; p *= 4 {
 		h := eval.H(fs, p, 0)
 		pred := theory.PredictedStencil1(float64(n), p, 0)
@@ -136,7 +135,7 @@ func TestStencil2Complexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	for p := 4; p <= n*n; p *= 4 {
 		h := eval.H(fs, p, 0)
 		pred := theory.PredictedStencil2(float64(n), p, 0)
@@ -155,7 +154,7 @@ func TestFoldingAndWiseness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := tracetest.Summary(t, res.Trace)
+	fs := res.Trace.Summary()
 	for p := 2; p <= n; p *= 2 {
 		if err := eval.CheckFoldingLemma(fs, p); err != nil {
 			t.Errorf("p=%d: %v", p, err)

@@ -131,6 +131,34 @@ func PredictedBroadcastAware(p int, sigma float64) float64 {
 	return LowerBoundBroadcast(p, sigma)
 }
 
+// Bounds maps a registry algorithm to its closed-form (lower,
+// predicted) communication bounds on M(p, σ) at input size n.  ok
+// reports whether the paper provides closed forms for the algorithm.
+func Bounds(name string, n float64, p int, sigma float64) (lower, predicted float64, ok bool) {
+	switch name {
+	case "matmul":
+		return LowerBoundMM(n, p, sigma), PredictedMM(n, p, sigma), true
+	case "matmul-space":
+		return LowerBoundMMSpace(n, p, sigma), PredictedMMSpace(n, p, sigma), true
+	case "fft":
+		return LowerBoundFFT(n, p, sigma), PredictedFFT(n, p, sigma), true
+	case "fft-iterative":
+		return LowerBoundFFT(n, p, sigma), PredictedIterativeFFT(n, p, sigma), true
+	case "sort":
+		return LowerBoundSort(n, p, sigma), PredictedSort(n, p, sigma), true
+	case "bitonic":
+		return LowerBoundSort(n, p, sigma), PredictedBitonic(n, p, sigma), true
+	case "stencil1":
+		return LowerBoundStencil(n, 1, p, sigma), PredictedStencil1(n, p, sigma), true
+	case "stencil2":
+		return LowerBoundStencil(n, 2, p, sigma), PredictedStencil2(n, p, sigma), true
+	case "broadcast-tree":
+		return LowerBoundBroadcast(p, sigma), PredictedBroadcastAware(p, sigma), true
+	default:
+		return 0, 0, false
+	}
+}
+
 // --- Optimality theorem machinery (Section 3) ----------------------------
 
 // BetaPrime returns the optimality factor guaranteed on the D-BSP by

@@ -1,6 +1,6 @@
 // Package tracetest provides test helpers for communication traces:
-// comparing them across engines, and summarizing them for the metric
-// tests.
+// comparing them across engines, and bounding decoder allocation in the
+// fuzz targets.
 package tracetest
 
 import (
@@ -73,17 +73,6 @@ func EngineEquivalence(t testing.TB, a alg.Algorithm, sizes []int) int {
 		compared++
 	}
 	return compared
-}
-
-// Summary returns the FoldSummary every metric of tr is computed from,
-// failing the test if the trace is malformed.
-func Summary(t testing.TB, tr *core.Trace) *core.FoldSummary {
-	t.Helper()
-	fs, err := tr.Summary()
-	if err != nil {
-		t.Fatalf("tracetest: summarizing trace: %v", err)
-	}
-	return fs
 }
 
 // Allocation budget of one decode in the fuzz targets: a fixed allowance
