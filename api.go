@@ -106,7 +106,9 @@ type Engine = core.Engine
 type GoroutineEngine = core.GoroutineEngine
 
 // BlockEngine is the production engine: contiguous VP blocks driven by a
-// worker pool through tree barriers and bucketed message routing.
+// worker pool through tree barriers.  Each worker delivers a superstep
+// confined to blocks in one pass over its own block, and routes one whose
+// clusters span workers through destination buckets.
 type BlockEngine = core.BlockEngine
 
 // Algorithm is a typed descriptor of one runnable network-oblivious

@@ -23,21 +23,34 @@ import (
 //	          wakeup, no lock: the whole block is one logical thread and
 //	          its VP state needs no synchronization;
 //	barrier — workers meet at a sense-reversing tree barrier; worker 0
-//	          validates cluster completeness and the common label;
-//	send    — each worker checks confinement, counts sender-side degrees
-//	          and buckets its VPs' outboxes by destination worker;
-//	barrier — (so every bucket is complete before anyone drains it)
-//	receive — each worker drains the buckets addressed to it in source-
-//	          worker order, counting receiver-side degrees and bulk-
-//	          appending to its VPs' inboxes;
+//	          validates cluster completeness and the common label, and
+//	          picks the delivery path;
+//	deliver — one of two paths:
+//	          local (label >= log2 W: every cluster lies inside one
+//	          block) — each worker makes one ascending pass over its own
+//	          block that checks confinement, counts both degree sides and
+//	          appends every message straight to its destination's inbox;
+//	          routed (label < log2 W: clusters span workers) —
+//	          send:    each worker checks confinement, counts sender-side
+//	                   degrees and buckets its VPs' outboxes by
+//	                   destination worker;
+//	          barrier: (so every bucket is complete before anyone drains
+//	                   it)
+//	          receive: each worker drains the buckets addressed to it in
+//	                   source-worker order, counting receiver-side degrees
+//	                   and bulk-appending to its VPs' inboxes;
 //	barrier — worker 0 merges the per-worker partitions into one StepRec.
+//
+// A local superstep thus crosses two barriers and a routed one three.
+// With W = 1 every superstep is local.
 //
 // Degree counters are partitioned so no two workers ever write the same
 // word: at fold levels with 2^j >= W every fold block lies inside exactly
 // one worker's VP range (W is a power of two), so a single global array
 // per level has disjoint per-worker index ranges — the sender side is
-// written by the source block's owner during send, the receiver side by
-// the destination block's owner during receive.  At coarse levels
+// written by the source block's owner, the receiver side by the
+// destination block's owner (the same worker on a local superstep, whose
+// counted levels j > label >= log2 W are all fine).  At coarse levels
 // (2^j < W) a fold block spans several workers, so each worker sums into
 // a private shard and worker 0 adds the shards at the merge barrier.
 // Message delivery needs no sort: workers scan their VPs in ascending
@@ -64,22 +77,29 @@ const (
 // goroutine as long as calls are serialized, which the owning worker
 // (during a run) and the cache mutex (between runs) guarantee.
 type vpCoro struct {
-	next func() (struct{}, bool)
-	stop func()
-	job  func(yield func() bool) // set by the owner before resuming
+	next  func() (struct{}, bool)
+	stop  func()
+	owner vpOwner // with r, set by the owner before resuming
+	r     int
+}
+
+// vpOwner runs VP r's program as a coroutine's job, suspending at each
+// Sync through yield.  *blockRun[P] implements it, so installing a job
+// is two stores rather than a closure per VP per run.
+type vpOwner interface {
+	runVP(r int, yield func(struct{}) bool)
 }
 
 func newVPCoro() *vpCoro {
 	c := &vpCoro{}
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
-		y := func() bool { return yield(struct{}{}) }
 		for {
-			job := c.job
-			if job == nil {
+			owner := c.owner
+			if owner == nil {
 				return
 			}
-			job(y)
-			c.job = nil
+			owner.runVP(c.r, yield)
+			c.owner = nil
 			if !yield(struct{}{}) {
 				return // torn down while idle
 			}
@@ -164,9 +184,10 @@ func stopAll(doomed []*vpCoro) {
 }
 
 const (
-	phaseDeliver = iota // valid superstep: run send/receive/merge
-	phaseDrain          // aborted: resume parked VPs so they unwind
-	phaseDone           // all VPs finished (or fully drained): exit
+	phaseLocal = iota // valid superstep within blocks: deliverLocal, merge
+	phaseRoute        // valid superstep across blocks: send, receive, merge
+	phaseDrain        // aborted: resume parked VPs so they unwind
+	phaseDone         // all VPs finished (or fully drained): exit
 )
 
 // routedMsg is a staged message en route between workers.
@@ -178,14 +199,15 @@ type routedMsg[P any] struct {
 
 // blockRun is the per-run state of the BlockEngine.
 type blockRun[P any] struct {
-	m  *machine[P]
-	w  int // worker count: power of two, <= v
-	bs int // block size v/w
+	m    *machine[P]
+	prog Program[P]
+	w    int // worker count: power of two, <= v
+	bs   int // block size v/w
 
-	coro    []*vpCoro     // per-VP coroutine, driven by the owning worker
-	yieldFn []func() bool // per-VP Sync suspension point
-	state   []uint8       // vpParked/vpFinished
-	label   []int32       // label of the Sync the VP is parked at
+	coro    []*vpCoro             // per-VP coroutine, driven by the owning worker
+	yieldFn []func(struct{}) bool // per-VP Sync suspension point
+	state   []uint8               // vpParked/vpFinished
+	label   []int32               // label of the Sync the VP is parked at
 
 	bar *treeBarrier
 
@@ -217,10 +239,10 @@ type blockRun[P any] struct {
 
 // runBlockEngine executes prog on m with W block-scheduled workers.
 func runBlockEngine[P any](m *machine[P], prog Program[P], W int) {
-	b := &blockRun[P]{m: m, w: W, bs: m.v / W}
+	b := &blockRun[P]{m: m, prog: prog, w: W, bs: m.v / W}
 	m.block = b
 	b.coro = make([]*vpCoro, m.v)
-	b.yieldFn = make([]func() bool, m.v)
+	b.yieldFn = make([]func(struct{}) bool, m.v)
 	b.state = make([]uint8, m.v)
 	b.label = make([]int32, m.v)
 	b.bar = newTreeBarrier(W)
@@ -264,37 +286,34 @@ func runBlockEngine[P any](m *machine[P], prog Program[P], W int) {
 	for w := 0; w < W; w++ {
 		go func(w int) {
 			defer wg.Done()
-			b.worker(w, prog)
+			b.worker(w)
 		}(w)
 	}
 	wg.Wait()
 }
 
-// makeVP installs VP r's program as the job of a (possibly recycled)
-// coroutine.  The job recovers its own panics — so the coroutine stays
-// reusable — and performs the end-of-program staged-message check.
-func (b *blockRun[P]) makeVP(r int, c *vpCoro, prog Program[P]) {
+// runVP is VP r's job on its coroutine: it runs the program, recovers
+// its panics — so the coroutine stays reusable — and performs the
+// end-of-program staged-message check.
+func (b *blockRun[P]) runVP(r int, yield func(struct{}) bool) {
 	m := b.m
 	vp := &m.vps[r]
-	b.coro[r] = c
-	c.job = func(yield func() bool) {
-		defer func() {
-			if e := recover(); e != nil {
-				if _, ok := e.(abortSentinel); !ok {
-					m.fail(fmt.Errorf("core: VP %d panicked: %v\n%s", r, e, debug.Stack()))
-				}
+	defer func() {
+		if e := recover(); e != nil {
+			if _, ok := e.(abortSentinel); !ok {
+				m.fail(fmt.Errorf("core: VP %d panicked: %v\n%s", r, e, debug.Stack()))
 			}
-			b.state[r] = vpFinished
-			m.finished.Add(1)
-		}()
-		if m.aborted.Load() {
-			return
 		}
-		b.yieldFn[r] = yield
-		prog(vp)
-		if len(vp.outbox) > 0 {
-			m.fail(fmt.Errorf("core: VP %d terminated with %d staged messages; programs must end with a Sync", r, len(vp.outbox)))
-		}
+		b.state[r] = vpFinished
+		m.finished.Add(1)
+	}()
+	if m.aborted.Load() {
+		return
+	}
+	b.yieldFn[r] = yield
+	b.prog(vp)
+	if len(vp.outbox) > 0 {
+		m.fail(fmt.Errorf("core: VP %d terminated with %d staged messages; programs must end with a Sync", r, len(vp.outbox)))
 	}
 }
 
@@ -305,7 +324,7 @@ func (b *blockRun[P]) sync(vp *VP[P], label int) {
 	r := vp.id
 	b.label[r] = int32(label)
 	b.state[r] = vpParked
-	if !b.yieldFn[r]() {
+	if !b.yieldFn[r](struct{}{}) {
 		panic(abortSentinel{})
 	}
 	if b.m.aborted.Load() {
@@ -318,7 +337,7 @@ func (b *blockRun[P]) sync(vp *VP[P], label int) {
 // per barrier generation), which checks the machine's context.
 //
 //nob:ctxloop
-func (b *blockRun[P]) worker(w int, prog Program[P]) {
+func (b *blockRun[P]) worker(w int) {
 	m := b.m
 	lo, hi := w*b.bs, (w+1)*b.bs
 	batch := vpCoros.take(hi - lo)
@@ -328,7 +347,8 @@ func (b *blockRun[P]) worker(w int, prog Program[P]) {
 			c = newVPCoro()
 		}
 		batch[i] = nil
-		b.makeVP(r, c, prog)
+		c.owner, c.r = b, r
+		b.coro[r] = c
 	}
 	idle := batch[:0] // finished coroutines, returned to the cache on exit
 	for {
@@ -364,10 +384,13 @@ func (b *blockRun[P]) worker(w int, prog Program[P]) {
 			return
 		case phaseDrain:
 			continue
+		case phaseLocal:
+			b.deliverLocal(w, lo, hi)
+		case phaseRoute:
+			b.sendPhase(w, lo, hi)
+			b.barArrive(w, nil)
+			b.recvPhase(w, lo, hi)
 		}
-		b.sendPhase(w, lo, hi)
-		b.barArrive(w, nil)
-		b.recvPhase(w, lo, hi)
 		b.barArrive(w, b.mergeStep)
 	}
 }
@@ -387,8 +410,9 @@ func (b *blockRun[P]) barArrive(w int, action func()) {
 
 // coordinate runs on worker 0 between the gather and release of the
 // post-resume barrier: it validates that every parked cluster is complete
-// and label-consistent and publishes the superstep's label and message
-// total, or flips the run into the drain phase on error.
+// and label-consistent and publishes the superstep's label, message total
+// and delivery path — local when a label-cluster fits in one block — or
+// flips the run into the drain phase on error.
 func (b *blockRun[P]) coordinate() {
 	m := b.m
 	var live, msgs int64
@@ -453,7 +477,11 @@ func (b *blockRun[P]) coordinate() {
 	}
 	b.stepLabel = label
 	b.stepMsgs = msgs
-	b.phase = phaseDeliver
+	if v>>uint(label) <= b.bs {
+		b.phase = phaseLocal
+	} else {
+		b.phase = phaseRoute
+	}
 }
 
 // partition returns the index range of worker w in the global counter
@@ -463,15 +491,18 @@ func (b *blockRun[P]) partition(w, j int) (int, int) {
 	return w * per, (w + 1) * per
 }
 
-// deliverSequential is the single-worker fast path: with the whole
-// machine in one block there is nothing to route between workers, so
-// confinement checks, both counter sides and inbox delivery fuse into
-// one ascending pass over the outboxes — the same work the worker pair
-// of phases would do, minus the bucket hop.
-func (b *blockRun[P]) deliverSequential() {
+// deliverLocal delivers a superstep whose clusters each lie inside one
+// block, so no message leaves its sender's worker: one ascending pass
+// over the block checks confinement, counts both sides of the h-relation
+// into the worker's partition of every counted level (all fine, since
+// label >= log2 W), and appends each message straight to its
+// destination's inbox — the work of send and receive minus the bucket
+// hop and the barrier between them.
+//
+//nob:hotpath
+func (b *blockRun[P]) deliverLocal(w, lo, hi int) {
 	m := b.m
-	label, logV := b.stepLabel, m.logV
-	for r := 0; r < m.v; r++ {
+	for r := lo; r < hi; r++ {
 		if b.state[r] == vpParked {
 			m.vps[r].inbox = m.vps[r].inbox[:0]
 		}
@@ -479,12 +510,14 @@ func (b *blockRun[P]) deliverSequential() {
 	if b.stepMsgs == 0 {
 		return
 	}
+	label, logV := b.stepLabel, m.logV
 	for j := label + 1; j <= logV; j++ {
-		clear(b.sentG[j])
-		clear(b.recvG[j])
+		plo, phi := b.partition(w, j)
+		clear(b.sentG[j][plo:phi])
+		clear(b.recvG[j][plo:phi])
 	}
 	size := m.v >> uint(label)
-	for r := 0; r < m.v; r++ {
+	for r := lo; r < hi; r++ {
 		vp := &m.vps[r]
 		if b.state[r] != vpParked || len(vp.outbox) == 0 {
 			continue
@@ -492,21 +525,20 @@ func (b *blockRun[P]) deliverSequential() {
 		first := r / size * size
 		for _, msg := range vp.outbox {
 			if msg.dst < first || msg.dst >= first+size {
-				m.fail(fmt.Errorf("core: superstep %d: VP %d sent a message to VP %d outside its %d-cluster [%d, %d); messages of an i-superstep must stay within i-clusters",
-					b.stepIdx, r, msg.dst, label, first, first+size))
+				m.fail(confinementError(b.stepIdx, r, msg.dst, label, first, size))
 				return
 			}
 			for j := logV; j > label; j-- {
 				sb := r >> uint(logV-j)
 				db := msg.dst >> uint(logV-j)
 				if sb == db {
-					break
+					break // equal here implies equal at every coarser fold
 				}
 				b.sentG[j][sb]++
 				b.recvG[j][db]++
 			}
 			if b.pairShard != nil {
-				b.pairShard[0].Append(int32(r), int32(msg.dst))
+				b.pairShard[w].Append(int32(r), int32(msg.dst))
 			}
 			if !msg.dummy {
 				dst := &m.vps[msg.dst]
@@ -515,10 +547,21 @@ func (b *blockRun[P]) deliverSequential() {
 		}
 		vp.outbox = vp.outbox[:0]
 	}
-	for j := label + 1; j <= logV; j++ {
-		sg, rg := b.sentG[j], b.recvG[j]
+	b.partitionMax(w, label)
+}
+
+// partitionMax records, for every fine level counted in this superstep,
+// the largest degree in worker w's partition of the global counters.
+func (b *blockRun[P]) partitionMax(w, label int) {
+	for j := label + 1; j <= b.m.logV; j++ {
+		sg := b.sentG[j]
+		if sg == nil {
+			continue
+		}
+		rg := b.recvG[j]
+		plo, phi := b.partition(w, j)
 		var mx int32
-		for i := range sg {
+		for i := plo; i < phi; i++ {
 			if sg[i] > mx {
 				mx = sg[i]
 			}
@@ -526,19 +569,17 @@ func (b *blockRun[P]) deliverSequential() {
 				mx = rg[i]
 			}
 		}
-		b.localMax[0][j] = mx
+		b.localMax[w][j] = mx
 	}
 }
 
-// sendPhase checks cluster confinement, accumulates the sender side of
-// the h-relation counters and buckets the worker's staged messages by
-// destination worker.
+// sendPhase is the first half of a routed superstep: it checks cluster
+// confinement, accumulates the sender side of the h-relation counters
+// and buckets the worker's staged messages by destination worker.
+//
+//nob:hotpath
 func (b *blockRun[P]) sendPhase(w, lo, hi int) {
 	m := b.m
-	if b.w == 1 {
-		b.deliverSequential()
-		return
-	}
 	label, logV := b.stepLabel, m.logV
 	if b.stepMsgs > 0 {
 		for j := label + 1; j <= logV; j++ {
@@ -562,8 +603,7 @@ func (b *blockRun[P]) sendPhase(w, lo, hi int) {
 		first := r / size * size
 		for _, msg := range vp.outbox {
 			if msg.dst < first || msg.dst >= first+size {
-				m.fail(fmt.Errorf("core: superstep %d: VP %d sent a message to VP %d outside its %d-cluster [%d, %d); messages of an i-superstep must stay within i-clusters",
-					b.stepIdx, r, msg.dst, label, first, first+size))
+				m.fail(confinementError(b.stepIdx, r, msg.dst, label, first, size))
 				return
 			}
 			for j := logV; j > label; j-- {
@@ -588,16 +628,16 @@ func (b *blockRun[P]) sendPhase(w, lo, hi int) {
 	}
 }
 
-// recvPhase resets the inboxes of the worker's parked VPs (BSP discard
-// semantics), drains the buckets addressed to this worker in ascending
-// source-worker order — preserving the (source, send order) inbox
-// invariant without a sort — and accumulates the receiver side of the
-// h-relation counters plus the worker's partition maxima.
+// recvPhase is the second half of a routed superstep: it resets the
+// inboxes of the worker's parked VPs (BSP discard semantics), drains the
+// buckets addressed to this worker in ascending source-worker order —
+// preserving the (source, send order) inbox invariant without a sort —
+// and accumulates the receiver side of the h-relation counters plus the
+// worker's partition maxima.
+//
+//nob:hotpath
 func (b *blockRun[P]) recvPhase(w, lo, hi int) {
 	m := b.m
-	if b.w == 1 {
-		return // deliverSequential already did the receive side
-	}
 	for r := lo; r < hi; r++ {
 		if b.state[r] == vpParked {
 			vp := &m.vps[r]
@@ -631,24 +671,7 @@ func (b *blockRun[P]) recvPhase(w, lo, hi int) {
 		}
 		b.outBuckets[src][w] = bucket[:0]
 	}
-	for j := label + 1; j <= logV; j++ {
-		sg := b.sentG[j]
-		if sg == nil {
-			continue
-		}
-		rg := b.recvG[j]
-		plo, phi := b.partition(w, j)
-		var mx int32
-		for i := plo; i < phi; i++ {
-			if sg[i] > mx {
-				mx = sg[i]
-			}
-			if rg[i] > mx {
-				mx = rg[i]
-			}
-		}
-		b.localMax[w][j] = mx
-	}
+	b.partitionMax(w, label)
 }
 
 // mergeStep runs on worker 0 at the end-of-superstep barrier: it reduces

@@ -53,12 +53,16 @@
 //     p-processor machine.  VPs are coroutines (iter.Pull) resumed by
 //     their worker through direct stack switches — no scheduler, no
 //     locks — and recycled through a process-wide cache across runs;
-//     workers meet at a sense-reversing tree barrier once per superstep;
-//     messages route through per-worker destination-bucketed outboxes
-//     (bulk appends, no per-message locking); and h-relation counters
-//     accumulate in per-worker partitions merged once per barrier,
-//     keeping the trace mutex off the hot path.  All clusters advance
-//     superstep-synchronously.
+//     workers meet at sense-reversing tree barriers; and h-relation
+//     counters accumulate in per-worker partitions merged once per
+//     superstep, keeping the trace mutex off the hot path.  Messages
+//     take one of two paths.  When a superstep's label-clusters fit in
+//     a block (label >= log2 W, every superstep at W = 1) no message
+//     leaves its worker, so each worker delivers its block in one
+//     ascending pass straight into the inboxes.  Otherwise messages
+//     route through per-worker destination-bucketed outboxes (bulk
+//     appends, no per-message locking), with a barrier between the send
+//     and receive halves.  All clusters advance superstep-synchronously.
 //
 // A static algorithm's communication at a fixed input size is a pure
 // function of that size, so its trace is keyed by (algorithm, n) alone —
@@ -149,7 +153,10 @@
 //     worker: the nanoseconds that worker spent inside the tree barrier
 //     since the previous sample (worker 0's figure includes the barrier
 //     actions it runs; a worker's wait at the sampling barrier itself is
-//     attributed to the next sample).
+//     attributed to the next sample).  The two delivery paths keep this
+//     contract — still one span and one sample per superstep — but a
+//     sample spans two barriers on a block-local superstep and three on
+//     a routed one.
 //
 //   - The nil-probe guarantee.  A nil Probe (the zero Options) leaves
 //     every hot path untouched beyond a pointer check: no allocation,

@@ -22,6 +22,11 @@ func randomProgram(seed int64, v, steps int) core.Program[int] {
 	for s := range labels {
 		labels[s] = rng.Intn(labelBound)
 	}
+	return labelledProgram(seed, labels)
+}
+
+// labelledProgram is randomProgram with a given label sequence.
+func labelledProgram(seed int64, labels []int) core.Program[int] {
 	return func(vp *core.VP[int]) {
 		for s, label := range labels {
 			r := rand.New(rand.NewSource(seed ^ int64(vp.ID()*1000003+s*7919)))

@@ -55,8 +55,28 @@ func TestEngineErrorDetection(t *testing.T) {
 			vp.Send(99, 0)
 			vp.Sync(0)
 		}, "out-of-range"},
+		// Sync(3) on v=16: 2-VP clusters inside 4-VP blocks at W=4, so
+		// the superstep is delivered block-locally.  VP 1 strays inside
+		// its own block, VP 6 into another worker's.
+		{"confinement-local", 16, func(vp *VP[int]) {
+			switch vp.ID() {
+			case 1:
+				vp.Send(2, 1)
+			case 6:
+				vp.Send(9, 1)
+			}
+			vp.Sync(3)
+		}, "outside its 3-cluster"},
+		// Sync(1) on v=16: 8-VP clusters span two workers' blocks at
+		// W=4, so the superstep is routed through the buckets.
+		{"confinement-routed", 16, func(vp *VP[int]) {
+			if vp.ID() == 3 {
+				vp.Send(12, 1)
+			}
+			vp.Sync(1)
+		}, "outside its 1-cluster"},
 	}
-	engines := []Engine{GoroutineEngine{}, BlockEngine{}, BlockEngine{Workers: 2}}
+	engines := []Engine{GoroutineEngine{}, BlockEngine{}, BlockEngine{Workers: 2}, BlockEngine{Workers: 4}}
 	for _, sc := range scenarios {
 		for _, eng := range engines {
 			name := fmt.Sprintf("%s/%s-%v", sc.name, eng.Name(), eng)
@@ -170,6 +190,35 @@ func TestCoroCacheDecay(t *testing.T) {
 	vpCoros.mu.Unlock()
 	if n > maxPooledVPCoros {
 		t.Errorf("cache holds %d coroutines after decay, cap is %d", n, maxPooledVPCoros)
+	}
+}
+
+// TestBlockEngineRunAllocs: installing a VP's program on a (recycled)
+// coroutine allocates nothing, so a warm run of a program that itself
+// allocates nothing — Syncs only, across local and routed labels — costs
+// the engine fewer than v allocations in all.  A closure per VP per run
+// alone would be v.
+func TestBlockEngineRunAllocs(t *testing.T) {
+	const v = 1024
+	prog := func(vp *VP[int]) {
+		for l := 0; l < vp.LogV(); l++ {
+			vp.Sync(l)
+		}
+	}
+	for _, eng := range []BlockEngine{{}, {Workers: 1}, {Workers: 4}} {
+		opts := Options{Engine: eng}
+		if _, err := RunOpt(v, prog, opts); err != nil { // warm the coroutine cache
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := RunOpt(v, prog, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("workers=%d: %.0f allocations per run", eng.Workers, allocs)
+		if allocs >= v {
+			t.Errorf("workers=%d: %.0f allocations per warm run of %d VPs, want < %d", eng.Workers, allocs, v, v)
+		}
 	}
 }
 

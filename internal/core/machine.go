@@ -295,8 +295,7 @@ func (m *machine[P]) deliver(label, first, size, step int) error {
 		}
 		for _, msg := range src.outbox {
 			if msg.dst < first || msg.dst >= first+size {
-				return fmt.Errorf("core: superstep %d: VP %d sent a message to VP %d outside its %d-cluster [%d, %d); messages of an i-superstep must stay within i-clusters",
-					step, w, msg.dst, label, first, first+size)
+				return confinementError(step, w, msg.dst, label, first, size)
 			}
 			for j := m.logV; j > label; j-- {
 				sb := w >> uint(m.logV-j)
@@ -368,6 +367,14 @@ func (m *machine[P]) ctxErr() error {
 		return fmt.Errorf("core: run cancelled: %w", err)
 	}
 	return nil
+}
+
+// confinementError reports that VP src sent a message to VP dst outside
+// its label-cluster [first, first+size).  Every engine's delivery loop
+// calls it, off the hot path, on the first stray message it meets.
+func confinementError(step, src, dst, label, first, size int) error {
+	return fmt.Errorf("core: superstep %d: VP %d sent a message to VP %d outside its %d-cluster [%d, %d); messages of an i-superstep must stay within i-clusters",
+		step, src, dst, label, first, first+size)
 }
 
 func (m *machine[P]) fail(err error) {

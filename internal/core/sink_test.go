@@ -120,6 +120,54 @@ func TestStreamedRunSummary(t *testing.T) {
 	}
 }
 
+// TestStreamedMixedDelivery: at W=4 on v=64 (16-VP blocks) supersteps
+// with label >= 2 are delivered block-locally and those below through
+// the cross-worker buckets.  A run alternating the two, streamed into a
+// sink, must match the in-memory run and the GoroutineEngine in every
+// degree and message count, and in pair order: the BlockEngine's pairs
+// run in (source, send order), which is the GoroutineEngine's pairs
+// stably sorted by source (it appends whole clusters in completion
+// order).
+func TestStreamedMixedDelivery(t *testing.T) {
+	const v = 64
+	prog := labelledProgram(23, []int{0, 4, 1, 5, 2, 3, 1, 5, 0, 2})
+	opts := core.Options{RecordMessages: true, Engine: core.GoroutineEngine{}}
+	ref, err := core.RunOpt(v, prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Engine = core.BlockEngine{Workers: 4}
+	mem, err := core.RunOpt(v, prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed core.Trace
+	opts.Sink = &streamed
+	if _, err := core.RunOpt(v, prog, opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(mem.Steps) != len(ref.Steps) || len(streamed.Steps) != len(ref.Steps) {
+		t.Fatalf("supersteps: in memory %d, streamed %d, goroutine engine %d", len(mem.Steps), len(streamed.Steps), len(ref.Steps))
+	}
+	for i, want := range ref.Steps {
+		wantPairs := want.Pairs.Pairs()
+		slices.SortStableFunc(wantPairs, func(a, b [2]int32) int { return int(a[0] - b[0]) })
+		for _, got := range []struct {
+			how string
+			rec core.StepRec
+		}{{"in memory", mem.Steps[i]}, {"streamed", streamed.Steps[i]}} {
+			rec := got.rec
+			if rec.Label != want.Label || rec.Messages != want.Messages || !slices.Equal(rec.Degree, want.Degree) {
+				t.Errorf("step %d %s: label %d, %d messages, degrees %v; goroutine engine %d, %d, %v",
+					i, got.how, rec.Label, rec.Messages, rec.Degree, want.Label, want.Messages, want.Degree)
+			}
+			if !slices.Equal(rec.Pairs.Pairs(), wantPairs) {
+				t.Errorf("step %d %s: pairs %v, want %v", i, got.how, rec.Pairs.Pairs(), wantPairs)
+			}
+		}
+	}
+}
+
 // TestStreamedJSONZeroSteps: the empty-trace framing ("steps":null) is
 // preserved by the streaming writer.
 func TestStreamedJSONZeroSteps(t *testing.T) {
