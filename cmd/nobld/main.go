@@ -29,9 +29,9 @@
 //	      -pprof-addr localhost:6060
 //
 // -cache-entries bounds the result cache of analysis documents.
-// -trace-entries bounds the trace cache, which keeps one fold summary of
-// a few KB per (algorithm, n) for the trace and dbsp kinds; the cache
-// kind records its own run, and its document lands in the result cache.
+// -trace-entries bounds the trace cache, which keeps one entry of a few
+// KB per (algorithm, n): the fold summary the trace and dbsp kinds read
+// and the miss curve the cache kind reads, both from one recorded run.
 //
 // Every run uses the block engine; there is no engine to choose.  Result
 // documents, /healthz, /v1/cluster and /v1/algorithms name it in their
@@ -108,7 +108,7 @@ func main() {
 	workers := flag.Int("workers", 0, "job worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 1024, "max queued jobs before 503")
 	cacheEntries := flag.Int("cache-entries", 512, "result cache LRU capacity (-1 = unbounded)")
-	traceEntries := flag.Int("trace-entries", 64, "trace cache LRU capacity in fold summaries of a few KB each (-1 = unbounded)")
+	traceEntries := flag.Int("trace-entries", 64, "trace cache LRU capacity in (algorithm, n) entries of a few KB each: fold summary and miss curve (-1 = unbounded)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-job execution timeout")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
 	logFormat := flag.String("log-format", "text", "log format: text|json")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"netoblivious/alg"
+	"netoblivious/internal/cachesim"
 	"netoblivious/internal/core"
 	"netoblivious/internal/obs"
 )
@@ -12,11 +13,25 @@ import (
 // Run is what the trace store keeps of one registry-algorithm run: the
 // O(log²v) FoldSummary every paper metric reads — H(n,p,σ), wiseness,
 // fullness, D-BSP communication time — plus the run metadata (peak
-// memory) the matmul experiments report.  The trace itself is dropped
-// once summarized.
+// memory) the matmul experiments report, and, in a store with a
+// CacheSweep, the run's ideal-cache miss curve.  The trace itself is
+// dropped once summarized.  Callers share a Run and must not modify it.
 type Run struct {
 	Summary     *core.FoldSummary
 	PeakEntries int
+	// Misses holds the miss count per CacheSweep size and Accesses the
+	// word accesses of the simulated sequential execution; nil and 0 in
+	// a store without a sweep.
+	Misses   []int64
+	Accesses int64
+}
+
+// CacheSweep is the ideal-cache miss curve a store computes with every
+// run: IC(M, B) for each capacity M of Sizes (words), with CtxWords-word
+// VP contexts and B-word lines (see cachesim.CurveSim).
+type CacheSweep struct {
+	CtxWords, B int
+	Sizes       []int
 }
 
 // TraceStore memoizes registry-algorithm runs by (algorithm, n), keeping
@@ -34,9 +49,14 @@ type Run struct {
 // recently used runs beyond a capacity.  An entry is a few KB whatever
 // the trace's message count, so the count bound is also a memory bound,
 // which is what lets a long-running process — nobld in particular —
-// keep one store for its whole lifetime.
+// keep one store for its whole lifetime.  A store built with a
+// CacheSweep records each run's message pairs and streams them into the
+// cache simulator, so one run per key also serves the miss curve; a
+// recorded run costs more than a plain one, so the suite's store has no
+// sweep.
 type TraceStore struct {
 	store *core.Store[Run]
+	sweep *CacheSweep
 	probe *obs.Probe
 }
 
@@ -46,22 +66,26 @@ type TraceStore struct {
 // Call before serving traffic; nil detaches.
 func (ts *TraceStore) SetProbe(p *obs.Probe) { ts.probe = p }
 
-// NewTraceStore returns an empty unbounded store.
+// NewTraceStore returns an empty unbounded store without a cache sweep.
 func NewTraceStore() *TraceStore {
-	return NewBoundedTraceStore(0)
+	return NewBoundedTraceStore(0, nil)
 }
 
 // NewBoundedTraceStore returns an empty store retaining at most capacity
-// completed runs under LRU eviction (0 = unbounded).
-func NewBoundedTraceStore(capacity int) *TraceStore {
-	return &TraceStore{store: core.NewBoundedStore[Run](capacity)}
+// completed runs under LRU eviction (0 = unbounded).  With a non-nil
+// sweep every run is recorded into the cache simulator and its Run
+// carries the miss curve.
+func NewBoundedTraceStore(capacity int, sweep *CacheSweep) *TraceStore {
+	return &TraceStore{store: core.NewBoundedStore[Run](capacity), sweep: sweep}
 }
 
 // Get returns the memoized run of the named registry algorithm at size
 // n, executing it on the given engine (nil: the BlockEngine) and
-// summarizing its trace on first use.  ctx bounds that execution; a run
-// failing with ctx's error is not memoized (core.Store never keeps a
-// cancellation), so the next caller of the key recomputes.
+// summarizing its trace on first use.  With a sweep, that run streams
+// into the cache simulator superstep by superstep, so it holds the
+// engine state plus one superstep, never the trace.  ctx bounds the
+// execution; a run failing with ctx's error is not memoized (core.Store
+// never keeps a cancellation), so the next caller of the key recomputes.
 func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n int) (Run, error) {
 	a, ok := alg.ByName(name)
 	if !ok {
@@ -72,14 +96,34 @@ func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n i
 	run, err := ts.store.Get(key, func() (Run, error) {
 		computed = true
 		start := ts.probe.Now()
-		r, err := a.Run(ctx, alg.Spec{Engine: eng, Probe: ts.probe}, n)
+		spec := alg.Spec{Engine: eng, Probe: ts.probe}
+		var cs *cachesim.CurveSim
+		if ts.sweep != nil {
+			var err error
+			// The run's BeginTrace sizes the simulator for its machine.
+			if cs, err = cachesim.NewCurveSim(1, ts.sweep.CtxWords, ts.sweep.B, ts.sweep.Sizes); err != nil {
+				return Run{}, err
+			}
+			spec.Record, spec.Sink = true, cs
+		}
+		r, err := a.Run(ctx, spec, n)
 		if err != nil {
 			return Run{}, err
 		}
 		if ts.probe != nil {
-			ts.probe.Span("store", "trace-compute", 0, start, map[string]any{"key": key})
+			// The span covers the run and, with a sweep, the simulation
+			// it drives.
+			args := map[string]any{"key": key}
+			if cs != nil {
+				args["record"] = true
+			}
+			ts.probe.Span("store", "trace-compute", 0, start, args)
 		}
-		return Run{Summary: r.Trace.Summary(), PeakEntries: r.PeakEntries}, nil
+		run := Run{Summary: r.Trace.Summary(), PeakEntries: r.PeakEntries}
+		if cs != nil {
+			run.Misses, run.Accesses = cs.Misses(), cs.Accesses()
+		}
+		return run, nil
 	})
 	if ts.probe != nil && !computed {
 		ts.probe.Instant("store", "trace-hit", 0, map[string]any{"key": key})

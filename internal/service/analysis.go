@@ -30,8 +30,6 @@ import (
 	"strings"
 
 	"netoblivious/alg"
-	"netoblivious/internal/cachesim"
-	"netoblivious/internal/core"
 	"netoblivious/internal/dbsp"
 	"netoblivious/internal/eval"
 	"netoblivious/internal/harness"
@@ -469,39 +467,21 @@ func (s *Server) analyzeDBSP(ctx context.Context, req Request, progress progress
 	return []*harness.Result{res}, nil
 }
 
-// cacheSweepSizes are the IC(M, B) capacities (words) of the miss curve.
-var cacheSweepSizes = []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}
+// cacheSweep is the IC(M, B) sweep of the miss curve every trace-tier
+// entry carries: 8-word VP contexts, 8-word lines and capacities in
+// words.
+var cacheSweep = harness.CacheSweep{CtxWords: 8, B: 8, Sizes: []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}}
 
-// analyzeCache simulates the folded-to-one-processor execution under
-// ideal caches (the Section 6 conjecture's measurable content).  It
-// needs the message pairs, so it records its own run instead of asking
-// the trace store, whose entries keep only fold summaries; the run
-// streams into the simulator superstep by superstep, so the job holds
-// the engine state plus one superstep, never the trace.  The result
-// cache memoizes the document.
+// analyzeCache reports the ideal-cache miss curve of the
+// folded-to-one-processor execution (the Section 6 conjecture's
+// measurable content).  The trace tier computes it with the key's one
+// recorded run, so a cache request after a trace or dbsp request of the
+// same key runs nothing.
 func (s *Server) analyzeCache(ctx context.Context, req Request, progress progressFunc) ([]*harness.Result, error) {
-	a, ok := alg.ByName(req.Algorithm)
-	if !ok {
-		return nil, fmt.Errorf("unknown algorithm %q", req.Algorithm)
-	}
-	const ctxWords, bWords = 8, 8
-	// The run's BeginTrace sizes the simulator for its machine.
-	cs, err := cachesim.NewCurveSim(1, ctxWords, bWords, cacheSweepSizes)
+	progress.emit("tracing", fmt.Sprintf("%s n=%d on %s", req.Algorithm, req.N, engineName))
+	run, err := s.traces.Get(ctx, nil, req.Algorithm, req.N)
 	if err != nil {
 		return nil, err
-	}
-	// One traversal of the run drives every cache size of the sweep at
-	// once (Mattson stack simulation).
-	progress.emit("tracing", fmt.Sprintf("%s n=%d (recorded) on %s into the IC sweep %v",
-		req.Algorithm, req.N, engineName, cacheSweepSizes))
-	start := s.probe.Now()
-	if _, err := a.Run(ctx, alg.Spec{Record: true, Sink: cs, Probe: s.probe}, req.N); err != nil {
-		return nil, err
-	}
-	if s.probe != nil {
-		// The span covers the run and the simulation it drives.
-		key := core.TraceKey{Algorithm: req.Algorithm, N: req.N}.String()
-		s.probe.Span("store", "trace-compute", 0, start, map[string]any{"key": key, "record": true})
 	}
 	res := &harness.Result{
 		ID:       string(KindCache),
@@ -509,20 +489,20 @@ func (s *Server) analyzeCache(ctx context.Context, req Request, progress progres
 		PaperRef: "§6 conjecture; Pietracaprina et al. 2006",
 		Columns:  []string{"M (words)", "B (words)", "misses", "miss rate"},
 	}
-	misses := cs.Misses()
+	misses := run.Misses
 	monotone := true
-	for i, m := range cacheSweepSizes {
+	for i, m := range cacheSweep.Sizes {
 		rate := 0.0
-		if cs.Accesses() > 0 {
-			rate = float64(misses[i]) / float64(cs.Accesses())
+		if run.Accesses > 0 {
+			rate = float64(misses[i]) / float64(run.Accesses)
 		}
-		res.AddRow(m, bWords, misses[i], rate)
+		res.AddRow(m, cacheSweep.B, misses[i], rate)
 		if i > 0 && misses[i] > misses[i-1] {
 			monotone = false
 		}
 	}
 	res.AddCheck("misses nonincreasing in M", monotone,
-		"LRU inclusion property over %d cache sizes", len(cacheSweepSizes))
+		"LRU inclusion property over %d cache sizes", len(cacheSweep.Sizes))
 	return []*harness.Result{res}, nil
 }
 

@@ -33,9 +33,10 @@ type Config struct {
 	// analysis documents, including those a cluster node forwarded to
 	// their owner); 0 means 512, negative means unbounded.
 	CacheEntries int
-	// TraceEntries is the LRU capacity of the trace cache: one fold
-	// summary of a few KB per (algorithm, n), which the trace and dbsp
-	// kinds read; 0 means 64, negative means unbounded.
+	// TraceEntries is the LRU capacity of the trace cache: one entry of
+	// a few KB per (algorithm, n), computed by one recorded run, holding
+	// the fold summary the trace and dbsp kinds read and the miss curve
+	// the cache kind reads; 0 means 64, negative means unbounded.
 	TraceEntries int
 	// JobTimeout bounds each job's execution; 0 means 2 minutes.
 	JobTimeout time.Duration
@@ -204,7 +205,7 @@ type Server struct {
 // it.  It fails only on an unusable cluster configuration.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	traces := harness.NewBoundedTraceStore(cfg.TraceEntries)
+	traces := harness.NewBoundedTraceStore(cfg.TraceEntries, &cacheSweep)
 	traces.SetProbe(cfg.Probe)
 	s := &Server{
 		cfg:     cfg,

@@ -170,10 +170,10 @@ func TestWaitInlineAndCaching(t *testing.T) {
 }
 
 // TestTraceTierServesEveryKind sends trace, dbsp and cache for one
-// (algorithm, n).  The trace tier keeps one fold summary for the key,
-// computed by the first request and hit by the second; the cache kind
-// records its own run outside the tier.  Both runs appear as
-// trace-compute spans in the probe timeline.
+// (algorithm, n).  The trace tier computes the key once, with a run
+// recorded into the cache simulator, on the first request; the other
+// two kinds hit it.  That run is the only trace-compute span in the
+// probe timeline, and it is marked recorded.
 func TestTraceTierServesEveryKind(t *testing.T) {
 	probe := obs.NewProbe()
 	srv, c := newTestServer(t, Config{Workers: 2, Probe: probe})
@@ -190,8 +190,8 @@ func TestTraceTierServesEveryKind(t *testing.T) {
 	if n := srv.traces.Len(); n != 1 {
 		t.Errorf("trace tier holds %d entries, want 1", n)
 	}
-	if st := srv.traces.Stats(); st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("trace tier stats %+v, want 1 miss + 1 hit", st)
+	if st := srv.traces.Stats(); st.Misses != 1 || st.Hits != 2 {
+		t.Errorf("trace tier stats %+v, want 1 miss + 2 hits", st)
 	}
 	var b bytes.Buffer
 	if err := probe.WriteChromeTrace(&b); err != nil {
@@ -217,8 +217,54 @@ func TestTraceTierServesEveryKind(t *testing.T) {
 			}
 		}
 	}
-	if computes != 2 || recorded != 1 {
-		t.Errorf("%d trace-compute spans (%d recorded), want 2 (1 recorded)", computes, recorded)
+	if computes != 1 || recorded != 1 {
+		t.Errorf("%d trace-compute spans (%d recorded), want 1 (recorded)", computes, recorded)
+	}
+}
+
+// TestKindOrderIndependent: the trace, dbsp and cache kinds share one
+// trace-tier entry, so no kind's document may depend on which kind
+// computed it.  Each kind's document is byte-identical whether it
+// reaches a fresh server first, last or alone.
+func TestKindOrderIndependent(t *testing.T) {
+	ctx := context.Background()
+	kinds := []Kind{KindTrace, KindDBSP, KindCache}
+	for _, name := range []string{"fft", "sort", "stencil2"} {
+		for _, kind := range kinds {
+			var others []Kind
+			for _, k := range kinds {
+				if k != kind {
+					others = append(others, k)
+				}
+			}
+			orders := map[string][]Kind{
+				"alone": {kind},
+				"first": append([]Kind{kind}, others...),
+				"last":  append(append([]Kind(nil), others...), kind),
+			}
+			var want []byte
+			for _, order := range []string{"alone", "first", "last"} {
+				_, c := newTestServer(t, Config{Workers: 1})
+				var got []byte
+				for _, k := range orders[order] {
+					resp, err := c.Analyze(ctx, Request{Algorithm: name, N: 8, Kind: k, Wait: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if resp.Status != "done" || resp.Document == nil {
+						t.Fatalf("%s %s: %+v", name, k, resp)
+					}
+					if k == kind {
+						got, _ = json.Marshal(resp.Document)
+					}
+				}
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Errorf("%s %s: document %s differs from alone:\n%s\n%s", name, kind, order, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -252,9 +298,9 @@ func TestCacheKindIgnoresMachines(t *testing.T) {
 	}
 }
 
-// TestCacheKindMatchesInMemoryReplay: the cache kind streams its run
-// into the simulator; the rows it serves must equal MissCurve's over an
-// in-memory recording of the same run.
+// TestCacheKindMatchesInMemoryReplay: the trace tier streams the key's
+// run into the simulator; the rows the cache kind serves must equal
+// MissCurve's over an in-memory recording of the same run.
 func TestCacheKindMatchesInMemoryReplay(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
@@ -264,12 +310,12 @@ func TestCacheKindMatchesInMemoryReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, err := cachesim.MissCurve(run.Trace.Source(), 8, 8, cacheSweepSizes)
+		cs, err := cachesim.MissCurve(run.Trace.Source(), 8, 8, cacheSweep.Sizes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref := &harness.Result{}
-		for i, m := range cacheSweepSizes {
+		for i, m := range cacheSweep.Sizes {
 			ref.AddRow(m, 8, cs.Misses()[i], float64(cs.Misses()[i])/float64(cs.Accesses()))
 		}
 		resp, err := c.Analyze(ctx, Request{Algorithm: k.Algorithm, N: k.N, Kind: KindCache, Wait: true})
@@ -287,49 +333,55 @@ func TestCacheKindMatchesInMemoryReplay(t *testing.T) {
 	}
 }
 
-// TestCacheKindMemoryBounded: a cache job holds the engine state plus
-// one superstep, not the recorded trace.  The sampled peak of HeapAlloc
-// (garbage included) over the post-GC baseline stays under 16 MiB for
-// stencil1 n=256, whose in-memory recording alone holds about 90 MiB.
+// TestCacheKindMemoryBounded: a job that misses the trace tier records
+// its run into the cache simulator, so it holds the engine state plus
+// one superstep, not the recorded trace.  A cache and a trace request
+// each miss on a fresh server; the sampled peak of HeapAlloc (garbage
+// included) over the post-GC baseline stays under 16 MiB for stencil1
+// n=256, whose in-memory recording alone holds about 90 MiB.
 func TestCacheKindMemoryBounded(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 1})
-	ctx := context.Background()
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	baseline := ms.HeapAlloc
-	done := make(chan struct{})
-	peak := make(chan uint64)
-	go func() {
-		var ms runtime.MemStats
-		var mx uint64
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
+	for _, kind := range []Kind{KindCache, KindTrace} {
+		t.Run(string(kind), func(t *testing.T) {
+			_, c := newTestServer(t, Config{Workers: 1})
+			ctx := context.Background()
+			var ms runtime.MemStats
+			runtime.GC()
 			runtime.ReadMemStats(&ms)
-			mx = max(mx, ms.HeapAlloc)
-			select {
-			case <-done:
-				peak <- mx
-				return
-			case <-tick.C:
+			baseline := ms.HeapAlloc
+			done := make(chan struct{})
+			peak := make(chan uint64)
+			go func() {
+				var ms runtime.MemStats
+				var mx uint64
+				tick := time.NewTicker(time.Millisecond)
+				defer tick.Stop()
+				for {
+					runtime.ReadMemStats(&ms)
+					mx = max(mx, ms.HeapAlloc)
+					select {
+					case <-done:
+						peak <- mx
+						return
+					case <-tick.C:
+					}
+				}
+			}()
+			resp, err := c.Analyze(ctx, Request{Algorithm: "stencil1", N: 256, Kind: kind, Wait: true})
+			close(done)
+			mx := <-peak
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-	resp, err := c.Analyze(ctx, Request{Algorithm: "stencil1", N: 256, Kind: KindCache, Wait: true})
-	close(done)
-	mx := <-peak
-	if err != nil {
-		t.Fatal(err)
+			if resp.Status != "done" {
+				t.Fatalf("%s job finished %s: %s", kind, resp.Status, resp.Error)
+			}
+			delta := int64(mx) - int64(baseline)
+			if delta > 16<<20 {
+				t.Errorf("%s job peak heap %.1f MiB over baseline, want under 16 MiB", kind, float64(delta)/(1<<20))
+			}
+			t.Logf("%s job peak heap %.1f MiB over baseline", kind, float64(delta)/(1<<20))
+		})
 	}
-	if resp.Status != "done" {
-		t.Fatalf("cache job finished %s: %s", resp.Status, resp.Error)
-	}
-	delta := int64(mx) - int64(baseline)
-	if delta > 16<<20 {
-		t.Errorf("cache job peak heap %.1f MiB over baseline, want under 16 MiB", float64(delta)/(1<<20))
-	}
-	t.Logf("cache job peak heap %.1f MiB over baseline", float64(delta)/(1<<20))
 }
 
 // TestEveryAlgorithmEveryAsyncKind exercises the full registry surface
@@ -918,6 +970,38 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 		}
 		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(want.Len()) {
 			t.Errorf("Content-Length %q, want %d", got, want.Len())
+		}
+	}
+}
+
+// BenchmarkTraceKindMiss times a trace-kind request for sort n=1024 on a
+// fresh server, so every iteration misses the trace tier and pays the
+// key's engine run.  No bench workload sends trace-only traffic; this
+// is the reproducible cost of a trace-only miss.
+//
+//	go test -run '^$' -bench '^BenchmarkTraceKindMiss$' -benchtime 20x ./internal/service
+func BenchmarkTraceKindMiss(b *testing.B) {
+	ctx := context.Background()
+	req := Request{Algorithm: "sort", N: 1024, Kind: KindTrace, Wait: true}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		srv, err := New(Config{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		c := NewClient(ts.URL)
+		c.HTTPClient = ts.Client()
+		b.StartTimer()
+		resp, err := c.Analyze(ctx, req)
+		b.StopTimer()
+		ts.Close()
+		srv.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.Status != "done" || resp.Cached {
+			b.Fatalf("trace request: status %s, cached %v", resp.Status, resp.Cached)
 		}
 	}
 }
