@@ -51,7 +51,9 @@
 // the static (seed, vnodes, peers) configuration — never on load,
 // history or a coordinator — so every node computes the same placement
 // independently, the way a network-oblivious algorithm commits to its
-// communication pattern without knowing the machine.  Any node accepts
+// communication pattern without knowing the machine.  The trace, dbsp
+// and cache kinds of one (algorithm, n) are placed by that pair, so they
+// share one owner and its trace-cache entry.  Any node accepts
 // any request; non-owned keys are transparently forwarded to the owning
 // shard (one hop, loop-free) under the request's X-Request-ID, through
 // the entry node's result cache (-cache-entries): concurrent requests

@@ -13,26 +13,28 @@ import (
 // Run is what the trace store keeps of one registry-algorithm run: the
 // O(log²v) FoldSummary every paper metric reads — H(n,p,σ), wiseness,
 // fullness, D-BSP communication time — plus the run metadata (peak
-// memory) the matmul experiments report, and, in a store with a
-// CacheSweep, the run's ideal-cache miss curve.  The trace itself is
+// memory) the matmul experiments report, and, in a store that records
+// its runs, the run's ideal-cache miss curve.  The trace itself is
 // dropped once summarized.  Callers share a Run and must not modify it.
 type Run struct {
 	Summary     *core.FoldSummary
 	PeakEntries int
-	// Misses holds the miss count per CacheSweep size and Accesses the
-	// word accesses of the simulated sequential execution; nil and 0 in
-	// a store without a sweep.
+	// Misses holds the miss count per CacheSweepSizes entry and Accesses
+	// the word accesses of the simulated sequential execution; nil and 0
+	// in a store that does not record.
 	Misses   []int64
 	Accesses int64
 }
 
-// CacheSweep is the ideal-cache miss curve a store computes with every
-// run: IC(M, B) for each capacity M of Sizes (words), with CtxWords-word
-// VP contexts and B-word lines (see cachesim.CurveSim).
-type CacheSweep struct {
-	CtxWords, B int
-	Sizes       []int
-}
+// The ideal-cache miss curve a recording store computes with every run
+// is IC(M, B) for each capacity M of CacheSweepSizes, with
+// CacheCtxWords-word VP contexts and CacheLineWords-word lines (see
+// cachesim.CurveSim).
+const CacheCtxWords, CacheLineWords = 8, 8
+
+// CacheSweepSizes are the capacities (words) of the miss curve.  They
+// must not be modified.
+var CacheSweepSizes = []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}
 
 // TraceStore memoizes registry-algorithm runs by (algorithm, n), keeping
 // the Run summary of each.  The paper's algorithms are static — their
@@ -49,15 +51,14 @@ type CacheSweep struct {
 // recently used runs beyond a capacity.  An entry is a few KB whatever
 // the trace's message count, so the count bound is also a memory bound,
 // which is what lets a long-running process — nobld in particular —
-// keep one store for its whole lifetime.  A store built with a
-// CacheSweep records each run's message pairs and streams them into the
-// cache simulator, so one run per key also serves the miss curve; a
-// recorded run costs more than a plain one, so the suite's store has no
-// sweep.
+// keep one store for its whole lifetime.  A recording store streams
+// each run's message pairs into the cache simulator, so one run per key
+// also serves the miss curve; a recorded run costs more than a plain
+// one, so the suite's store does not record.
 type TraceStore struct {
-	store *core.Store[Run]
-	sweep *CacheSweep
-	probe *obs.Probe
+	store  *core.Store[Run]
+	record bool
+	probe  *obs.Probe
 }
 
 // SetProbe attaches a probe: every Get records a hit instant or wraps
@@ -66,24 +67,24 @@ type TraceStore struct {
 // Call before serving traffic; nil detaches.
 func (ts *TraceStore) SetProbe(p *obs.Probe) { ts.probe = p }
 
-// NewTraceStore returns an empty unbounded store without a cache sweep.
+// NewTraceStore returns an empty unbounded store that does not record.
 func NewTraceStore() *TraceStore {
-	return NewBoundedTraceStore(0, nil)
+	return NewBoundedTraceStore(0, false)
 }
 
 // NewBoundedTraceStore returns an empty store retaining at most capacity
-// completed runs under LRU eviction (0 = unbounded).  With a non-nil
-// sweep every run is recorded into the cache simulator and its Run
-// carries the miss curve.
-func NewBoundedTraceStore(capacity int, sweep *CacheSweep) *TraceStore {
-	return &TraceStore{store: core.NewBoundedStore[Run](capacity), sweep: sweep}
+// completed runs under LRU eviction (0 = unbounded).  With record set,
+// every run is recorded into the cache simulator and its Run carries the
+// miss curve over CacheSweepSizes.
+func NewBoundedTraceStore(capacity int, record bool) *TraceStore {
+	return &TraceStore{store: core.NewBoundedStore[Run](capacity), record: record}
 }
 
 // Get returns the memoized run of the named registry algorithm at size
 // n, executing it on the given engine (nil: the BlockEngine) and
-// summarizing its trace on first use.  With a sweep, that run streams
-// into the cache simulator superstep by superstep, so it holds the
-// engine state plus one superstep, never the trace.  ctx bounds the
+// summarizing its trace on first use.  In a recording store that run
+// streams into the cache simulator superstep by superstep, so it holds
+// the engine state plus one superstep, never the trace.  ctx bounds the
 // execution; a run failing with ctx's error is not memoized (core.Store
 // never keeps a cancellation), so the next caller of the key recomputes.
 func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n int) (Run, error) {
@@ -98,10 +99,10 @@ func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n i
 		start := ts.probe.Now()
 		spec := alg.Spec{Engine: eng, Probe: ts.probe}
 		var cs *cachesim.CurveSim
-		if ts.sweep != nil {
+		if ts.record {
 			var err error
 			// The run's BeginTrace sizes the simulator for its machine.
-			if cs, err = cachesim.NewCurveSim(1, ts.sweep.CtxWords, ts.sweep.B, ts.sweep.Sizes); err != nil {
+			if cs, err = cachesim.NewCurveSim(1, CacheCtxWords, CacheLineWords, CacheSweepSizes); err != nil {
 				return Run{}, err
 			}
 			spec.Record, spec.Sink = true, cs
@@ -111,7 +112,7 @@ func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n i
 			return Run{}, err
 		}
 		if ts.probe != nil {
-			// The span covers the run and, with a sweep, the simulation
+			// The span covers the run and, when recorded, the simulation
 			// it drives.
 			args := map[string]any{"key": key}
 			if cs != nil {

@@ -113,8 +113,8 @@ func TestTraceStoreSharesAcrossEngines(t *testing.T) {
 
 // TestTraceStoreSummaryMatchesRun: the store keeps the fold summary of
 // the run, not its trace, and that summary equals one built from a
-// direct run of the algorithm, also when a cache sweep has the store
-// record the run.  A revisit is served from memory.
+// direct run of the algorithm, also when the store records the run into
+// the cache simulator.  A revisit is served from memory.
 func TestTraceStoreSummaryMatchesRun(t *testing.T) {
 	ctx := context.Background()
 	a, _ := alg.ByName("fft")
@@ -123,18 +123,17 @@ func TestTraceStoreSummaryMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := direct.Trace.Summary()
-	sweep := &CacheSweep{CtxWords: 8, B: 8, Sizes: []int{1 << 8, 1 << 12}}
-	for _, store := range []*TraceStore{NewTraceStore(), NewBoundedTraceStore(0, sweep)} {
+	for _, store := range []*TraceStore{NewTraceStore(), NewBoundedTraceStore(0, true)} {
 		for i := 0; i < 2; i++ {
 			run, err := store.Get(ctx, nil, "fft", 64)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(run.Summary, want) {
-				t.Fatalf("Get %d (sweep %v): stored summary differs from the direct run's", i, store.sweep != nil)
+				t.Fatalf("Get %d (record %v): stored summary differs from the direct run's", i, store.record)
 			}
-			if (len(run.Misses) == len(sweep.Sizes)) != (store.sweep != nil) {
-				t.Errorf("Get %d (sweep %v): miss curve %v", i, store.sweep != nil, run.Misses)
+			if (len(run.Misses) == len(CacheSweepSizes)) != store.record {
+				t.Errorf("Get %d (record %v): miss curve %v", i, store.record, run.Misses)
 			}
 		}
 		if st := store.Stats(); st.Misses != 1 || st.Hits != 1 {

@@ -196,9 +196,9 @@ func (r *Request) normalize() error {
 
 // Key is the canonical cache/dedup key of the request: every field that
 // changes the answer, and nothing else (Priority and Wait are delivery
-// concerns).  It is the key of the local result cache and of cluster
-// placement alike; the engine is not part of it, since every engine
-// computes the same answer.
+// concerns).  It is the key of the local result cache, and the cluster
+// ring hashes placement(Key()); the engine is not part of it, since
+// every engine computes the same answer.
 func (r Request) Key() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s/%s/n=%d", r.Kind, r.Algorithm, r.N)
@@ -209,6 +209,23 @@ func (r Request) Key() string {
 		fmt.Fprintf(&sb, "/topo=%s,strat=%s,seed=%d", r.Topology, r.Strategy, r.Seed)
 	}
 	return sb.String()
+}
+
+// placement maps a request key to the string the cluster ring hashes.
+// The trace, dbsp and cache kinds of one (algorithm, n) read one
+// trace-tier entry, so they are placed by that entry's key ("fft/n=64"
+// for "cache/fft/n=64" and "trace/fft/n=64/p=2,s=0" alike): all three
+// land on the node that computes the entry, and the fleet runs each
+// (algorithm, n) once.  Every other key is placed as it is.
+func placement(key string) string {
+	kind, rest, _ := strings.Cut(key, "/")
+	switch Kind(kind) {
+	case KindTrace, KindDBSP, KindCache:
+		name, tail, _ := strings.Cut(rest, "/")
+		n, _, _ := strings.Cut(tail, "/")
+		return name + "/" + n
+	}
+	return key
 }
 
 // machines resolves the request's machine list against the specification
@@ -467,11 +484,6 @@ func (s *Server) analyzeDBSP(ctx context.Context, req Request, progress progress
 	return []*harness.Result{res}, nil
 }
 
-// cacheSweep is the IC(M, B) sweep of the miss curve every trace-tier
-// entry carries: 8-word VP contexts, 8-word lines and capacities in
-// words.
-var cacheSweep = harness.CacheSweep{CtxWords: 8, B: 8, Sizes: []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}}
-
 // analyzeCache reports the ideal-cache miss curve of the
 // folded-to-one-processor execution (the Section 6 conjecture's
 // measurable content).  The trace tier computes it with the key's one
@@ -491,18 +503,18 @@ func (s *Server) analyzeCache(ctx context.Context, req Request, progress progres
 	}
 	misses := run.Misses
 	monotone := true
-	for i, m := range cacheSweep.Sizes {
+	for i, m := range harness.CacheSweepSizes {
 		rate := 0.0
 		if run.Accesses > 0 {
 			rate = float64(misses[i]) / float64(run.Accesses)
 		}
-		res.AddRow(m, cacheSweep.B, misses[i], rate)
+		res.AddRow(m, harness.CacheLineWords, misses[i], rate)
 		if i > 0 && misses[i] > misses[i-1] {
 			monotone = false
 		}
 	}
 	res.AddCheck("misses nonincreasing in M", monotone,
-		"LRU inclusion property over %d cache sizes", len(cacheSweep.Sizes))
+		"LRU inclusion property over %d cache sizes", len(harness.CacheSweepSizes))
 	return []*harness.Result{res}, nil
 }
 

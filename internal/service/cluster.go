@@ -151,9 +151,9 @@ func (c *clusterState) mode() string {
 // owning peer's address when the request must be forwarded, "" when it
 // is served locally.  Synchronous kinds never get here: analyzeStart
 // answers them on the entry node (they cost microseconds; forwarding
-// would cost more than answering).  The ring hashes req.Key(), the same
-// key every node caches under, so each answer is computed exactly once
-// fleet-wide.
+// would cost more than answering).  The ring hashes the placement of
+// req.Key(), the key every node caches under, so each answer is computed
+// exactly once fleet-wide.
 //
 //nob:hotpath
 func (s *Server) routeOf(req *Request, forwarded bool) string {
@@ -161,7 +161,7 @@ func (s *Server) routeOf(req *Request, forwarded bool) string {
 	if c == nil || forwarded {
 		return ""
 	}
-	owner := c.ring.Owner(req.Key())
+	owner := c.ring.Owner(placement(req.Key()))
 	if !c.routeOnly && owner == c.self {
 		return ""
 	}
@@ -277,7 +277,8 @@ type PeerInfo struct {
 
 // Ownership is the ?key= lookup result: which node owns a cache key.
 type Ownership struct {
-	// Key is the looked-up key as given, which is the string hashed.
+	// Key is the looked-up key as given; the ring hashes its placement
+	// (a trace, dbsp or cache key is placed by its (algorithm, n)).
 	Key   string `json:"key"`
 	Owner string `json:"owner"`
 	// Local reports whether the answering node owns the key itself.
@@ -333,7 +334,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if key := r.URL.Query().Get("key"); key != "" {
 		own := &Ownership{Key: key}
 		if c != nil {
-			own.Owner = c.ring.Owner(key)
+			own.Owner = c.ring.Owner(placement(key))
 			own.Local = !c.routeOnly && own.Owner == c.self
 		} else {
 			own.Local = true

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"netoblivious/alg"
 )
 
 // testNode is one in-process cluster member: a Server plus the httptest
@@ -80,7 +82,7 @@ func ownerIndex(t *testing.T, nodes []*testNode, req Request) int {
 	if err := rq.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	owner := nodes[0].srv.cluster.ring.Owner(rq.Key())
+	owner := nodes[0].srv.cluster.ring.Owner(placement(rq.Key()))
 	for i, nd := range nodes {
 		if nd.url == owner {
 			return i
@@ -90,23 +92,73 @@ func ownerIndex(t *testing.T, nodes []*testNode, req Request) int {
 	return -1
 }
 
-// requestOwnedBy searches the σ of one evaluation machine until it
-// finds a trace request the ring places on nodes[want].  Keys that differ
-// only in their last characters can cluster on one member of a two-node
-// ring, so the search does not stop at a fixed count: σ values of growing
-// length lengthen the key until it lands on the wanted node.  Tests that
-// can choose their entry node fix the request and use ownerIndex instead.
+// requestOwnedBy searches the registry's small keys (n <= 64) until it
+// finds a trace request the ring places on nodes[want].  A trace request
+// is placed by its (algorithm, n), so the search varies those, not the
+// machine list.  Tests that can choose their entry node fix the request
+// and use ownerIndex instead.
 func requestOwnedBy(t *testing.T, nodes []*testNode, want int) Request {
 	t.Helper()
-	for sigma := 0; sigma < 1<<20; sigma++ {
-		req := Request{Algorithm: "fft", N: 64, Kind: KindTrace, Wait: true,
-			Machines: []MachineSpec{{P: 2, Sigma: float64(sigma)}}}
-		if ownerIndex(t, nodes, req) == want {
-			return req
+	for _, a := range alg.All() {
+		for _, n := range a.DefaultSizes() {
+			req := Request{Algorithm: a.Name, N: n, Kind: KindTrace, Wait: true}
+			if n <= 64 && ownerIndex(t, nodes, req) == want {
+				return req
+			}
 		}
 	}
 	t.Fatal("no probed request hashes to the wanted node")
 	return Request{}
+}
+
+// TestClusterPlacesKindsByTraceKey: the trace, dbsp and cache kinds of
+// one (algorithm, n) are placed on one owner, whatever their machine
+// lists, so a fleet computes the key's trace-tier entry once.  Each kind
+// enters at a different node; the fleet's trace tiers count one miss.
+func TestClusterPlacesKindsByTraceKey(t *testing.T) {
+	nodes := newTestCluster(t, 3, nil)
+	ctx := context.Background()
+	reqs := []Request{
+		{Algorithm: "fft", N: 64, Kind: KindTrace, Wait: true, Machines: []MachineSpec{{P: 4, Sigma: 8}}},
+		{Algorithm: "fft", N: 64, Kind: KindDBSP, Wait: true},
+		{Algorithm: "fft", N: 64, Kind: KindCache, Wait: true},
+	}
+	owner := ownerIndex(t, nodes, reqs[0])
+	for i, req := range reqs {
+		if o := ownerIndex(t, nodes, req); o != owner {
+			t.Errorf("%s placed on node %d, trace on node %d", req.Kind, o, owner)
+		}
+		resp, err := nodes[i].c.Analyze(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != string(StatusDone) || resp.Document == nil {
+			t.Fatalf("%s: status %q", req.Kind, resp.Status)
+		}
+	}
+	var misses, hits int64
+	for _, nd := range nodes {
+		st := nd.srv.traces.Stats()
+		misses += st.Misses
+		hits += st.Hits
+	}
+	if misses != 1 || hits != 2 {
+		t.Errorf("fleet trace tiers: %d misses, %d hits, want 1 miss and 2 hits", misses, hits)
+	}
+	// Keys of other kinds are placed as they are.
+	net := Request{Kind: KindNetwork, Topology: "fattree", Strategy: "valiant", Seed: 11, Machines: []MachineSpec{{P: 64}}}
+	if err := net.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]string{
+		"trace/fft/n=64/p=4,s=8": "fft/n=64",
+		"cache/sort/n=1024":      "sort/n=1024",
+		net.Key():                net.Key(),
+	} {
+		if got := placement(key); got != want {
+			t.Errorf("placement(%q) = %q, want %q", key, got, want)
+		}
+	}
 }
 
 // TestClusterExactlyOnceCompute is the acceptance gate: 64 concurrent

@@ -205,7 +205,7 @@ type Server struct {
 // it.  It fails only on an unusable cluster configuration.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	traces := harness.NewBoundedTraceStore(cfg.TraceEntries, &cacheSweep)
+	traces := harness.NewBoundedTraceStore(cfg.TraceEntries, true)
 	traces.SetProbe(cfg.Probe)
 	s := &Server{
 		cfg:     cfg,

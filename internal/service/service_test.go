@@ -310,13 +310,13 @@ func TestCacheKindMatchesInMemoryReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, err := cachesim.MissCurve(run.Trace.Source(), 8, 8, cacheSweep.Sizes)
+		cs, err := cachesim.MissCurve(run.Trace.Source(), harness.CacheCtxWords, harness.CacheLineWords, harness.CacheSweepSizes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref := &harness.Result{}
-		for i, m := range cacheSweep.Sizes {
-			ref.AddRow(m, 8, cs.Misses()[i], float64(cs.Misses()[i])/float64(cs.Accesses()))
+		for i, m := range harness.CacheSweepSizes {
+			ref.AddRow(m, harness.CacheLineWords, cs.Misses()[i], float64(cs.Misses()[i])/float64(cs.Accesses()))
 		}
 		resp, err := c.Analyze(ctx, Request{Algorithm: k.Algorithm, N: k.N, Kind: KindCache, Wait: true})
 		if err != nil {
