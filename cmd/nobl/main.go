@@ -467,21 +467,12 @@ func formatSizes(sizes []int) string {
 	return strings.Join(parts, ", ")
 }
 
-// Cache-simulation parameters of `nobl stat -cache`, matching the nobld
-// analysis service: 8-word VP contexts, 8-word cache lines, and a sweep
-// of capacities from 256 words to 64K words.
-const (
-	statCtxWords   = 8
-	statBlockWords = 8
-)
-
-var statCacheSizes = []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}
-
 // runStat analyzes a stored trace in one streaming pass: the fold
 // summary (O(log²v) memory) powers every M(p,σ) point and D-BSP preset,
 // and the optional single-pass cache simulation shares the same pass —
 // so arbitrarily large trace files, and stdin pipes, work in bounded
-// memory.
+// memory.  The miss curve is the sweep nobld reports (harness.CacheCtxWords,
+// CacheLineWords, CacheSweepSizes).
 func runStat(args []string) {
 	fs := flag.NewFlagSet("stat", flag.ExitOnError)
 	p := fs.Int("p", 0, "fold onto p processors (default: all powers of two)")
@@ -535,7 +526,7 @@ func runStat(args []string) {
 	}
 	var cs *cachesim.CurveSim
 	if *cache {
-		if cs, err = cachesim.NewCurveSim(src.V(), statCtxWords, statBlockWords, statCacheSizes); err != nil {
+		if cs, err = cachesim.NewCurveSim(src.V(), harness.CacheCtxWords, harness.CacheLineWords, harness.CacheSweepSizes); err != nil {
 			fail(err)
 		}
 	}
@@ -586,9 +577,9 @@ func runStat(args []string) {
 		accesses := cs.Accesses()
 		misses := cs.Misses()
 		fmt.Printf("\nideal-cache miss curve (context %d words, line %d words, %d accesses):\n",
-			statCtxWords, statBlockWords, accesses)
+			harness.CacheCtxWords, harness.CacheLineWords, accesses)
 		fmt.Printf("  %-12s %-12s %s\n", "M (words)", "misses", "miss rate")
-		for i, m := range statCacheSizes {
+		for i, m := range harness.CacheSweepSizes {
 			rate := 0.0
 			if accesses > 0 {
 				rate = float64(misses[i]) / float64(accesses)

@@ -29,7 +29,8 @@ type Run struct {
 // The ideal-cache miss curve a recording store computes with every run
 // is IC(M, B) for each capacity M of CacheSweepSizes, with
 // CacheCtxWords-word VP contexts and CacheLineWords-word lines (see
-// cachesim.CurveSim).
+// cachesim.CurveSim).  nobld's cache kind and `nobl stat -cache` report
+// this one sweep.
 const CacheCtxWords, CacheLineWords = 8, 8
 
 // CacheSweepSizes are the capacities (words) of the miss curve.  They

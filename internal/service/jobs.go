@@ -45,7 +45,7 @@ type Event struct {
 // job is one queued/running/finished asynchronous analysis.
 type job struct {
 	id        string
-	key       string // request cache key; "" once detached from dedup
+	key       string // request cache key, the job's slot in the dedup index
 	req       Request
 	requestID string // correlation ID of the creating request
 	priority  int    // guarded by the scheduler lock while queued
@@ -56,68 +56,53 @@ type job struct {
 
 	mu              sync.Mutex
 	status          JobStatus
-	events          []Event
-	subs            map[chan Event]struct{}
-	resp            *Response // terminal outcome
-	cancelRequested bool      // a DELETE landed; honored even mid-pop
+	events          []Event       // the only copy of the job's progress
+	changed         chan struct{} // closed and replaced by every append to events
+	resp            *Response     // terminal outcome
+	cancelRequested bool          // a DELETE landed; honored even mid-pop
 	created         time.Time
 
 	done chan struct{} // closed when status turns terminal
 }
 
-// publish appends an event and fans it out to the subscribers.  Slow
-// subscribers lose events rather than block the worker: SSE progress is
-// advisory, the authoritative log is the job's event slice.
+// publish appends a progress event to the log and wakes its readers.
+// A terminal job's log is closed: its last event names the status.
 func (j *job) publish(stage, detail string) {
 	j.mu.Lock()
-	ev := Event{Seq: len(j.events) + 1, Stage: stage, Detail: detail, RequestID: j.requestID}
-	j.events = append(j.events, ev)
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
+	if !j.status.Terminal() {
+		j.appendLocked(stage, detail)
 	}
 	j.mu.Unlock()
 }
 
-// subscribe returns a snapshot of the past events and a channel carrying
-// the future ones (nil when the job is already terminal).
-func (j *job) subscribe() ([]Event, chan Event) {
+// appendLocked appends an event and wakes the log's readers; j.mu is
+// held.
+func (j *job) appendLocked(stage, detail string) {
+	j.events = append(j.events, Event{Seq: len(j.events) + 1, Stage: stage, Detail: detail, RequestID: j.requestID})
+	close(j.changed)
+	j.changed = make(chan struct{})
+}
+
+// eventsAfter returns the events past the first n, the job's status, and
+// a channel closed by the next append.  A terminal status means the
+// events returned end with the terminal event.
+func (j *job) eventsAfter(n int) ([]Event, JobStatus, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	past := append([]Event(nil), j.events...)
-	if j.status.Terminal() {
-		return past, nil
-	}
-	ch := make(chan Event, 64)
-	j.subs[ch] = struct{}{}
-	return past, ch
+	return append([]Event(nil), j.events[n:]...), j.status, j.changed
 }
 
-func (j *job) unsubscribe(ch chan Event) {
-	j.mu.Lock()
-	delete(j.subs, ch)
-	j.mu.Unlock()
-}
-
-// finish transitions the job to a terminal status exactly once.
+// finish transitions the job to a terminal status exactly once, and
+// appends the terminal event under the same lock.
 func (j *job) finish(status JobStatus, resp *Response) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.status.Terminal() {
-		j.mu.Unlock()
 		return false
 	}
+	j.appendLocked(string(status), "")
 	j.status = status
 	j.resp = resp
-	j.mu.Unlock()
-	j.publish(string(status), "")
-	j.mu.Lock()
-	for ch := range j.subs {
-		close(ch)
-	}
-	j.subs = map[chan Event]struct{}{}
-	j.mu.Unlock()
 	close(j.done)
 	return true
 }
@@ -256,7 +241,7 @@ func (s *scheduler) enqueue(key string, req Request, requestID string) (j *job, 
 		priority:  req.Priority,
 		seq:       s.nextSeq,
 		status:    StatusQueued,
-		subs:      map[chan Event]struct{}{},
+		changed:   make(chan struct{}),
 		created:   time.Now(),
 		done:      make(chan struct{}),
 	}
@@ -280,20 +265,11 @@ func (s *scheduler) next() *job {
 	return heap.Pop(&s.queue).(*job)
 }
 
-// release drops the job from the dedup index, so a later identical
-// request starts fresh (it will normally hit the result cache instead).
-func (s *scheduler) release(j *job) {
-	s.mu.Lock()
-	if s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
-	}
-	s.mu.Unlock()
-}
-
-// remove is release plus eviction from the priority heap, for jobs
-// cancelled while still queued: a dead entry must not keep occupying a
-// bounded-queue slot (rejecting live enqueues with "queue full") until a
-// worker happens to pop it.
+// remove takes the job out of the dedup index, so a later identical
+// request starts fresh (it will normally hit the result cache instead),
+// and out of the priority heap if it is still queued: a dead entry must
+// not keep occupying a bounded-queue slot (rejecting live enqueues with
+// "queue full") until a worker happens to pop it.
 func (s *scheduler) remove(j *job) {
 	s.mu.Lock()
 	if j.idx >= 0 {
@@ -358,7 +334,6 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 	if cancelled {
 		// Cancelled while still queued; nothing to run.
-		s.sched.release(j)
 		return
 	}
 	s.metrics.jobsRunning.Add(1)
@@ -414,7 +389,7 @@ func (s *Server) runJob(j *job) {
 	elapsed := time.Since(start)
 	s.metrics.observeLatency(j.req.Algorithm, elapsed)
 	s.metrics.observeRun(engineName, elapsed)
-	s.sched.release(j)
+	s.sched.remove(j)
 
 	var finished bool
 	switch {
@@ -460,9 +435,13 @@ func (s *Server) runJob(j *job) {
 
 // cancelJob cancels a job by id: a queued job finishes immediately, a
 // running one has its context cancelled and finishes when the engine
-// aborts at the next superstep boundary.  The request is recorded under
-// the job lock so a cancel racing the worker's queue pop is never lost —
-// runJob re-checks cancelRequested right after installing its hook.
+// aborts at the next superstep boundary.  Either way the job leaves the
+// dedup index at once, so a request arriving now starts a fresh job
+// instead of joining this doomed one; if the fresh job meets the
+// aborting run in a store, runJob's victim retry runs it again.  The
+// request is recorded under the job lock so a cancel racing the worker's
+// queue pop is never lost: runJob re-checks cancelRequested right after
+// installing its hook.
 func (s *Server) cancelJob(j *job) {
 	j.mu.Lock()
 	status := j.status
@@ -472,11 +451,11 @@ func (s *Server) cancelJob(j *job) {
 	if status.Terminal() {
 		return
 	}
+	s.sched.remove(j)
 	if cancel != nil {
 		cancel(errJobCancelled)
 	}
 	if status == StatusQueued && cancel == nil {
-		s.sched.remove(j)
 		if j.finish(StatusCancelled, &Response{Schema: ResponseSchema, Status: string(StatusCancelled), Error: errJobCancelled.Error()}) {
 			s.metrics.jobsCancelled.Add(1)
 			s.sched.retire(j)

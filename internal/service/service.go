@@ -465,6 +465,15 @@ func isForwarded(r *http.Request) bool {
 	return r.Header.Get(headerForwarded) != ""
 }
 
+// batchLanes bounds how many items of one batch are in flight at once.
+// A 1 MiB body holds thousands of tiny items; serving each on its own
+// goroutine would let a single request start that many.
+const batchLanes = 64
+
+// handleBatch serves every item through analyze, batchLanes at a time,
+// so one bad or remote item never sinks the batch: each item lands with
+// its own per-item status code, forwards to different owners overlap,
+// and waited misses spread across the worker pool.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.countRequest("batch")
 	var batch BatchRequest
@@ -477,58 +486,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	out := BatchResponse{Schema: "nobld/batch/v1", Responses: make([]Response, len(batch.Requests))}
 	forwarded := isForwarded(r)
-	// Three lanes, so one bad or remote item never sinks the batch:
-	// forwards run concurrently (each is a network round trip to its
-	// owning shard), async misses are enqueued before any waiter blocks
-	// so the batch's jobs spread across the worker pool, and every item
-	// lands with its own per-item status code.
-	type pending struct {
-		idx int
-		j   *job
-	}
-	var waits []pending
-	var fwd sync.WaitGroup
-	for i := range batch.Requests {
-		req := batch.Requests[i]
-		if err := req.normalize(); err != nil {
-			out.Responses[i] = Response{Schema: ResponseSchema, Status: string(StatusFailed),
-				Error: err.Error(), Code: http.StatusBadRequest}
-			continue
-		}
-		if resp, status := s.analyzeStart(r.Context(), &req); resp != nil {
-			resp.Code = status
-			out.Responses[i] = *resp
-			continue
-		}
-		if owner := s.routeOf(&req, forwarded); owner != "" {
-			fwd.Add(1)
-			go func(i int, owner string, req Request) {
-				defer fwd.Done()
-				resp, status := s.forward(r.Context(), owner, req)
+	items := make(chan int)
+	var wg sync.WaitGroup
+	for range min(batchLanes, len(batch.Requests)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range items {
+				resp, status := s.analyze(r.Context(), batch.Requests[i], forwarded)
 				resp.Code = status
 				out.Responses[i] = resp
-			}(i, owner, req)
-			continue
-		}
-		j, resp, status := s.startJob(r.Context(), req)
-		if j == nil {
-			resp.Code = status
-			out.Responses[i] = *resp
-			continue
-		}
-		if req.Wait {
-			waits = append(waits, pending{idx: i, j: j})
-		} else {
-			out.Responses[i] = Response{Schema: ResponseSchema, Status: string(jobStatus(j)),
-				JobID: j.id, Code: http.StatusAccepted}
-		}
+			}
+		}()
 	}
-	for _, p := range waits {
-		resp := s.awaitJob(r.Context(), p.j)
-		resp.Code = http.StatusOK
-		out.Responses[p.idx] = resp
+	for i := range batch.Requests {
+		items <- i
 	}
-	fwd.Wait()
+	close(items)
+	wg.Wait()
 	for i := range out.Responses {
 		if out.Responses[i].Code >= 400 {
 			out.Failed++
@@ -660,8 +635,9 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, JobInfo{ID: j.id, Status: status, RequestID: j.requestID, Request: j.req, Response: resp})
 }
 
-// handleJobEvents streams the job's progress as server-sent events: every
-// past event, then live ones, ending with the terminal status event.
+// handleJobEvents streams the job's event log as server-sent events:
+// every past event, then each new one as it is appended, ending with
+// the terminal status event and a closing "done" frame.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	s.metrics.countRequest("events")
 	j, ok := s.sched.lookup(r.PathValue("id"))
@@ -677,59 +653,25 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	writeEvent := func(ev Event) {
-		data, _ := json.Marshal(ev)
-		fmt.Fprintf(w, "event: progress\ndata: %s\n\n", data)
-	}
-	past, live := j.subscribe()
-	for _, ev := range past {
-		writeEvent(ev)
-	}
-	flusher.Flush()
-	if live != nil {
-		defer j.unsubscribe(live)
-		for {
-			select {
-			case ev, open := <-live:
-				if !open {
-					// Terminal: the final status event is already in the
-					// log (published before close), but it may have raced
-					// past this subscriber — re-emit from the snapshot.
-					_, events, _ := j.snapshot()
-					for _, e := range events {
-						if e.Seq > lastSeq(past) {
-							writeEvent(e)
-							past = append(past, e)
-						}
-					}
-					flusher.Flush()
-					s.writeSSEDone(w, flusher, j)
-					return
-				}
-				writeEvent(ev)
-				past = append(past, ev)
-				flusher.Flush()
-			case <-r.Context().Done():
-				return
-			case <-s.baseCtx.Done():
-				return
-			}
+	for sent := 0; ; {
+		events, status, changed := j.eventsAfter(sent)
+		for _, ev := range events {
+			data, _ := json.Marshal(ev)
+			fmt.Fprintf(w, "event: progress\ndata: %s\n\n", data)
+		}
+		sent += len(events)
+		if status.Terminal() {
+			fmt.Fprintf(w, "event: done\ndata: %q\n\n", string(status))
+			flusher.Flush()
+			return
+		}
+		flusher.Flush()
+		select {
+		case <-changed:
+		case <-r.Context().Done():
+			return
+		case <-s.baseCtx.Done():
+			return
 		}
 	}
-	s.writeSSEDone(w, flusher, j)
-}
-
-func lastSeq(events []Event) int {
-	if len(events) == 0 {
-		return 0
-	}
-	return events[len(events)-1].Seq
-}
-
-// writeSSEDone emits the closing "done" SSE frame carrying the job's
-// terminal status.
-func (s *Server) writeSSEDone(w http.ResponseWriter, flusher http.Flusher, j *job) {
-	status, _, _ := j.snapshot()
-	fmt.Fprintf(w, "event: done\ndata: %q\n\n", string(status))
-	flusher.Flush()
 }

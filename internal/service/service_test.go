@@ -119,7 +119,11 @@ func TestAsyncJobLifecycleAndSSE(t *testing.T) {
 		t.Fatalf("async analyze returned no job id: %+v", resp)
 	}
 	var stages []string
-	info, err := c.WaitJob(ctx, resp.JobID, func(ev Event) { stages = append(stages, ev.Stage) })
+	var seqs []int
+	info, err := c.WaitJob(ctx, resp.JobID, func(ev Event) {
+		stages = append(stages, ev.Stage)
+		seqs = append(seqs, ev.Seq)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +138,16 @@ func TestAsyncJobLifecycleAndSSE(t *testing.T) {
 		if !strings.Contains(joined, want) {
 			t.Errorf("SSE stream missing stage %q (got %s)", want, joined)
 		}
+	}
+	// The stream is the event log, in order: Seq runs 1..k, each once,
+	// and the terminal stage is the last event.
+	for i, seq := range seqs {
+		if seq != i+1 {
+			t.Fatalf("streamed seqs %v, want 1..%d each once", seqs, len(seqs))
+		}
+	}
+	if len(stages) == 0 || stages[len(stages)-1] != string(StatusDone) {
+		t.Errorf("last streamed stage of %s is not %q", joined, StatusDone)
 	}
 	// The document is the PR 2 wire format: re-encode/decode round-trips.
 	res := info.Response.Document.Records[0].Results[0]
@@ -556,6 +570,36 @@ func TestBatchRepeatFullyCached(t *testing.T) {
 	}
 }
 
+// TestBatchLanesKeepItemOrder sends more waited items than a batch
+// serves at once, each asking for its own σ, to a server with two
+// workers: every item comes back 200 with the document of its own
+// request, in order.
+func TestBatchLanesKeepItemOrder(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	batch := make([]Request, 3*batchLanes)
+	for i := range batch {
+		batch[i] = Request{Algorithm: "fft", N: 64, Kind: KindTrace, Wait: true,
+			Machines: []MachineSpec{{P: 2, Sigma: float64(i) + 0.5}}}
+	}
+	resps, err := c.AnalyzeBatch(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resps) != len(batch) {
+		t.Fatalf("%d responses for %d items", len(resps), len(batch))
+	}
+	for i, resp := range resps {
+		if resp.Code != http.StatusOK || resp.Document == nil {
+			t.Fatalf("item %d: code %d, status %q, error %q", i, resp.Code, resp.Status, resp.Error)
+		}
+		rows := resp.Document.Records[0].Results[0].Rows
+		if len(rows) != 1 || rows[0][1].Float != batch[i].Machines[0].Sigma {
+			t.Fatalf("item %d carries rows %v, want the one machine σ=%g", i, rows, batch[i].Machines[0].Sigma)
+		}
+	}
+}
+
 // TestConcurrentCachedLoad is the headline acceptance criterion: >= 500
 // concurrent /v1/analyze requests for one cached key, hit rate > 95%,
 // no races (run under -race in CI).
@@ -701,6 +745,105 @@ func TestJobCancellation(t *testing.T) {
 	}
 }
 
+// waitForStage polls a job until its event log holds stage, and fails
+// the test if the job turns terminal first.
+func waitForStage(t *testing.T, c *Client, id, stage string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		info, err := c.Job(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range info.Events {
+			if ev.Stage == stage {
+				return
+			}
+		}
+		if info.Status.Terminal() {
+			t.Fatalf("job %s finished %s before stage %q", id, info.Status, stage)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("job %s never reached stage %q", id, stage)
+}
+
+// TestCancelledJobLeavesDedup: a DELETE of a running job takes it out of
+// the dedup index at once, so an identical request sent right after
+// starts a fresh job and gets the document, not the doomed job's
+// cancellation.
+func TestCancelledJobLeavesDedup(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	// sort at n=4096 runs for seconds here: long enough to cancel.
+	req := Request{Algorithm: "sort", N: 4096, Kind: KindTrace}
+	resp, err := c.Analyze(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForStage(t, c, resp.JobID, "tracing")
+	if _, err := c.CancelJob(ctx, resp.JobID); err != nil {
+		t.Fatal(err)
+	}
+	req.Wait = true
+	again, err := c.Analyze(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Status != string(StatusDone) || again.Document == nil {
+		t.Fatalf("request after DELETE answered %q (%s), want a document", again.Status, again.Error)
+	}
+	waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	if info, err := c.WaitJob(waitCtx, resp.JobID, nil); err != nil || info.Status != StatusCancelled {
+		t.Errorf("deleted job finished %s (%v), want cancelled", info.Status, err)
+	}
+}
+
+// TestSharedTierRunSurvivesCancel: a dbsp job that joined a trace job's
+// trace-tier run for the same (algorithm, n) inherits that run's abort
+// when the trace job is deleted.  It retries under its own live context
+// and ends done, with a "retrying" event in its log.
+func TestSharedTierRunSurvivesCancel(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	traceJob, err := c.Analyze(ctx, Request{Algorithm: "sort", N: 4096, Kind: KindTrace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForStage(t, c, traceJob.JobID, "tracing")
+	dbspJob, err := c.Analyze(ctx, Request{Algorithm: "sort", N: 4096, Kind: KindDBSP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForStage(t, c, dbspJob.JobID, "tracing")
+	// The stage is published just before the tier lookup: give the dbsp
+	// job a moment to join the run, which takes seconds.
+	time.Sleep(50 * time.Millisecond)
+	if _, err := c.CancelJob(ctx, traceJob.JobID); err != nil {
+		t.Fatal(err)
+	}
+	waitCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
+	defer cancel()
+	info, err := c.WaitJob(waitCtx, dbspJob.JobID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Status != StatusDone {
+		t.Fatalf("dbsp job finished %s: %+v", info.Status, info.Response)
+	}
+	retried := false
+	for _, ev := range info.Events {
+		retried = retried || ev.Stage == "retrying"
+	}
+	if !retried {
+		t.Errorf("dbsp job's events %+v carry no retrying stage", info.Events)
+	}
+	if info, err := c.WaitJob(waitCtx, traceJob.JobID, nil); err != nil || info.Status != StatusCancelled {
+		t.Errorf("deleted trace job finished %s (%v), want cancelled", info.Status, err)
+	}
+}
+
 // TestJobTimeout: a job exceeding the configured timeout fails with a
 // deadline error instead of running forever.
 func TestJobTimeout(t *testing.T) {
@@ -813,7 +956,7 @@ func TestJobRetentionBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		sched.next()
-		sched.release(j)
+		sched.remove(j)
 		j.finish(StatusDone, &Response{})
 		sched.retire(j)
 	}
