@@ -51,8 +51,9 @@ type Spec struct {
 	// identical trace for a valid program.
 	Engine core.Engine
 	// Record enables message-pair recording in each superstep record,
-	// which the cache simulation and the trace codecs need and
-	// everything else skips; with Sink, one step's pairs at a time.
+	// which the cache simulation, the ascend–descend protocol and the
+	// trace codecs need and everything else skips.  The pairs reach
+	// only Sink, one step's at a time, so Record needs a Sink.
 	Record bool
 	// Wise adds the paper's dummy messages where the algorithm supports
 	// them, making it (Θ(1), v)-wise (Definition 3.2).  Algorithms
@@ -64,10 +65,8 @@ type Spec struct {
 	// Sink receives each superstep record as the run completes it —
 	// a codec writer, a file, or the cache simulator — bounding peak
 	// memory by the largest superstep rather than the whole trace (see
-	// core.Options.Sink).  The Result's Trace then holds no steps but
-	// still carries the run's fold summary, so every metric of it reads
-	// as for an in-memory run.  nil collects the records in
-	// Result.Trace.Steps.
+	// core.Options.Sink).  The Result's Trace keeps no steps either way:
+	// it carries the run's fold summary, which every metric reads.
 	Sink core.TraceSink
 	// Probe records per-superstep engine spans for timeline export (see
 	// core.Options.Probe and `nobl prof`).  nil — the default — disables

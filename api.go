@@ -81,8 +81,9 @@ type Program[P any] = core.Program[P]
 // algorithm on every folding, every σ, and every D-BSP machine.
 type Trace = core.Trace
 
-// RunOptions configures a specification-model run: message recording,
-// the execution engine (RunOptions.Engine, nil for the default) and an
+// RunOptions configures a specification-model run: message recording
+// into a sink (RunOptions.RecordMessages with RunOptions.Sink), the
+// execution engine (RunOptions.Engine, nil for the default) and an
 // optional cancellation context (RunOptions.Context) that aborts the run
 // at the next superstep boundary.
 type RunOptions = core.Options
@@ -155,7 +156,8 @@ func Run[P any](v int, prog Program[P]) (*Trace, error) {
 	return core.Run(v, prog)
 }
 
-// RunOpt is Run with options (message recording).
+// RunOpt is Run with options.  It rejects RecordMessages without a
+// Sink: a run keeps no superstep records, only its fold summary.
 func RunOpt[P any](v int, prog Program[P], opts RunOptions) (*Trace, error) {
 	return core.RunOpt(v, prog, opts)
 }
@@ -167,8 +169,8 @@ func WisenessDummies[P any](vp *VP[P], label, count int) {
 }
 
 // The metrics below read the fold summary the run built as each
-// superstep completed (Trace.Summary), so they cost O(log²v) whether the
-// trace's steps were kept in memory or streamed to a RunOptions.Sink.
+// superstep completed (Trace.Summary), so they cost O(log²v) however
+// many messages the run exchanged.
 
 // Fold computes the folding of a trace onto p processors.
 func Fold(tr *Trace, p int) Folding { return eval.Fold(tr.Summary(), p) }

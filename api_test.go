@@ -7,6 +7,7 @@ import (
 
 	nob "netoblivious"
 	"netoblivious/internal/core"
+	"netoblivious/internal/tracetest"
 )
 
 // TestFacadeEndToEnd drives the whole public API surface: write an
@@ -53,17 +54,22 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeRecordOption covers RunOpt.
+// TestFacadeRecordOption covers RunOpt: recorded pairs reach the sink,
+// and recording without one is rejected.
 func TestFacadeRecordOption(t *testing.T) {
-	tr, err := nob.RunOpt(4, func(vp *nob.VP[int]) {
+	prog := func(vp *nob.VP[int]) {
 		vp.Send((vp.ID()+1)%4, 0)
 		vp.Sync(0)
-	}, nob.RunOptions{RecordMessages: true})
-	if err != nil {
+	}
+	var c tracetest.Collector
+	if _, err := nob.RunOpt(4, prog, nob.RunOptions{RecordMessages: true, Sink: &c}); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Steps[0].Pairs.Len() != 4 {
-		t.Errorf("pairs = %d, want 4", tr.Steps[0].Pairs.Len())
+	if c.Steps[0].Pairs.Len() != 4 {
+		t.Errorf("pairs = %d, want 4", c.Steps[0].Pairs.Len())
+	}
+	if _, err := nob.RunOpt(4, prog, nob.RunOptions{RecordMessages: true}); err == nil {
+		t.Error("RecordMessages without a Sink: accepted")
 	}
 }
 

@@ -108,7 +108,8 @@ func BenchmarkE15RectangularMM(b *testing.B) {
 }
 
 // BenchmarkE16CacheSim — Section 6 conjecture: IC(M,B) miss counts of the
-// sequential simulation of the recursive FFT trace.
+// sequential simulation of the recursive FFT trace, each iteration a
+// recorded run streamed into the cache simulator.
 func BenchmarkE16CacheSim(b *testing.B) {
 	rng := benchRng()
 	n := 1 << 9
@@ -116,15 +117,13 @@ func BenchmarkE16CacheSim(b *testing.B) {
 	for i := range x {
 		x[i] = complex(rng.Float64(), 0)
 	}
-	res, err := fft.Transform(x, fft.Options{Record: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	var curve []int64
 	for i := 0; i < b.N; i++ {
-		cs, err := cachesim.MissCurve(res.Trace.Source(), 4, 8, []int{256, 2048})
+		cs, err := cachesim.NewCurveSim(n, 4, 8, []int{256, 2048})
 		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := fft.Transform(x, fft.Options{Record: true, Sink: cs}); err != nil {
 			b.Fatal(err)
 		}
 		curve = cs.Misses()

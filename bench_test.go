@@ -25,6 +25,7 @@ import (
 	"netoblivious/internal/prefix"
 	"netoblivious/internal/stencil"
 	"netoblivious/internal/theory"
+	"netoblivious/internal/tracetest"
 )
 
 func benchRng() *rand.Rand { return rand.New(rand.NewSource(63)) }
@@ -301,6 +302,7 @@ func BenchmarkE10FoldingLemma(b *testing.B) {
 func BenchmarkE11AscendDescend(b *testing.B) {
 	const v = 64
 	const msgs = 4096
+	var rec tracetest.Collector
 	tr, err := core.RunOpt(v, func(vp *core.VP[int]) {
 		if vp.ID() == 0 {
 			for k := 0; k < msgs; k++ {
@@ -309,7 +311,7 @@ func BenchmarkE11AscendDescend(b *testing.B) {
 		}
 		vp.Sync(0)
 		vp.Sync(0)
-	}, core.Options{RecordMessages: true})
+	}, core.Options{RecordMessages: true, Sink: &rec})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,11 +319,11 @@ func BenchmarkE11AscendDescend(b *testing.B) {
 	b.ResetTimer()
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		pc, err := dbsp.AscendDescend(tr, v)
-		if err != nil {
+		ad := dbsp.NewAscendDescend(v)
+		if err := rec.Replay(ad); err != nil {
 			b.Fatal(err)
 		}
-		speedup = nob.CommTime(tr, pr) / pc.CommTime(pr)
+		speedup = nob.CommTime(tr, pr) / ad.Cost().CommTime(pr)
 	}
 	b.ReportMetric(speedup, "speedup-mesh1D")
 	b.ReportMetric(nob.Fullness(tr, v), "gamma")

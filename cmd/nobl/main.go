@@ -408,8 +408,7 @@ func render(cfg harness.Config, f harness.Format, outDir string, recs []harness.
 
 // runTrace streams the run's supersteps straight into the output codec:
 // the trace is never accumulated in memory, so peak footprint is the
-// largest superstep, not n.  The streamed file is byte-identical to the
-// in-memory Trace.EncodeJSON of the same run.
+// largest superstep, not n.
 func runTrace(args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	n := fs.Int("n", 1024, "input size (power of two; matmul needs a square)")

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"netoblivious/alg"
+	"netoblivious/internal/core"
 	"netoblivious/internal/obs"
 )
 
@@ -23,7 +24,7 @@ func runProf(args []string) int {
 	fs := flag.NewFlagSet("prof", flag.ExitOnError)
 	n := fs.Int("n", 1024, "input size (power of two; matmul needs a square)")
 	out := fs.String("o", "timeline.json", "timeline output file ('-' = stdout)")
-	record := fs.Bool("record", false, "record message pairs during the run")
+	record := fs.Bool("record", false, "record message pairs during the run (into a discarding sink)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a post-run heap profile to this file")
 	name, rest := splitName(args)
@@ -60,8 +61,13 @@ func runProf(args []string) int {
 	}
 
 	probe := obs.NewProbe()
+	spec := alg.Spec{Probe: probe}
+	if *record {
+		// A run keeps no steps: recorded pairs need a sink to reach.
+		spec.Record, spec.Sink = true, &core.DiscardSink{}
+	}
 	start := time.Now()
-	run, err := a.Run(context.Background(), alg.Spec{Record: *record, Probe: probe}, *n)
+	run, err := a.Run(context.Background(), spec, *n)
 	wall := time.Since(start)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nobl prof: %v\n", err)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"netoblivious/internal/core"
+	"netoblivious/internal/tracetest"
 )
 
 // Cache is an ideal cache IC(M, B): fully associative, LRU replacement.
@@ -130,7 +131,7 @@ func (ss *stepSchedule) run(rec *core.StepRec, touch func(addr int64)) error {
 // RecordMessages); see stepSchedule for the access model.  It simulates
 // one cache size per pass and is the reference the single-pass CurveSim
 // is tested against.
-func SimulateTrace(tr *core.Trace, ctxWords int, cache *Cache) (SimStats, error) {
+func SimulateTrace(tr *tracetest.Collector, ctxWords int, cache *Cache) (SimStats, error) {
 	ss, err := newStepSchedule(tr.V, ctxWords)
 	if err != nil {
 		return SimStats{}, err
@@ -152,7 +153,7 @@ func SimulateTrace(tr *core.Trace, ctxWords int, cache *Cache) (SimStats, error)
 // missCurveReference is the pre-single-pass implementation — one full
 // re-simulation per size — retained as the oracle for the golden
 // equality test of CurveSim.
-func missCurveReference(tr *core.Trace, ctxWords, bWords int, sizes []int) ([]int64, error) {
+func missCurveReference(tr *tracetest.Collector, ctxWords, bWords int, sizes []int) ([]int64, error) {
 	out := make([]int64, len(sizes))
 	for i, m := range sizes {
 		c, err := New(m, bWords)

@@ -9,6 +9,7 @@ import (
 
 	"netoblivious/internal/core"
 	"netoblivious/internal/fft"
+	"netoblivious/internal/tracetest"
 )
 
 func TestCacheBasics(t *testing.T) {
@@ -68,15 +69,15 @@ func TestLRUWorkingSet(t *testing.T) {
 
 // TestSimulateTraceNeedsPairs rejects traces without message recording.
 func TestSimulateTraceNeedsPairs(t *testing.T) {
-	tr, err := core.Run(4, func(vp *core.VP[int]) {
+	var tr tracetest.Collector
+	if _, err := core.RunOpt(4, func(vp *core.VP[int]) {
 		vp.Send(vp.ID()^1, 1)
 		vp.Sync(0)
-	})
-	if err != nil {
+	}, core.Options{Sink: &tr}); err != nil {
 		t.Fatal(err)
 	}
 	c, _ := New(64, 8)
-	if _, err := SimulateTrace(tr, 4, c); err == nil {
+	if _, err := SimulateTrace(&tr, 4, c); err == nil {
 		t.Error("want error for missing Pairs")
 	}
 }
@@ -88,13 +89,13 @@ func TestSimulateTraceNeedsPairs(t *testing.T) {
 // second warm run sees fewer (or equal) misses, and the deltas sum to
 // the cache's cumulative counters.
 func TestSimulateTraceReportsPerCallDeltas(t *testing.T) {
-	tr, err := core.RunOpt(8, func(vp *core.VP[int]) {
+	tr := &tracetest.Collector{}
+	if _, err := core.RunOpt(8, func(vp *core.VP[int]) {
 		for step := 0; step < 4; step++ {
 			vp.Send(vp.ID()^1, 1)
 			vp.Sync(0)
 		}
-	}, core.Options{RecordMessages: true})
-	if err != nil {
+	}, core.Options{RecordMessages: true, Sink: tr}); err != nil {
 		t.Fatal(err)
 	}
 	c, err := New(1<<10, 8) // big enough that the working set stays warm
@@ -135,12 +136,12 @@ func TestMissCurveMonotone(t *testing.T) {
 	for i := range x {
 		x[i] = complex(rng.Float64(), 0)
 	}
-	res, err := fft.Transform(x, fft.Options{Record: true})
-	if err != nil {
+	var tr tracetest.Collector
+	if _, err := fft.Transform(x, fft.Options{Record: true, Sink: &tr}); err != nil {
 		t.Fatal(err)
 	}
 	sizes := []int{64, 256, 1024, 4096}
-	cs, err := MissCurve(res.Trace.Source(), 4, 8, sizes)
+	cs, err := MissCurve(tr.Source(), 4, 8, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,35 +158,27 @@ func TestMissCurveMonotone(t *testing.T) {
 // and duplicate sizes, for several recorded traces.
 func TestMissCurveGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	traces := map[string]*core.Trace{}
+	traces := map[string]*tracetest.Collector{"fft-recursive": {}, "fft-iterative": {}, "xor-mesh": {}}
 	{
 		n := 256
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.Float64(), 0)
 		}
-		res, err := fft.Transform(x, fft.Options{Record: true})
-		if err != nil {
+		if _, err := fft.Transform(x, fft.Options{Record: true, Sink: traces["fft-recursive"]}); err != nil {
 			t.Fatal(err)
 		}
-		traces["fft-recursive"] = res.Trace
-		it, err := fft.TransformIterative(x, fft.Options{Record: true})
-		if err != nil {
+		if _, err := fft.TransformIterative(x, fft.Options{Record: true, Sink: traces["fft-iterative"]}); err != nil {
 			t.Fatal(err)
 		}
-		traces["fft-iterative"] = it.Trace
 	}
-	{
-		tr, err := core.RunOpt(16, func(vp *core.VP[int]) {
-			for step := 0; step < 6; step++ {
-				vp.Send(vp.ID()^(1<<(step%4)), step)
-				vp.Sync(3 - step%4)
-			}
-		}, core.Options{RecordMessages: true})
-		if err != nil {
-			t.Fatal(err)
+	if _, err := core.RunOpt(16, func(vp *core.VP[int]) {
+		for step := 0; step < 6; step++ {
+			vp.Send(vp.ID()^(1<<(step%4)), step)
+			vp.Sync(3 - step%4)
 		}
-		traces["xor-mesh"] = tr
+	}, core.Options{RecordMessages: true, Sink: traces["xor-mesh"]}); err != nil {
+		t.Fatal(err)
 	}
 	sweeps := [][]int{
 		{64},
@@ -218,11 +211,11 @@ func TestMissCurveGolden(t *testing.T) {
 // TestCurveSimAccesses: every size of a sweep shares one address
 // stream, so CurveSim's access count must match a plain simulation's.
 func TestCurveSimAccesses(t *testing.T) {
-	tr, err := core.RunOpt(8, func(vp *core.VP[int]) {
+	tr := &tracetest.Collector{}
+	if _, err := core.RunOpt(8, func(vp *core.VP[int]) {
 		vp.Send(vp.ID()^1, 1)
 		vp.Sync(0)
-	}, core.Options{RecordMessages: true})
-	if err != nil {
+	}, core.Options{RecordMessages: true, Sink: tr}); err != nil {
 		t.Fatal(err)
 	}
 	cs, err := MissCurve(tr.Source(), 4, 8, []int{64, 256})
@@ -253,20 +246,19 @@ func TestSection6Conjecture(t *testing.T) {
 	for i := range x {
 		x[i] = complex(rng.Float64(), 0)
 	}
-	rec, err := fft.Transform(x, fft.Options{Record: true})
-	if err != nil {
+	var rec, it tracetest.Collector
+	if _, err := fft.Transform(x, fft.Options{Record: true, Sink: &rec}); err != nil {
 		t.Fatal(err)
 	}
-	it, err := fft.TransformIterative(x, fft.Options{Record: true})
-	if err != nil {
+	if _, err := fft.TransformIterative(x, fft.Options{Record: true, Sink: &it}); err != nil {
 		t.Fatal(err)
 	}
 	sizes := []int{128, 512, 2048}
-	csRec, err := MissCurve(rec.Trace.Source(), 4, 8, sizes)
+	csRec, err := MissCurve(rec.Source(), 4, 8, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	csIt, err := MissCurve(it.Trace.Source(), 4, 8, sizes)
+	csIt, err := MissCurve(it.Source(), 4, 8, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +290,7 @@ func TestMissCurveRandomDifferential(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		ctx, b := ctxs[trial%len(ctxs)], bs[trial/len(ctxs)%len(bs)]
 		v := 1 + rng.Intn(64)
-		tr := &core.Trace{V: v}
+		tr := &tracetest.Collector{V: v}
 		for step, steps := 0, 1+rng.Intn(6); step < steps; step++ {
 			var pairs [][2]int32
 			for i, n := 0, rng.Intn(3*v+1); i < n; i++ {
@@ -386,7 +378,7 @@ func TestCurveSimAllocatesOnFirstStep(t *testing.T) {
 
 // TestCurveSimAsSink: a CurveSim passed as the run's sink, built before
 // the machine is known, reads the same curve as MissCurve over the
-// in-memory recording of the same run, and refuses a second machine
+// collected recording of the same run, and refuses a second machine
 // once it has simulated a step.
 func TestCurveSimAsSink(t *testing.T) {
 	x := make([]complex128, 256)
@@ -394,11 +386,11 @@ func TestCurveSimAsSink(t *testing.T) {
 		x[i] = complex(float64(i%7), 0)
 	}
 	sizes := []int{1 << 7, 1 << 9, 1 << 11}
-	mem, err := fft.Transform(x, fft.Options{Record: true})
-	if err != nil {
+	var mem tracetest.Collector
+	if _, err := fft.Transform(x, fft.Options{Record: true, Sink: &mem}); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := MissCurve(mem.Trace.Source(), 4, 8, sizes)
+	ref, err := MissCurve(mem.Source(), 4, 8, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,9 +402,8 @@ func TestCurveSimAsSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(run.Trace.Steps) != 0 || run.Trace.NumSupersteps() != mem.Trace.NumSupersteps() {
-		t.Errorf("streamed run kept %d steps and counted %d, want 0 and %d",
-			len(run.Trace.Steps), run.Trace.NumSupersteps(), mem.Trace.NumSupersteps())
+	if run.Trace.NumSupersteps() != len(mem.Steps) {
+		t.Errorf("streamed run counted %d steps, want %d", run.Trace.NumSupersteps(), len(mem.Steps))
 	}
 	if !slices.Equal(cs.Misses(), ref.Misses()) || cs.Accesses() != ref.Accesses() || cs.Words() != ref.Words() {
 		t.Errorf("sink misses %v accesses %d words %d, MissCurve %v %d %d",

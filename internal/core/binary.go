@@ -146,9 +146,6 @@ func (bw *TraceBinaryWriter) EndTrace(runErr error) error {
 	return bw.bw.Flush()
 }
 
-// Steps returns the number of records written so far.
-func (bw *TraceBinaryWriter) Steps() int { return bw.steps }
-
 func (bw *TraceBinaryWriter) buf(n int) []byte {
 	if cap(bw.scratch) < n {
 		bw.scratch = make([]byte, 0, n)

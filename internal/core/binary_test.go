@@ -58,7 +58,7 @@ func TestBinaryReaderBoundsHostilePairCount(t *testing.T) {
 // chunks decode to exactly the pairs written.
 func TestBinaryRoundTripMultiChunkColumns(t *testing.T) {
 	const v, fanout = 1 << 12, 9 // 36,864 pairs: three read chunks per column
-	tr, err := RunOpt(v, func(vp *VP[int]) {
+	tr, _, err := collect(v, func(vp *VP[int]) {
 		for k := 1; k <= fanout; k++ {
 			vp.Send((vp.ID()+k)%v, k)
 		}
@@ -68,16 +68,7 @@ func TestBinaryRoundTripMultiChunkColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w := NewTraceBinaryWriter(&buf)
-	if err := w.BeginTrace(tr.V, tr.LogV); err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Steps {
-		if err := w.WriteStep(tr.Steps[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.EndTrace(nil); err != nil {
+	if err := tr.replay(NewTraceBinaryWriter(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	br, err := NewTraceBinaryReader(&buf)

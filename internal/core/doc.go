@@ -75,28 +75,25 @@
 //
 // Every run records through one pending window, which a superstep
 // leaves, in order, once every VP has completed it: into the run's
-// FoldSummary, and then into Trace.Steps or, under Options.Sink, into
-// the TraceSink with nothing retained, so the run's peak trace
-// footprint is the largest superstep, not the total.  Either way the
-// returned Trace carries the summary (Trace.Summary).  The sink side of
-// the pipeline:
+// FoldSummary, and then, under Options.Sink, into the TraceSink.
+// Nothing is retained, so the run's peak trace footprint is the largest
+// superstep, not the total.  The returned Trace carries the summary
+// (Trace.Summary).  The sink side of the pipeline:
 //
-//   - TraceSink implementations: an accumulating *Trace (the in-memory
-//     default expressed as a sink, summarizing what it collects),
-//     DiscardSink (measurement), the codec writers TraceJSONWriter and
-//     TraceBinaryWriter, TraceFileSink (atomic tmp-and-rename JSON
-//     file output, discarding partial output when the run fails, or
-//     in-place output to a named pipe or device), and
-//     cachesim.CurveSim, which simulates each step as it arrives;
-//   - the streamed JSON is byte-identical to Trace.EncodeJSON of the
-//     same run, so stored traces are indistinguishable from in-memory
-//     encodes; the binary format ("NOBTRC01") is the compact binary
-//     format, storing each superstep's pairs as flat columns.
+//   - TraceSink implementations: DiscardSink (measurement), the codec
+//     writers TraceJSONWriter and TraceBinaryWriter, TraceFileSink
+//     (atomic tmp-and-rename JSON file output, discarding partial
+//     output when the run fails, or in-place output to a named pipe or
+//     device), cachesim.CurveSim, which simulates each step as it
+//     arrives, and dbsp.AscendDescend, which runs the Section 5
+//     protocol on each step;
+//   - the binary format ("NOBTRC01") is the compact binary format,
+//     storing each superstep's pairs as flat columns.
 //     Both codecs are hand-written for their one schema, without
 //     encoding/json, and both readers validate every step with the same
 //     checks (validateStep); TraceJSONReader documents the JSON grammar
 //     it accepts and what it rejects;
-//   - TraceSource is the reading half — Trace.Source, NewTraceSource
+//   - TraceSource is the reading half — NewTraceSource
 //     (format-sniffing stream reader), OpenTraceFile — over which the
 //     single-pass consumers run: FoldSummary.Observe folds each
 //     decoded step into a FoldSummary, the O(log²v) accumulator that
@@ -120,8 +117,8 @@
 //
 //   - message delivery is deterministic — the messages a VP finds in its
 //     inbox are ordered by (source VP, send order);
-//   - the recorded Trace is identical: Steps, Labels, Degrees at every
-//     fold, and Messages match entry for entry, and StepRec.Pairs holds
+//   - the recorded supersteps are identical: Labels, Degrees at every
+//     fold, and Messages match step for step, and StepRec.Pairs holds
 //     the same multiset — on the BlockEngine, in the same order (source
 //     VP, then send order), so its recorded bytes are stable;
 //   - invalid programs (cluster-escaping messages, divergent label
@@ -145,8 +142,8 @@
 //     sync label, the message total and fold_ops, the messages ×
 //     fold-levels upper bound on degree-counter updates the step
 //     induced.  TestProbeSpansPerSuperstep
-//     enforces one span per superstep on every engine, in both in-memory
-//     and streaming (Sink) modes.
+//     enforces one span per superstep on every engine, with and
+//     without a Sink.
 //
 //   - Barrier-wait visibility.  The BlockEngine additionally emits one
 //     "barrier_wait_ns" counter sample per superstep with a series per

@@ -60,19 +60,19 @@ func TestEngineEquivalenceRandom(t *testing.T) {
 			seed := int64(v*100 + trial)
 			steps := 1 + trial
 			prog := randomProgram(seed, v, steps)
-			opts := core.Options{RecordMessages: true, Engine: core.GoroutineEngine{}}
-			ref, err := core.RunOpt(v, prog, opts)
-			if err != nil {
+			var ref tracetest.Collector
+			opts := core.Options{RecordMessages: true, Engine: core.GoroutineEngine{}, Sink: &ref}
+			if _, err := core.RunOpt(v, prog, opts); err != nil {
 				t.Fatalf("v=%d trial=%d: goroutine engine: %v", v, trial, err)
 			}
-			want := tracetest.Canonical(t, ref)
+			want := tracetest.Canonical(t, &ref)
 			for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-				opts.Engine = core.BlockEngine{Workers: workers}
-				got, err := core.RunOpt(v, prog, opts)
-				if err != nil {
+				var got tracetest.Collector
+				opts.Engine, opts.Sink = core.BlockEngine{Workers: workers}, &got
+				if _, err := core.RunOpt(v, prog, opts); err != nil {
 					t.Fatalf("v=%d trial=%d workers=%d: block engine: %v", v, trial, workers, err)
 				}
-				if g := tracetest.Canonical(t, got); !bytes.Equal(want, g) {
+				if g := tracetest.Canonical(t, &got); !bytes.Equal(want, g) {
 					t.Errorf("v=%d trial=%d workers=%d: trace mismatch\ngoroutine: %s\nblock:     %s", v, trial, workers, want, g)
 				}
 			}
@@ -84,17 +84,17 @@ func TestEngineEquivalenceRandom(t *testing.T) {
 // sealed interface) must behave exactly like their value forms.
 func TestPointerEngines(t *testing.T) {
 	prog := randomProgram(7, 8, 2)
-	ref, err := core.RunOpt(8, prog, core.Options{RecordMessages: true, Engine: core.GoroutineEngine{}})
-	if err != nil {
+	var ref tracetest.Collector
+	if _, err := core.RunOpt(8, prog, core.Options{RecordMessages: true, Engine: core.GoroutineEngine{}, Sink: &ref}); err != nil {
 		t.Fatal(err)
 	}
-	want := tracetest.Canonical(t, ref)
+	want := tracetest.Canonical(t, &ref)
 	for _, eng := range []core.Engine{&core.GoroutineEngine{}, &core.BlockEngine{}, &core.BlockEngine{Workers: 2}} {
-		got, err := core.RunOpt(8, prog, core.Options{RecordMessages: true, Engine: eng})
-		if err != nil {
+		var got tracetest.Collector
+		if _, err := core.RunOpt(8, prog, core.Options{RecordMessages: true, Engine: eng, Sink: &got}); err != nil {
 			t.Fatalf("%s (pointer): %v", eng.Name(), err)
 		}
-		if !bytes.Equal(want, tracetest.Canonical(t, got)) {
+		if !bytes.Equal(want, tracetest.Canonical(t, &got)) {
 			t.Errorf("%s (pointer): trace mismatch", eng.Name())
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"runtime"
 	"slices"
 	"strings"
@@ -96,55 +95,30 @@ func FuzzNewTraceSource(f *testing.F) {
 
 // fuzzSeedTraces builds the seed corpus: the probe tests' butterfly
 // program with and without message pairs, and a single-VP trace.
-func fuzzSeedTraces(tb testing.TB) []*Trace {
+func fuzzSeedTraces(tb testing.TB) []*collector {
 	tb.Helper()
-	var out []*Trace
+	var out []*collector
 	for _, o := range []struct {
 		v      int
 		record bool
 	}{{8, true}, {8, false}, {1, false}} {
-		tr, err := RunOpt(o.v, probeTestProg, Options{RecordMessages: o.record})
+		c, _, err := collect(o.v, probeTestProg, Options{RecordMessages: o.record})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, tr)
+		out = append(out, c)
 	}
 	return out
 }
 
 // decodeTrace decodes a whole trace through NewTraceSource.
-func decodeTrace(data []byte) (*Trace, error) {
+func decodeTrace(data []byte) (*collector, error) {
 	src, err := NewTraceSource(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
 	defer src.Close()
-	return ReadAll(src)
-}
-
-// ReadAll drains a TraceSource into an in-memory Trace, copying each
-// record (sources reuse their decode state between Next calls).  It
-// does not Close the source.  It lives in a test file of package core,
-// so the external tests reach it as core.ReadAll.
-func ReadAll(src TraceSource) (*Trace, error) {
-	tr := &Trace{}
-	if err := tr.BeginTrace(src.V(), src.LogV()); err != nil {
-		return nil, err
-	}
-	for {
-		rec, err := src.Next()
-		if err == io.EOF {
-			return tr, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		cp := *rec
-		cp.Degree = append([]int64(nil), rec.Degree...)
-		if err := tr.WriteStep(cp); err != nil {
-			return nil, err
-		}
-	}
+	return readAll(src)
 }
 
 // traceCodec selects the codec writer encodeTrace uses.
@@ -156,29 +130,21 @@ const (
 )
 
 // encodeTrace encodes tr through the streaming codec writer of format.
-func encodeTrace(tb testing.TB, tr *Trace, format traceCodec) []byte {
+func encodeTrace(tb testing.TB, tr *collector, format traceCodec) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	var sink TraceSink = NewTraceJSONWriter(&buf)
 	if format == binaryCodec {
 		sink = NewTraceBinaryWriter(&buf)
 	}
-	if err := sink.BeginTrace(tr.V, tr.LogV); err != nil {
-		tb.Fatal(err)
-	}
-	for _, rec := range tr.Steps {
-		if err := sink.WriteStep(rec); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := sink.EndTrace(nil); err != nil {
+	if err := tr.replay(sink); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // sameSteps compares two traces field by field, pairs in order.
-func sameSteps(a, b *Trace) bool {
+func sameSteps(a, b *collector) bool {
 	if a.V != b.V || a.LogV != b.LogV || len(a.Steps) != len(b.Steps) {
 		return false
 	}
@@ -197,11 +163,11 @@ func sameSteps(a, b *Trace) bool {
 func outOfRangePairCases() []struct {
 	name string
 	step int
-	tr   *Trace
+	tr   *collector
 } {
 	good := StepRec{Degree: []int64{0, 1, 1}, Messages: 1, Pairs: PairListOf([][2]int32{{0, 2}})}
-	bad := func(src, dst int32, before int) *Trace {
-		tr := &Trace{V: 4, LogV: 2}
+	bad := func(src, dst int32, before int) *collector {
+		tr := &collector{V: 4, LogV: 2}
 		for i := 0; i < before; i++ {
 			tr.Steps = append(tr.Steps, good)
 		}
@@ -214,7 +180,7 @@ func outOfRangePairCases() []struct {
 	return []struct {
 		name string
 		step int
-		tr   *Trace
+		tr   *collector
 	}{
 		{"src >= v", 0, bad(9, 2, 0)},
 		{"src == v", 1, bad(4, 0, 1)},

@@ -10,9 +10,7 @@ import (
 
 // TraceJSONWriter is a TraceSink that encodes supersteps to the wire
 // format incrementally, one record at a time, so serializing a trace
-// never materializes more than a single superstep.  The bytes produced
-// are identical to encoding a whole in-memory Trace at once — a
-// streamed file and EncodeJSON agree byte for byte.  The format is the
+// never materializes more than a single superstep.  The format is the
 // compact JSON encoding/json gives the document
 //
 //	{"v":V,"log_v":L,"steps":[STEP,...]|null}
@@ -29,8 +27,8 @@ import (
 type TraceJSONWriter struct {
 	// ReleasePairs returns each record's pooled pair chunks to the
 	// chunk pool after encoding.  Enable it only when the writer owns
-	// its records exclusively — a run's Options.Sink does, a retained
-	// in-memory trace being archived does not.
+	// its records exclusively — a run's Options.Sink does, a caller that
+	// keeps the records after encoding them does not.
 	ReleasePairs bool
 
 	bw        *bufio.Writer
@@ -38,7 +36,6 @@ type TraceJSONWriter struct {
 	started   bool
 	ended     bool
 	wroteStep bool
-	steps     int
 }
 
 // jsonFlushLen is the scratch length at which WriteStep hands encoded
@@ -132,7 +129,6 @@ func (jw *TraceJSONWriter) WriteStep(rec StepRec) error {
 	if _, err := jw.bw.Write(b); err != nil {
 		return err
 	}
-	jw.steps++
 	if jw.ReleasePairs {
 		rec.Pairs.Release()
 	}
@@ -162,28 +158,6 @@ func (jw *TraceJSONWriter) EndTrace(runErr error) error {
 		return err
 	}
 	return jw.bw.Flush()
-}
-
-// Steps returns the number of records written so far.
-func (jw *TraceJSONWriter) Steps() int { return jw.steps }
-
-// EncodeJSON writes the trace as JSON, allowing runs to be archived and
-// re-analyzed (folded, costed on new machines) without re-executing the
-// algorithm.  It streams through TraceJSONWriter, so encoding buffers
-// one superstep at a time rather than rendering the whole document.
-//
-//nob:deterministic
-func (t *Trace) EncodeJSON(w io.Writer) error {
-	jw := NewTraceJSONWriter(w)
-	if err := jw.BeginTrace(t.V, t.LogV); err != nil {
-		return err
-	}
-	for i := range t.Steps {
-		if err := jw.WriteStep(t.Steps[i]); err != nil {
-			return err
-		}
-	}
-	return jw.EndTrace(nil)
 }
 
 // TraceJSONReader is a TraceSource over the JSON wire format: it

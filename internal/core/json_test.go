@@ -1,35 +1,34 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 )
 
 // TestJSONRoundTrip: a real trace survives encode/decode with identical
 // metrics.
 func TestJSONRoundTrip(t *testing.T) {
-	tr, err := Run(8, func(vp *VP[int]) {
+	c, tr, err := collect(8, func(vp *VP[int]) {
 		vp.Send(7-vp.ID(), 1)
 		vp.Sync(0)
 		vp.Send(vp.ID()^1, 2)
 		vp.Sync(2)
 		vp.Sync(0)
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tr.EncodeJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeTrace(buf.Bytes())
+	got, err := decodeTrace(c.jsonBytes(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.V != tr.V || got.NumSupersteps() != tr.NumSupersteps() {
+	if got.V != tr.V || len(got.Steps) != tr.NumSupersteps() {
 		t.Fatalf("round trip mutated shape: %+v vs %+v", got, tr)
 	}
-	fa, fb := tr.Summary(), got.Summary()
+	fb, err := got.summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := tr.Summary()
 	for p := 2; p <= 8; p *= 2 {
 		a, b := fa.F(p), fb.F(p)
 		for i := range a {
@@ -82,15 +81,11 @@ func TestDecodeJSONRejectsCorruptTraces(t *testing.T) {
 
 // TestDecodeJSONAcceptsSingleVP: the degenerate machine round-trips.
 func TestDecodeJSONAcceptsSingleVP(t *testing.T) {
-	tr, err := Run(1, func(vp *VP[int]) { vp.Sync(0) })
+	c, _, err := collect(1, func(vp *VP[int]) { vp.Sync(0) }, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tr.EncodeJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeTrace(buf.Bytes()); err != nil {
+	if _, err := decodeTrace(c.jsonBytes(t)); err != nil {
 		t.Fatal(err)
 	}
 }

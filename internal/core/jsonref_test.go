@@ -54,7 +54,7 @@ func refDecodeJSON(data []byte) (*refTrace, error) {
 }
 
 // refTraceOf converts a trace to its encoding/json form.
-func refTraceOf(tr *Trace) *refTrace {
+func refTraceOf(tr *collector) *refTrace {
 	rt := &refTrace{V: tr.V, LogV: tr.LogV}
 	for _, rec := range tr.Steps {
 		s := refStep{Label: rec.Label, Degree: rec.Degree, Messages: rec.Messages}
@@ -68,7 +68,7 @@ func refTraceOf(tr *Trace) *refTrace {
 
 // refEncodeJSON is what json.NewEncoder(w).Encode writes for the trace:
 // the bytes TraceJSONWriter must reproduce.
-func refEncodeJSON(tb testing.TB, tr *Trace) []byte {
+func refEncodeJSON(tb testing.TB, tr *collector) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(refTraceOf(tr)); err != nil {
@@ -80,7 +80,7 @@ func refEncodeJSON(tb testing.TB, tr *Trace) []byte {
 // sameAsRef reports whether a decoded trace and the oracle's decode of
 // the same bytes hold the same steps: label, degree, messages, and
 // pairs in order, with a null Pairs decoding to nil in both.
-func sameAsRef(tr *Trace, rt *refTrace) bool {
+func sameAsRef(tr *collector, rt *refTrace) bool {
 	if tr.V != rt.V || tr.LogV != rt.LogV || len(tr.Steps) != len(rt.Steps) {
 		return false
 	}

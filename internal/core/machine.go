@@ -28,8 +28,8 @@ type staged[P any] struct {
 type Options struct {
 	// RecordMessages stores the (src, dst) pair of every message in its
 	// superstep's record, as the cache simulation and the executable
-	// ascend–descend protocol need.  Without a Sink the Trace keeps them
-	// all, costing memory proportional to the total message count.
+	// ascend–descend protocol need.  The pairs reach only the Sink, so
+	// RunOpt rejects RecordMessages without one.
 	RecordMessages bool
 
 	// Engine selects the execution engine.  nil uses BlockEngine{}; tests
@@ -47,14 +47,13 @@ type Options struct {
 	Context context.Context
 
 	// Sink receives every superstep record, in order, at the barrier
-	// completing it, and RunOpt returns a Trace with empty Steps that
-	// still carries the run's fold summary (Trace.Summary), so its
-	// counters and every metric read as for an in-memory run.  A run's
-	// peak trace memory is then O(largest superstep)
+	// completing it.  The run keeps no records itself: the Trace RunOpt
+	// returns carries only the fold summary (Trace.Summary), which every
+	// metric reads.  A run's peak trace memory is O(largest superstep)
 	// rather than O(total messages), which lets `nobl trace` record
-	// sizes whose full Trace would not fit in RAM and the cache
-	// simulation replay a run as it executes.  nil appends the records
-	// to Trace.Steps instead.
+	// sizes whose full trace would not fit in RAM and the cache
+	// simulation replay a run as it executes.  nil sends the records
+	// nowhere.
 	Sink TraceSink
 
 	// Probe records per-superstep spans and engine events for timeline
@@ -465,6 +464,9 @@ func RunOpt[P any](v int, prog Program[P], opts Options) (*Trace, error) {
 	}
 	if prog == nil {
 		return nil, fmt.Errorf("core: nil program")
+	}
+	if opts.RecordMessages && opts.Sink == nil {
+		return nil, fmt.Errorf("core: RecordMessages needs a Sink: a run keeps no superstep records, so the pairs would reach nothing")
 	}
 	eng := opts.Engine
 	if eng == nil {

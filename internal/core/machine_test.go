@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -30,7 +31,7 @@ func TestSingleVP(t *testing.T) {
 // TestPairExchange verifies delivery, inbox ordering and degree recording
 // for a two-VP exchange.
 func TestPairExchange(t *testing.T) {
-	tr, err := Run(2, func(vp *VP[string]) {
+	tr, _, err := collect(2, func(vp *VP[string]) {
 		other := 1 - vp.ID()
 		vp.Send(other, "a")
 		vp.Send(other, "b")
@@ -46,7 +47,7 @@ func TestPairExchange(t *testing.T) {
 			t.Errorf("VP %d: src = %d, want %d", vp.ID(), in[0].Src, other)
 		}
 		vp.Sync(0)
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestNonPowerOfTwo(t *testing.T) {
 // independently; the global label sequence is still common.
 func TestIndependentClusters(t *testing.T) {
 	const v = 8
-	tr, err := Run(v, func(vp *VP[int]) {
+	c, tr, err := collect(v, func(vp *VP[int]) {
 		// Three supersteps inside 2-clusters (pairs), then one global.
 		for k := 0; k < 3; k++ {
 			partner := vp.ID() ^ 1
@@ -203,7 +204,7 @@ func TestIndependentClusters(t *testing.T) {
 			}
 		}
 		vp.Sync(0)
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestIndependentClusters(t *testing.T) {
 		t.Fatalf("supersteps = %d, want 4", tr.NumSupersteps())
 	}
 	for k := 0; k < 3; k++ {
-		rec := tr.Steps[k]
+		rec := c.Steps[k]
 		if rec.Label != 2 {
 			t.Errorf("superstep %d label = %d, want 2", k, rec.Label)
 		}
@@ -231,7 +232,7 @@ func TestDegreesAcrossFolds(t *testing.T) {
 	// v=8. VP 0 sends 3 messages to VP 7 (crosses every fold boundary);
 	// VP 4 sends 1 message to VP 5 (crosses only fold 8); VP 2 sends one
 	// to VP 3 and one to VP 0.
-	tr, err := Run(8, func(vp *VP[int]) {
+	tr, _, err := collect(8, func(vp *VP[int]) {
 		switch vp.ID() {
 		case 0:
 			vp.Send(7, 1)
@@ -245,7 +246,7 @@ func TestDegreesAcrossFolds(t *testing.T) {
 		}
 		vp.Sync(0)
 		vp.Sync(0)
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,14 +275,14 @@ func TestDegreesAcrossFolds(t *testing.T) {
 // TestDummyMessagesCountedNotDelivered checks the wiseness-padding
 // mechanism.
 func TestDummyMessagesCountedNotDelivered(t *testing.T) {
-	tr, err := Run(4, func(vp *VP[int]) {
+	tr, _, err := collect(4, func(vp *VP[int]) {
 		vp.SendDummy(vp.ID() ^ 2)
 		vp.Sync(0)
 		if len(vp.Inbox()) != 0 {
 			t.Errorf("VP %d received a dummy message", vp.ID())
 		}
 		vp.Sync(0)
-	})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestDummyMessagesCountedNotDelivered(t *testing.T) {
 
 // TestRecordMessages checks the optional pair recording.
 func TestRecordMessages(t *testing.T) {
-	tr, err := RunOpt(4, func(vp *VP[int]) {
+	tr, _, err := collect(4, func(vp *VP[int]) {
 		vp.Send((vp.ID()+1)%4, 0)
 		vp.Sync(0)
 		vp.Sync(0)
@@ -315,6 +316,25 @@ func TestRecordMessages(t *testing.T) {
 	for i := int32(0); i < 4; i++ {
 		if !seen[[2]int32{i, (i + 1) % 4}] {
 			t.Errorf("missing pair %d->%d", i, (i+1)%4)
+		}
+	}
+}
+
+// TestRecordMessagesNeedsSink: a run keeps no superstep records, so
+// recording pairs without a sink to receive them is an error, reported
+// before any VP runs.
+func TestRecordMessagesNeedsSink(t *testing.T) {
+	for _, eng := range []Engine{GoroutineEngine{}, BlockEngine{}} {
+		var ran atomic.Int64
+		_, err := RunOpt(4, func(vp *VP[int]) {
+			ran.Add(1)
+			vp.Sync(0)
+		}, Options{RecordMessages: true, Engine: eng})
+		if err == nil || !strings.Contains(err.Error(), "RecordMessages needs a Sink") {
+			t.Errorf("%s: err = %v, want the missing-sink error", eng.Name(), err)
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("%s: %d VPs ran before the options were rejected", eng.Name(), n)
 		}
 	}
 }

@@ -26,8 +26,8 @@ type pairChunk struct {
 // pairChunkPool recycles full-size chunks so a run into a sink that
 // Releases each superstep's pairs at the barrier (the codec writers,
 // DiscardSink, the cache simulator) stops allocating two fresh 16 KiB
-// columns per 4096 messages per superstep.  A run without a sink keeps
-// every record in Trace.Steps, never Releases, and draws fresh chunks.
+// columns per 4096 messages per superstep.  A sink that keeps its
+// records never Releases them, and the run draws fresh chunks.
 var pairChunkPool = sync.Pool{New: func() any {
 	return &pairChunk{
 		src:    make([]int32, 0, pairChunkLen),

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -34,41 +33,6 @@ type TraceSink interface {
 	WriteStep(rec StepRec) error
 	EndTrace(runErr error) error
 }
-
-// BeginTrace implements TraceSink: a Trace is the accumulating sink,
-// collecting and summarizing every step in memory exactly as a
-// non-streaming run would.
-func (t *Trace) BeginTrace(v, logV int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if lv, err := TryLog2(v); err != nil || lv != logV {
-		return fmt.Errorf("core: trace sink: log_v=%d inconsistent with v=%d", logV, v)
-	}
-	t.V = v
-	t.LogV = logV
-	t.Steps = t.Steps[:0]
-	t.sum = newFoldSummary(v, logV)
-	return nil
-}
-
-// WriteStep implements TraceSink by summarizing and retaining the record.
-func (t *Trace) WriteStep(rec StepRec) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.sum == nil {
-		return fmt.Errorf("core: trace writer: WriteStep outside BeginTrace/EndTrace")
-	}
-	if err := t.sum.Observe(&rec); err != nil {
-		return err
-	}
-	t.Steps = append(t.Steps, rec)
-	return nil
-}
-
-// EndTrace implements TraceSink.  The accumulated steps of a failed run
-// are kept — they are diagnostic, and the run's caller already received
-// the error.
-func (t *Trace) EndTrace(runErr error) error { return nil }
 
 // DiscardSink accepts and releases every step.  It exists for
 // measurement: a run into a DiscardSink exposes the engine's true
@@ -171,9 +135,9 @@ func (fs *TraceFileSink) EndTrace(runErr error) error {
 }
 
 // TraceSource iterates a trace one superstep at a time, so analyses can
-// process traces far larger than RAM.  Sources exist over an in-memory
-// Trace (Trace.Source), a JSON or binary trace stream (NewTraceSource),
-// or a trace file of either format (OpenTraceFile).
+// process traces far larger than RAM.  Sources exist over a JSON or
+// binary trace stream (NewTraceSource) or a trace file of either format
+// (OpenTraceFile).
 //
 // Next returns the following superstep, or io.EOF after the last one.
 // The returned record is only valid until the next call to Next —
@@ -187,31 +151,6 @@ type TraceSource interface {
 	Next() (*StepRec, error)
 	Close() error
 }
-
-// traceSliceSource iterates an in-memory Trace.
-type traceSliceSource struct {
-	tr  *Trace
-	idx int
-}
-
-// Source returns a TraceSource over the trace's recorded steps, letting
-// in-memory traces flow through the same single-pass analyses as
-// streamed files.
-func (t *Trace) Source() TraceSource { return &traceSliceSource{tr: t} }
-
-func (s *traceSliceSource) V() int    { return s.tr.V }
-func (s *traceSliceSource) LogV() int { return s.tr.LogV }
-
-func (s *traceSliceSource) Next() (*StepRec, error) {
-	if s.idx >= len(s.tr.Steps) {
-		return nil, io.EOF
-	}
-	rec := &s.tr.Steps[s.idx]
-	s.idx++
-	return rec, nil
-}
-
-func (s *traceSliceSource) Close() error { return nil }
 
 // FoldSummary is the O(log²v) fixed-size accumulator every paper metric
 // reads: one Observe per superstep maintains the superstep counts S_i(n)

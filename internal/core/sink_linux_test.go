@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"netoblivious/internal/core"
+	"netoblivious/internal/tracetest"
 )
 
 // TestTraceFileSinkWritesPipeInPlace: a target that exists and is not a
@@ -32,14 +33,11 @@ func TestTraceFileSinkWritesPipeInPlace(t *testing.T) {
 		drained <- b
 	}()
 	prog := exchangeProgram(8, 3, 2)
-	ref, err := core.RunOpt(8, prog, core.Options{Engine: streamEngine})
-	if err != nil {
+	var ref tracetest.Collector
+	if _, err := core.RunOpt(8, prog, core.Options{Engine: streamEngine, Sink: &ref}); err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := ref.EncodeJSON(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := ref.JSON(t)
 	if _, err := core.RunOpt(8, prog, core.Options{Engine: streamEngine, Sink: core.NewTraceFileSink(path)}); err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +54,8 @@ func TestTraceFileSinkWritesPipeInPlace(t *testing.T) {
 	}
 	select {
 	case got := <-drained:
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("the pipe carried %d bytes, want the %d bytes of EncodeJSON", len(got), want.Len())
+		if !bytes.Equal(got, want) {
+			t.Errorf("the pipe carried %d bytes, want the %d bytes of the collected run's encoding", len(got), len(want))
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("the pipe's reader saw no end of the trace")

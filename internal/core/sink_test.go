@@ -16,6 +16,7 @@ import (
 	"netoblivious/internal/core"
 	_ "netoblivious/internal/fft"     // registers "fft"
 	_ "netoblivious/internal/stencil" // registers "stencil2"
+	"netoblivious/internal/tracetest"
 )
 
 // exchangeProgram is a deterministic workload: steps supersteps, each VP
@@ -37,17 +38,14 @@ func exchangeProgram(v, steps, fanout int) core.Program[int] {
 var streamEngine = core.BlockEngine{Workers: 2}
 
 // TestStreamedJSONByteIdentical: running into a TraceJSONWriter produces
-// exactly the bytes EncodeJSON produces for the accumulated trace of an
-// identical run — recorded pairs included.
+// exactly the bytes of an identical run collected in memory and encoded
+// afterwards — recorded pairs included.
 func TestStreamedJSONByteIdentical(t *testing.T) {
 	for _, record := range []bool{false, true} {
 		prog := randomProgram(7, 16, 12)
-		ref, err := core.RunOpt(16, prog, core.Options{Engine: streamEngine, RecordMessages: record})
+		var ref tracetest.Collector
+		refTr, err := core.RunOpt(16, prog, core.Options{Engine: streamEngine, RecordMessages: record, Sink: &ref})
 		if err != nil {
-			t.Fatal(err)
-		}
-		var want bytes.Buffer
-		if err := ref.EncodeJSON(&want); err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
@@ -57,24 +55,20 @@ func TestStreamedJSONByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Errorf("record=%v: streamed JSON differs from in-memory EncodeJSON", record)
+		if !bytes.Equal(ref.JSON(t), got.Bytes()) {
+			t.Errorf("record=%v: streamed JSON differs from the collected run's encoding", record)
 		}
-		if meta.NumSupersteps() != ref.NumSupersteps() || meta.TotalMessages() != ref.TotalMessages() {
+		if meta.NumSupersteps() != refTr.NumSupersteps() || meta.TotalMessages() != refTr.TotalMessages() {
 			t.Errorf("record=%v: streamed trace counters %d/%d, want %d/%d", record,
-				meta.NumSupersteps(), meta.TotalMessages(), ref.NumSupersteps(), ref.TotalMessages())
-		}
-		if len(meta.Steps) != 0 {
-			t.Errorf("record=%v: streamed run retained %d steps in memory", record, len(meta.Steps))
+				meta.NumSupersteps(), meta.TotalMessages(), refTr.NumSupersteps(), refTr.TotalMessages())
 		}
 	}
 }
 
 // TestStreamedRunSummary: a run's Trace carries the fold summary of its
-// supersteps however they left the engine.  Kept in memory, streamed
-// into a DiscardSink, or streamed into a *Trace used as a sink (whose
-// own summary is checked too), every run agrees on S, on F at every
-// fold, and on the superstep and message counts.
+// supersteps whatever sink they went to.  Run without a sink, streamed
+// into a DiscardSink, or collected in memory, every run agrees on S, on
+// F at every fold, and on the superstep and message counts.
 func TestStreamedRunSummary(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -85,7 +79,7 @@ func TestStreamedRunSummary(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: not registered", tc.name)
 		}
-		mem, err := a.Run(ctx, alg.Spec{}, tc.n)
+		plain, err := a.Run(ctx, alg.Spec{}, tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,28 +87,27 @@ func TestStreamedRunSummary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var acc core.Trace
-		accRun, err := a.Run(ctx, alg.Spec{Sink: &acc}, tc.n)
+		collected, err := a.Run(ctx, alg.Spec{Sink: &tracetest.Collector{}}, tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := mem.Trace.Summary()
+		want := plain.Trace.Summary()
 		for _, got := range []struct {
 			how string
 			tr  *core.Trace
-		}{{"DiscardSink run", discarded.Trace}, {"Trace-sink run", accRun.Trace}, {"Trace sink", &acc}} {
+		}{{"DiscardSink run", discarded.Trace}, {"collected run", collected.Trace}} {
 			fs := got.tr.Summary()
 			if !slices.Equal(fs.S(), want.S()) {
-				t.Errorf("%s n=%d, %s: S = %v, in memory %v", tc.name, tc.n, got.how, fs.S(), want.S())
+				t.Errorf("%s n=%d, %s: S = %v, without a sink %v", tc.name, tc.n, got.how, fs.S(), want.S())
 			}
 			for p := 2; p <= want.V(); p *= 2 {
 				if !slices.Equal(fs.F(p), want.F(p)) {
-					t.Errorf("%s n=%d, %s: F(%d) = %v, in memory %v", tc.name, tc.n, got.how, p, fs.F(p), want.F(p))
+					t.Errorf("%s n=%d, %s: F(%d) = %v, without a sink %v", tc.name, tc.n, got.how, p, fs.F(p), want.F(p))
 				}
 			}
-			if got.tr.NumSupersteps() != mem.Trace.NumSupersteps() || got.tr.TotalMessages() != mem.Trace.TotalMessages() {
-				t.Errorf("%s n=%d, %s: %d supersteps / %d messages, in memory %d / %d", tc.name, tc.n, got.how,
-					got.tr.NumSupersteps(), got.tr.TotalMessages(), mem.Trace.NumSupersteps(), mem.Trace.TotalMessages())
+			if got.tr.NumSupersteps() != plain.Trace.NumSupersteps() || got.tr.TotalMessages() != plain.Trace.TotalMessages() {
+				t.Errorf("%s n=%d, %s: %d supersteps / %d messages, without a sink %d / %d", tc.name, tc.n, got.how,
+					got.tr.NumSupersteps(), got.tr.TotalMessages(), plain.Trace.NumSupersteps(), plain.Trace.TotalMessages())
 			}
 		}
 	}
@@ -123,47 +116,35 @@ func TestStreamedRunSummary(t *testing.T) {
 // TestStreamedMixedDelivery: at W=4 on v=64 (16-VP blocks) supersteps
 // with label >= 2 are delivered block-locally and those below through
 // the cross-worker buckets.  A run alternating the two, streamed into a
-// sink, must match the in-memory run and the GoroutineEngine in every
-// degree and message count, and in pair order: the BlockEngine's pairs
-// run in (source, send order), which is the GoroutineEngine's pairs
-// stably sorted by source (it appends whole clusters in completion
-// order).
+// sink, must match the GoroutineEngine in every degree and message
+// count, and in pair order: the BlockEngine's pairs run in (source,
+// send order), which is the GoroutineEngine's pairs stably sorted by
+// source (it appends whole clusters in completion order).
 func TestStreamedMixedDelivery(t *testing.T) {
 	const v = 64
 	prog := labelledProgram(23, []int{0, 4, 1, 5, 2, 3, 1, 5, 0, 2})
-	opts := core.Options{RecordMessages: true, Engine: core.GoroutineEngine{}}
-	ref, err := core.RunOpt(v, prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Engine = core.BlockEngine{Workers: 4}
-	mem, err := core.RunOpt(v, prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed core.Trace
-	opts.Sink = &streamed
+	var ref, got tracetest.Collector
+	opts := core.Options{RecordMessages: true, Engine: core.GoroutineEngine{}, Sink: &ref}
 	if _, err := core.RunOpt(v, prog, opts); err != nil {
 		t.Fatal(err)
 	}
-	if len(mem.Steps) != len(ref.Steps) || len(streamed.Steps) != len(ref.Steps) {
-		t.Fatalf("supersteps: in memory %d, streamed %d, goroutine engine %d", len(mem.Steps), len(streamed.Steps), len(ref.Steps))
+	opts.Engine, opts.Sink = core.BlockEngine{Workers: 4}, &got
+	if _, err := core.RunOpt(v, prog, opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Steps) != len(ref.Steps) {
+		t.Fatalf("supersteps: block engine %d, goroutine engine %d", len(got.Steps), len(ref.Steps))
 	}
 	for i, want := range ref.Steps {
 		wantPairs := want.Pairs.Pairs()
 		slices.SortStableFunc(wantPairs, func(a, b [2]int32) int { return int(a[0] - b[0]) })
-		for _, got := range []struct {
-			how string
-			rec core.StepRec
-		}{{"in memory", mem.Steps[i]}, {"streamed", streamed.Steps[i]}} {
-			rec := got.rec
-			if rec.Label != want.Label || rec.Messages != want.Messages || !slices.Equal(rec.Degree, want.Degree) {
-				t.Errorf("step %d %s: label %d, %d messages, degrees %v; goroutine engine %d, %d, %v",
-					i, got.how, rec.Label, rec.Messages, rec.Degree, want.Label, want.Messages, want.Degree)
-			}
-			if !slices.Equal(rec.Pairs.Pairs(), wantPairs) {
-				t.Errorf("step %d %s: pairs %v, want %v", i, got.how, rec.Pairs.Pairs(), wantPairs)
-			}
+		rec := got.Steps[i]
+		if rec.Label != want.Label || rec.Messages != want.Messages || !slices.Equal(rec.Degree, want.Degree) {
+			t.Errorf("step %d: label %d, %d messages, degrees %v; goroutine engine %d, %d, %v",
+				i, rec.Label, rec.Messages, rec.Degree, want.Label, want.Messages, want.Degree)
+		}
+		if !slices.Equal(rec.Pairs.Pairs(), wantPairs) {
+			t.Errorf("step %d: pairs %v, want %v", i, rec.Pairs.Pairs(), wantPairs)
 		}
 	}
 }
@@ -172,35 +153,30 @@ func TestStreamedMixedDelivery(t *testing.T) {
 // preserved by the streaming writer.
 func TestStreamedJSONZeroSteps(t *testing.T) {
 	empty := func(vp *core.VP[int]) {}
-	ref, err := core.RunOpt(1, empty, core.Options{})
-	if err != nil {
+	var ref tracetest.Collector
+	if _, err := core.RunOpt(1, empty, core.Options{Sink: &ref}); err != nil {
 		t.Fatal(err)
 	}
-	var want, got bytes.Buffer
-	if err := ref.EncodeJSON(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := ref.JSON(t)
+	var got bytes.Buffer
 	if _, err := core.RunOpt(1, empty, core.Options{Sink: core.NewTraceJSONWriter(&got)}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Errorf("zero-step stream %q differs from EncodeJSON %q", got.String(), want.String())
+	if !bytes.Equal(want, got.Bytes()) || string(want) != `{"v":1,"log_v":0,"steps":null}`+"\n" {
+		t.Errorf("zero-step stream %q, collected %q; want the null steps framing", got.String(), want)
 	}
 }
 
 // TestTraceFileSinkJSON: a run streamed into a file sink round-trips
-// through OpenTraceFile, the file is exactly the EncodeJSON bytes, and
-// no temporary file survives.
+// through OpenTraceFile, the file is exactly the bytes of the run
+// collected and encoded, and no temporary file survives.
 func TestTraceFileSinkJSON(t *testing.T) {
 	prog := randomProgram(11, 32, 9)
-	ref, err := core.RunOpt(32, prog, core.Options{Engine: streamEngine, RecordMessages: true})
-	if err != nil {
+	var ref tracetest.Collector
+	if _, err := core.RunOpt(32, prog, core.Options{Engine: streamEngine, RecordMessages: true, Sink: &ref}); err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := ref.EncodeJSON(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := ref.JSON(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.json")
 	sink := core.NewTraceFileSink(path)
@@ -211,24 +187,20 @@ func TestTraceFileSinkJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := core.ReadAll(src)
+	back, err := tracetest.ReadAll(src)
 	src.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	if err := back.EncodeJSON(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+	if !bytes.Equal(want, back.JSON(t)) {
 		t.Error("file round-trip changed the trace")
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want.Bytes(), raw) {
-		t.Error("streamed JSON file is not byte-identical to EncodeJSON")
+	if !bytes.Equal(want, raw) {
+		t.Error("streamed JSON file is not byte-identical to the collected run's encoding")
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -42,27 +42,23 @@ type StepRec struct {
 	Pairs *PairList
 }
 
-// Trace is the complete communication record of one run of an algorithm on
-// M(v).  For static algorithms (the class covered by the paper's optimality
-// theorem) the Trace depends only on the input size, so a single run
-// characterizes the algorithm's communication for every folding, every σ
-// and every D-BSP parameter vector.
+// Trace is the communication record of one run of an algorithm on M(v):
+// the machine's dimensions and the fold summary of every superstep.  The
+// superstep records themselves go to Options.Sink, when the run has one,
+// and are not kept.  For static algorithms (the class covered by the
+// paper's optimality theorem) the Trace depends only on the input size,
+// so a single run characterizes the algorithm's communication for every
+// folding, every σ and every D-BSP parameter vector.
 type Trace struct {
 	// V is the number of virtual processors of the specification machine.
 	V int
 	// LogV is log2(V) (0 when V == 1).
 	LogV int
-	// Steps holds one record per superstep, in superstep order.  A run
-	// with Options.Sink hands every record to the sink instead and leaves
-	// Steps empty.
-	Steps []StepRec
 
 	mu sync.Mutex
 
 	// sum is the fold summary of every step that has left the pending
-	// window, whether to Steps or to sink, so a streamed run's Trace
-	// summarizes like an in-memory one.  A Trace built as a struct
-	// literal has none; BeginTrace creates it.
+	// window.  A Trace built as a struct literal has none.
 	sum *FoldSummary
 
 	// The pending window: window[i] is superstep base+i and seen[i]
@@ -142,8 +138,8 @@ func (t *Trace) probeStepDoneLocked(step int, rec *StepRec) {
 }
 
 // flushLocked delivers the completed prefix of the pending window, in
-// superstep order: into the summary, then to Steps, or to the sink when
-// the run has one.
+// superstep order: into the summary, then to the sink when the run has
+// one.  Nothing is retained.
 func (t *Trace) flushLocked() error {
 	for len(t.window) > 0 && t.seen[0] >= t.V {
 		if t.seen[0] > t.V {
@@ -156,10 +152,10 @@ func (t *Trace) flushLocked() error {
 		if err := t.sum.Observe(&rec); err != nil {
 			return fmt.Errorf("core: internal error: %w", err)
 		}
-		if t.sink == nil {
-			t.Steps = append(t.Steps, rec)
-		} else if err := t.sink.WriteStep(rec); err != nil {
-			return fmt.Errorf("core: trace sink: %w", err)
+		if t.sink != nil {
+			if err := t.sink.WriteStep(rec); err != nil {
+				return fmt.Errorf("core: trace sink: %w", err)
+			}
 		}
 		t.base++
 		t.window[0] = StepRec{}
@@ -177,20 +173,19 @@ func (t *Trace) pendingSteps() int {
 	return len(t.window)
 }
 
-// NumSupersteps returns the number of supersteps executed, including
-// those a streaming run handed to its sink.
+// NumSupersteps returns the number of supersteps executed.
 func (t *Trace) NumSupersteps() int { return t.sum.NumSupersteps() }
 
 // TotalMessages returns the total number of messages exchanged during the
-// run, including dummy messages and those of steps handed to a sink.
+// run, including dummy messages.
 func (t *Trace) TotalMessages() int64 { return t.sum.TotalMessages() }
 
 // Summary returns the run's fold summary: the S_i and F_i vectors every
 // metric of the trace is computed from, built as each superstep
-// completed (streamed ones included).  It is the Trace's own summary,
-// not a copy; callers must not Observe into it.  A Trace built as a
-// struct literal, rather than by a run or BeginTrace, has none: Summary
-// is nil and NumSupersteps and TotalMessages panic.
+// completed.  It is the Trace's own summary, not a copy; callers must
+// not Observe into it.  A Trace built as a struct literal, rather than
+// by a run, has none: Summary is nil and NumSupersteps and
+// TotalMessages panic.
 func (t *Trace) Summary() *FoldSummary { return t.sum }
 
 // logOf returns log2(p) for a positive power of two, or -1 otherwise.

@@ -3,12 +3,14 @@ package dbsp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"netoblivious/internal/core"
 	"netoblivious/internal/eval"
 	"netoblivious/internal/randalg"
+	"netoblivious/internal/tracetest"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -99,15 +101,16 @@ func TestAscendDescendDelivers(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		v := 1 << uint(2+rng.Intn(4)) // 4..32
 		spec := randalg.Random(rng, v, 4, 3)
-		tr, err := core.RunOpt(v, spec.Program(), core.Options{RecordMessages: true})
-		if err != nil {
+		var tr tracetest.Collector
+		if _, err := core.RunOpt(v, spec.Program(), core.Options{RecordMessages: true, Sink: &tr}); err != nil {
 			t.Fatal(err)
 		}
 		for p := 2; p <= v; p *= 2 {
-			pc, err := AscendDescend(tr, p)
-			if err != nil {
+			ad := NewAscendDescend(p)
+			if err := tr.Replay(ad); err != nil {
 				t.Fatalf("trial %d p=%d: %v", trial, p, err)
 			}
+			pc := ad.Cost()
 			lp := core.Log2(p)
 			if len(pc.F) != lp || len(pc.S) != lp {
 				t.Fatalf("profile lengths %d/%d, want %d", len(pc.F), len(pc.S), lp)
@@ -146,6 +149,8 @@ func TestAscendDescendDelivers(t *testing.T) {
 func TestAscendDescendUnbalancedPair(t *testing.T) {
 	const v = 64
 	const n = 4096
+	p := v
+	ad := NewAscendDescend(p)
 	tr, err := core.RunOpt(v, func(vp *core.VP[int]) {
 		if vp.ID() == 0 {
 			for k := 0; k < n; k++ {
@@ -154,18 +159,13 @@ func TestAscendDescendUnbalancedPair(t *testing.T) {
 		}
 		vp.Sync(0)
 		vp.Sync(0)
-	}, core.Options{RecordMessages: true})
+	}, core.Options{RecordMessages: true, Sink: ad})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := v
 	pr := Mesh(1, p) // steep: g_0 = p
 	standard := CommTimeSummary(tr.Summary(), pr)
-	pc, err := AscendDescend(tr, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebalanced := pc.CommTime(pr)
+	rebalanced := ad.Cost().CommTime(pr)
 	if rebalanced >= standard {
 		t.Errorf("ascend–descend did not help: %v >= %v", rebalanced, standard)
 	}
@@ -176,17 +176,54 @@ func TestAscendDescendUnbalancedPair(t *testing.T) {
 	}
 }
 
-// TestAscendDescendNeedsPairs: a trace without pairs is rejected.
+// TestAscendDescendNeedsPairs: a run without pairs is rejected.
 func TestAscendDescendNeedsPairs(t *testing.T) {
-	tr, err := core.Run(4, func(vp *core.VP[int]) {
+	_, err := core.RunOpt(4, func(vp *core.VP[int]) {
 		vp.Send(vp.ID()^1, 1)
 		vp.Sync(0)
-	})
-	if err != nil {
-		t.Fatal(err)
+	}, core.Options{Sink: NewAscendDescend(4)})
+	if err == nil || !strings.Contains(err.Error(), "requires a trace recorded with RecordMessages") {
+		t.Errorf("err = %v, want the RecordMessages error", err)
 	}
-	if _, err := AscendDescend(tr, 4); err == nil {
-		t.Error("want error for trace without RecordMessages")
+}
+
+// TestAscendDescendRejectsP: BeginTrace checks p against the machine.
+func TestAscendDescendRejectsP(t *testing.T) {
+	for _, p := range []int{0, 1, 3, 8} {
+		if err := NewAscendDescend(p).BeginTrace(4, 2); err == nil {
+			t.Errorf("p=%d on v=4: accepted", p)
+		}
+	}
+}
+
+// TestAscendDescendAcrossEngines: the protocol runs inside the engine's
+// barrier action, one superstep at a time, and its profile depends only
+// on the program: the GoroutineEngine and the BlockEngine at one and
+// four workers give equal costs at every p.
+func TestAscendDescendAcrossEngines(t *testing.T) {
+	rng := rand.New(rand.NewSource(52)) // has 0-supersteps: every p has protocol work
+	const v = 32
+	spec := randalg.Random(rng, v, 6, 4)
+	for p := 2; p <= v; p *= 2 {
+		var want ProtocolCost
+		for i, eng := range []core.Engine{core.GoroutineEngine{}, core.BlockEngine{Workers: 1}, core.BlockEngine{Workers: 4}} {
+			ad := NewAscendDescend(p)
+			if _, err := core.RunOpt(v, spec.Program(), core.Options{RecordMessages: true, Engine: eng, Sink: ad}); err != nil {
+				t.Fatalf("p=%d %s: %v", p, eng.Name(), err)
+			}
+			got := ad.Cost()
+			if i == 0 {
+				if slices.Max(got.F) == 0 {
+					t.Fatalf("p=%d: the program moves no message across processors", p)
+				}
+				want = got
+				continue
+			}
+			if !slices.Equal(got.F, want.F) || !slices.Equal(got.S, want.S) {
+				t.Errorf("p=%d %s workers=%d: profile F=%v S=%v, goroutine engine F=%v S=%v",
+					p, eng.Name(), eng.(core.BlockEngine).Workers, got.F, got.S, want.F, want.S)
+			}
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ func TestTheorem53PolylogOverhead(t *testing.T) {
 	const v = 64
 	// A balanced workload: every VP exchanges with its complement, then
 	// pairwise traffic at a deep label.
+	ad := NewAscendDescend(v)
 	tr, err := core.RunOpt(v, func(vp *core.VP[int]) {
 		for r := 0; r < 3; r++ {
 			vp.Send(v-1-vp.ID(), r)
@@ -28,18 +29,15 @@ func TestTheorem53PolylogOverhead(t *testing.T) {
 			vp.Sync(core.Log2(v) - 1)
 		}
 		vp.Sync(0)
-	}, core.Options{RecordMessages: true})
+	}, core.Options{RecordMessages: true, Sink: ad})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = rng
 	fs := tr.Summary()
+	pc := ad.Cost()
 	for _, pr := range Presets(v) {
 		direct := CommTimeSummary(fs, pr)
-		pc, err := AscendDescend(tr, v)
-		if err != nil {
-			t.Fatal(err)
-		}
 		reb := pc.CommTime(pr)
 		lg := math.Log2(float64(v))
 		// Theorem 5.3 budget: (1 + 1/γ)·log²p with our explicit protocol
@@ -61,18 +59,15 @@ func TestTheorem53PolylogOverhead(t *testing.T) {
 // prefix supersteps at each level k in [i, log p).
 func TestAscendDescendProfileShape(t *testing.T) {
 	const v = 16
-	tr, err := core.RunOpt(v, func(vp *core.VP[int]) {
+	ad := NewAscendDescend(v)
+	if _, err := core.RunOpt(v, func(vp *core.VP[int]) {
 		vp.Send(v-1-vp.ID(), 1)
 		vp.Sync(0)
 		vp.Sync(0)
-	}, core.Options{RecordMessages: true})
-	if err != nil {
+	}, core.Options{RecordMessages: true, Sink: ad}); err != nil {
 		t.Fatal(err)
 	}
-	pc, err := AscendDescend(tr, v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pc := ad.Cost()
 	lp := core.Log2(v)
 	// Two 0-supersteps; each triggers ascend k=lp-1..1 and descend
 	// k=0..lp-1: level k appears twice per superstep except k=0 (descend

@@ -11,6 +11,7 @@ import (
 	"netoblivious/internal/colsort"
 	"netoblivious/internal/core"
 	"netoblivious/internal/matmul"
+	"netoblivious/internal/tracetest"
 
 	// Register the remaining built-in algorithms for the registry sweep.
 	_ "netoblivious/internal/broadcast"
@@ -21,7 +22,7 @@ import (
 
 // recomputeF derives F_i(n, p) from the raw recorded message pairs,
 // independently of the runtime's incremental degree accounting.
-func recomputeF(tr *core.Trace, p int) []int64 {
+func recomputeF(tr *tracetest.Collector, p int) []int64 {
 	lp := core.Log2(p)
 	shift := uint(tr.LogV - lp)
 	f := make([]int64, lp)
@@ -57,7 +58,7 @@ func recomputeF(tr *core.Trace, p int) []int64 {
 
 // recomputeS counts the supersteps of each label straight from the
 // recorded steps, independently of the FoldSummary.
-func recomputeS(tr *core.Trace) []int64 {
+func recomputeS(tr *tracetest.Collector) []int64 {
 	s := make([]int64, max(tr.LogV, 1))
 	for i := range tr.Steps {
 		s[tr.Steps[i].Label]++
@@ -72,17 +73,20 @@ func recomputeS(tr *core.Trace) []int64 {
 // pairs at every fold.
 func TestMetricsCrossValidation(t *testing.T) {
 	traces := map[string]*core.Trace{}
+	steps := map[string]*tracetest.Collector{}
 	algos := alg.All()
 	if len(algos) < 10 {
 		t.Fatalf("registry has %d algorithms; the paper's built-ins alone are 10", len(algos))
 	}
 	for _, a := range algos {
 		for _, n := range a.DefaultSizes()[:2] {
-			res, err := a.Run(context.Background(), alg.Spec{Record: true}, n)
+			c := &tracetest.Collector{}
+			res, err := a.Run(context.Background(), alg.Spec{Record: true, Sink: c}, n)
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", a.Name, n, err)
 			}
-			traces[fmt.Sprintf("%s/n=%d", a.Name, n)] = res.Trace
+			key := fmt.Sprintf("%s/n=%d", a.Name, n)
+			traces[key], steps[key] = res.Trace, c
 		}
 	}
 	rng := rand.New(rand.NewSource(77))
@@ -92,7 +96,8 @@ func TestMetricsCrossValidation(t *testing.T) {
 	for i := range a {
 		a[i], b[i] = int64(rng.Intn(50)), int64(rng.Intn(50))
 	}
-	mm, err := matmul.Multiply(s, a, b, matmul.Options{Wise: true, Record: true})
+	mmSteps, stSteps := &tracetest.Collector{}, &tracetest.Collector{}
+	mm, err := matmul.Multiply(s, a, b, matmul.Options{Wise: true, Record: true, Sink: mmSteps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +105,20 @@ func TestMetricsCrossValidation(t *testing.T) {
 	for i := range keys {
 		keys[i] = rng.Int63()
 	}
-	st, err := colsort.Sort(keys, colsort.Options{Wise: true, Record: true})
+	st, err := colsort.Sort(keys, colsort.Options{Wise: true, Record: true, Sink: stSteps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	traces["matmul/random"], traces["sort/random"] = mm.Trace, st.Trace
+	steps["matmul/random"], steps["sort/random"] = mmSteps, stSteps
 
 	for name, tr := range traces {
 		fs := tr.Summary()
-		if got, want := fs.S(), recomputeS(tr); !slices.Equal(got, want) {
+		if got, want := fs.S(), recomputeS(steps[name]); !slices.Equal(got, want) {
 			t.Errorf("%s: S = %v, recount says %v", name, got, want)
 		}
 		for p := 2; p <= tr.V; p *= 2 {
-			if got, want := fs.F(p), recomputeF(tr, p); !slices.Equal(got, want) {
+			if got, want := fs.F(p), recomputeF(steps[name], p); !slices.Equal(got, want) {
 				t.Errorf("%s: F(%d) = %v, brute force says %v", name, p, got, want)
 			}
 		}

@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"netoblivious/alg"
 	"netoblivious/internal/core"
 	"netoblivious/internal/randalg"
+	"netoblivious/internal/tracetest"
 )
 
 // runPattern executes a fixed communication pattern and returns the
@@ -104,7 +106,8 @@ func TestFoldingLemmaOnRandomAlgorithms(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		v := 1 << uint(1+rng.Intn(5)) // 2..32
 		spec := randalg.Random(rng, v, 5, 3)
-		tr, err := spec.Run()
+		var c tracetest.Collector
+		tr, err := spec.RunSpec(alg.Spec{Sink: &c})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -120,7 +123,7 @@ func TestFoldingLemmaOnRandomAlgorithms(t *testing.T) {
 			// Cross-check every superstep degree against brute force.
 			for st := range spec.Steps {
 				want := spec.ExpectedDegree(st, p)
-				got := tr.Steps[st].Degree[core.Log2(p)]
+				got := c.Steps[st].Degree[core.Log2(p)]
 				if got != want {
 					t.Errorf("trial %d step %d p=%d: degree %d, want %d", trial, st, p, got, want)
 				}

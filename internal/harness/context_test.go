@@ -10,14 +10,14 @@ import (
 	"netoblivious/internal/core"
 )
 
-// TestRunSuiteCtxCancellation: a cancelled context stops the suite —
+// TestRunSuiteCtxCancellation: a cancelled Config.Context stops the suite —
 // experiments not yet dispatched are skipped with a cancellation record
 // instead of executing — and the whole run returns promptly instead of
 // finishing the remaining work.
 func TestRunSuiteCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: every experiment must be skipped
-	recs, err := RunSuiteCtx(ctx, Config{Quick: true, Parallel: 2}, nil)
+	recs, err := RunSuite(Config{Quick: true, Parallel: 2, Context: ctx}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,16 +68,16 @@ func TestEngineEquivalenceRecordedPairs(t *testing.T) {
 	for i := range keys {
 		keys[i] = int64((i * 2654435761) % 1009)
 	}
-	run := func(eng core.Engine) *core.Trace {
-		res, err := colsort.Sort(keys, colsort.Options{Wise: true, Record: true, Engine: eng})
-		if err != nil {
+	run := func(eng core.Engine) *tracetest.Collector {
+		c := &tracetest.Collector{}
+		if _, err := colsort.Sort(keys, colsort.Options{Wise: true, Record: true, Engine: eng, Sink: c}); err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
-		return res.Trace
+		return c
 	}
 	ref := run(core.GoroutineEngine{})
 	got := run(core.BlockEngine{})
-	if ref.TotalMessages() == 0 {
+	if len(ref.Steps) == 0 || ref.Steps[0].Pairs.Len() == 0 {
 		t.Fatal("expected a nonempty trace")
 	}
 	if !bytes.Equal(tracetest.Canonical(t, ref), tracetest.Canonical(t, got)) {

@@ -207,7 +207,7 @@ func runE9(cfg Config) ([]*Result, error) {
 		}
 		vp.Sync(0)
 		vp.Sync(0)
-	}, cfg.runOpts(false))
+	}, cfg.runOpts())
 	if err != nil {
 		return nil, err
 	}
@@ -298,6 +298,12 @@ func runE11(cfg Config) ([]*Result, error) {
 	if cfg.Quick {
 		v, msgs = 1<<5, 1<<10
 	}
+	// The protocol runs on M(p) with p = v, one superstep at a time as
+	// the run records it.
+	p := v
+	ad := dbsp.NewAscendDescend(p)
+	opts := cfg.runOpts()
+	opts.RecordMessages, opts.Sink = true, ad
 	tr, err := core.RunOpt(v, func(vp *core.VP[int]) {
 		if vp.ID() == 0 {
 			for k := 0; k < msgs; k++ {
@@ -306,7 +312,7 @@ func runE11(cfg Config) ([]*Result, error) {
 		}
 		vp.Sync(0)
 		vp.Sync(0)
-	}, cfg.runOpts(true))
+	}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -316,14 +322,10 @@ func runE11(cfg Config) ([]*Result, error) {
 		PaperRef: "Section 5, Lemma 5.1, Theorem 5.3",
 		Columns:  []string{"machine", "α(p)", "γ(p)", "D standard", "D ascend–descend", "speedup"},
 	}
-	p := v
+	pc := ad.Cost()
 	allFaster := true
 	for _, pr := range []dbsp.Params{dbsp.Mesh(1, p), dbsp.Mesh(2, p), dbsp.FatTree(p)} {
 		std := dbsp.CommTimeSummary(fs, pr)
-		pc, err := dbsp.AscendDescend(tr, p)
-		if err != nil {
-			return nil, err
-		}
 		reb := pc.CommTime(pr)
 		if std/reb <= 1 {
 			allFaster = false

@@ -66,8 +66,8 @@ func (c Config) ctx() context.Context {
 // runOpts returns the core options experiments pass to direct
 // specification-model runs, threading the configured engine and context
 // through.
-func (c Config) runOpts(record bool) core.Options {
-	return core.Options{RecordMessages: record, Engine: c.engine(), Context: c.Context}
+func (c Config) runOpts() core.Options {
+	return core.Options{Engine: c.engine(), Context: c.Context}
 }
 
 // Summary returns the FoldSummary of a registry algorithm at size n —
@@ -179,20 +179,14 @@ func ResolveIDs(ids []string) ([]Experiment, error) {
 // from its own fixed-seed RNG and traces are shared through the
 // single-flight store, so the records — and therefore all rendered
 // output — are independent of the parallel schedule.
-func RunSuite(cfg Config, ids []string) ([]Record, error) {
-	return RunSuiteCtx(cfg.ctx(), cfg, ids)
-}
-
-// RunSuiteCtx is RunSuite bounded by a context: experiments whose worker
-// picks them up after cancellation are not executed (their records carry
-// the cancellation error), and the context is threaded into every
+//
+// cfg.Context bounds the suite: experiments whose worker picks them up
+// after cancellation are not executed (their records carry the
+// cancellation error), and the context is threaded into every
 // specification-model run so in-flight executions abort at the next
 // superstep instead of burning CPU to completion.
-func RunSuiteCtx(ctx context.Context, cfg Config, ids []string) ([]Record, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg.Context = ctx
+func RunSuite(cfg Config, ids []string) ([]Record, error) {
+	ctx := cfg.ctx()
 	exps, err := ResolveIDs(ids)
 	if err != nil {
 		return nil, err

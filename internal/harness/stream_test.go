@@ -12,14 +12,15 @@ import (
 
 	"netoblivious/alg"
 	"netoblivious/internal/core"
+	"netoblivious/internal/tracetest"
 )
 
 // TestRegistryStreamedJSONByteIdentical: for every registry algorithm at
 // its smallest default size, a recorded run streamed through the JSON
-// writer produces exactly the bytes EncodeJSON produces for the
-// accumulated trace of an identical run.  Pair order inside a step
-// carries no cross-engine guarantee, so both runs use the BlockEngine at
-// a fixed worker count, whose shard merge order is reproducible.
+// writer produces exactly the bytes of an identical run collected in
+// memory and encoded afterwards.  Pair order inside a step carries no
+// cross-engine guarantee, so both runs use the BlockEngine at a fixed
+// worker count, whose shard merge order is reproducible.
 func TestRegistryStreamedJSONByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	eng := core.BlockEngine{Workers: 2}
@@ -35,15 +36,12 @@ func TestRegistryStreamedJSONByteIdentical(t *testing.T) {
 				n = s
 			}
 		}
-		ref, err := a.Run(ctx, alg.Spec{Engine: eng, Record: true}, n)
-		if err != nil {
+		var ref tracetest.Collector
+		if _, err := a.Run(ctx, alg.Spec{Engine: eng, Record: true, Sink: &ref}, n); err != nil {
 			t.Errorf("%s n=%d: %v", a.Name, n, err)
 			continue
 		}
-		var want bytes.Buffer
-		if err := ref.Trace.EncodeJSON(&want); err != nil {
-			t.Fatalf("%s n=%d: %v", a.Name, n, err)
-		}
+		want := ref.JSON(t)
 		var got bytes.Buffer
 		jw := core.NewTraceJSONWriter(&got)
 		jw.ReleasePairs = true
@@ -51,9 +49,9 @@ func TestRegistryStreamedJSONByteIdentical(t *testing.T) {
 			t.Errorf("%s n=%d (streamed): %v", a.Name, n, err)
 			continue
 		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Errorf("%s n=%d: streamed JSON differs from in-memory EncodeJSON (%d vs %d bytes)",
-				a.Name, n, got.Len(), want.Len())
+		if !bytes.Equal(want, got.Bytes()) {
+			t.Errorf("%s n=%d: streamed JSON differs from the collected run's encoding (%d vs %d bytes)",
+				a.Name, n, got.Len(), len(want))
 		}
 	}
 }
@@ -108,7 +106,7 @@ func TestArchivedTraceFormat(t *testing.T) {
 				t.Fatalf("%s: %v", path, err)
 			}
 		}
-		live, err := a.Run(ctx, alg.Spec{Record: true}, n)
+		live, err := a.Run(ctx, alg.Spec{}, n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // MetricType identifies a metric family's kind in snapshots.
@@ -136,11 +135,6 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-}
-
-// ObserveSince records the elapsed time since start, in milliseconds.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 }
 
 // Count returns the number of observations.

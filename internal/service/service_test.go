@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
@@ -314,18 +316,17 @@ func TestCacheKindIgnoresMachines(t *testing.T) {
 
 // TestCacheKindMatchesInMemoryReplay: the trace tier streams the key's
 // run into the simulator; the rows the cache kind serves must equal
-// MissCurve's over an in-memory recording of the same run.
+// those of the same run recorded here into a CurveSim of the sweep.
 func TestCacheKindMatchesInMemoryReplay(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
 	for _, k := range []core.TraceKey{{Algorithm: "fft", N: 256}, {Algorithm: "sort", N: 64}, {Algorithm: "stencil2", N: 8}, {Algorithm: "stencil1", N: 256}} {
 		a, _ := alg.ByName(k.Algorithm)
-		run, err := a.Run(ctx, alg.Spec{Record: true}, k.N)
+		cs, err := cachesim.NewCurveSim(1, harness.CacheCtxWords, harness.CacheLineWords, harness.CacheSweepSizes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, err := cachesim.MissCurve(run.Trace.Source(), harness.CacheCtxWords, harness.CacheLineWords, harness.CacheSweepSizes)
-		if err != nil {
+		if _, err := a.Run(ctx, alg.Spec{Record: true, Sink: cs}, k.N); err != nil {
 			t.Fatal(err)
 		}
 		ref := &harness.Result{}
@@ -342,60 +343,88 @@ func TestCacheKindMatchesInMemoryReplay(t *testing.T) {
 		got, _ := json.Marshal(resp.Document.Records[0].Results[0].Rows)
 		want, _ := json.Marshal(ref.Rows)
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: served rows %s, in-memory replay %s", k, got, want)
+			t.Errorf("%s: served rows %s, direct recording %s", k, got, want)
 		}
 	}
 }
+
+// memoryChildEnv marks a child process of TestCacheKindMemoryBounded:
+// set, the test measures one kind in this process; unset, it re-executes
+// the test binary for each kind and reads the child's verdict.
+const memoryChildEnv = "NOBLD_MEMORY_TEST_CHILD"
 
 // TestCacheKindMemoryBounded: a job that misses the trace tier records
 // its run into the cache simulator, so it holds the engine state plus
 // one superstep, not the recorded trace.  A cache and a trace request
 // each miss on a fresh server; the sampled peak of HeapAlloc (garbage
 // included) over the post-GC baseline stays under 16 MiB for stencil1
-// n=256, whose in-memory recording alone holds about 90 MiB.
+// n=256, whose in-memory recording alone holds about 90 MiB.  Each kind
+// runs in a child process of its own, so the baseline and the samples
+// see that one request and no garbage or GC pacing left by other tests.
 func TestCacheKindMemoryBounded(t *testing.T) {
 	for _, kind := range []Kind{KindCache, KindTrace} {
 		t.Run(string(kind), func(t *testing.T) {
-			_, c := newTestServer(t, Config{Workers: 1})
-			ctx := context.Background()
-			var ms runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&ms)
-			baseline := ms.HeapAlloc
-			done := make(chan struct{})
-			peak := make(chan uint64)
-			go func() {
-				var ms runtime.MemStats
-				var mx uint64
-				tick := time.NewTicker(time.Millisecond)
-				defer tick.Stop()
-				for {
-					runtime.ReadMemStats(&ms)
-					mx = max(mx, ms.HeapAlloc)
-					select {
-					case <-done:
-						peak <- mx
-						return
-					case <-tick.C:
-					}
-				}
-			}()
-			resp, err := c.Analyze(ctx, Request{Algorithm: "stencil1", N: 256, Kind: kind, Wait: true})
-			close(done)
-			mx := <-peak
+			if os.Getenv(memoryChildEnv) != "" {
+				measureJobPeakHeap(t, kind)
+				return
+			}
+			cmd := exec.Command(os.Args[0], "-test.run", "^TestCacheKindMemoryBounded$/^"+string(kind)+"$", "-test.v", "-test.count=1")
+			cmd.Env = append(os.Environ(), memoryChildEnv+"=1")
+			out, err := cmd.CombinedOutput()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("child process: %v\n%s", err, out)
 			}
-			if resp.Status != "done" {
-				t.Fatalf("%s job finished %s: %s", kind, resp.Status, resp.Error)
+			i := bytes.Index(out, []byte("job peak heap"))
+			if i < 0 {
+				t.Fatalf("child process measured nothing:\n%s", out)
 			}
-			delta := int64(mx) - int64(baseline)
-			if delta > 16<<20 {
-				t.Errorf("%s job peak heap %.1f MiB over baseline, want under 16 MiB", kind, float64(delta)/(1<<20))
-			}
-			t.Logf("%s job peak heap %.1f MiB over baseline", kind, float64(delta)/(1<<20))
+			line, _, _ := bytes.Cut(out[bytes.LastIndexByte(out[:i], '\n')+1:], []byte("\n"))
+			t.Logf("child process: %s", bytes.TrimSpace(line))
 		})
 	}
+}
+
+// measureJobPeakHeap runs one request of kind on a fresh server and
+// fails when its sampled peak heap exceeds 16 MiB over the baseline.
+func measureJobPeakHeap(t *testing.T, kind Kind) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	baseline := ms.HeapAlloc
+	done := make(chan struct{})
+	peak := make(chan uint64)
+	go func() {
+		var ms runtime.MemStats
+		var mx uint64
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			runtime.ReadMemStats(&ms)
+			mx = max(mx, ms.HeapAlloc)
+			select {
+			case <-done:
+				peak <- mx
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	resp, err := c.Analyze(ctx, Request{Algorithm: "stencil1", N: 256, Kind: kind, Wait: true})
+	close(done)
+	mx := <-peak
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != "done" {
+		t.Fatalf("%s job finished %s: %s", kind, resp.Status, resp.Error)
+	}
+	delta := int64(mx) - int64(baseline)
+	if delta > 16<<20 {
+		t.Errorf("%s job peak heap %.1f MiB over baseline, want under 16 MiB", kind, float64(delta)/(1<<20))
+	}
+	t.Logf("%s job peak heap %.1f MiB over baseline", kind, float64(delta)/(1<<20))
 }
 
 // TestEveryAlgorithmEveryAsyncKind exercises the full registry surface

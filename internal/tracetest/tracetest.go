@@ -1,64 +1,154 @@
 // Package tracetest provides test helpers for communication traces:
-// comparing them across engines, and bounding decoder allocation in the
-// fuzz targets.
+// collecting a run's supersteps in memory, comparing them across
+// engines, and bounding decoder allocation in the fuzz targets.
 package tracetest
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"fmt"
+	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 
 	"netoblivious/alg"
 	"netoblivious/internal/core"
 )
 
-// Canonical serializes a trace with per-step Pairs sorted so traces can
-// be compared byte for byte across engines.  Only the BlockEngine fixes
-// pair order (the GoroutineEngine appends them in cluster-completion
-// order, which is scheduling dependent), so they are compared as
-// multisets.
-func Canonical(t testing.TB, tr *core.Trace) []byte {
-	t.Helper()
-	c := &core.Trace{V: tr.V, LogV: tr.LogV, Steps: make([]core.StepRec, len(tr.Steps))}
-	copy(c.Steps, tr.Steps)
-	for i := range c.Steps {
-		if c.Steps[i].Pairs.Len() == 0 {
-			c.Steps[i].Pairs = nil
-			continue
-		}
-		p := c.Steps[i].Pairs.Pairs()
-		sort.Slice(p, func(a, b int) bool {
-			if p[a][0] != p[b][0] {
-				return p[a][0] < p[b][0]
-			}
-			return p[a][1] < p[b][1]
-		})
-		c.Steps[i].Pairs = core.PairListOf(p)
+// Collector is a TraceSink that keeps every superstep record it is
+// given, pairs included: the in-memory trace tests read, since a run
+// keeps only its fold summary.  Set it as a run's Options.Sink (or
+// alg.Spec.Sink), then read Steps.
+type Collector struct {
+	V, LogV int
+	Steps   []core.StepRec
+}
+
+// BeginTrace implements core.TraceSink.
+func (c *Collector) BeginTrace(v, logV int) error {
+	if lv, err := core.TryLog2(v); err != nil || lv != logV {
+		return fmt.Errorf("tracetest: log_v=%d inconsistent with v=%d", logV, v)
 	}
+	c.V, c.LogV, c.Steps = v, logV, c.Steps[:0]
+	return nil
+}
+
+// WriteStep implements core.TraceSink by retaining the record.
+func (c *Collector) WriteStep(rec core.StepRec) error {
+	c.Steps = append(c.Steps, rec)
+	return nil
+}
+
+// EndTrace implements core.TraceSink.
+func (c *Collector) EndTrace(runErr error) error { return nil }
+
+// Source returns a TraceSource over the collected steps.
+func (c *Collector) Source() core.TraceSource { return &collectorSource{c: c} }
+
+type collectorSource struct {
+	c   *Collector
+	idx int
+}
+
+func (s *collectorSource) V() int       { return s.c.V }
+func (s *collectorSource) LogV() int    { return s.c.LogV }
+func (s *collectorSource) Close() error { return nil }
+
+func (s *collectorSource) Next() (*core.StepRec, error) {
+	if s.idx >= len(s.c.Steps) {
+		return nil, io.EOF
+	}
+	s.idx++
+	return &s.c.Steps[s.idx-1], nil
+}
+
+// ReadAll drains a TraceSource into a Collector, copying each record
+// (sources reuse their decode state between Next calls).  It does not
+// Close the source.
+func ReadAll(src core.TraceSource) (*Collector, error) {
+	c := &Collector{}
+	if err := c.BeginTrace(src.V(), src.LogV()); err != nil {
+		return nil, err
+	}
+	for {
+		rec, err := src.Next()
+		if err == io.EOF {
+			return c, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		cp := *rec
+		cp.Degree = slices.Clone(rec.Degree)
+		c.Steps = append(c.Steps, cp)
+	}
+}
+
+// Replay writes the collected steps into sink, as a run would: the sink
+// may keep or read each record but must not Release its pairs, which
+// stay the Collector's.
+func (c *Collector) Replay(sink core.TraceSink) error {
+	if err := sink.BeginTrace(c.V, c.LogV); err != nil {
+		return err
+	}
+	for _, rec := range c.Steps {
+		if err := sink.WriteStep(rec); err != nil {
+			return err
+		}
+	}
+	return sink.EndTrace(nil)
+}
+
+// JSON encodes the collected steps through core.TraceJSONWriter: the
+// bytes a run streamed into that writer produces.
+func (c *Collector) JSON(t testing.TB) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := c.EncodeJSON(&buf); err != nil {
+	if err := c.Replay(core.NewTraceJSONWriter(&buf)); err != nil {
 		t.Fatalf("tracetest: encoding trace: %v", err)
 	}
 	return buf.Bytes()
 }
 
+// Canonical serializes collected steps with per-step Pairs sorted so
+// traces can be compared byte for byte across engines.  Only the
+// BlockEngine fixes pair order (the GoroutineEngine appends them in
+// cluster-completion order, which is scheduling dependent), so they are
+// compared as multisets.
+func Canonical(t testing.TB, c *Collector) []byte {
+	t.Helper()
+	sorted := &Collector{V: c.V, LogV: c.LogV, Steps: slices.Clone(c.Steps)}
+	for i := range sorted.Steps {
+		if sorted.Steps[i].Pairs.Len() == 0 {
+			sorted.Steps[i].Pairs = nil
+			continue
+		}
+		p := sorted.Steps[i].Pairs.Pairs()
+		slices.SortFunc(p, func(a, b [2]int32) int {
+			if a[0] != b[0] {
+				return cmp.Compare(a[0], b[0])
+			}
+			return cmp.Compare(a[1], b[1])
+		})
+		sorted.Steps[i].Pairs = core.PairListOf(p)
+	}
+	return sorted.JSON(t)
+}
+
 // EngineEquivalence runs a registry algorithm on both execution engines
-// at every given size and asserts byte-identical traces — the check the
-// repository applies to its built-in algorithms and, because it takes any
-// descriptor, to user-registered ones too.  The BlockEngine leg runs
-// through a streaming sink (an accumulating Trace behind Options.Sink),
-// so every size also asserts the streamed superstep emission equals the
-// reference GoroutineEngine's in-memory trace.  It returns the number of
-// sizes successfully compared.
+// at every given size, each into a Collector, and asserts byte-identical
+// canonical traces — the check the repository applies to its built-in
+// algorithms and, because it takes any descriptor, to user-registered
+// ones too.  It returns the number of sizes successfully compared.
 func EngineEquivalence(t testing.TB, a alg.Algorithm, sizes []int) int {
 	t.Helper()
 	compared := 0
 	for _, n := range sizes {
-		ref, refErr := a.Run(context.Background(), alg.Spec{Engine: core.GoroutineEngine{}}, n)
-		var streamed core.Trace
-		_, gotErr := a.Run(context.Background(), alg.Spec{Engine: core.BlockEngine{}, Sink: &streamed}, n)
+		var ref, got Collector
+		_, refErr := a.Run(context.Background(), alg.Spec{Engine: core.GoroutineEngine{}, Sink: &ref}, n)
+		_, gotErr := a.Run(context.Background(), alg.Spec{Engine: core.BlockEngine{}, Sink: &got}, n)
 		if (refErr != nil) != (gotErr != nil) {
 			t.Errorf("%s n=%d: engines disagree on validity: goroutine=%v block=%v", a.Name, n, refErr, gotErr)
 			continue
@@ -66,8 +156,8 @@ func EngineEquivalence(t testing.TB, a alg.Algorithm, sizes []int) int {
 		if refErr != nil {
 			continue // size invalid for this algorithm on every engine
 		}
-		if !bytes.Equal(Canonical(t, ref.Trace), Canonical(t, &streamed)) {
-			t.Errorf("%s n=%d: BlockEngine (streaming sink) trace differs from GoroutineEngine trace", a.Name, n)
+		if !bytes.Equal(Canonical(t, &ref), Canonical(t, &got)) {
+			t.Errorf("%s n=%d: BlockEngine trace differs from GoroutineEngine trace", a.Name, n)
 			continue
 		}
 		compared++
