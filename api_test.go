@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	nob "netoblivious"
-	"netoblivious/internal/core"
-	"netoblivious/internal/tracetest"
 )
 
 // TestFacadeEndToEnd drives the whole public API surface: write an
@@ -54,19 +52,39 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeRecordOption covers RunOpt: recorded pairs reach the sink,
-// and recording without one is rejected.
+// pairCounter is a sink written against the facade alone, as a module
+// outside this repository would: it keeps each superstep's pair count.
+type pairCounter struct{ pairs []int }
+
+func (c *pairCounter) BeginTrace(v, logV int) error { return nil }
+
+func (c *pairCounter) WriteStep(rec nob.StepRec) error {
+	n := 0
+	if rec.Pairs != nil {
+		n = rec.Pairs.Len()
+	}
+	c.pairs = append(c.pairs, n)
+	return nil
+}
+
+func (c *pairCounter) EndTrace(runErr error) error { return runErr }
+
+var _ nob.TraceSink = (*pairCounter)(nil)
+
+// TestFacadeRecordOption covers RunOpt: recorded pairs reach a sink
+// declared with facade names only, and recording without one is
+// rejected.
 func TestFacadeRecordOption(t *testing.T) {
 	prog := func(vp *nob.VP[int]) {
 		vp.Send((vp.ID()+1)%4, 0)
 		vp.Sync(0)
 	}
-	var c tracetest.Collector
+	var c pairCounter
 	if _, err := nob.RunOpt(4, prog, nob.RunOptions{RecordMessages: true, Sink: &c}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Steps[0].Pairs.Len() != 4 {
-		t.Errorf("pairs = %d, want 4", c.Steps[0].Pairs.Len())
+	if len(c.pairs) != 1 || c.pairs[0] != 4 {
+		t.Errorf("pairs per step = %v, want [4]", c.pairs)
 	}
 	if _, err := nob.RunOpt(4, prog, nob.RunOptions{RecordMessages: true}); err == nil {
 		t.Error("RecordMessages without a Sink: accepted")
@@ -121,7 +139,7 @@ func TestFacadeStreamedMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := a.Run(ctx, nob.Spec{Sink: &core.DiscardSink{}}, tc.n)
+		streamed, err := a.Run(ctx, nob.Spec{Sink: &pairCounter{}}, tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}

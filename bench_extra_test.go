@@ -64,7 +64,7 @@ func BenchmarkE14NetworkValidation(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
 				msgs := network.ClusterHRelation(rng, p, 2, 8)
-				res := sim.Route(msgs)
+				res := sim.RouteWith(network.ShortestPath(), msgs)
 				ratio = float64(res.Makespan) / (8*c.pr.G[2] + c.pr.L[2])
 			}
 			b.ReportMetric(ratio, "makespan/dbsp")

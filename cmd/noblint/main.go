@@ -52,7 +52,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	pkgs, _, err := lint.Load(".", patterns...)
+	pkgs, err := lint.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "noblint:", err)
 		os.Exit(2)

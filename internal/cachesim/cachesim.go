@@ -23,7 +23,6 @@ package cachesim
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -339,27 +338,3 @@ func (cs *CurveSim) Accesses() int64 { return cs.accesses }
 
 // Words returns the simulated memory footprint in words.
 func (cs *CurveSim) Words() int64 { return int64(cs.v) * cs.region }
-
-// MissCurve drains src through a CurveSim over a sweep of cache sizes
-// (words) and returns it: Misses gives the miss count per size, Accesses
-// and Words the shared access total and footprint.  B is the line length
-// in words.  One traversal drives every size simultaneously; see
-// CurveSim.  It does not Close the source.
-func MissCurve(src core.TraceSource, ctxWords, bWords int, sizes []int) (*CurveSim, error) {
-	cs, err := NewCurveSim(src.V(), ctxWords, bWords, sizes)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		rec, err := src.Next()
-		if err == io.EOF {
-			return cs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := cs.Step(rec); err != nil {
-			return nil, err
-		}
-	}
-}

@@ -150,6 +150,21 @@ func SimulateTrace(tr *tracetest.Collector, ctxWords int, cache *Cache) (SimStat
 	}, nil
 }
 
+// missCurve steps a fresh CurveSim through a collected trace.  (Replay
+// would hand the steps to WriteStep, which releases their pairs.)
+func missCurve(tr *tracetest.Collector, ctxWords, bWords int, sizes []int) (*CurveSim, error) {
+	cs, err := NewCurveSim(tr.V, ctxWords, bWords, sizes)
+	if err != nil {
+		return nil, err
+	}
+	for i := range tr.Steps {
+		if err := cs.Step(&tr.Steps[i]); err != nil {
+			return nil, err
+		}
+	}
+	return cs, nil
+}
+
 // missCurveReference is the pre-single-pass implementation — one full
 // re-simulation per size — retained as the oracle for the golden
 // equality test of CurveSim.

@@ -141,7 +141,7 @@ func TestMissCurveMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := []int{64, 256, 1024, 4096}
-	cs, err := MissCurve(tr.Source(), 4, 8, sizes)
+	cs, err := missCurve(&tr, 4, 8, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMissCurveGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs, err := MissCurve(tr.Source(), 4, 8, sizes)
+			cs, err := missCurve(tr, 4, 8, sizes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +218,7 @@ func TestCurveSimAccesses(t *testing.T) {
 	}, core.Options{RecordMessages: true, Sink: tr}); err != nil {
 		t.Fatal(err)
 	}
-	cs, err := MissCurve(tr.Source(), 4, 8, []int{64, 256})
+	cs, err := missCurve(tr, 4, 8, []int{64, 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +254,11 @@ func TestSection6Conjecture(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := []int{128, 512, 2048}
-	csRec, err := MissCurve(rec.Source(), 4, 8, sizes)
+	csRec, err := missCurve(&rec, 4, 8, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	csIt, err := MissCurve(it.Source(), 4, 8, sizes)
+	csIt, err := missCurve(&it, 4, 8, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestMissCurveRandomDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, err := MissCurve(tr.Source(), ctx, b, sizes)
+		cs, err := missCurve(tr, ctx, b, sizes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +377,7 @@ func TestCurveSimAllocatesOnFirstStep(t *testing.T) {
 }
 
 // TestCurveSimAsSink: a CurveSim passed as the run's sink, built before
-// the machine is known, reads the same curve as MissCurve over the
+// the machine is known, reads the same curve as a replay of the
 // collected recording of the same run, and refuses a second machine
 // once it has simulated a step.
 func TestCurveSimAsSink(t *testing.T) {
@@ -390,7 +390,7 @@ func TestCurveSimAsSink(t *testing.T) {
 	if _, err := fft.Transform(x, fft.Options{Record: true, Sink: &mem}); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := MissCurve(mem.Source(), 4, 8, sizes)
+	ref, err := missCurve(&mem, 4, 8, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestCurveSimAsSink(t *testing.T) {
 		t.Errorf("streamed run counted %d steps, want %d", run.Trace.NumSupersteps(), len(mem.Steps))
 	}
 	if !slices.Equal(cs.Misses(), ref.Misses()) || cs.Accesses() != ref.Accesses() || cs.Words() != ref.Words() {
-		t.Errorf("sink misses %v accesses %d words %d, MissCurve %v %d %d",
+		t.Errorf("sink misses %v accesses %d words %d, replay %v %d %d",
 			cs.Misses(), cs.Accesses(), cs.Words(), ref.Misses(), ref.Accesses(), ref.Words())
 	}
 	if err := cs.BeginTrace(512, 9); err == nil {

@@ -120,9 +120,6 @@ func (r *Ring) Size() int { return len(r.members) }
 // VNodes returns the virtual-node count per member.
 func (r *Ring) VNodes() int { return r.vnodes }
 
-// Seed returns the placement seed.
-func (r *Ring) Seed() uint64 { return r.seed }
-
 // fnvOffset and fnvPrime are the 64-bit FNV-1a constants.  FNV is used
 // (rather than maphash or map iteration order) because placement must
 // be identical across processes and releases: the ring is configuration,

@@ -100,8 +100,8 @@
 //     is the only derivation of S_i(n) and F_i(n,p) — H(n,p,σ),
 //     wiseness, fullness and the D-BSP communication time (the eval
 //     metrics, dbsp.CommTimeSummary) are computed from it alone, never
-//     from the steps — and cachesim.MissCurve drives the cache
-//     simulator over a source the same way;
+//     from the steps — and cachesim.CurveSim, itself a TraceSink,
+//     steps the cache simulator over the same records;
 //   - released pair records recycle their chunk storage through an
 //     internal pool, so a recorded run into a releasing sink reaches a
 //     steady state with near-zero pair allocation.

@@ -93,11 +93,6 @@ type storeEntry[V any] struct {
 	elem *list.Element // non-nil once completed and resident
 }
 
-// NewStore returns an empty unbounded store.
-func NewStore[V any]() *Store[V] {
-	return NewBoundedStore[V](0)
-}
-
 // NewBoundedStore returns an empty store keeping at most capacity
 // completed entries under LRU eviction; capacity <= 0 means unbounded.
 func NewBoundedStore[V any](capacity int) *Store[V] {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestStoreSingleFlight(t *testing.T) {
-	s := NewStore[int]()
+	s := NewBoundedStore[int](0)
 	var computes atomic.Int64
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -143,7 +143,7 @@ func TestStoreLRUSingleFlightInteraction(t *testing.T) {
 // Get recomputes; any other error stays memoized.
 func TestStoreDropsCancellation(t *testing.T) {
 	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
-		s := NewStore[int]()
+		s := NewBoundedStore[int](0)
 		const waiters = 3
 		release := make(chan struct{})
 		started := make(chan struct{})
@@ -180,7 +180,7 @@ func TestStoreDropsCancellation(t *testing.T) {
 		}
 	}
 
-	s := NewStore[int]()
+	s := NewBoundedStore[int](0)
 	boom := errors.New("boom")
 	computes := 0
 	for i := 0; i < 2; i++ {
@@ -194,7 +194,7 @@ func TestStoreDropsCancellation(t *testing.T) {
 }
 
 func TestStorePeek(t *testing.T) {
-	s := NewStore[int]()
+	s := NewBoundedStore[int](0)
 	if _, _, ok := s.Peek("k"); ok {
 		t.Fatal("Peek of absent key succeeded")
 	}

@@ -77,7 +77,7 @@ func TestCommTimeMatchesHOnUniform(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		v := 1 << uint(2+rng.Intn(4))
 		spec := randalg.Random(rng, v, 5, 3)
-		tr, err := spec.Run()
+		tr, err := core.Run(spec.V, spec.Program())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,7 +142,7 @@ func TestWisenessMonotonicity(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		v := 1 << uint(2+rng.Intn(4)) // 4..32
 		spec := randalg.Random(rng, v, 4, 2)
-		tr, err := spec.Run()
+		tr, err := core.Run(spec.V, spec.Program())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -162,7 +162,7 @@ func TestWisenessMonotonicity(t *testing.T) {
 func TestHAdditivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	spec := randalg.Random(rng, 16, 6, 2)
-	tr, err := spec.Run()
+	tr, err := core.Run(spec.V, spec.Program())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,22 +49,8 @@ func twiddle(m, t int) complex128 {
 	return cmplx.Exp(complex(0, -2*math.Pi*float64(t)/float64(m)))
 }
 
-// SeqDFT is the O(n²) reference transform.
-func SeqDFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var acc complex128
-		for j := 0; j < n; j++ {
-			acc += x[j] * twiddle(n, j*k%n)
-		}
-		out[k] = acc
-	}
-	return out
-}
-
 // SeqFFT is an in-place iterative radix-2 reference, used to validate the
-// parallel algorithms at sizes where SeqDFT is too slow.
+// parallel algorithms at sizes where the O(n²) DFT is too slow.
 func SeqFFT(x []complex128) []complex128 {
 	n := len(x)
 	if n&(n-1) != 0 {

@@ -217,3 +217,17 @@ func TestValidation(t *testing.T) {
 		t.Error("want error for empty input")
 	}
 }
+
+// SeqDFT is the O(n²) reference transform.
+func SeqDFT(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var acc complex128
+		for j := 0; j < n; j++ {
+			acc += x[j] * twiddle(n, j*k%n)
+		}
+		out[k] = acc
+	}
+	return out
+}

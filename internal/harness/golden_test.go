@@ -55,7 +55,7 @@ func TestGoldenParallelDeterminism(t *testing.T) {
 		}
 	}
 	// And the JSON document must survive the schema-checked decode.
-	if _, err := DecodeDocument(bytes.NewReader(seq[FormatJSON])); err != nil {
+	if _, err := decodeDocument(bytes.NewReader(seq[FormatJSON])); err != nil {
 		t.Errorf("suite JSON document undecodable: %v", err)
 	}
 }

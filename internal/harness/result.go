@@ -145,17 +145,6 @@ func (r *Result) AddCheck(name string, pass bool, format string, args ...any) {
 	r.Checks = append(r.Checks, Check{Name: name, Pass: pass, Detail: fmt.Sprintf(format, args...)})
 }
 
-// FailedChecks counts the checks that did not pass.
-func (r *Result) FailedChecks() int {
-	n := 0
-	for _, c := range r.Checks {
-		if !c.Pass {
-			n++
-		}
-	}
-	return n
-}
-
 // FormattedRows renders every cell through Value.Format, the shared
 // presentation of the text, markdown and CSV sinks.
 func (r *Result) FormattedRows() [][]string {

@@ -21,8 +21,8 @@ const (
 	FormatText Format = "text"
 	// FormatMarkdown renders GitHub-flavored markdown tables.
 	FormatMarkdown Format = "md"
-	// FormatJSON renders the schema-tagged Document, round-trippable
-	// through DecodeDocument.
+	// FormatJSON renders the schema-tagged Document, which decodes
+	// back through encoding/json and Document.Validate.
 	FormatJSON Format = "json"
 	// FormatCSV renders one CSV section per result (data rows only).
 	FormatCSV Format = "csv"
@@ -261,11 +261,12 @@ func (r *Result) EncodeCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// writeCSVRecord writes one record through cw so that DecodeCSV reads it
-// back unchanged.  encoding/csv alone does not guarantee that: its
-// reader turns "\r\n" inside a quoted field into "\n", reads a line
-// starting with '#' as a comment and skips a blank line, while its
-// writer quotes neither a leading '#' nor a lone empty field.
+// writeCSVRecord writes one record through cw so that encoding/csv's
+// reader, with '#' as its comment character, reads it back unchanged.
+// encoding/csv alone does not guarantee that: its reader turns "\r\n"
+// inside a quoted field into "\n", reads a line starting with '#' as a
+// comment and skips a blank line, while its writer quotes neither a
+// leading '#' nor a lone empty field.
 func writeCSVRecord(w io.Writer, cw *csv.Writer, rec []string) error {
 	if slices.ContainsFunc(rec, func(f string) bool { return strings.Contains(f, "\r\n") }) {
 		rec = slices.Clone(rec)
@@ -289,23 +290,6 @@ func writeCSVRecord(w io.Writer, cw *csv.Writer, rec []string) error {
 		return err
 	}
 	return cw.Write(rec[1:])
-}
-
-// DecodeCSV reads a CSV stream written by EncodeCSV (or one section of
-// the csv sink's output, whose leading "# ..." identity line is skipped
-// as a comment) back into columns and formatted rows, for round-trip
-// verification and downstream tools.
-func DecodeCSV(rd io.Reader) (columns []string, rows [][]string, err error) {
-	cr := csv.NewReader(rd)
-	cr.Comment = '#'
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, nil, fmt.Errorf("harness: decoding csv: %w", err)
-	}
-	if len(recs) == 0 {
-		return nil, nil, fmt.Errorf("harness: csv stream has no header")
-	}
-	return recs[0], recs[1:], nil
 }
 
 // DocumentSchema tags the JSON document format; bump on breaking changes.
@@ -334,37 +318,34 @@ func EncodeDocument(w io.Writer, doc Document) error {
 	return enc.Encode(doc)
 }
 
-// DecodeDocument reads a document written by EncodeDocument and validates
-// its structural invariants: schema tag, per-experiment identifiers, and
-// row/column consistency of every result grid.
-func DecodeDocument(r io.Reader) (Document, error) {
-	var doc Document
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return Document{}, fmt.Errorf("harness: decoding document: %w", err)
-	}
+// Validate checks the structural invariants a decoded document must
+// hold before anything renders it: the schema tag, per-experiment
+// identifiers, no null result, and row/column consistency of every
+// result grid.  Every decoder of documents from outside the process
+// applies it.
+func (doc *Document) Validate() error {
 	if doc.Schema != DocumentSchema {
-		return Document{}, fmt.Errorf("harness: document schema %q, want %q", doc.Schema, DocumentSchema)
+		return fmt.Errorf("harness: document schema %q, want %q", doc.Schema, DocumentSchema)
 	}
 	for _, rec := range doc.Records {
 		if rec.ID == "" {
-			return Document{}, fmt.Errorf("harness: document record without experiment id")
+			return fmt.Errorf("harness: document record without experiment id")
 		}
 		for _, res := range rec.Results {
 			if res == nil {
-				return Document{}, fmt.Errorf("harness: %s: null result", rec.ID)
+				return fmt.Errorf("harness: %s: null result", rec.ID)
 			}
 			if len(res.Columns) == 0 {
-				return Document{}, fmt.Errorf("harness: %s: result %q has no columns", rec.ID, res.Title)
+				return fmt.Errorf("harness: %s: result %q has no columns", rec.ID, res.Title)
 			}
 			for i, row := range res.Rows {
 				if len(row) != len(res.Columns) {
-					return Document{}, fmt.Errorf("harness: %s: row %d has %d cells, want %d", rec.ID, i, len(row), len(res.Columns))
+					return fmt.Errorf("harness: %s: row %d has %d cells, want %d", rec.ID, i, len(row), len(res.Columns))
 				}
 			}
 		}
 	}
-	return doc, nil
+	return nil
 }
 
 // Sink consumes suite records in registry order and renders them to a
@@ -423,8 +404,8 @@ func (s *streamSink) Close() error { return nil }
 
 // csvSink writes one commented CSV section per result; the comment line
 // carries the experiment identity so a concatenated stream stays
-// self-describing.  DecodeCSV skips the comment lines but expects one
-// section's grid — split a multi-section stream on blank lines first.
+// self-describing.  A CSV reader with '#' as its comment character skips
+// the comment lines; split a multi-section stream on blank lines first.
 type csvSink struct {
 	w     io.Writer
 	wrote bool

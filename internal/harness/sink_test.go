@@ -61,7 +61,7 @@ func TestJSONDocumentRoundTrip(t *testing.T) {
 	if err := EncodeDocument(&buf, doc); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeDocument(bytes.NewReader(buf.Bytes()))
+	got, err := decodeDocument(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestJSONDocumentRoundTrip(t *testing.T) {
 	}
 
 	// The decoder must reject wrong schemas and ragged rows.
-	if _, err := DecodeDocument(strings.NewReader(`{"schema":"bogus"}`)); err == nil {
+	if _, err := decodeDocument(strings.NewReader(`{"schema":"bogus"}`)); err == nil {
 		t.Error("decoder accepted a wrong schema tag")
 	}
 	bad := doc
@@ -80,7 +80,7 @@ func TestJSONDocumentRoundTrip(t *testing.T) {
 	if err := EncodeDocument(&buf, bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeDocument(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := decodeDocument(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("decoder accepted a ragged row")
 	}
 }
@@ -197,7 +197,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := res.EncodeCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	cols, rows, err := DecodeCSV(bytes.NewReader(buf.Bytes()))
+	cols, rows, err := decodeCSV(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cols2, rows2, err := DecodeCSV(bytes.NewReader(buf.Bytes()))
+	cols2, rows2, err := decodeCSV(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("sink output undecodable: %v", err)
 	}
@@ -263,7 +263,7 @@ func TestSinkRendering(t *testing.T) {
 				t.Errorf("csv sink malformed:\n%s", out)
 			}
 		case FormatJSON:
-			if _, err := DecodeDocument(strings.NewReader(out)); err != nil {
+			if _, err := decodeDocument(strings.NewReader(out)); err != nil {
 				t.Errorf("json sink emitted an undecodable document: %v", err)
 			}
 		}

@@ -45,7 +45,7 @@ func storeLen(ts *TraceStore) int { return ts.store.Len() }
 // compute function must run exactly once and every caller must observe
 // its value; a second key must recompute.
 func TestCoreStoreSingleFlight(t *testing.T) {
-	s := core.NewStore[int]()
+	s := core.NewBoundedStore[int](0)
 	var computes atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {

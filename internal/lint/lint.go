@@ -1,11 +1,13 @@
-// Package lint is the repository's static-analysis suite: a set of
+// Package lint is the repository's static-analysis suite: seven
 // analyzers that machine-check the invariants the rest of the codebase
 // documents in prose — determinism of schedules and codecs at any
 // GOMAXPROCS, nil-safety of obs.Probe, context consultation in engine
 // and worker loops, StepRec ownership transfer into trace sinks,
-// init-only algorithm registration, and allocation discipline on
-// annotated hot paths.  cmd/noblint runs every analyzer over ./... and
-// CI fails the build on any diagnostic.
+// init-only algorithm registration, allocation discipline on annotated
+// hot paths, and no export of an internal package that only tests use.
+// cmd/noblint runs every analyzer over ./... and CI fails the build on
+// any diagnostic.  Six analyzers check one package at a time; deadexport
+// reads the whole program, the nested bench/ module included.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // shape (Analyzer, Pass, positional diagnostics) but is built on the
@@ -30,6 +32,10 @@
 //	//nob:hotpath        — no fmt calls, interface boxing, escaping
 //	                       closure captures or unhinted append growth
 //	                       (hotalloc)
+//	//nob:testhook why   — an export that only tests use, kept because
+//	                       tests of several packages share it; on a
+//	                       package clause it covers the package
+//	                       (deadexport; the reason is required)
 //
 // # Suppression
 //
@@ -62,6 +68,9 @@ type Analyzer struct {
 	Doc string
 	// Run performs the analysis on one package.
 	Run func(*Pass)
+	// RunProgram, set instead of Run, analyzes every loaded package in
+	// one call, for invariants no single package can decide.
+	RunProgram func(*Program)
 }
 
 // Diagnostic is one reported finding, carrying its resolved position.
@@ -95,6 +104,24 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
+// Program carries every loaded package through one whole-program
+// analyzer.
+type Program struct {
+	Analyzer *Analyzer
+	Pkgs     []*Package
+
+	diags *[]Diagnostic
+}
+
+// Reportf records a diagnostic at pos, a position in pkg.
+func (p *Program) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
+	*p.diags = append(*p.diags, Diagnostic{
+		Pos:      pkg.Fset.Position(pos),
+		Analyzer: p.Analyzer.Name,
+		Message:  fmt.Sprintf(format, args...),
+	})
+}
+
 // TypeOf returns the static type of e, or nil.
 func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	if tv, ok := p.Info.Types[e]; ok {
@@ -122,6 +149,7 @@ func Analyzers() []*Analyzer {
 		SinkOwnAnalyzer,
 		RegInitAnalyzer,
 		HotAllocAnalyzer,
+		DeadExportAnalyzer,
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 	return all
@@ -143,8 +171,16 @@ func AnalyzerByName(name string) (*Analyzer, error) {
 // surviving (non-suppressed) diagnostics sorted by position.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
+	for _, a := range analyzers {
+		if a.RunProgram != nil {
+			a.RunProgram(&Program{Analyzer: a, Pkgs: pkgs, diags: &diags})
+		}
+	}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,

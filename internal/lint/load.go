@@ -14,13 +14,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Package is one loaded, parsed and type-checked package.
 type Package struct {
 	Path    string
 	Dir     string
+	Module  string // root directory of the package's module ("" for fixtures)
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
@@ -36,7 +36,7 @@ type listedPkg struct {
 	Export     string
 	Standard   bool
 	DepOnly    bool
-	Module     *struct{ Path string }
+	Module     *struct{ Path, Dir string }
 	Error      *struct{ Err string }
 }
 
@@ -51,21 +51,26 @@ type ExportData struct {
 // Load enumerates the packages matching patterns (relative to dir, "" =
 // current directory), type-checks each in-module, non-test package from
 // source against build-cache export data, and returns them sorted by
-// import path together with the export map (reusable for fixture
-// loading).
-func Load(dir string, patterns ...string) ([]*Package, *ExportData, error) {
+// import path.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	return load(dir, patterns, nil)
+}
+
+// load is Load reusing the already type-checked packages in have, keyed
+// by import path.
+func load(dir string, patterns []string, have map[string]*Package) ([]*Package, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	exp := &ExportData{files: map[string]string{}}
 	var targets []listedPkg
 	for _, p := range listed {
 		if p.Error != nil {
-			return nil, nil, fmt.Errorf("lint: go list: %s: %s", p.ImportPath, p.Error.Err)
+			return nil, fmt.Errorf("lint: go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
 			exp.files[p.ImportPath] = p.Export
@@ -77,37 +82,22 @@ func Load(dir string, patterns ...string) ([]*Package, *ExportData, error) {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 	pkgs := make([]*Package, 0, len(targets))
 	for _, t := range targets {
+		if pkg := have[t.ImportPath]; pkg != nil {
+			pkgs = append(pkgs, pkg)
+			continue
+		}
 		var files []string
 		for _, f := range t.GoFiles {
 			files = append(files, filepath.Join(t.Dir, f))
 		}
 		pkg, err := TypeCheck(t.ImportPath, t.Dir, files, exp)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
+		pkg.Module = t.Module.Dir
 		pkgs = append(pkgs, pkg)
 	}
-	return pkgs, exp, nil
-}
-
-// LoadExports runs the go list walk alone and returns the export map
-// without type-checking any matched package — all the fixture tests
-// need, at a fraction of Load's cost.
-func LoadExports(dir string, patterns ...string) (*ExportData, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	listed, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exp := &ExportData{files: map[string]string{}}
-	for _, p := range listed {
-		if p.Export != "" {
-			exp.files[p.ImportPath] = p.Export
-		}
-	}
-	return exp, nil
+	return pkgs, nil
 }
 
 // goList runs `go list -e -export -deps -json` over the patterns and
@@ -188,23 +178,4 @@ func TypeCheck(importPath, dir string, files []string, exp *ExportData) (*Packag
 	}
 	pkg.Types = tpkg
 	return pkg, nil
-}
-
-// LoadFixture type-checks the single package rooted at dir (every .go
-// file in it, including _test.go-named fixtures), for the analyzer
-// tests.  The synthetic import path keeps fixture packages out of the
-// module namespace.
-func LoadFixture(dir string, exp *ExportData) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: fixture: %w", err)
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	sort.Strings(files)
-	return TypeCheck("noblintfixture/"+filepath.Base(dir), dir, files, exp)
 }

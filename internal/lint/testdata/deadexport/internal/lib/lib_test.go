@@ -1,0 +1,5 @@
+package lib
+
+import "testing"
+
+func TestLib(t *testing.T) { TestOnly() }

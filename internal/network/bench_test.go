@@ -1,7 +1,6 @@
 package network
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -20,7 +19,7 @@ func BenchmarkRoute(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.Route(msgs)
+		s.RouteWith(ShortestPath(), msgs)
 	}
 }
 
@@ -44,7 +43,7 @@ func BenchmarkRouteTopologies(b *testing.B) {
 		b.Run(topo.Family, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s.Route(msgs)
+				s.RouteWith(ShortestPath(), msgs)
 			}
 		})
 	}
@@ -57,30 +56,5 @@ func BenchmarkRouteValiant(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.RouteWith(Valiant(int64(i)), msgs)
-	}
-}
-
-// BenchmarkRouteSets compares sequential vs parallel routing of the
-// disconnected per-cluster simulations.
-func BenchmarkRouteSets(b *testing.B) {
-	p, level := 256, 2
-	s := NewSim(Hypercube(p))
-	m := p >> uint(level)
-	rng := rand.New(rand.NewSource(2))
-	var sets [][][2]int
-	for base := 0; base < p; base += m {
-		set := ClusterHRelation(rng, m, 0, 8)
-		for i := range set {
-			set[i][0] += base
-			set[i][1] += base
-		}
-		sets = append(sets, set)
-	}
-	for _, parallel := range []bool{false, true} {
-		b.Run(fmt.Sprintf("parallel=%v", parallel), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s.RouteSets(sets, nil, parallel)
-			}
-		})
 	}
 }

@@ -12,19 +12,19 @@ import (
 
 func TestRingSingleNode(t *testing.T) {
 	r := Ring(1)
-	if r.P != 1 || len(r.Neighbors(0)) != 0 {
-		t.Fatalf("ring(1): P=%d, degree=%d; want an isolated node", r.P, len(r.Neighbors(0)))
+	if r.P != 1 || len(r.adj[0]) != 0 {
+		t.Fatalf("ring(1): P=%d, degree=%d; want an isolated node", r.P, len(r.adj[0]))
 	}
 	s := NewSim(r)
-	if d := s.Diameter(); d != 0 {
+	if d := diameter(s); d != 0 {
 		t.Errorf("ring(1) diameter = %d, want 0", d)
 	}
-	if d := s.Dist(0, 0); d != 0 {
+	if d := int(s.dist[0][0]); d != 0 {
 		t.Errorf("ring(1) self distance = %d, want 0", d)
 	}
 	// Every message on a single node is a self message: delivered at time
 	// zero, traversing no links.
-	res := s.Route([][2]int{{0, 0}, {0, 0}, {0, 0}})
+	res := s.RouteWith(ShortestPath(), [][2]int{{0, 0}, {0, 0}, {0, 0}})
 	if res.Makespan != 0 || res.Delivered != 3 || res.TotalHops != 0 {
 		t.Errorf("ring(1) routing = %+v, want 3 instant deliveries", res)
 	}
@@ -32,7 +32,7 @@ func TestRingSingleNode(t *testing.T) {
 
 func TestRouteEmptyMessageSet(t *testing.T) {
 	for _, topo := range []*Topology{Ring(1), Ring(8), Torus2D(16), Hypercube(8)} {
-		res := NewSim(topo).Route(nil)
+		res := NewSim(topo).RouteWith(ShortestPath(), nil)
 		if res.Makespan != 0 || res.Delivered != 0 || res.TotalHops != 0 {
 			t.Errorf("%s: empty route = %+v, want zeros", topo.Name, res)
 		}
@@ -55,7 +55,7 @@ func TestClusterHRelationUnitClusters(t *testing.T) {
 		}
 	}
 	for _, topo := range []*Topology{Ring(p), Torus2D(p), Hypercube(p)} {
-		res := NewSim(topo).Route(msgs)
+		res := NewSim(topo).RouteWith(ShortestPath(), msgs)
 		if res.Makespan != 0 || res.Delivered != p*h || res.TotalHops != 0 {
 			t.Errorf("%s: unit-cluster routing = %+v, want instant delivery of %d", topo.Name, res, p*h)
 		}
@@ -72,7 +72,7 @@ func TestClusterHRelationZeroDegree(t *testing.T) {
 			t.Errorf("level %d: h=0 relation has %d messages, want 0", level, len(msgs))
 		}
 	}
-	if res := NewSim(Ring(8)).Route(ClusterHRelation(rng, 8, 0, 0)); res != (RouteResult{}) {
+	if res := NewSim(Ring(8)).RouteWith(ShortestPath(), ClusterHRelation(rng, 8, 0, 0)); res != (RouteResult{}) {
 		t.Errorf("routing the empty relation = %+v, want zero result", res)
 	}
 }
@@ -80,10 +80,10 @@ func TestClusterHRelationZeroDegree(t *testing.T) {
 // TestBisectionRelationDegenerate: h = 0 and unit clusters (m = 1, no
 // halves to mirror) both yield the empty pattern.
 func TestBisectionRelationDegenerate(t *testing.T) {
-	if msgs := BisectionRelation(16, 0, 0); len(msgs) != 0 {
+	if msgs := bisectionRelation(16, 0, 0); len(msgs) != 0 {
 		t.Errorf("h=0 bisection has %d messages", len(msgs))
 	}
-	if msgs := BisectionRelation(16, 4, 5); len(msgs) != 0 {
+	if msgs := bisectionRelation(16, 4, 5); len(msgs) != 0 {
 		t.Errorf("unit-cluster bisection has %d messages", len(msgs))
 	}
 }

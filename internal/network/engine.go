@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // Packet is the in-flight routing state of one message.  Dst is the final
@@ -91,16 +90,6 @@ func (s *Sim) getState() *routeState {
 
 func (s *Sim) putState(st *routeState) { s.states.Put(st) }
 
-// Route injects every (src, dst) message at time 0 and runs the
-// synchronous store-and-forward simulation to completion under
-// deterministic shortest-path routing.  Messages with src == dst are
-// delivered instantly.
-//
-//nob:deterministic
-func (s *Sim) Route(msgs [][2]int) RouteResult {
-	return s.RouteWith(ShortestPath(), msgs)
-}
-
 // RouteWith routes the message set under the given strategy.  Identical
 // inputs (and, for randomized routers, identical seeds) produce identical
 // results on every run: packets are injected in message order and edges
@@ -119,7 +108,7 @@ func (s *Sim) RouteWith(r Router, msgs [][2]int) RouteResult {
 	res := st.run(s, r, msgs)
 	// Pooled only on normal completion: a panic unwinding past here (a
 	// router or topology bug) must not recycle half-drained queues into
-	// the next Route call.
+	// the next RouteWith call.
 	s.putState(st)
 	if s.Probe != nil {
 		s.Probe.Span("network", "route "+s.topo.Name, 0, start, map[string]any{
@@ -221,51 +210,4 @@ func (st *routeState) run(s *Sim, r Router, msgs [][2]int) RouteResult {
 	}
 	st.arrivals = arrivals
 	return res
-}
-
-// MergeResults combines results of independently routed message sets: the
-// merged makespan is the maximum (the sets run concurrently on disjoint
-// parts of the network), hops and deliveries add.
-func MergeResults(results []RouteResult) RouteResult {
-	var m RouteResult
-	for _, r := range results {
-		if r.Makespan > m.Makespan {
-			m.Makespan = r.Makespan
-		}
-		m.TotalHops += r.TotalHops
-		m.Delivered += r.Delivered
-	}
-	return m
-}
-
-// RouteSets routes independent message sets, each with its own router
-// from mkRouter (nil = shortest-path for every set; randomized routers
-// must not be shared across sets, their RNG draws would race).  With
-// parallel true the sets run concurrently on separate engine states
-// sharing the immutable tables.  Per-set results are deterministic either
-// way.  When the sets use disjoint links — e.g. cluster-confined
-// h-relations on ring or hypercube, whose shortest paths stay inside the
-// index-prefix cluster — MergeResults of the output equals routing the
-// union in one call.
-func (s *Sim) RouteSets(sets [][][2]int, mkRouter func(set int) Router, parallel bool) []RouteResult {
-	if mkRouter == nil {
-		mkRouter = func(int) Router { return ShortestPath() }
-	}
-	out := make([]RouteResult, len(sets))
-	if !parallel {
-		for i, msgs := range sets {
-			out[i] = s.RouteWith(mkRouter(i), msgs)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	for i, msgs := range sets {
-		wg.Add(1)
-		go func(i int, msgs [][2]int) {
-			defer wg.Done()
-			out[i] = s.RouteWith(mkRouter(i), msgs)
-		}(i, msgs)
-	}
-	wg.Wait()
-	return out
 }

@@ -24,7 +24,7 @@ func seedRelations(rng *rand.Rand, p int) [][][2]int {
 			sets = append(sets, ClusterHRelation(rng, p, level, h))
 		}
 	}
-	sets = append(sets, BisectionRelation(p, 0, 3))
+	sets = append(sets, bisectionRelation(p, 0, 3))
 	hot := make([][2]int, 0, p-1)
 	for u := 1; u < p; u++ {
 		hot = append(hot, [2]int{u, 0})
@@ -41,7 +41,7 @@ func TestGoldenAgainstMapReference(t *testing.T) {
 	for _, topo := range []*Topology{Ring(32), Torus2D(64), Hypercube(64)} {
 		s := NewSim(topo)
 		for ci, msgs := range seedRelations(rng, topo.P) {
-			got := s.Route(msgs)
+			got := s.RouteWith(ShortestPath(), msgs)
 			want := s.routeMapReference(msgs)
 			if got != want {
 				t.Errorf("%s case %d: flat %+v != reference %+v", topo.Name, ci, got, want)
@@ -60,13 +60,13 @@ func TestRouteDeterminism(t *testing.T) {
 	for _, topo := range []*Topology{Ring(32), Torus2D(16), Torus3D(64), Hypercube(64), FatTree(32)} {
 		s := NewSim(topo)
 		msgs := ClusterHRelation(rng, topo.P, 0, 4)
-		baseSP := s.Route(msgs)
+		baseSP := s.RouteWith(ShortestPath(), msgs)
 		baseV := s.RouteWith(Valiant(99), msgs)
 		prev := runtime.GOMAXPROCS(0)
 		for _, procs := range []int{1, 2, prev} {
 			runtime.GOMAXPROCS(procs)
 			for rep := 0; rep < 3; rep++ {
-				if got := s.Route(msgs); got != baseSP {
+				if got := s.RouteWith(ShortestPath(), msgs); got != baseSP {
 					t.Errorf("%s GOMAXPROCS=%d rep %d: shortest-path %+v != %+v", topo.Name, procs, rep, got, baseSP)
 				}
 				if got := s.RouteWith(Valiant(99), msgs); got != baseV {
@@ -91,11 +91,11 @@ func TestRouteSpeedup(t *testing.T) {
 	s := NewSim(Hypercube(p))
 	msgs := ClusterHRelation(rng, p, 0, 8)
 	// Warm both paths once so table/page faults don't skew the ratio.
-	s.Route(msgs)
+	s.RouteWith(ShortestPath(), msgs)
 	s.routeMapReference(msgs)
 	flat := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s.Route(msgs)
+			s.RouteWith(ShortestPath(), msgs)
 		}
 	})
 	ref := testing.Benchmark(func(b *testing.B) {
@@ -114,40 +114,6 @@ func TestRouteSpeedup(t *testing.T) {
 	}
 }
 
-// TestRouteSetsMatchesUnion: cluster-confined h-relations on ring and
-// hypercube use link-disjoint cluster subnetworks (shortest paths never
-// leave an index-prefix cluster), so routing the per-cluster sets
-// independently — sequentially or in parallel — and merging must equal
-// routing the union in one call.
-func TestRouteSetsMatchesUnion(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, topo := range []*Topology{Ring(64), Hypercube(64)} {
-		s := NewSim(topo)
-		for _, level := range []int{1, 2, 3} {
-			m := topo.P >> uint(level)
-			var union [][2]int
-			var sets [][][2]int
-			for base := 0; base < topo.P; base += m {
-				set := ClusterHRelation(rng, m, 0, 4)
-				for i := range set {
-					set[i][0] += base
-					set[i][1] += base
-				}
-				sets = append(sets, set)
-				union = append(union, set...)
-			}
-			want := s.Route(union)
-			for _, parallel := range []bool{false, true} {
-				merged := MergeResults(s.RouteSets(sets, nil, parallel))
-				if merged != want {
-					t.Errorf("%s level %d parallel=%v: merged %+v != union %+v",
-						topo.Name, level, parallel, merged, want)
-				}
-			}
-		}
-	}
-}
-
 // TestValiantTwoPhase checks the strategy's defining shape: packets
 // arrive (so phase switching works), total hops grow (the detour is
 // real), and the route stays inside the smallest cluster containing the
@@ -159,7 +125,7 @@ func TestValiantTwoPhase(t *testing.T) {
 		s := NewSim(topo)
 		for _, level := range []int{0, 2} {
 			msgs := ClusterHRelation(rng, p, level, 4)
-			sp := s.Route(msgs)
+			sp := s.RouteWith(ShortestPath(), msgs)
 			vl := s.RouteWith(Valiant(3), msgs)
 			if vl.Delivered != len(msgs) {
 				t.Fatalf("%s level %d: valiant delivered %d of %d", topo.Name, level, vl.Delivered, len(msgs))

@@ -27,20 +27,3 @@ func ClusterHRelation(rng *rand.Rand, p, level, h int) [][2]int {
 	}
 	return msgs
 }
-
-// BisectionRelation generates the worst-case pattern for bandwidth
-// analysis: every processor of the lower half of each i-cluster exchanges
-// h messages with its mirror in the upper half.
-func BisectionRelation(p, level, h int) [][2]int {
-	m := p >> uint(level)
-	var msgs [][2]int
-	for base := 0; base < p; base += m {
-		for i := 0; i < m/2; i++ {
-			for k := 0; k < h; k++ {
-				msgs = append(msgs, [2]int{base + i, base + i + m/2})
-				msgs = append(msgs, [2]int{base + i + m/2, base + i})
-			}
-		}
-	}
-	return msgs
-}

@@ -37,7 +37,7 @@ type Sim struct {
 	nextHop [][]int32
 	// dist[u][dst] is the shortest-path distance.
 	dist [][]int32
-	// states recycles engine state (queues, bitsets) across Route calls.
+	// states recycles engine state (queues, bitsets) across RouteWith calls.
 	states sync.Pool
 
 	// Probe, when non-nil, records one "network"-category span per
@@ -78,24 +78,4 @@ func NewSim(t *Topology) *Sim {
 		}
 	}
 	return s
-}
-
-// Topology returns the simulated network.
-func (s *Sim) Topology() *Topology { return s.topo }
-
-// Dist returns the shortest-path distance between two nodes.
-func (s *Sim) Dist(u, v int) int { return int(s.dist[u][v]) }
-
-// Diameter returns the maximum shortest-path distance between two
-// processors (switch nodes are route infrastructure, not endpoints).
-func (s *Sim) Diameter() int {
-	m := 0
-	for u := 0; u < s.topo.P; u++ {
-		for _, d := range s.dist[u][:s.topo.P] {
-			if int(d) > m {
-				m = int(d)
-			}
-		}
-	}
-	return m
 }

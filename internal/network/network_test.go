@@ -10,32 +10,32 @@ import (
 func TestTopologyShapes(t *testing.T) {
 	r := Ring(8)
 	for u := 0; u < 8; u++ {
-		if len(r.Neighbors(u)) != 2 {
-			t.Errorf("ring node %d has degree %d", u, len(r.Neighbors(u)))
+		if len(r.adj[u]) != 2 {
+			t.Errorf("ring node %d has degree %d", u, len(r.adj[u]))
 		}
 	}
 	h := Hypercube(16)
 	for u := 0; u < 16; u++ {
-		if len(h.Neighbors(u)) != 4 {
-			t.Errorf("hypercube node %d has degree %d", u, len(h.Neighbors(u)))
+		if len(h.adj[u]) != 4 {
+			t.Errorf("hypercube node %d has degree %d", u, len(h.adj[u]))
 		}
 	}
 	tor := Torus2D(16)
 	for u := 0; u < 16; u++ {
-		if len(tor.Neighbors(u)) != 4 {
-			t.Errorf("torus node %d has degree %d", u, len(tor.Neighbors(u)))
+		if len(tor.adj[u]) != 4 {
+			t.Errorf("torus node %d has degree %d", u, len(tor.adj[u]))
 		}
 	}
 }
 
 func TestDiameters(t *testing.T) {
-	if d := NewSim(Ring(16)).Diameter(); d != 8 {
+	if d := diameter(NewSim(Ring(16))); d != 8 {
 		t.Errorf("ring(16) diameter = %d, want 8", d)
 	}
-	if d := NewSim(Hypercube(32)).Diameter(); d != 5 {
+	if d := diameter(NewSim(Hypercube(32))); d != 5 {
 		t.Errorf("hypercube(32) diameter = %d, want 5", d)
 	}
-	if d := NewSim(Torus2D(16)).Diameter(); d != 4 {
+	if d := diameter(NewSim(Torus2D(16))); d != 4 {
 		t.Errorf("torus2D(16) diameter = %d, want 4", d)
 	}
 }
@@ -50,7 +50,7 @@ func TestShortestPathTables(t *testing.T) {
 					continue
 				}
 				hop := int(s.nextHop[u][d])
-				if s.Dist(hop, d) != s.Dist(u, d)-1 {
+				if int(s.dist[hop][d]) != int(s.dist[u][d])-1 {
 					t.Fatalf("%s: next hop %d->%d via %d does not descend", topo.Name, u, d, hop)
 				}
 			}
@@ -60,12 +60,12 @@ func TestShortestPathTables(t *testing.T) {
 
 func TestRouteSingleMessage(t *testing.T) {
 	s := NewSim(Ring(16))
-	res := s.Route([][2]int{{0, 8}})
+	res := s.RouteWith(ShortestPath(), [][2]int{{0, 8}})
 	if res.Makespan != 8 || res.Delivered != 1 || res.TotalHops != 8 {
 		t.Errorf("single message: %+v, want makespan 8", res)
 	}
 	// Self message: free.
-	res = s.Route([][2]int{{3, 3}})
+	res = s.RouteWith(ShortestPath(), [][2]int{{3, 3}})
 	if res.Makespan != 0 || res.Delivered != 1 {
 		t.Errorf("self message: %+v", res)
 	}
@@ -80,7 +80,7 @@ func TestRouteAllToOneCongestion(t *testing.T) {
 	for u := 1; u < p; u++ {
 		msgs = append(msgs, [2]int{u, 0})
 	}
-	res := s.Route(msgs)
+	res := s.RouteWith(ShortestPath(), msgs)
 	if res.Delivered != p-1 {
 		t.Fatalf("delivered %d, want %d", res.Delivered, p-1)
 	}
@@ -99,11 +99,11 @@ func TestRoutePermutationDelivers(t *testing.T) {
 			for i, j := range perm {
 				msgs[i] = [2]int{i, j}
 			}
-			res := s.Route(msgs)
+			res := s.RouteWith(ShortestPath(), msgs)
 			if res.Delivered != topo.P {
 				t.Fatalf("%s: delivered %d of %d", topo.Name, res.Delivered, topo.P)
 			}
-			if res.Makespan > 4*s.Diameter()+topo.P/2 {
+			if res.Makespan > 4*diameter(s)+topo.P/2 {
 				t.Errorf("%s: permutation makespan %d unreasonably high", topo.Name, res.Makespan)
 			}
 		}
@@ -130,7 +130,7 @@ func TestDBSPPredictionBand(t *testing.T) {
 		for _, level := range []int{0, 2, 4} {
 			for _, h := range []int{1, 4, 16} {
 				msgs := ClusterHRelation(rng, p, level, h)
-				res := s.Route(msgs)
+				res := s.RouteWith(ShortestPath(), msgs)
 				if res.Delivered != len(msgs) {
 					t.Fatalf("%s: lost messages", c.topo.Name)
 				}
@@ -174,13 +174,42 @@ func TestClusterHRelationShape(t *testing.T) {
 func TestBisectionRelation(t *testing.T) {
 	p := 32
 	h := 4
-	msgs := BisectionRelation(p, 0, h)
+	msgs := bisectionRelation(p, 0, h)
 	if len(msgs) != p*h {
 		t.Fatalf("message count %d, want %d", len(msgs), p*h)
 	}
 	s := NewSim(Ring(p))
-	res := s.Route(msgs)
+	res := s.RouteWith(ShortestPath(), msgs)
 	if res.Makespan < h*p/8 {
 		t.Errorf("bisection makespan %d below bandwidth bound %d", res.Makespan, h*p/8)
 	}
+}
+
+// diameter is the maximum shortest-path distance between two processors
+// (switch nodes are route infrastructure, not endpoints).
+func diameter(s *Sim) int {
+	m := 0
+	for u := 0; u < s.topo.P; u++ {
+		for _, d := range s.dist[u][:s.topo.P] {
+			m = max(m, int(d))
+		}
+	}
+	return m
+}
+
+// bisectionRelation generates the worst-case pattern for bandwidth
+// analysis: every processor of the lower half of each i-cluster exchanges
+// h messages with its mirror in the upper half.
+func bisectionRelation(p, level, h int) [][2]int {
+	m := p >> uint(level)
+	var msgs [][2]int
+	for base := 0; base < p; base += m {
+		for i := 0; i < m/2; i++ {
+			for k := 0; k < h; k++ {
+				msgs = append(msgs, [2]int{base + i, base + i + m/2})
+				msgs = append(msgs, [2]int{base + i + m/2, base + i})
+			}
+		}
+	}
+	return msgs
 }

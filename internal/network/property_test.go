@@ -68,11 +68,11 @@ func TestRouteLowerBounds(t *testing.T) {
 			}
 			maxDist := 0
 			for _, m := range msgs {
-				if d := s.Dist(m[0], m[1]); d > maxDist {
+				if d := int(s.dist[m[0]][m[1]]); d > maxDist {
 					maxDist = d
 				}
 			}
-			res := s.Route(msgs)
+			res := s.RouteWith(ShortestPath(), msgs)
 			if res.Delivered != len(msgs) {
 				t.Fatalf("%s trial %d: delivered %d of %d", topo.Name, trial, res.Delivered, len(msgs))
 			}
@@ -105,9 +105,9 @@ func TestTotalHopsEqualsPathLengths(t *testing.T) {
 		for i := 0; i < 3*topo.P; i++ {
 			m := [2]int{rng.Intn(topo.P), rng.Intn(topo.P)}
 			msgs = append(msgs, m)
-			want += s.Dist(m[0], m[1])
+			want += int(s.dist[m[0]][m[1]])
 		}
-		if res := s.Route(msgs); res.TotalHops != want {
+		if res := s.RouteWith(ShortestPath(), msgs); res.TotalHops != want {
 			t.Errorf("%s: TotalHops %d != summed path lengths %d", topo.Name, res.TotalHops, want)
 		}
 	}

@@ -35,7 +35,7 @@ func (shortestPath) Name() string { return StrategyShortestPath }
 func (shortestPath) Inject(src, dst int32) Packet { return Packet{Dst: dst, Via: -1} }
 
 // ShortestPath returns the deterministic shortest-path router (the
-// Sim.Route default).  It is stateless and safe to share.
+// default strategy).  It is stateless and safe to share.
 func ShortestPath() Router { return shortestPath{} }
 
 // valiant implements Valiant's randomized two-phase oblivious routing:
@@ -67,8 +67,8 @@ func (v *valiant) Inject(src, dst int32) Packet {
 
 // Valiant returns a seeded Valiant two-phase router.  Identical seeds
 // reproduce identical routes; a router instance must not be shared
-// across concurrent Route calls (its RNG draws would race — derive one
-// per set, e.g. seed+i, as RouteSets' mkRouter does naturally).
+// across concurrent RouteWith calls (its RNG draws would race — derive
+// one per call, e.g. seed+i).
 func Valiant(seed int64) Router {
 	return &valiant{rng: rand.New(rand.NewSource(seed))}
 }

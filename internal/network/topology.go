@@ -51,10 +51,6 @@ type linkGroup struct {
 	width int32
 }
 
-// Neighbors returns the adjacency list of node u (parallel edges appear
-// once per link).
-func (t *Topology) Neighbors(u int) []int { return t.adj[u] }
-
 // Edges returns the number of directed edges (2x the undirected link
 // count, counting parallel links individually).
 func (t *Topology) Edges() int { return len(t.edgeHead) }

@@ -12,7 +12,7 @@ import (
 func TestRingTwoNodeDedup(t *testing.T) {
 	r := Ring(2)
 	for u := 0; u < 2; u++ {
-		if got := r.Neighbors(u); len(got) != 1 || got[0] != 1-u {
+		if got := r.adj[u]; len(got) != 1 || got[0] != 1-u {
 			t.Errorf("ring(2) node %d neighbors = %v, want [%d]", u, got, 1-u)
 		}
 	}
@@ -20,12 +20,12 @@ func TestRingTwoNodeDedup(t *testing.T) {
 		t.Errorf("ring(2) has %d directed edges, want 2", e)
 	}
 	s := NewSim(r)
-	if d := s.Diameter(); d != 1 {
+	if d := diameter(s); d != 1 {
 		t.Errorf("ring(2) diameter = %d, want 1", d)
 	}
 	// Two messages over the single 0->1 link serialize: makespan 2, not
 	// the 1 a phantom second link would allow.
-	res := s.Route([][2]int{{0, 1}, {0, 1}})
+	res := s.RouteWith(ShortestPath(), [][2]int{{0, 1}, {0, 1}})
 	if res.Makespan != 2 || res.Delivered != 2 || res.TotalHops != 2 {
 		t.Errorf("ring(2) two-message route = %+v, want makespan 2", res)
 	}
@@ -37,7 +37,7 @@ func TestRingTwoNodeDedup(t *testing.T) {
 func TestTorus2DTwoByTwoDedup(t *testing.T) {
 	tor := Torus2D(4)
 	for u := 0; u < 4; u++ {
-		if got := len(tor.Neighbors(u)); got != 2 {
+		if got := len(tor.adj[u]); got != 2 {
 			t.Errorf("torus2D(4) node %d degree = %d, want 2", u, got)
 		}
 	}
@@ -45,12 +45,12 @@ func TestTorus2DTwoByTwoDedup(t *testing.T) {
 		t.Errorf("torus2D(4) has %d directed edges, want 8", e)
 	}
 	s := NewSim(tor)
-	if d := s.Diameter(); d != 2 {
+	if d := diameter(s); d != 2 {
 		t.Errorf("torus2D(4) diameter = %d, want 2", d)
 	}
 	// Node 0 -> 3 is the diagonal: distance 2, and doubling the load on
 	// the two disjoint routes still bounds the makespan by serialization.
-	res := s.Route([][2]int{{0, 3}, {0, 3}})
+	res := s.RouteWith(ShortestPath(), [][2]int{{0, 3}, {0, 3}})
 	if res.Delivered != 2 || res.Makespan < 2 || res.Makespan > 3 {
 		t.Errorf("torus2D(4) diagonal route = %+v, want makespan in [2,3]", res)
 	}
@@ -59,22 +59,22 @@ func TestTorus2DTwoByTwoDedup(t *testing.T) {
 func TestTorus3DShape(t *testing.T) {
 	tor := Torus3D(64) // 4x4x4
 	for u := 0; u < 64; u++ {
-		if got := len(tor.Neighbors(u)); got != 6 {
+		if got := len(tor.adj[u]); got != 6 {
 			t.Errorf("torus3D(64) node %d degree = %d, want 6", u, got)
 		}
 	}
 	s := NewSim(tor)
-	if d := s.Diameter(); d != 6 {
+	if d := diameter(s); d != 6 {
 		t.Errorf("torus3D(64) diameter = %d, want 6 (3 axes x q/2)", d)
 	}
 	// The 2x2x2 torus is the 3-cube: wrap-around dedup in every axis.
 	cube := Torus3D(8)
 	for u := 0; u < 8; u++ {
-		if got := len(cube.Neighbors(u)); got != 3 {
+		if got := len(cube.adj[u]); got != 3 {
 			t.Errorf("torus3D(8) node %d degree = %d, want 3", u, got)
 		}
 	}
-	if d := NewSim(cube).Diameter(); d != 3 {
+	if d := diameter(NewSim(cube)); d != 3 {
 		t.Errorf("torus3D(8) diameter = %d, want 3", d)
 	}
 }
@@ -88,13 +88,13 @@ func TestFatTreeShape(t *testing.T) {
 	// Every processor has exactly one uplink; switches connect two
 	// children bundles and one parent bundle (root: children only).
 	for u := 0; u < p; u++ {
-		if got := len(ft.Neighbors(u)); got != 1 {
+		if got := len(ft.adj[u]); got != 1 {
 			t.Errorf("fattree leaf %d degree = %d, want 1", u, got)
 		}
 	}
 	s := NewSim(ft)
 	// Processor-to-processor diameter: up log p levels, down log p.
-	if d := s.Diameter(); d != 8 {
+	if d := diameter(s); d != 8 {
 		t.Errorf("fattree(16) diameter = %d, want 8", d)
 	}
 	// Uplink widths follow the area-universal thinning m/log2(m).
@@ -106,8 +106,8 @@ func TestFatTreeShape(t *testing.T) {
 	// Parallel links are real capacity: a full bisection exchange on the
 	// fat-tree beats the same exchange on a width-1 binary tree.  Both
 	// halves exchange mirrors through the root bundle.
-	msgs := BisectionRelation(p, 0, 4)
-	res := s.Route(msgs)
+	msgs := bisectionRelation(p, 0, 4)
+	res := s.RouteWith(ShortestPath(), msgs)
 	if res.Delivered != len(msgs) {
 		t.Fatalf("fattree bisection lost messages: %+v", res)
 	}
@@ -163,7 +163,7 @@ func TestNewTopologiesRouteHRelations(t *testing.T) {
 		for _, level := range []int{0, 2} {
 			for _, h := range []int{1, 4} {
 				msgs := ClusterHRelation(rng, topo.P, level, h)
-				res := s.Route(msgs)
+				res := s.RouteWith(ShortestPath(), msgs)
 				if res.Delivered != len(msgs) {
 					t.Errorf("%s level=%d h=%d: delivered %d of %d", topo.Name, level, h, res.Delivered, len(msgs))
 				}

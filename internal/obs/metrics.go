@@ -87,13 +87,8 @@ func (c *Counter) Add(n int64) {
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a value that can go up and down.  It stores float64 bits
-// atomically so Set/Add are lock-free.
+// atomically so Add is lock-free.
 type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge value.
-//
-//nob:hotpath
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adjusts the gauge by delta.
 //

@@ -23,7 +23,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatal("same name+labels returned a different counter")
 	}
 	g := reg.Gauge("depth", "queue depth")
-	g.Set(3)
+	g.Add(3)
 	g.Add(-1.5)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %v, want 1.5", got)

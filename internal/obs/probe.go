@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 	"time"
 )
@@ -30,7 +29,6 @@ type Probe struct {
 	head    int
 	max     int
 	dropped int64
-	threads map[int]string
 }
 
 // probeEvent is one recorded event, already in Chrome trace-event shape.
@@ -58,11 +56,8 @@ func NewBoundedProbe(capacity int) *Probe {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Probe{epoch: time.Now(), max: capacity, threads: make(map[int]string)}
+	return &Probe{epoch: time.Now(), max: capacity}
 }
-
-// Enabled reports whether the probe records anything; false on nil.
-func (p *Probe) Enabled() bool { return p != nil }
 
 // Now returns the current time if the probe is non-nil, and the zero
 // time otherwise — so hot paths write `start := probe.Now()` without a
@@ -131,17 +126,6 @@ func (p *Probe) Counter(cat, name string, tid int, values map[string]any) {
 	p.record(probeEvent{Name: name, Cat: cat, Ph: "C", TS: p.since(time.Now()), PID: 1, TID: tid, Args: values})
 }
 
-// NameThread attaches a human-readable name to a tid, emitted as trace
-// metadata so viewers label the track.
-func (p *Probe) NameThread(tid int, name string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.threads[tid] = name
-	p.mu.Unlock()
-}
-
 // Len returns the number of recorded events.
 func (p *Probe) Len() int {
 	if p == nil {
@@ -183,10 +167,8 @@ type chromeTrace struct {
 
 // WriteChromeTrace writes the recorded events as Chrome trace-event
 // JSON, oldest first.  The probe remains usable (and keeps its events)
-// afterwards.
-// The output is byte-deterministic for a given event sequence: thread
-// metadata is emitted in ascending tid order, not map order, so two
-// exports of the same run diff clean.
+// afterwards.  The output is byte-deterministic for a given event
+// sequence, so two exports of the same run diff clean.
 //
 //nob:deterministic
 func (p *Probe) WriteChromeTrace(w io.Writer) error {
@@ -195,22 +177,11 @@ func (p *Probe) WriteChromeTrace(w io.Writer) error {
 		return err
 	}
 	p.mu.Lock()
-	events := make([]probeEvent, 0, len(p.events)+len(p.threads)+1)
+	events := make([]probeEvent, 0, len(p.events)+1)
 	events = append(events, probeEvent{
 		Name: "process_name", Ph: "M", PID: 1,
 		Args: map[string]any{"name": "netoblivious"},
 	})
-	tids := make([]int, 0, len(p.threads))
-	for tid := range p.threads {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	for _, tid := range tids {
-		events = append(events, probeEvent{
-			Name: "thread_name", Ph: "M", PID: 1, TID: tid,
-			Args: map[string]any{"name": p.threads[tid]},
-		})
-	}
 	events = append(events, p.events[p.head:]...)
 	events = append(events, p.events[:p.head]...)
 	dropped := p.dropped

@@ -14,9 +14,6 @@ import (
 // point of the API is that instrumented code needs no guards.
 func TestNilProbeSafe(t *testing.T) {
 	var p *Probe
-	if p.Enabled() {
-		t.Fatal("nil probe reports enabled")
-	}
 	start := p.Now()
 	if !start.IsZero() {
 		t.Fatal("nil probe Now() is not the zero time")
@@ -25,7 +22,6 @@ func TestNilProbeSafe(t *testing.T) {
 	p.SpanBetween("cat", "name", 0, start, start, nil)
 	p.Instant("cat", "name", 0, nil)
 	p.Counter("cat", "name", 0, map[string]any{"v": 1})
-	p.NameThread(0, "x")
 	p.Reset()
 	if p.Len() != 0 || p.Dropped() != 0 {
 		t.Fatal("nil probe has state")
@@ -42,7 +38,6 @@ func TestNilProbeSafe(t *testing.T) {
 
 func TestProbeChromeTraceShape(t *testing.T) {
 	p := NewProbe()
-	p.NameThread(3, "worker 3")
 	start := p.Now()
 	time.Sleep(time.Millisecond)
 	p.Span("engine", "superstep 0", 3, start, map[string]any{"messages": 128})
@@ -87,7 +82,7 @@ func TestProbeChromeTraceShape(t *testing.T) {
 				t.Fatalf("span args = %v", e.Args)
 			}
 		case "M":
-			if e.Name == "thread_name" && e.TID == 3 {
+			if e.Name == "process_name" {
 				sawMeta = true
 			}
 		case "C":

@@ -11,8 +11,9 @@
 //   - Scan: Hillis–Steele doubling, log v supersteps of degree 1 but
 //     Θ(v·log v) total messages.
 //
-// Both are (Θ(1), p)-full for every p, and their contrast is one of the
-// design-choice ablations of the benchmark suite.
+// Both are (Θ(1), p)-full for every p.  The registry runs ScanTree; Scan
+// has no caller outside tests and is kept for their contrast, the
+// BenchmarkAblationPrefix ablation of the root package's benchmarks.
 package prefix
 
 import (
@@ -35,17 +36,6 @@ func Sum() Op {
 	return Op{Combine: func(a, b int64) int64 { return a + b }, Identity: 0}
 }
 
-// Max is the maximum monoid over int64.
-func Max() Op {
-	const minInt64 = -1 << 63
-	return Op{Combine: func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	}, Identity: minInt64}
-}
-
 // Options is the unified run configuration (engine, recording,
 // cancellation; the scans have no wise variant and ignore Spec.Wise).
 type Options = alg.Spec
@@ -56,17 +46,6 @@ type Result struct {
 	Prefix []int64
 	// Trace is the communication record of the M(v) run.
 	Trace *core.Trace
-}
-
-// SeqScan is the sequential reference (inclusive).
-func SeqScan(xs []int64, op Op) []int64 {
-	out := make([]int64, len(xs))
-	acc := op.Identity
-	for i, x := range xs {
-		acc = op.Combine(acc, x)
-		out[i] = acc
-	}
-	return out
 }
 
 func checkLen(xs []int64) error {
@@ -82,6 +61,8 @@ func checkLen(xs []int64) error {
 // j = v/2 − 2^k), every superstep must be labeled 0, so the folded cost is
 // H = Θ((1+σ)·log n) for every p — strictly worse than ScanTree's
 // Θ((1+σ)·log p).  The contrast between the two is a benchmark ablation.
+//
+//nob:testhook the doubling side of BenchmarkAblationPrefix and the prefix tests
 func Scan(xs []int64, op Op, opts Options) (*Result, error) {
 	if err := checkLen(xs); err != nil {
 		return nil, err

@@ -144,3 +144,25 @@ func TestValidation(t *testing.T) {
 		t.Error("want error for empty input")
 	}
 }
+
+// Max is the maximum monoid over int64.
+func Max() Op {
+	const minInt64 = -1 << 63
+	return Op{Combine: func(a, b int64) int64 {
+		if a > b {
+			return a
+		}
+		return b
+	}, Identity: minInt64}
+}
+
+// SeqScan is the sequential reference (inclusive).
+func SeqScan(xs []int64, op Op) []int64 {
+	out := make([]int64, len(xs))
+	acc := op.Identity
+	for i, x := range xs {
+		acc = op.Combine(acc, x)
+		out[i] = acc
+	}
+	return out
+}

@@ -76,13 +76,9 @@ func (s Spec) Program() core.Program[int] {
 	}
 }
 
-// Run executes the generated algorithm and returns its trace.
-func (s Spec) Run() (*core.Trace, error) {
-	return core.Run(s.V, s.Program())
-}
-
-// RunSpec is Run with the unified run configuration (engine, message
-// recording, cancellation).
+// RunSpec executes the generated algorithm under the unified run
+// configuration (engine, message recording, cancellation) and returns
+// its trace.
 func (s Spec) RunSpec(spec alg.Spec) (*core.Trace, error) {
 	return core.RunOpt(s.V, s.Program(), spec.RunOptions())
 }
@@ -91,6 +87,8 @@ func (s Spec) RunSpec(spec alg.Spec) (*core.Trace, error) {
 // h_s(n, p) of step t under folding on p processors, by brute force over
 // the message list.  Used to cross-check the runtime's incremental
 // accounting.
+//
+//nob:testhook the degree oracle of the randalg and eval tests
 func (s Spec) ExpectedDegree(t, p int) int64 {
 	lp := core.Log2(p)
 	logV := core.Log2(s.V)

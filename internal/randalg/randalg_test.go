@@ -15,7 +15,7 @@ func TestGeneratedAlgorithmsAreValid(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		v := 1 << uint(1+rng.Intn(5))
 		spec := Random(rng, v, 4, 3)
-		tr, err := spec.Run()
+		tr, err := core.Run(spec.V, spec.Program())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -77,9 +77,6 @@ type MachineSpec struct {
 	Sigma float64 `json:"sigma"`
 }
 
-// RequestSchema tags the analyze request JSON; bump on breaking changes.
-const RequestSchema = "nobld/analyze/v1"
-
 // Request is one analysis query.
 type Request struct {
 	// Algorithm is a registry name (see GET /v1/algorithms).  Required

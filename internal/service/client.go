@@ -193,7 +193,32 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body, out any)
 	if err := json.Unmarshal(respBody, out); err != nil {
 		return fmt.Errorf("service client: decoding %s: %w", path, err)
 	}
+	if d, ok := out.(documentCarrier); ok {
+		if err := d.validate(); err != nil {
+			return fmt.Errorf("service client: %s %s: %w", method, path, err)
+		}
+	}
 	return nil
+}
+
+// documentCarrier is a decoded payload that may carry a results
+// document.  A document from another process is validated before
+// anything renders or caches it: a ragged row or a null result would
+// panic Result.Text.
+type documentCarrier interface{ validate() error }
+
+func (r *Response) validate() error {
+	if r.Document == nil {
+		return nil
+	}
+	return r.Document.Validate()
+}
+
+func (j *JobInfo) validate() error {
+	if j.Response == nil {
+		return nil
+	}
+	return j.Response.validate()
 }
 
 // postAnalyzeOnce submits one analyze request with no retries and no
@@ -221,6 +246,8 @@ func (c *Client) postAnalyzeOnce(ctx context.Context, req Request) (Response, in
 			msg = apiErr.Error
 		}
 		out = Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: msg}
+	} else if err := out.validate(); err != nil {
+		return Response{}, 0, 0, fmt.Errorf("service client: document from %s: %w", c.BaseURL, err)
 	}
 	return out, resp.StatusCode, retryAfter, nil
 }
@@ -257,18 +284,6 @@ func (c *Client) Analyze(ctx context.Context, req Request) (Response, error) {
 	var out Response
 	err := c.doJSON(ctx, http.MethodPost, "/v1/analyze", req, &out)
 	return out, err
-}
-
-// AnalyzeBatch submits several requests in one call.  Per-item failures
-// (a bad size among good requests, a shed item on a saturated shard)
-// appear in the matching Response — its Status, Error and Code fields —
-// while the call itself succeeds: batches partially succeed per item.
-func (c *Client) AnalyzeBatch(ctx context.Context, reqs []Request) ([]Response, error) {
-	var out BatchResponse
-	if err := c.doJSON(ctx, http.MethodPost, "/v1/analyze/batch", BatchRequest{Requests: reqs}, &out); err != nil {
-		return nil, err
-	}
-	return out.Responses, nil
 }
 
 // Job fetches a job's status, event log and (when terminal) response.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"netoblivious/alg"
+	"netoblivious/internal/cluster"
 )
 
 // testNode is one in-process cluster member: a Server plus the httptest
@@ -641,7 +642,7 @@ func TestAdmission429RetryAfter(t *testing.T) {
 func TestBatchPartialPerItemStatus(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
-	resps, err := c.AnalyzeBatch(ctx, []Request{
+	resps, err := analyzeBatch(ctx, c, []Request{
 		{Algorithm: "fft", N: 128, Kind: KindTrace, Wait: true},
 		{Algorithm: "no-such-algorithm", N: 64, Kind: KindTrace},
 		{Algorithm: "fft", N: 128, Kind: KindBounds},
@@ -686,7 +687,7 @@ func TestClusterBatchRouting(t *testing.T) {
 		{Algorithm: "fft", N: 32, Kind: KindTrace, Wait: true},
 		{Algorithm: "bad", N: 64, Kind: KindTrace},
 	}
-	resps, err := nodes[0].c.AnalyzeBatch(ctx, reqs)
+	resps, err := analyzeBatch(ctx, nodes[0].c, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,5 +698,68 @@ func TestClusterBatchRouting(t *testing.T) {
 	}
 	if resps[3].Code != http.StatusBadRequest {
 		t.Errorf("bad item: code %d, want 400", resps[3].Code)
+	}
+}
+
+// TestForwardRejectsMalformedDocument: an owner's document that fails
+// validation becomes a 502 at the entry node, and the entry node's result
+// cache keeps nothing, so the next request forwards again.
+func TestForwardRejectsMalformedDocument(t *testing.T) {
+	for _, m := range malformedResponses(t) {
+		t.Run(m.name, func(t *testing.T) {
+			owner, analyzes := fakeDaemon(t, m.body)
+			var handler atomic.Value
+			entry := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				handler.Load().(http.Handler).ServeHTTP(w, r)
+			}))
+			t.Cleanup(entry.Close)
+			// Find a ring seed and a key the ring places on the fake
+			// owner; it answers without computing, so any registry size
+			// will do.
+			peers := []string{entry.URL, owner.URL}
+			var req Request
+			var seed uint64
+		search:
+			for ; seed < 64; seed++ {
+				ring, err := cluster.New(seed, 0, peers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, a := range alg.All() {
+					for _, n := range a.DefaultSizes() {
+						rq := Request{Algorithm: a.Name, N: n, Kind: KindTrace, Wait: true}
+						if err := rq.normalize(); err != nil {
+							t.Fatal(err)
+						}
+						if ring.Owner(placement(rq.Key())) == owner.URL {
+							req = rq
+							break search
+						}
+					}
+				}
+			}
+			if req.Algorithm == "" {
+				t.Fatal("no ring seed places a registry key on the fake owner")
+			}
+			srv, err := New(Config{Workers: 1, Cluster: &ClusterConfig{Self: entry.URL, Peers: peers, Seed: seed}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			handler.Store(srv.Handler())
+			t.Cleanup(srv.Close)
+
+			c := NewClient(entry.URL)
+			for i := 0; i < 2; i++ {
+				if _, err := c.Analyze(context.Background(), req); err == nil || !strings.Contains(err.Error(), "HTTP 502") {
+					t.Fatalf("request %d: err = %v, want an HTTP 502", i, err)
+				}
+			}
+			if n := srv.results.Len(); n != 0 {
+				t.Errorf("entry node's result cache holds %d entries, want 0", n)
+			}
+			if n := analyzes.Load(); n != 2 {
+				t.Errorf("owner received %d analyze requests, want 2 (nothing cached)", n)
+			}
+		})
 	}
 }

@@ -46,6 +46,15 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	return srv, c
 }
 
+// analyzeBatch posts a batch through the client's request path.
+// Per-item failures appear in the matching Response while the call
+// itself succeeds.
+func analyzeBatch(ctx context.Context, c *Client, reqs []Request) ([]Response, error) {
+	var out BatchResponse
+	err := c.doJSON(ctx, http.MethodPost, "/v1/analyze/batch", BatchRequest{Requests: reqs}, &out)
+	return out.Responses, err
+}
+
 func TestHealthAndAlgorithms(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
@@ -451,7 +460,7 @@ func TestEveryAlgorithmEveryAsyncKind(t *testing.T) {
 	for _, kind := range []Kind{KindDBSP, KindCache, KindNetwork} {
 		reqs = append(reqs, Request{Algorithm: "fft", N: 256, Kind: kind, Wait: true, Machines: []MachineSpec{{P: 16}}})
 	}
-	resps, err := c.AnalyzeBatch(ctx, reqs)
+	resps, err := analyzeBatch(ctx, c, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +574,7 @@ func TestBatchRepeatFullyCached(t *testing.T) {
 		{Algorithm: "sort", N: 256, Kind: KindTrace, Wait: true},
 		{Algorithm: "prefix-tree", N: 256, Kind: KindDBSP, Wait: true, Machines: []MachineSpec{{P: 16}}},
 	}
-	first, err := c.AnalyzeBatch(ctx, batch)
+	first, err := analyzeBatch(ctx, c, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +587,7 @@ func TestBatchRepeatFullyCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.AnalyzeBatch(ctx, batch)
+	second, err := analyzeBatch(ctx, c, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +620,7 @@ func TestBatchLanesKeepItemOrder(t *testing.T) {
 		batch[i] = Request{Algorithm: "fft", N: 64, Kind: KindTrace, Wait: true,
 			Machines: []MachineSpec{{P: 2, Sigma: float64(i) + 0.5}}}
 	}
-	resps, err := c.AnalyzeBatch(ctx, batch)
+	resps, err := analyzeBatch(ctx, c, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1175,5 +1184,62 @@ func BenchmarkTraceKindMiss(b *testing.B) {
 		if resp.Status != "done" || resp.Cached {
 			b.Fatalf("trace request: status %s, cached %v", resp.Status, resp.Cached)
 		}
+	}
+}
+
+// malformedResponse is a done Response whose document breaks a
+// structural invariant the renderers rely on.
+type malformedResponse struct {
+	name string
+	body []byte
+}
+
+// malformedResponses returns a document with a row narrower than its
+// columns and one with a null result: decoded without validation, each
+// panics Result.Text.
+func malformedResponses(t *testing.T) []malformedResponse {
+	t.Helper()
+	res := &harness.Result{ID: "trace", Title: "ragged", Columns: []string{"a", "b"}}
+	res.AddRow(1, 2)
+	res.Rows[0] = res.Rows[0][:1]
+	doc := harness.Document{Schema: harness.DocumentSchema, Engine: "block",
+		Records: []harness.Record{{ID: "trace", Results: []*harness.Result{res}}}}
+	ragged, err := json.Marshal(Response{Schema: ResponseSchema, Status: string(StatusDone), Document: &doc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	null := []byte(`{"schema":"` + ResponseSchema + `","status":"done","document":{"schema":"` +
+		harness.DocumentSchema + `","engine":"block","experiments":[{"id":"trace","results":[null]}]}}`)
+	return []malformedResponse{{"ragged", ragged}, {"null-result", null}}
+}
+
+// fakeDaemon answers every request with body and counts the analyze
+// requests it receives.
+func fakeDaemon(t *testing.T, body []byte) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var analyzes atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/analyze" {
+			analyzes.Add(1)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+	}))
+	t.Cleanup(ts.Close)
+	return ts, &analyzes
+}
+
+// TestClientRejectsMalformedDocument: a daemon's document is validated
+// when the client decodes it, so a ragged row or a null result is an
+// error from Analyze, not a panic in whatever renders the document.
+func TestClientRejectsMalformedDocument(t *testing.T) {
+	for _, m := range malformedResponses(t) {
+		t.Run(m.name, func(t *testing.T) {
+			ts, _ := fakeDaemon(t, m.body)
+			resp, err := NewClient(ts.URL).Analyze(context.Background(), Request{Algorithm: "fft", N: 64, Wait: true})
+			if err == nil {
+				t.Fatalf("Analyze accepted a malformed document: %+v", resp.Document)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package theory
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,4 +178,100 @@ func TestSortExponent(t *testing.T) {
 	if math.Abs(SortExponent-3.4190) > 1e-3 {
 		t.Errorf("log_{3/2}4 = %v, want ≈3.419", SortExponent)
 	}
+}
+
+// CheckDomination verifies the hypothesis and conclusion of Lemma 3.3: if
+// prefix sums of xs are dominated by prefix sums of ys, then for every
+// nonincreasing nonnegative weight vector fs, Σ x_i f_i <= Σ y_i f_i.
+// It returns an error if the hypothesis holds but the conclusion fails
+// (which would indicate a broken implementation; used by property tests).
+func CheckDomination(xs, ys, fs []float64) error {
+	m := len(xs)
+	if len(ys) != m || len(fs) != m {
+		return fmt.Errorf("theory: CheckDomination: length mismatch")
+	}
+	for i := 0; i+1 < m; i++ {
+		if fs[i] < fs[i+1] {
+			return fmt.Errorf("theory: weights must be nonincreasing")
+		}
+	}
+	for i := 0; i < m; i++ {
+		if fs[i] < 0 {
+			return fmt.Errorf("theory: weights must be nonnegative")
+		}
+	}
+	var px, py float64
+	for k := 0; k < m; k++ {
+		px += xs[k]
+		py += ys[k]
+		if px > py+1e-9 {
+			return nil // hypothesis fails: nothing to check
+		}
+	}
+	var sx, sy float64
+	for i := 0; i < m; i++ {
+		sx += xs[i] * fs[i]
+		sy += ys[i] * fs[i]
+	}
+	if sx > sy+1e-6*(math.Abs(sy)+1) {
+		return fmt.Errorf("theory: Lemma 3.3 violated: Σx·f = %v > Σy·f = %v", sx, sy)
+	}
+	return nil
+}
+
+// CheckTransfer verifies that a D-BSP machine satisfies all hypotheses of
+// Theorem 3.4 for the given σ-window: structural admissibility plus every
+// ℓ_i/g_i inside the window's band.  On success the theorem guarantees
+// that an (α, p̂)-wise, β-optimal-on-M(2^j, σ) algorithm is αβ/(1+α)-
+// optimal on the machine.
+func CheckTransfer(w SigmaWindow, pr dbsp.Params) error {
+	if err := pr.Admissible(); err != nil {
+		return err
+	}
+	lo, hi, err := w.AdmissibleRatioBand(pr.P)
+	if err != nil {
+		return err
+	}
+	for i := range pr.G {
+		r := pr.L[i] / pr.G[i]
+		if r < lo-1e-9 || r > hi+1e-9 {
+			return fmt.Errorf("theory: ℓ_%d/g_%d = %v outside admissible band [%v, %v] for machine %s", i, i, r, lo, hi, pr.Name)
+		}
+	}
+	return nil
+}
+
+// SigmaWindow describes the per-level σ ranges [Min[j], Max[j]] over which
+// an algorithm has been certified β-optimal on M(2^{j+1}, σ); it is the
+// (σ^m, σ^M) pair of vectors of Theorem 3.4 (indexed 0..log p̂ - 1).
+type SigmaWindow struct {
+	Min, Max []float64
+}
+
+// AdmissibleRatioBand returns the band [lo, hi] that every ratio ℓ_i/g_i
+// of a p-processor D-BSP must lie in for Theorem 3.4 to apply:
+//
+//	lo = max_{1<=k<=log p} σ^m_{k-1}·2^k/p,   hi = min_k σ^M_{k-1}·2^k/p.
+func (w SigmaWindow) AdmissibleRatioBand(p int) (lo, hi float64, err error) {
+	lp := int(math.Round(math.Log2(float64(p))))
+	if lp < 1 || 1<<uint(lp) != p {
+		return 0, 0, fmt.Errorf("theory: p=%d not a power of two", p)
+	}
+	if len(w.Min) < lp || len(w.Max) < lp {
+		return 0, 0, fmt.Errorf("theory: σ-window has %d levels, need %d", len(w.Min), lp)
+	}
+	hi = math.Inf(1)
+	for k := 1; k <= lp; k++ {
+		scale := float64(int64(1)<<uint(k)) / float64(p)
+		if v := w.Min[k-1] * scale; v > lo {
+			lo = v
+		}
+		if v := w.Max[k-1] * scale; v < hi {
+			hi = v
+		}
+	}
+	if lo > hi {
+		return lo, hi, fmt.Errorf("theory: empty admissible band [%v, %v]", lo, hi)
+	}
+	return lo, hi, nil
 }

@@ -1,6 +1,8 @@
 // Package tracetest provides test helpers for communication traces:
 // collecting a run's supersteps in memory, comparing them across
 // engines, and bounding decoder allocation in the fuzz targets.
+//
+//nob:testhook test support shared by the tests of core, harness, service, dbsp and the examples
 package tracetest
 
 import (
@@ -43,26 +45,6 @@ func (c *Collector) WriteStep(rec core.StepRec) error {
 
 // EndTrace implements core.TraceSink.
 func (c *Collector) EndTrace(runErr error) error { return nil }
-
-// Source returns a TraceSource over the collected steps.
-func (c *Collector) Source() core.TraceSource { return &collectorSource{c: c} }
-
-type collectorSource struct {
-	c   *Collector
-	idx int
-}
-
-func (s *collectorSource) V() int       { return s.c.V }
-func (s *collectorSource) LogV() int    { return s.c.LogV }
-func (s *collectorSource) Close() error { return nil }
-
-func (s *collectorSource) Next() (*core.StepRec, error) {
-	if s.idx >= len(s.c.Steps) {
-		return nil, io.EOF
-	}
-	s.idx++
-	return &s.c.Steps[s.idx-1], nil
-}
 
 // ReadAll drains a TraceSource into a Collector, copying each record
 // (sources reuse their decode state between Next calls).  It does not
