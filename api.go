@@ -81,15 +81,16 @@ type Program[P any] = core.Program[P]
 // algorithm on every folding, every σ, and every D-BSP machine.
 type Trace = core.Trace
 
-// StepRec is the record of one superstep a run hands to its sink: the
+// StepRec is the record of one superstep a run lends to its sink: the
 // sync label, the folded degrees, the message count and, when the run
 // records messages, the (src, dst) pairs.
 type StepRec = core.StepRec
 
 // TraceSink receives a run's supersteps as they complete (set it as
 // RunOptions.Sink or Spec.Sink).  A run keeps no step list of its own:
-// a sink is the only way to see the recorded pairs.  Ownership of each
-// record, pairs included, passes to the sink.
+// a sink is the only way to see the recorded pairs.  Each record,
+// pairs included, is lent: it is valid only until WriteStep returns, so
+// a sink that keeps one copies it.
 type TraceSink = core.TraceSink
 
 // RunOptions configures a specification-model run: message recording

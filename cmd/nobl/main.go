@@ -436,11 +436,8 @@ func runTrace(args []string) {
 	}
 	var sink core.TraceSink
 	if *out == "" || *out == "-" {
-		// Stdout: the JSON writer encodes each superstep as it completes
-		// and releases its pooled pairs; nothing else references them.
-		jw := core.NewTraceJSONWriter(os.Stdout)
-		jw.ReleasePairs = true
-		sink = jw
+		// Stdout: the JSON writer encodes each superstep as it completes.
+		sink = core.NewTraceJSONWriter(os.Stdout)
 	} else {
 		// A file sink writes to <path>.tmp and renames on success, so a
 		// failed or interrupted run never leaves a truncated trace file;

@@ -146,12 +146,8 @@ func (cs *CurveSim) BeginTrace(v, logV int) error {
 	return nil
 }
 
-// WriteStep implements core.TraceSink: Step, then release the pairs.
-func (cs *CurveSim) WriteStep(rec core.StepRec) error {
-	err := cs.Step(&rec)
-	rec.Pairs.Release()
-	return err
-}
+// WriteStep implements core.TraceSink: it Steps the lent record.
+func (cs *CurveSim) WriteStep(rec core.StepRec) error { return cs.Step(&rec) }
 
 // EndTrace implements core.TraceSink.
 func (cs *CurveSim) EndTrace(runErr error) error { return nil }

@@ -150,19 +150,13 @@ func SimulateTrace(tr *tracetest.Collector, ctxWords int, cache *Cache) (SimStat
 	}, nil
 }
 
-// missCurve steps a fresh CurveSim through a collected trace.  (Replay
-// would hand the steps to WriteStep, which releases their pairs.)
+// missCurve replays a collected trace into a fresh CurveSim.
 func missCurve(tr *tracetest.Collector, ctxWords, bWords int, sizes []int) (*CurveSim, error) {
 	cs, err := NewCurveSim(tr.V, ctxWords, bWords, sizes)
 	if err != nil {
 		return nil, err
 	}
-	for i := range tr.Steps {
-		if err := cs.Step(&tr.Steps[i]); err != nil {
-			return nil, err
-		}
-	}
-	return cs, nil
+	return cs, tr.Replay(cs)
 }
 
 // missCurveReference is the pre-single-pass implementation — one full

@@ -38,8 +38,9 @@ const (
 
 // TraceBinaryWriter is a TraceSink encoding the compact binary format.
 type TraceBinaryWriter struct {
-	// ReleasePairs has the same contract as TraceJSONWriter.ReleasePairs:
-	// enable only when the writer owns its records exclusively.
+	// ReleasePairs does nothing: a run recycles each step's pairs once
+	// WriteStep returns, whatever its sink.  It stays until NOBTRC01 is
+	// deleted, for the bench trace-pipe workload that sets it.
 	ReleasePairs bool
 
 	bw      *bufio.Writer
@@ -98,9 +99,6 @@ func (bw *TraceBinaryWriter) WriteStep(rec StepRec) error {
 		}
 	}
 	bw.steps++
-	if bw.ReleasePairs {
-		rec.Pairs.Release()
-	}
 	return nil
 }
 

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 )
 
-// collector is a TraceSink that keeps every superstep record, pairs
-// included: the in-memory trace this package's tests read, since a run
-// keeps only its fold summary.  tracetest.Collector is the same for
-// tests outside core; core's tests cannot import tracetest, which
-// imports core.
+// collector is a TraceSink that keeps a copy of every superstep record,
+// pairs included: the in-memory trace this package's tests read, since
+// a run keeps only its fold summary and lends each record to its sink.
+// tracetest.Collector is the same for tests outside core; core's tests
+// cannot import tracetest, which imports core.
 type collector struct {
 	V, LogV int
 	Steps   []StepRec
@@ -26,10 +27,21 @@ func (c *collector) BeginTrace(v, logV int) error {
 	return nil
 }
 
-// WriteStep implements TraceSink by retaining the record.
+// WriteStep implements TraceSink by keeping a copy of the lent record.
 func (c *collector) WriteStep(rec StepRec) error {
-	c.Steps = append(c.Steps, rec)
+	c.Steps = append(c.Steps, copyStep(&rec))
 	return nil
+}
+
+// copyStep copies a lent record, Degree and Pairs included; a nil list
+// stays nil.
+func copyStep(rec *StepRec) StepRec {
+	cp := *rec
+	cp.Degree = slices.Clone(rec.Degree)
+	if rec.Pairs != nil {
+		cp.Pairs = PairListOf(rec.Pairs.Pairs())
+	}
+	return cp
 }
 
 // EndTrace implements TraceSink.
@@ -44,8 +56,8 @@ func collect[P any](v int, prog Program[P], opts Options) (*collector, *Trace, e
 	return c, tr, err
 }
 
-// replay writes the collected steps into sink, as a run would.  The
-// pairs stay the collector's: sink must not Release them.
+// replay writes the collected steps into sink, lending each record as a
+// run would.
 func (c *collector) replay(sink TraceSink) error {
 	if err := sink.BeginTrace(c.V, c.LogV); err != nil {
 		return err
@@ -83,8 +95,8 @@ func (c *collector) summary() (*FoldSummary, error) {
 }
 
 // readAll drains a TraceSource into a collector, copying each record
-// (sources reuse their decode state between Next calls).  It does not
-// Close the source.
+// (a source lends it only until the next Next).  It does not Close the
+// source.
 func readAll(src TraceSource) (*collector, error) {
 	c := &collector{}
 	if err := c.BeginTrace(src.V(), src.LogV()); err != nil {
@@ -98,8 +110,6 @@ func readAll(src TraceSource) (*collector, error) {
 		if err != nil {
 			return nil, err
 		}
-		cp := *rec
-		cp.Degree = append([]int64(nil), rec.Degree...)
-		c.Steps = append(c.Steps, cp)
+		c.Steps = append(c.Steps, copyStep(rec))
 	}
 }

@@ -102,13 +102,15 @@
 //     metrics, dbsp.CommTimeSummary) are computed from it alone, never
 //     from the steps — and cachesim.CurveSim, itself a TraceSink,
 //     steps the cache simulator over the same records;
-//   - released pair records recycle their chunk storage through an
-//     internal pool, so a recorded run into a releasing sink reaches a
-//     steady state with near-zero pair allocation.
+//   - the run returns each superstep's pair chunks to an internal pool
+//     once its sink's WriteStep returns, so a recorded run reaches a
+//     steady state with near-zero pair allocation whatever the sink.
 //
 // Sinks see BeginTrace exactly once, WriteStep per superstep in order,
-// and EndTrace exactly once with the run's error — see the TraceSink
-// contract for ownership rules.
+// and EndTrace exactly once with the run's error.  Every record is
+// lent, Degree and Pairs included: it is valid only until the WriteStep
+// that receives it returns, or until a TraceSource's next Next.  A
+// consumer that keeps a record copies it.
 //
 // # Determinism guarantees
 //
@@ -166,8 +168,8 @@
 // # Enforced invariants (static analysis)
 //
 // The prose contracts above are machine-checked: internal/lint defines
-// six analyzers, cmd/noblint runs them over the module, and CI fails on
-// any diagnostic.  The mapping from invariant to analyzer:
+// seven analyzers, cmd/noblint runs them over the module, and CI fails
+// on any diagnostic.  The mapping from invariant to analyzer:
 //
 //	invariant                                          analyzer   annotation
 //	-------------------------------------------------  ---------  ------------------
@@ -179,13 +181,17 @@
 //	  nil-receiver guard (the nil-probe guarantee)
 //	engine superstep loops and job-queue workers        ctxflow    //nob:ctxloop
 //	  consult the run context in every blocking loop
-//	a StepRec handed to TraceSink.WriteStep is not      sinkown    (none: inferred
-//	  reused by the caller (ownership transfer)                     from signatures)
+//	a WriteStep taking a StepRec keeps neither the      sinkown    (none: inferred
+//	  lent record nor its Pairs or Degree: no store                 from signatures)
+//	  to a field, index or package variable, no
+//	  channel send, no go statement
 //	alg.Register/MustRegister only called from init()   reginit    (none: inferred
 //	  in register.go files                                          from call sites)
 //	annotated hot paths stay allocation-free: no fmt,   hotalloc   //nob:hotpath
 //	  interface boxing, escaping closures, or
 //	  unhinted append growth in loops
+//	every export of an internal/ package has a use in   deadexport //nob:testhook
+//	  a non-test file of the module or of bench/
 //
 // Suppressions take the form `//nolint:<analyzer> // reason` on (or
 // immediately above) the flagged line; see the README's "Static

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 )
 
@@ -25,12 +24,6 @@ import (
 // caller owns the underlying io.Writer; EndTrace flushes but does not
 // close it.
 type TraceJSONWriter struct {
-	// ReleasePairs returns each record's pooled pair chunks to the
-	// chunk pool after encoding.  Enable it only when the writer owns
-	// its records exclusively — a run's Options.Sink does, a caller that
-	// keeps the records after encoding them does not.
-	ReleasePairs bool
-
 	bw        *bufio.Writer
 	buf       []byte // encoding scratch, reused across steps
 	started   bool
@@ -126,13 +119,8 @@ func (jw *TraceJSONWriter) WriteStep(rec StepRec) error {
 	}
 	b = append(b, '}')
 	jw.buf = b
-	if _, err := jw.bw.Write(b); err != nil {
-		return err
-	}
-	if jw.ReleasePairs {
-		rec.Pairs.Release()
-	}
-	return nil
+	_, err := jw.bw.Write(b)
+	return err
 }
 
 // EndTrace implements TraceSink.  On a successful run it emits the
@@ -479,8 +467,8 @@ func (jr *TraceJSONReader) readHeader() error {
 func (jr *TraceJSONReader) V() int    { return jr.v }
 func (jr *TraceJSONReader) LogV() int { return jr.logV }
 
-// Next implements TraceSource.  The returned record, and its Degree, are
-// reused by the following Next call; its Pairs are not.
+// Next implements TraceSource.  The returned record, its Degree and its
+// Pairs are the reader's decode buffers, lent until the following Next.
 func (jr *TraceJSONReader) Next() (*StepRec, error) {
 	if jr.done {
 		return nil, io.EOF
@@ -516,8 +504,8 @@ func (jr *TraceJSONReader) Next() (*StepRec, error) {
 }
 
 // readStep parses one step object into jr.rec; the opening brace has
-// been consumed.  Pairs collect in reused columns and are copied into a
-// list sized to the pairs present, which the record keeps.
+// been consumed.  Pairs collect in reused columns, which the record's
+// list wraps without a copy.
 func (jr *TraceJSONReader) readStep() error {
 	jr.rec = StepRec{}
 	if jr.space() == '}' {
@@ -579,7 +567,7 @@ func (jr *TraceJSONReader) readStep() error {
 			case len(src) == 0:
 				jr.rec.Pairs = &PairList{}
 			default:
-				jr.rec.Pairs = pairListOver(slices.Clone(src), slices.Clone(dst))
+				jr.rec.Pairs = pairListOver(src, dst)
 			}
 		default:
 			return jr.fail("unknown step key %q", key)

@@ -14,7 +14,7 @@ const pairChunkLen = 4096
 
 // pairChunk is one columnar segment of a PairList: parallel source and
 // destination columns of equal length.  pooled marks chunks obtained
-// from pairChunkPool: only those are ever returned to it by Release,
+// from pairChunkPool: only those are ever returned to it by release,
 // which keeps foreign columns — decoded columns wrapped by pairListOver,
 // or undersized hint chunks — out of the pool no matter how lists are
 // spliced together.
@@ -23,11 +23,10 @@ type pairChunk struct {
 	pooled   bool
 }
 
-// pairChunkPool recycles full-size chunks so a run into a sink that
-// Releases each superstep's pairs at the barrier (the codec writers,
-// DiscardSink, the cache simulator) stops allocating two fresh 16 KiB
-// columns per 4096 messages per superstep.  A sink that keeps its
-// records never Releases them, and the run draws fresh chunks.
+// pairChunkPool recycles full-size chunks: a run releases each
+// superstep's pairs once its sink's WriteStep returns, so a recorded run
+// stops allocating two fresh 16 KiB columns per 4096 messages per
+// superstep, whatever its sink does with the pairs.
 var pairChunkPool = sync.Pool{New: func() any {
 	return &pairChunk{
 		src:    make([]int32, 0, pairChunkLen),
@@ -37,9 +36,9 @@ var pairChunkPool = sync.Pool{New: func() any {
 }}
 
 // PairList is the chunked, columnar record of a superstep's message
-// (src, dst) pairs.  Chunks are append-only and immutable once a run
-// completes, which lets consumers such as the trace store share one
-// list across traces without copying.
+// (src, dst) pairs.  A list handed to a consumer in a StepRec is lent:
+// it is valid only until the WriteStep (or the Next) that handed it
+// over returns, and a consumer that keeps the pairs copies them.
 //
 // PairList has no JSON form of its own: the trace codec
 // (TraceJSONWriter, TraceJSONReader) writes and reads a step's pairs as
@@ -73,15 +72,13 @@ func newPairChunk(hint int) *pairChunk {
 	return &pairChunk{src: make([]int32, 0, hint), dst: make([]int32, 0, hint)}
 }
 
-// Release returns the list's pooled chunks to the chunk pool and empties
-// the list.  Call it only when the pairs are provably dead — a trace
-// sink that has finished encoding a superstep it owns.  Chunks that did
-// not come from the pool (decoded columns, undersized hint chunks)
-// are left for the garbage collector.  Releasing a nil or empty list is
-// a no-op; releasing the same pairs twice is a caller bug that corrupts
-// the pool, which is why only owners of a whole record call this: the
-// codec sinks, DiscardSink and the cache simulator's WriteStep.
-func (p *PairList) Release() {
+// release returns the list's pooled chunks to the chunk pool and empties
+// the list.  Its one caller is the run (Trace.flushLocked), once the
+// sink's WriteStep for the superstep has returned: the record was only
+// lent to the sink.  Chunks that did not come from the pool (decoded
+// columns, undersized hint chunks) are left for the garbage collector.
+// Releasing a nil or empty list is a no-op.
+func (p *PairList) release() {
 	if p == nil {
 		return
 	}
@@ -98,9 +95,9 @@ func (p *PairList) Release() {
 }
 
 // pairListOver wraps existing parallel columns as a single-chunk list
-// without copying.  The caller must treat the columns as immutable
-// afterwards; the NOBTRC01 reader uses this to hand each decoded
-// column pair to its record.
+// without copying.  The codec readers use it to lend each step's decode
+// columns to the record Next returns; the list is never released, so
+// the columns stay the reader's.
 func pairListOver(src, dst []int32) *PairList {
 	if len(src) != len(dst) {
 		panic("core: pairListOver: column lengths differ")

@@ -18,9 +18,11 @@ import (
 //     machine's dimensions.  Sinks that can only absorb one trace (the
 //     codec writers) must reject a second BeginTrace.
 //   - WriteStep is called once per superstep, in superstep order, from
-//     at most one goroutine at a time.  Ownership of the record —
-//     including rec.Pairs — transfers to the sink: accumulating sinks
-//     retain it, encoding sinks may Release the pairs after use.
+//     at most one goroutine at a time.  The record is lent, Degree and
+//     Pairs included: it is valid only until WriteStep returns, after
+//     which the run recycles its pair chunks.  A sink that keeps a
+//     record copies it; the sinkown analyzer rejects a WriteStep that
+//     stores the record, its Pairs or its Degree.
 //   - EndTrace is called exactly once, after the last step, with the
 //     run's error (nil on success).  A failed or cancelled run still
 //     gets its EndTrace, which is where file-backed sinks discard
@@ -34,7 +36,7 @@ type TraceSink interface {
 	EndTrace(runErr error) error
 }
 
-// DiscardSink accepts and releases every step.  It exists for
+// DiscardSink accepts and drops every step.  It exists for
 // measurement: a run into a DiscardSink exposes the engine's true
 // streaming footprint (TestStreamedRunMemoryBounded measures with it),
 // and the run's Trace still counts and summarizes the steps.
@@ -43,12 +45,8 @@ type DiscardSink struct{}
 // BeginTrace implements TraceSink.
 func (d *DiscardSink) BeginTrace(v, logV int) error { return nil }
 
-// WriteStep implements TraceSink, returning the record's pooled pair
-// chunks for reuse.
-func (d *DiscardSink) WriteStep(rec StepRec) error {
-	rec.Pairs.Release()
-	return nil
-}
+// WriteStep implements TraceSink.
+func (d *DiscardSink) WriteStep(rec StepRec) error { return nil }
 
 // EndTrace implements TraceSink.
 func (d *DiscardSink) EndTrace(runErr error) error { return nil }
@@ -68,8 +66,7 @@ type TraceFileSink struct {
 }
 
 // NewTraceFileSink returns a sink that will write path.  Nothing touches
-// the filesystem until BeginTrace.  The sink owns its records: pooled
-// pair chunks are recycled as steps are encoded.
+// the filesystem until BeginTrace.
 func NewTraceFileSink(path string) *TraceFileSink {
 	return &TraceFileSink{path: path}
 }
@@ -92,7 +89,6 @@ func (fs *TraceFileSink) BeginTrace(v, logV int) error {
 	}
 	fs.f = f
 	fs.inner = NewTraceJSONWriter(f)
-	fs.inner.ReleasePairs = true
 	return fs.inner.BeginTrace(v, logV)
 }
 
@@ -140,11 +136,12 @@ func (fs *TraceFileSink) EndTrace(runErr error) error {
 // (OpenTraceFile).
 //
 // Next returns the following superstep, or io.EOF after the last one.
-// The returned record is only valid until the next call to Next —
-// streaming readers reuse decode state — so consumers must copy
-// anything they retain.  Close releases the underlying stream; it is
-// safe to call after an error or EOF, and required even then when the
-// source owns a file handle.
+// The returned record is lent, as a run lends one to WriteStep: it and
+// its Degree and Pairs are valid only until the next call to Next,
+// because a reader may decode every step into the same buffers.  A
+// consumer that keeps a record copies it.  Close releases the
+// underlying stream; it is safe to call after an error or EOF, and
+// required even then when the source owns a file handle.
 type TraceSource interface {
 	V() int
 	LogV() int

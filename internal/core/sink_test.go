@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -50,7 +51,6 @@ func TestStreamedJSONByteIdentical(t *testing.T) {
 		}
 		var got bytes.Buffer
 		jw := core.NewTraceJSONWriter(&got)
-		jw.ReleasePairs = true
 		meta, err := core.RunOpt(16, prog, core.Options{Engine: streamEngine, RecordMessages: record, Sink: jw})
 		if err != nil {
 			t.Fatal(err)
@@ -334,39 +334,167 @@ func (s *memProbeSink) WriteStep(rec core.StepRec) error {
 
 func (s *memProbeSink) EndTrace(runErr error) error { return s.discard.EndTrace(runErr) }
 
-// TestPooledPairChunksSteadyState: once a streaming run has primed the
-// chunk pool, further runs reuse released chunks instead of allocating
-// fresh pair columns — steady-state allocation per run stays well below
-// the pair bytes the run records.  GC is disabled during the measurement
-// so pool emptying cannot skew it.
+// TestPooledPairChunksSteadyState: once a recorded run has primed the
+// chunk pool, further runs reuse the chunks the run released after each
+// WriteStep instead of allocating fresh pair columns, whatever the sink
+// does with the lent pairs: steady-state allocation per run stays well
+// below the pair bytes the run records, for a sink that drops the
+// records and for one that reads every pair.  GC is disabled during the
+// measurement so pool emptying cannot skew it; the race runtime drops a
+// random share of sync.Pool puts on purpose, so the test runs only
+// without it.
 func TestPooledPairChunksSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool puts at random")
+	}
 	const v, steps, fanout = 64, 50, 64 // 4096 pairs/step: full pooled chunks
-	run := func() int64 {
-		tr, err := core.RunOpt(v, exchangeProgram(v, steps, fanout), core.Options{
-			RecordMessages: true, Sink: &core.DiscardSink{}, Engine: core.BlockEngine{Workers: 1},
+	for _, tc := range []struct {
+		name string
+		sink func() core.TraceSink
+	}{
+		{"discard", func() core.TraceSink { return &core.DiscardSink{} }},
+		{"reader", func() core.TraceSink { return &pairSumSink{} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() int64 {
+				tr, err := core.RunOpt(v, exchangeProgram(v, steps, fanout), core.Options{
+					RecordMessages: true, Sink: tc.sink(), Engine: core.BlockEngine{Workers: 1},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tr.TotalMessages()
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var messages int64
+			for i := 0; i < 3; i++ {
+				messages = run() // prime the coroutine cache and the chunk pool
+			}
+			pairBytes := messages * 8
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const reps = 5
+			for i := 0; i < reps; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			perRun := int64(after.TotalAlloc-before.TotalAlloc) / reps
+			if limit := pairBytes / 2; perRun > limit {
+				t.Errorf("steady-state run allocates %d bytes, want < %d (records %d pair bytes; chunk pool not reusing)",
+					perRun, limit, pairBytes)
+			}
 		})
+	}
+}
+
+// pairSumSink reads every lent record's pairs in WriteStep and keeps
+// only a checksum per step.  It also holds each step's list past its
+// WriteStep, which a sink must not do, only to count in stale the lists
+// the run had not emptied by the next WriteStep.
+type pairSumSink struct {
+	sums  []int64
+	last  *core.PairList
+	stale int
+}
+
+func (s *pairSumSink) BeginTrace(v, logV int) error { return nil }
+
+func (s *pairSumSink) WriteStep(rec core.StepRec) error {
+	if s.last.Len() > 0 {
+		s.stale++
+	}
+	s.sums = append(s.sums, pairSum(rec.Pairs))
+	s.last = rec.Pairs
+	return nil
+}
+
+func (s *pairSumSink) EndTrace(runErr error) error { return nil }
+
+// pairSum is an order-sensitive checksum of a pair list.
+func pairSum(p *core.PairList) int64 {
+	var sum int64
+	for src, dst := range p.All() {
+		sum = sum*1_000_003 + int64(src)<<32 + int64(dst)
+	}
+	return sum
+}
+
+// TestRunLendsRecords: a run lends each record to its sink and recycles
+// its pairs once WriteStep returns.  A sink that reads the pairs inside
+// WriteStep sees what a copying collector keeps, at one worker and at
+// four, and a list it held on to is empty by the next WriteStep.  Under
+// -race this checks that recycling a step's chunks for the next
+// superstep never overlaps the sink's reads.
+func TestRunLendsRecords(t *testing.T) {
+	const v, steps, fanout = 64, 8, 80 // 5120 pairs/step: two chunks per step
+	prog := exchangeProgram(v, steps, fanout)
+	for _, w := range []int{1, 4} {
+		opts := core.Options{RecordMessages: true, Engine: core.BlockEngine{Workers: w}}
+		var ref tracetest.Collector
+		opts.Sink = &ref
+		if _, err := core.RunOpt(v, prog, opts); err != nil {
+			t.Fatal(err)
+		}
+		got := &pairSumSink{}
+		opts.Sink = got
+		if _, err := core.RunOpt(v, prog, opts); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.sums) != len(ref.Steps) {
+			t.Fatalf("W=%d: sink saw %d steps, collector %d", w, len(got.sums), len(ref.Steps))
+		}
+		for i, rec := range ref.Steps {
+			if want := pairSum(rec.Pairs); got.sums[i] != want {
+				t.Errorf("W=%d step %d: pairs read in WriteStep sum to %d, collected copy to %d", w, i, got.sums[i], want)
+			}
+		}
+		if got.stale > 0 || got.last.Len() > 0 {
+			t.Errorf("W=%d: %d lent pair lists still held pairs after their WriteStep returned (last: %d pairs)", w, got.stale, got.last.Len())
+		}
+	}
+}
+
+// TestJSONReaderDecodeAllocation: the JSON reader lends each step its
+// decode columns instead of copying them, so decoding a recorded trace
+// allocates the reader's buffers, a small fraction of the pair bytes it
+// reads.  Measured on sort n=1024, whose 596 steps record 2.15 million
+// messages (17 MB of pairs).  Like the pool test, it runs only without
+// the race runtime, whose instrumentation changes allocation.
+func TestJSONReaderDecodeAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bound measured without the race runtime")
+	}
+	a, ok := alg.ByName("sort")
+	if !ok {
+		t.Fatal("sort not registered")
+	}
+	var buf bytes.Buffer
+	run, err := a.Run(context.Background(), alg.Spec{Record: true, Sink: core.NewTraceJSONWriter(&buf)}, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() {
+		src, err := core.NewTraceSource(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tr.TotalMessages()
+		for {
+			if _, err := src.Next(); err == io.EOF {
+				return
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var messages int64
-	for i := 0; i < 3; i++ {
-		messages = run() // prime the coroutine cache and the chunk pool
-	}
-	pairBytes := messages * 8
+	decode()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	const reps = 5
-	for i := 0; i < reps; i++ {
-		run()
-	}
+	decode()
 	runtime.ReadMemStats(&after)
-	perRun := int64(after.TotalAlloc-before.TotalAlloc) / reps
-	if limit := pairBytes / 2; perRun > limit {
-		t.Errorf("steady-state run allocates %d bytes, want < %d (records %d pair bytes; chunk pool not reusing)",
-			perRun, limit, pairBytes)
+	pairBytes := run.Trace.TotalMessages() * 8
+	if got, limit := int64(after.TotalAlloc-before.TotalAlloc), pairBytes/10; got > limit {
+		t.Errorf("decoding %d trace bytes allocated %d bytes, want < %d (a tenth of its %d pair bytes; are the pairs copied?)",
+			buf.Len(), got, limit, pairBytes)
 	}
 }
 

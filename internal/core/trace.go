@@ -11,6 +11,11 @@ import (
 
 // StepRec holds the communication metrics of a single superstep, recorded
 // once per run and valid for every folding of the algorithm.
+//
+// A record handed to a consumer is lent, Degree and Pairs included: it
+// is valid only until the TraceSink.WriteStep that receives it returns,
+// or until the TraceSource's next Next.  A consumer that keeps a record
+// copies it.
 type StepRec struct {
 	// Label is the label of the sync terminating the superstep: the
 	// superstep is a Label-superstep and its messages stay within
@@ -38,7 +43,8 @@ type StepRec struct {
 	// Populated only under Options.RecordMessages.
 	// The chunked columnar representation keeps recording message-heavy
 	// supersteps from repeatedly re-growing (and transiently doubling)
-	// one flat slice.
+	// one flat slice.  The run recycles the list's chunks once the
+	// WriteStep that received the record returns.
 	Pairs *PairList
 }
 
@@ -139,7 +145,9 @@ func (t *Trace) probeStepDoneLocked(step int, rec *StepRec) {
 
 // flushLocked delivers the completed prefix of the pending window, in
 // superstep order: into the summary, then to the sink when the run has
-// one.  Nothing is retained.
+// one.  The sink's WriteStep only borrows the record: once it returns,
+// error or not, the step's pooled pair chunks go back to the pool for
+// the following supersteps.  Nothing is retained.
 func (t *Trace) flushLocked() error {
 	for len(t.window) > 0 && t.seen[0] >= t.V {
 		if t.seen[0] > t.V {
@@ -153,7 +161,9 @@ func (t *Trace) flushLocked() error {
 			return fmt.Errorf("core: internal error: %w", err)
 		}
 		if t.sink != nil {
-			if err := t.sink.WriteStep(rec); err != nil {
+			err := t.sink.WriteStep(rec)
+			rec.Pairs.release()
+			if err != nil {
 				return fmt.Errorf("core: trace sink: %w", err)
 			}
 		}

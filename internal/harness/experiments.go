@@ -9,9 +9,6 @@ import (
 	"netoblivious/internal/theory"
 )
 
-// seededRng gives every experiment deterministic inputs.
-func seededRng() *rand.Rand { return rand.New(rand.NewSource(20070326)) } // IPDPS'07
-
 func randMatrix(rng *rand.Rand, s int) []int64 {
 	m := make([]int64, s*s)
 	for i := range m {

@@ -147,7 +147,7 @@ func runE9(cfg Config) ([]*Result, error) {
 	}
 	// Wise runs come from the shared store; the dummy-free variants are
 	// the experiment's own ablation and run directly.
-	rng := seededRng()
+	rng := alg.SeededRand()
 	s := 16
 	n := 1 << 8
 	a, b := randMatrix(rng, s), randMatrix(rng, s)
@@ -274,7 +274,7 @@ func runE10(cfg Config) ([]*Result, error) {
 		}
 		check(name, fs)
 	}
-	rng := seededRng()
+	rng := alg.SeededRand()
 	for trial := 0; trial < 5; trial++ {
 		spec := randalg.Random(rng, 32, 6, 3)
 		tr, err := spec.RunSpec(alg.Spec{Engine: cfg.engine(), Ctx: cfg.Context})

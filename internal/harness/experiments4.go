@@ -3,6 +3,7 @@ package harness
 import (
 	"math"
 
+	"netoblivious/alg"
 	"netoblivious/internal/eval"
 	"netoblivious/internal/matmul"
 )
@@ -17,7 +18,7 @@ func init() {
 }
 
 func runE15(cfg Config) ([]*Result, error) {
-	rng := seededRng()
+	rng := alg.SeededRand()
 	res := &Result{
 		ID: "E15", Title: "split-largest-dimension recursion: H across operand shapes",
 		PaperRef: "Demmel et al. 2013, built on the network-oblivious framework",

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"netoblivious/alg"
 	"netoblivious/internal/cachesim"
 	"netoblivious/internal/fft"
 )
@@ -15,7 +16,7 @@ func init() {
 }
 
 func runE16(cfg Config) ([]*Result, error) {
-	rng := seededRng()
+	rng := alg.SeededRand()
 	n := 1 << 10
 	if cfg.Quick {
 		n = 1 << 8

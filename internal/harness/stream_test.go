@@ -44,7 +44,6 @@ func TestRegistryStreamedJSONByteIdentical(t *testing.T) {
 		want := ref.JSON(t)
 		var got bytes.Buffer
 		jw := core.NewTraceJSONWriter(&got)
-		jw.ReleasePairs = true
 		if _, err := a.Run(ctx, alg.Spec{Engine: eng, Record: true, Sink: jw}, n); err != nil {
 			t.Errorf("%s n=%d (streamed): %v", a.Name, n, err)
 			continue
@@ -78,7 +77,6 @@ func TestArchivedTraceFormat(t *testing.T) {
 		// Record exactly as `nobl trace -record -o -` does.
 		var got bytes.Buffer
 		jw := core.NewTraceJSONWriter(&got)
-		jw.ReleasePairs = true
 		if _, err := a.Run(ctx, alg.Spec{Record: true, Sink: jw}, n); err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,7 @@
 // analyzers that machine-check the invariants the rest of the codebase
 // documents in prose — determinism of schedules and codecs at any
 // GOMAXPROCS, nil-safety of obs.Probe, context consultation in engine
-// and worker loops, StepRec ownership transfer into trace sinks,
+// and worker loops, trace sinks that keep no lent StepRec,
 // init-only algorithm registration, allocation discipline on annotated
 // hot paths, and no export of an internal package that only tests use.
 // cmd/noblint runs every analyzer over ./... and CI fails the build on

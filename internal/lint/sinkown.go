@@ -2,142 +2,204 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// SinkOwnAnalyzer enforces the TraceSink.WriteStep ownership-transfer
-// contract: once a StepRec has been handed to WriteStep, the caller
-// must not touch its reference-carrying parts again.  Streaming sinks
-// (the incremental codec, the ring sink) retain rec.Degree and
-// rec.Pairs past the call and may hand them to a flush goroutine; a
-// caller that keeps reading them races with that, and one that mutates
-// them corrupts the recorded trace.
+// SinkOwnAnalyzer enforces the lending rule of TraceSink.WriteStep: a
+// run lends each StepRec to its sink and recycles the record's pair
+// chunks as soon as WriteStep returns, so a WriteStep that takes a
+// core.StepRec must not keep the record, its Pairs or its Degree.  In
+// such a WriteStep it reports a value that carries any of them when it
+// is
 //
-// Because WriteStep takes the record by value, fields of basic type
-// (rec.Label, rec.Messages, rec.Superstep …) are the caller's own copy
-// and remain fair game — the analyzer only flags uses of the whole
-// record or of its reference fields (slices, pointers, maps) after the
-// call.  Reassigning the variable starts a fresh record and resets the
-// tracking.
+//   - assigned to a field, an index, a pointer target or a package
+//     variable, an append into one included;
+//   - sent on a channel;
+//   - referred to by a go statement, as an argument or a capture.
+//
+// Passing the record or its parts to calls and reading them, into
+// locals too, stay allowed: a local that receives one is tracked as
+// carrying it.  Scalar fields (Label, Messages) and the results of calls
+// (slices.Clone(rec.Degree), rec.Pairs.Pairs()) are copies and carry
+// nothing, which is how a sink that keeps a record copies it.
 var SinkOwnAnalyzer = &Analyzer{
 	Name: "sinkown",
-	Doc:  "a StepRec passed to TraceSink.WriteStep must not have its reference fields used afterwards",
+	Doc:  "a WriteStep taking a core.StepRec must not store the lent record, its Pairs or its Degree",
 	Run:  runSinkOwn,
 }
 
 func runSinkOwn(p *Pass) {
-	decls := funcDecls(p)
-	for _, fn := range decls {
-		checkSinkOwnership(p, fn)
+	for _, f := range p.Files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || fn.Name.Name != "WriteStep" {
+				continue
+			}
+			if rec := lentParam(p, fn); rec != nil {
+				checkLent(p, fn, rec)
+			}
+		}
 	}
 }
 
-// checkSinkOwnership walks one function body in source order, tracking
-// which StepRec variables have been surrendered to WriteStep.
-func checkSinkOwnership(p *Pass, fn *ast.FuncDecl) {
-	surrendered := map[types.Object]bool{}
-	// handoff marks the argument identifier of each WriteStep call, so
-	// the call that performs the transfer is not itself flagged.
-	handoff := map[*ast.Ident]bool{}
+// lentParam returns the record parameter of a WriteStep whose one
+// parameter is a core.StepRec, or nil.
+func lentParam(p *Pass, fn *ast.FuncDecl) types.Object {
+	params := fn.Type.Params.List
+	if len(params) != 1 || len(params[0].Names) != 1 {
+		return nil
+	}
+	obj := p.Info.Defs[params[0].Names[0]]
+	if obj == nil || !isNamedType(types.Unalias(obj.Type()), "netoblivious/internal/core", "StepRec") {
+		return nil
+	}
+	return obj
+}
+
+// checkLent walks one WriteStep body in source order.  lent holds the
+// record parameter and every local assigned a value that carries it.
+func checkLent(p *Pass, fn *ast.FuncDecl, rec types.Object) {
+	lent := map[types.Object]bool{rec: true}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			// Reassignment of a tracked variable starts a new record.
-			for _, lhs := range n.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					obj := p.Info.Defs[id]
-					if obj == nil {
-						obj = p.Info.Uses[id]
+			if len(n.Lhs) != len(n.Rhs) {
+				return true // a multi-value call: its results are fresh
+			}
+			for i, lhs := range n.Lhs {
+				if !carries(p, lent, n.Rhs[i]) {
+					continue
+				}
+				if obj, local := localVar(p, lhs); local {
+					if obj != nil {
+						lent[obj] = true
 					}
-					if obj != nil && surrendered[obj] {
-						delete(surrendered, obj)
+					continue
+				}
+				p.Reportf(lhs.Pos(), "WriteStep stores %s in %s, but the record is lent only until WriteStep returns: copy what you keep",
+					types.ExprString(n.Rhs[i]), types.ExprString(lhs))
+			}
+		case *ast.ValueSpec:
+			for i, name := range n.Names {
+				if i < len(n.Values) && carries(p, lent, n.Values[i]) {
+					if obj := p.Info.Defs[name]; obj != nil {
+						lent[obj] = true
 					}
 				}
 			}
-			// Still need to examine the RHS for uses; continue below.
-		case *ast.CallExpr:
-			if isWriteStepCall(p, n) && len(n.Args) >= 1 {
-				if id, ok := n.Args[0].(*ast.Ident); ok {
-					if obj := p.Info.Uses[id]; obj != nil {
-						if surrendered[obj] {
-							p.Reportf(id.Pos(),
-								"%s passed to WriteStep again after an earlier handoff; its reference fields now belong to the first sink",
-								id.Name)
-						}
-						handoff[id] = true
-						surrendered[obj] = true
-					}
-				}
+		case *ast.SendStmt:
+			if carries(p, lent, n.Value) {
+				p.Reportf(n.Value.Pos(), "WriteStep sends %s on a channel, but the record is lent only until WriteStep returns: copy what you keep",
+					types.ExprString(n.Value))
 			}
-		case *ast.Ident:
-			if handoff[n] {
-				return true
+		case *ast.GoStmt:
+			if refersTo(p, lent, n.Call) {
+				p.Reportf(n.Pos(), "go statement in WriteStep refers to the lent record %s, which the run recycles when WriteStep returns",
+					rec.Name())
+				return false
 			}
-			obj := p.Info.Uses[n]
-			if obj == nil || !surrendered[obj] {
-				return true
-			}
-			if use, bad := postCallUse(p, fn, n); bad {
-				p.Reportf(n.Pos(),
-					"%s of %s after it was passed to WriteStep; the sink owns the record's reference fields from that point",
-					use, n.Name)
-			}
-			return true
 		}
 		return true
 	})
 }
 
-// isWriteStepCall matches method calls named WriteStep whose first
-// parameter is core.StepRec (the TraceSink contract, on the interface
-// or any concrete sink).
-func isWriteStepCall(p *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "WriteStep" {
-		return false
+// localVar reports whether an assignment target is a variable declared
+// inside the function (the blank identifier included, with a nil
+// object), or a field of such a struct variable: storing there keeps
+// nothing past the call.  It returns that variable, which from then on
+// carries the stored value.
+func localVar(p *Pass, lhs ast.Expr) (types.Object, bool) {
+	switch e := ast.Unparen(lhs).(type) {
+	case *ast.Ident:
+		if e.Name == "_" {
+			return nil, true
+		}
+		obj := p.Info.ObjectOf(e)
+		v, ok := obj.(*types.Var)
+		if !ok || v.Parent() == nil || v.Parent() == p.Pkg.Scope() {
+			return nil, false
+		}
+		return obj, true
+	case *ast.SelectorExpr:
+		t := p.TypeOf(e.X)
+		if t == nil {
+			return nil, false
+		}
+		if _, isStruct := t.Underlying().(*types.Struct); !isStruct {
+			return nil, false // a field reached through a pointer
+		}
+		return localVar(p, e.X)
 	}
-	f, ok := p.Info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Params().Len() != 1 {
-		return false
-	}
-	return isNamedType(sig.Params().At(0).Type(), "netoblivious/internal/core", "StepRec")
+	return nil, false
 }
 
-// postCallUse classifies a use of a surrendered record.  Selecting a
-// basic-typed field is the caller reading its own by-value copy and is
-// allowed; everything else — whole-record use, reference-field access —
-// is an ownership violation.  The second result reports whether to flag.
-func postCallUse(p *Pass, fn *ast.FuncDecl, id *ast.Ident) (string, bool) {
-	parent := selectorParent(fn, id)
-	if parent == nil {
-		return "use", true // whole-record use (copy, pass, address-of)
+// carries reports whether evaluating e yields a value that holds a
+// lent record or one of its reference parts.
+func carries(p *Pass, lent map[types.Object]bool, e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return lent[p.Info.ObjectOf(e)]
+	case *ast.SelectorExpr:
+		return carriesPart(p, lent, e.X, e)
+	case *ast.IndexExpr:
+		return carriesPart(p, lent, e.X, e)
+	case *ast.StarExpr:
+		return carriesPart(p, lent, e.X, e)
+	case *ast.SliceExpr:
+		return carries(p, lent, e.X)
+	case *ast.UnaryExpr:
+		return e.Op == token.AND && carries(p, lent, e.X)
+	case *ast.CompositeLit:
+		for _, elt := range e.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			if carries(p, lent, elt) {
+				return true
+			}
+		}
+		return false
+	case *ast.FuncLit:
+		return refersTo(p, lent, e.Body)
+	case *ast.CallExpr:
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && id.Name == "append" {
+			if _, builtin := p.Info.ObjectOf(id).(*types.Builtin); builtin {
+				for _, arg := range e.Args {
+					if carries(p, lent, arg) {
+						return true
+					}
+				}
+			}
+		}
+		return false // any other call's result is its own
 	}
-	selT := p.TypeOf(parent)
-	if selT == nil {
-		return "use", true
-	}
-	if _, basic := selT.Underlying().(*types.Basic); basic {
-		return "", false // scalar field: caller's own copy
-	}
-	return "use of reference field " + parent.Sel.Name, true
+	return false
 }
 
-// selectorParent finds the SelectorExpr whose X is exactly id, if any.
-func selectorParent(fn *ast.FuncDecl, id *ast.Ident) *ast.SelectorExpr {
-	var out *ast.SelectorExpr
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if out != nil {
-			return false
-		}
-		if sel, ok := n.(*ast.SelectorExpr); ok && sel.X == id {
-			out = sel
-			return false
-		}
+// carriesPart reports whether part, a field, element or pointer target
+// of whole, carries a lent value: it does when whole does, unless it is
+// a scalar, which the reader holds as its own copy.
+func carriesPart(p *Pass, lent map[types.Object]bool, whole, part ast.Expr) bool {
+	if !carries(p, lent, whole) {
+		return false
+	}
+	t := p.TypeOf(part)
+	if t == nil {
 		return true
+	}
+	_, basic := t.Underlying().(*types.Basic)
+	return !basic
+}
+
+// refersTo reports whether n mentions a lent variable anywhere.
+func refersTo(p *Pass, lent map[types.Object]bool, n ast.Node) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && lent[p.Info.ObjectOf(id)] {
+			found = true
+		}
+		return !found
 	})
-	return out
+	return found
 }

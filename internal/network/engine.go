@@ -64,9 +64,8 @@ type arrival struct {
 	pk Packet
 }
 
-// routeState is the per-Route mutable state of the engine, reusable
-// across calls on the same Sim (via the state pool) so steady-state
-// routing allocates nothing per step.
+// routeState is the per-Route mutable state of the engine, kept by the
+// Sim across calls so steady-state routing allocates nothing per step.
 type routeState struct {
 	queues   []edgeQueue
 	active   []uint64 // bitset over directed edge ids; set = queue nonempty
@@ -80,15 +79,6 @@ func (s *Sim) newState() *routeState {
 		active: make([]uint64, (e+63)/64),
 	}
 }
-
-func (s *Sim) getState() *routeState {
-	if st := s.states.Get(); st != nil {
-		return st.(*routeState)
-	}
-	return s.newState()
-}
-
-func (s *Sim) putState(st *routeState) { s.states.Put(st) }
 
 // RouteWith routes the message set under the given strategy.  Identical
 // inputs (and, for randomized routers, identical seeds) produce identical
@@ -104,12 +94,16 @@ func (s *Sim) RouteWith(r Router, msgs [][2]int) RouteResult {
 		}
 	}
 	start := s.Probe.Now()
-	st := s.getState()
+	st := s.state
+	s.state = nil
+	if st == nil {
+		st = s.newState()
+	}
 	res := st.run(s, r, msgs)
-	// Pooled only on normal completion: a panic unwinding past here (a
-	// router or topology bug) must not recycle half-drained queues into
-	// the next RouteWith call.
-	s.putState(st)
+	// Kept only on normal completion: a panic unwinding past here (a
+	// router or topology bug) must not leave half-drained queues for the
+	// next RouteWith call.
+	s.state = st
 	if s.Probe != nil {
 		s.Probe.Span("network", "route "+s.topo.Name, 0, start, map[string]any{
 			"strategy":   r.Name(),

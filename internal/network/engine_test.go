@@ -182,3 +182,39 @@ func TestRouterRegistry(t *testing.T) {
 		t.Error("unknown strategy did not error")
 	}
 }
+
+// panicRouter injects shortest-path packets and panics on the message
+// after the first n.
+type panicRouter struct{ n int }
+
+func (r *panicRouter) Name() string { return "panic" }
+
+func (r *panicRouter) Inject(src, dst int32) Packet {
+	if r.n == 0 {
+		panic("router bug")
+	}
+	r.n--
+	return Packet{Dst: dst, Via: -1}
+}
+
+// TestRouteAfterPanicStartsClean: a RouteWith that panics after some
+// packets are queued leaves no state behind, so the Sim's next route
+// matches a fresh Sim's.
+func TestRouteAfterPanicStartsClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	topo := Torus2D(16)
+	msgs := ClusterHRelation(rng, topo.P, 0, 4)
+	s := NewSim(topo)
+	s.RouteWith(ShortestPath(), msgs) // the Sim now keeps a state
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("panicking router did not panic")
+			}
+		}()
+		s.RouteWith(&panicRouter{n: len(msgs) / 2}, msgs)
+	}()
+	if got, want := s.RouteWith(ShortestPath(), msgs), NewSim(topo).RouteWith(ShortestPath(), msgs); got != want {
+		t.Errorf("route after a panicked route = %+v, want %+v", got, want)
+	}
+}

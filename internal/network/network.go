@@ -23,22 +23,21 @@
 // every step.
 package network
 
-import (
-	"sync"
-
-	"netoblivious/internal/obs"
-)
+import "netoblivious/internal/obs"
 
 // Sim is a routing simulator for one topology, with precomputed
-// shortest-path next-hop tables.
+// shortest-path next-hop tables.  A Sim is not safe for concurrent use:
+// RouteWith reuses one engine state across calls.  Every caller (E14,
+// the service's network kind, the bench) routes on its Sim sequentially.
 type Sim struct {
 	topo *Topology
 	// nextHop[u][dst] is the neighbor node u forwards packets for dst to.
 	nextHop [][]int32
 	// dist[u][dst] is the shortest-path distance.
 	dist [][]int32
-	// states recycles engine state (queues, bitsets) across RouteWith calls.
-	states sync.Pool
+	// state is the engine state (queues, bitsets) kept between RouteWith
+	// calls; nil before the first call and while one is running.
+	state *routeState
 
 	// Probe, when non-nil, records one "network"-category span per
 	// RouteWith call (strategy, message count, makespan, total hops).

@@ -66,9 +66,10 @@ func (v *valiant) Inject(src, dst int32) Packet {
 }
 
 // Valiant returns a seeded Valiant two-phase router.  Identical seeds
-// reproduce identical routes; a router instance must not be shared
-// across concurrent RouteWith calls (its RNG draws would race — derive
-// one per call, e.g. seed+i).
+// reproduce identical routes.  Like a Sim, a router instance is not safe
+// for concurrent use: every route advances its RNG.  A caller that wants
+// each routed set reproducible on its own derives one router per set
+// (e.g. seed+i).
 func Valiant(seed int64) Router {
 	return &valiant{rng: rand.New(rand.NewSource(seed))}
 }

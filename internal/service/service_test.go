@@ -843,21 +843,30 @@ func TestCancelledJobLeavesDedup(t *testing.T) {
 // when the trace job is deleted.  It retries under its own live context
 // and ends done, with a "retrying" event in its log.
 func TestSharedTierRunSurvivesCancel(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 2})
+	srv, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
+	// The tracing stage is published just before the tier lookup, so the
+	// test watches the tier's counters instead: the trace job's miss
+	// starts the run, and only then may the dbsp job join it as a hit.
+	// The DELETE then always lands on a run the two jobs share.
+	waitForTier := func(what string, ok func(core.StoreStats) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Minute); !ok(srv.traces.Stats()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: trace tier at %+v", what, srv.traces.Stats())
+			}
+		}
+	}
 	traceJob, err := c.Analyze(ctx, Request{Algorithm: "sort", N: 4096, Kind: KindTrace})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitForStage(t, c, traceJob.JobID, "tracing")
+	waitForTier("trace job never started the run", func(st core.StoreStats) bool { return st.Misses >= 1 })
 	dbspJob, err := c.Analyze(ctx, Request{Algorithm: "sort", N: 4096, Kind: KindDBSP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitForStage(t, c, dbspJob.JobID, "tracing")
-	// The stage is published just before the tier lookup: give the dbsp
-	// job a moment to join the run, which takes seconds.
-	time.Sleep(50 * time.Millisecond)
+	waitForTier("dbsp job never joined the run", func(st core.StoreStats) bool { return st.Hits >= 1 })
 	if _, err := c.CancelJob(ctx, traceJob.JobID); err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,10 @@ import (
 	"netoblivious/internal/core"
 )
 
-// Collector is a TraceSink that keeps every superstep record it is
-// given, pairs included: the in-memory trace tests read, since a run
-// keeps only its fold summary.  Set it as a run's Options.Sink (or
-// alg.Spec.Sink), then read Steps.
+// Collector is a TraceSink that keeps a copy of every superstep record
+// it is given, pairs included: the in-memory trace tests read, since a
+// run keeps only its fold summary and lends each record to its sink.
+// Set it as a run's Options.Sink (or alg.Spec.Sink), then read Steps.
 type Collector struct {
 	V, LogV int
 	Steps   []core.StepRec
@@ -37,18 +37,30 @@ func (c *Collector) BeginTrace(v, logV int) error {
 	return nil
 }
 
-// WriteStep implements core.TraceSink by retaining the record.
+// WriteStep implements core.TraceSink by keeping a copy of the lent
+// record.
 func (c *Collector) WriteStep(rec core.StepRec) error {
-	c.Steps = append(c.Steps, rec)
+	c.Steps = append(c.Steps, copyStep(&rec))
 	return nil
+}
+
+// copyStep copies a lent record, Degree and Pairs included; a nil list
+// stays nil.
+func copyStep(rec *core.StepRec) core.StepRec {
+	cp := *rec
+	cp.Degree = slices.Clone(rec.Degree)
+	if rec.Pairs != nil {
+		cp.Pairs = core.PairListOf(rec.Pairs.Pairs())
+	}
+	return cp
 }
 
 // EndTrace implements core.TraceSink.
 func (c *Collector) EndTrace(runErr error) error { return nil }
 
 // ReadAll drains a TraceSource into a Collector, copying each record
-// (sources reuse their decode state between Next calls).  It does not
-// Close the source.
+// (a source lends it only until the next Next).  It does not Close the
+// source.
 func ReadAll(src core.TraceSource) (*Collector, error) {
 	c := &Collector{}
 	if err := c.BeginTrace(src.V(), src.LogV()); err != nil {
@@ -62,15 +74,12 @@ func ReadAll(src core.TraceSource) (*Collector, error) {
 		if err != nil {
 			return nil, err
 		}
-		cp := *rec
-		cp.Degree = slices.Clone(rec.Degree)
-		c.Steps = append(c.Steps, cp)
+		c.Steps = append(c.Steps, copyStep(rec))
 	}
 }
 
-// Replay writes the collected steps into sink, as a run would: the sink
-// may keep or read each record but must not Release its pairs, which
-// stay the Collector's.
+// Replay writes the collected steps into sink, lending each record as a
+// run would.
 func (c *Collector) Replay(sink core.TraceSink) error {
 	if err := sink.BeginTrace(c.V, c.LogV); err != nil {
 		return err
