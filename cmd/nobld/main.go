@@ -3,7 +3,9 @@
 // closed-form bounds synchronously, simulation-backed measurements
 // through a priority job queue with a bounded worker pool, per-job
 // cancellation/timeout, SSE progress streaming, and process-lifetime LRU
-// caches with single-flight dedup.
+// caches with single-flight dedup.  A computation in those caches lives
+// while any job or request waits for it: cancelling one job ends that
+// job at once and leaves a shared run to the others.
 //
 // Endpoints:
 //

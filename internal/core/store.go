@@ -3,7 +3,6 @@ package core
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -28,14 +27,6 @@ type TraceKey struct {
 // the memo-store key and as a stable file-name stem for archived traces.
 func (k TraceKey) String() string {
 	return fmt.Sprintf("%s/n=%d", k.Algorithm, k.N)
-}
-
-// IsCancellation reports whether err is (or wraps) a context
-// cancellation or deadline: the class of errors that describe the
-// caller rather than the computation, and therefore are never memoized
-// for a key.
-func IsCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // StoreStats reports the cumulative effectiveness of a Store.
@@ -63,10 +54,16 @@ func (s StoreStats) HitRate() float64 {
 // that single computation.  Errors are cached alongside values: a failed
 // computation is not retried, so every caller of a key observes the same
 // outcome — a property the experiment suite relies on for
-// schedule-independent output.  A cancellation (IsCancellation) is the
-// exception: it describes the caller whose context ended, not the key,
-// so it reaches the callers that shared the computation and is then
-// dropped, and the next Get recomputes.
+// schedule-independent output.
+//
+// The store owns each computation's lifetime.  A miss runs compute on a
+// goroutine of its own, under a context that keeps the first caller's
+// values but not its cancellation, and the computation lives while any
+// caller waits for it.  A caller whose context ends stops waiting and
+// gets its context's cause; when the last waiter leaves, the store
+// cancels the computation and forgets the key, so the next Get
+// recomputes.  One caller's cancellation therefore never reaches
+// another caller, and is never memoized.
 //
 // A bounded store (NewBoundedStore) keeps at most capacity completed
 // entries, discarding the least recently used beyond that; a long-running
@@ -86,11 +83,13 @@ type Store[V any] struct {
 }
 
 type storeEntry[V any] struct {
-	key  string
-	done chan struct{} // closed when val/err are set
-	val  V
-	err  error
-	elem *list.Element // non-nil once completed and resident
+	key     string
+	done    chan struct{} // closed when val/err are set
+	val     V
+	err     error
+	elem    *list.Element // non-nil once completed and resident
+	waiters int           // callers that joined and have not left early; guarded by Store.mu
+	cancel  context.CancelFunc
 }
 
 // NewBoundedStore returns an empty store keeping at most capacity
@@ -110,10 +109,11 @@ func NewBoundedStore[V any](capacity int) *Store[V] {
 func (s *Store[V]) Capacity() int { return s.capacity }
 
 // Get returns the value for key, computing it with compute on the first
-// call.  compute runs at most once per key across all goroutines; callers
-// that find the computation in flight block until it completes.
-func (s *Store[V]) Get(key string, compute func() (V, error)) (V, error) {
-	return s.get(key, compute, false)
+// call.  compute runs at most once per key at a time across all
+// goroutines; callers that find the computation in flight wait until it
+// completes or their ctx ends, whichever comes first.
+func (s *Store[V]) Get(ctx context.Context, key string, compute func(context.Context) (V, error)) (V, error) {
+	return s.get(ctx, key, compute, false)
 }
 
 // Fill is Get for a value computed elsewhere, such as a document another
@@ -122,44 +122,69 @@ func (s *Store[V]) Get(key string, compute func() (V, error)) (V, error) {
 // from its computation reaches the callers that shared it and is then
 // dropped: it describes the attempt, not the key.  A value enters the
 // store under the LRU bound as with Get.
-func (s *Store[V]) Fill(key string, compute func() (V, error)) (V, error) {
-	return s.get(key, compute, true)
+func (s *Store[V]) Fill(ctx context.Context, key string, compute func(context.Context) (V, error)) (V, error) {
+	return s.get(ctx, key, compute, true)
 }
 
-func (s *Store[V]) get(key string, compute func() (V, error), fill bool) (V, error) {
+func (s *Store[V]) get(ctx context.Context, key string, compute func(context.Context) (V, error), fill bool) (V, error) {
+	var zero V
+	if ctx.Err() != nil {
+		return zero, context.Cause(ctx)
+	}
 	s.mu.Lock()
 	e, ok := s.entries[key]
-	if ok {
-		if e.elem != nil {
-			s.lru.MoveToFront(e.elem)
-		}
-		s.mu.Unlock()
-		if !fill {
-			s.hits.Add(1)
-		}
-		<-e.done
-		return e.val, e.err
+	switch {
+	case !ok:
+		runCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		e = &storeEntry[V]{key: key, done: make(chan struct{}), cancel: cancel}
+		s.entries[key] = e
+		go s.run(runCtx, e, compute, fill)
+	case e.elem != nil:
+		s.lru.MoveToFront(e.elem)
 	}
-	e = &storeEntry[V]{key: key, done: make(chan struct{})}
-	s.entries[key] = e
+	e.waiters++
 	s.mu.Unlock()
-	if !fill {
+	switch {
+	case fill:
+	case ok:
+		s.hits.Add(1)
+	default:
 		s.misses.Add(1)
 	}
-	e.val, e.err = compute()
-	close(e.done)
-	s.mu.Lock()
-	// The entry enters the LRU order only now that it is completed.  An
-	// in-flight entry is never evicted, so it is still the map's entry
-	// for key.
-	if (fill && e.err != nil) || IsCancellation(e.err) {
-		delete(s.entries, key)
-	} else {
-		e.elem = s.lru.PushFront(e)
-		s.evictLocked()
+	select {
+	case <-e.done:
+		return e.val, e.err
+	case <-ctx.Done():
+		s.mu.Lock()
+		// The last waiter of a computation still in flight abandons it.
+		if e.waiters--; e.waiters == 0 && e.elem == nil && s.entries[key] == e {
+			delete(s.entries, key)
+			e.cancel()
+		}
+		s.mu.Unlock()
+		return zero, context.Cause(ctx)
 	}
-	s.mu.Unlock()
-	return e.val, e.err
+}
+
+// run computes an entry's value and publishes it.  The entry enters the
+// LRU order only now that it is completed, unless it was abandoned: an
+// in-flight entry is never evicted, so it is still the map's entry for
+// key unless its last waiter left.
+func (s *Store[V]) run(ctx context.Context, e *storeEntry[V], compute func(context.Context) (V, error), fill bool) {
+	val, err := compute(ctx)
+	e.cancel()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e.val, e.err = val, err
+	if s.entries[e.key] == e {
+		if fill && err != nil {
+			delete(s.entries, e.key)
+		} else {
+			e.elem = s.lru.PushFront(e)
+			s.evictLocked()
+		}
+	}
+	close(e.done)
 }
 
 // Peek returns the completed value for key without ever computing.  ok

@@ -10,6 +10,9 @@ import (
 	"testing"
 )
 
+// bg is the context of callers that never leave.
+var bg = context.Background()
+
 func TestStoreSingleFlight(t *testing.T) {
 	s := NewBoundedStore[int](0)
 	var computes atomic.Int64
@@ -20,7 +23,7 @@ func TestStoreSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			v, err := s.Get("k", func() (int, error) {
+			v, err := s.Get(bg, "k", func(context.Context) (int, error) {
 				computes.Add(1)
 				return 7, nil
 			})
@@ -50,7 +53,7 @@ func TestStoreLRUEvictionOrder(t *testing.T) {
 	}
 	get := func(k string) {
 		t.Helper()
-		v, err := s.Get(k, func() (string, error) { return "v" + k, nil })
+		v, err := s.Get(bg, k, func(context.Context) (string, error) { return "v" + k, nil })
 		if err != nil || v != "v"+k {
 			t.Fatalf("Get(%s) = %q, %v", k, v, err)
 		}
@@ -76,7 +79,7 @@ func TestStoreLRUEvictionOrder(t *testing.T) {
 	}
 	// An evicted key recomputes on the next Get.
 	var recomputed bool
-	if _, err := s.Get("b", func() (string, error) { recomputed = true; return "vb", nil }); err != nil {
+	if _, err := s.Get(bg, "b", func(context.Context) (string, error) { recomputed = true; return "vb", nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !recomputed {
@@ -96,7 +99,7 @@ func TestStoreLRUSingleFlightInteraction(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err := s.Get("slow", func() (int, error) {
+		v, err := s.Get(bg, "slow", func(context.Context) (int, error) {
 			close(started)
 			<-release
 			return 42, nil
@@ -110,7 +113,7 @@ func TestStoreLRUSingleFlightInteraction(t *testing.T) {
 	// Churn the capacity-1 store while "slow" is in flight.
 	for i := 0; i < 5; i++ {
 		k := fmt.Sprintf("fast%d", i)
-		if _, err := s.Get(k, func() (int, error) { return i, nil }); err != nil {
+		if _, err := s.Get(bg, k, func(context.Context) (int, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +121,7 @@ func TestStoreLRUSingleFlightInteraction(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err := s.Get("slow", func() (int, error) {
+		v, err := s.Get(bg, "slow", func(context.Context) (int, error) {
 			t.Error("joined computation must not recompute")
 			return -1, nil
 		})
@@ -138,58 +141,135 @@ func TestStoreLRUSingleFlightInteraction(t *testing.T) {
 	}
 }
 
-// TestStoreDropsCancellation: a computation that ends in a cancellation
-// reaches every waiter that joined it and is then dropped, so the next
-// Get recomputes; any other error stays memoized.
+// TestStoreDropsCancellation: when the last waiter leaves an unfinished
+// computation, the store cancels the computation's context, which kept
+// the first caller's values, and forgets the key, so the next Get
+// recomputes even while the abandoned computation still runs.  A plain
+// error stays memoized.
 func TestStoreDropsCancellation(t *testing.T) {
-	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
-		s := NewBoundedStore[int](0)
-		const waiters = 3
-		release := make(chan struct{})
-		started := make(chan struct{})
-		errs := make(chan error, waiters+1)
-		go func() {
-			_, err := s.Get("k", func() (int, error) {
-				close(started)
-				<-release
-				return 0, fmt.Errorf("run cancelled: %w", cause)
-			})
-			errs <- err
-		}()
-		<-started
-		for i := 0; i < waiters; i++ {
-			go func() {
-				_, err := s.Get("k", func() (int, error) { return 1, nil })
-				errs <- err
-			}()
-		}
-		for s.Stats().Hits < waiters {
-			runtime.Gosched()
-		}
-		close(release)
-		for i := 0; i < waiters+1; i++ {
-			if err := <-errs; !errors.Is(err, cause) {
-				t.Errorf("%v: caller %d got %v, want the cancellation", cause, i, err)
-			}
-		}
-		if _, _, ok := s.Peek("k"); ok || s.Len() != 0 {
-			t.Errorf("%v: cancellation kept: Peek ok=%v, Len=%d", cause, ok, s.Len())
-		}
-		if v, err := s.Get("k", func() (int, error) { return 7, nil }); err != nil || v != 7 {
-			t.Errorf("%v: Get after the cancellation = %d, %v; want a recomputed 7", cause, v, err)
-		}
+	type ctxKey struct{}
+	s := NewBoundedStore[int](0)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	seen := make(chan any)
+	ctx, cancel := context.WithCancelCause(context.WithValue(bg, ctxKey{}, "rid"))
+	errs := make(chan error)
+	go func() {
+		_, err := s.Get(ctx, "k", func(ctx context.Context) (int, error) {
+			close(started)
+			<-ctx.Done()
+			seen <- ctx.Value(ctxKey{})
+			<-release
+			return 0, ctx.Err()
+		})
+		errs <- err
+	}()
+	<-started
+	gone := errors.New("caller gone")
+	cancel(gone)
+	if err := <-errs; err != gone {
+		t.Errorf("the leaving caller got %v, want its context's cause", err)
+	}
+	if v := <-seen; v != "rid" {
+		t.Errorf("the computation's context carries %v, want the first caller's value", v)
+	}
+	if _, _, ok := s.Peek("k"); ok || s.Len() != 0 {
+		t.Errorf("abandoned computation kept: Peek ok=%v, Len=%d", ok, s.Len())
+	}
+	if v, err := s.Get(bg, "k", func(context.Context) (int, error) { return 7, nil }); err != nil || v != 7 {
+		t.Errorf("Get after abandonment = %d, %v; want a recomputed 7", v, err)
+	}
+	close(release)
+	if st := s.Stats(); st.Misses != 2 || st.Hits != 0 {
+		t.Errorf("stats = %+v, want 2 misses", st)
 	}
 
-	s := NewBoundedStore[int](0)
 	boom := errors.New("boom")
 	computes := 0
 	for i := 0; i < 2; i++ {
-		if _, err := s.Get("e", func() (int, error) { computes++; return 0, boom }); !errors.Is(err, boom) {
+		if _, err := s.Get(bg, "e", func(context.Context) (int, error) { computes++; return 0, boom }); !errors.Is(err, boom) {
 			t.Fatalf("Get %d: %v, want boom", i, err)
 		}
 	}
 	if _, err, ok := s.Peek("e"); computes != 1 || !ok || !errors.Is(err, boom) {
 		t.Errorf("a plain error was not memoized: %d computes, Peek ok=%v err=%v", computes, ok, err)
+	}
+}
+
+// TestStoreWaiterLeavesShared: a caller that leaves a computation others
+// still wait for gets its cause and cancels nothing, even the caller
+// that started it; the others get the value.
+func TestStoreWaiterLeavesShared(t *testing.T) {
+	s := NewBoundedStore[int](0)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var runCtx context.Context
+	ctx, cancel := context.WithCancel(bg)
+	first := make(chan error)
+	go func() {
+		_, err := s.Get(ctx, "k", func(ctx context.Context) (int, error) {
+			runCtx = ctx
+			close(started)
+			<-release
+			return 9, ctx.Err()
+		})
+		first <- err
+	}()
+	<-started
+	const joiners = 3
+	vals := make(chan int, joiners)
+	for i := 0; i < joiners; i++ {
+		go func() {
+			v, err := s.Get(bg, "k", func(context.Context) (int, error) { return -1, nil })
+			if err != nil {
+				t.Errorf("joined Get: %v", err)
+			}
+			vals <- v
+		}()
+	}
+	for s.Stats().Hits < joiners {
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Errorf("the leaving caller got %v, want context.Canceled", err)
+	}
+	if err := runCtx.Err(); err != nil {
+		t.Errorf("one waiter leaving cancelled the shared computation: %v", err)
+	}
+	close(release)
+	for i := 0; i < joiners; i++ {
+		if v := <-vals; v != 9 {
+			t.Errorf("joined Get = %d, want 9", v)
+		}
+	}
+	if v, _, ok := s.Peek("k"); !ok || v != 9 {
+		t.Errorf("Peek = %d, %v; want the kept 9", v, ok)
+	}
+}
+
+// TestStoreCancelledContext: a Get whose context has already ended
+// returns the context's cause without computing or counting anything,
+// for an absent key and for a completed one alike.
+func TestStoreCancelledContext(t *testing.T) {
+	s := NewBoundedStore[int](0)
+	if _, err := s.Get(bg, "done", func(context.Context) (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	gone := errors.New("caller gone")
+	ctx, cancel := context.WithCancelCause(bg)
+	cancel(gone)
+	for _, key := range []string{"absent", "done"} {
+		_, err := s.Get(ctx, key, func(context.Context) (int, error) {
+			t.Errorf("%s: computed under an ended context", key)
+			return 0, nil
+		})
+		if err != gone {
+			t.Errorf("%s: Get = %v, want the context's cause", key, err)
+		}
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Hits != 0 || s.Len() != 1 {
+		t.Errorf("stats = %+v, Len = %d; want the first Get's miss only", st, s.Len())
 	}
 }
 
@@ -201,7 +281,7 @@ func TestStorePeek(t *testing.T) {
 	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("failed Peek moved counters: %+v", st)
 	}
-	if _, err := s.Get("k", func() (int, error) { return 3, nil }); err != nil {
+	if _, err := s.Get(bg, "k", func(context.Context) (int, error) { return 3, nil }); err != nil {
 		t.Fatal(err)
 	}
 	v, err, ok := s.Peek("k")
@@ -221,7 +301,7 @@ func TestStoreFill(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var computes atomic.Int64
-	slow := func() (int, error) {
+	slow := func(context.Context) (int, error) {
 		if computes.Add(1) == 1 {
 			close(started)
 		}
@@ -234,7 +314,7 @@ func TestStoreFill(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], _ = s.Fill("slow", slow)
+			vals[i], _ = s.Fill(bg, "slow", slow)
 		}(i)
 		if i == 0 {
 			<-started
@@ -253,12 +333,12 @@ func TestStoreFill(t *testing.T) {
 	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Errorf("Fill moved counters: %+v", st)
 	}
-	if v, err := s.Get("slow", func() (int, error) { return 0, errors.New("recomputed") }); err != nil || v != 5 {
+	if v, err := s.Get(bg, "slow", func(context.Context) (int, error) { return 0, errors.New("recomputed") }); err != nil || v != 5 {
 		t.Errorf("Get after Fill = %d, %v", v, err)
 	}
 
 	boom := errors.New("transient")
-	if _, err := s.Fill("bad", func() (int, error) { return 0, boom }); err != boom {
+	if _, err := s.Fill(bg, "bad", func(context.Context) (int, error) { return 0, boom }); err != boom {
 		t.Fatalf("Fill error = %v, want %v", err, boom)
 	}
 	if _, _, ok := s.Peek("bad"); ok {
@@ -266,8 +346,8 @@ func TestStoreFill(t *testing.T) {
 	}
 
 	// "slow" is the most recent entry; two more values evict it.
-	s.Fill("a", func() (int, error) { return 1, nil })
-	s.Fill("b", func() (int, error) { return 2, nil })
+	s.Fill(bg, "a", func(context.Context) (int, error) { return 1, nil })
+	s.Fill(bg, "b", func(context.Context) (int, error) { return 2, nil })
 	if _, _, ok := s.Peek("slow"); ok {
 		t.Error("LRU bound not applied to Fill")
 	}

@@ -86,8 +86,9 @@ func NewBoundedTraceStore(capacity int, record bool) *TraceStore {
 // summarizing its trace on first use.  In a recording store that run
 // streams into the cache simulator superstep by superstep, so it holds
 // the engine state plus one superstep, never the trace.  ctx bounds the
-// execution; a run failing with ctx's error is not memoized (core.Store
-// never keeps a cancellation), so the next caller of the key recomputes.
+// wait, not the run: the run lives while any caller of the key waits for
+// it, and is cancelled and forgotten when the last one leaves (see
+// core.Store), so the next caller of the key recomputes.
 func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n int) (Run, error) {
 	a, ok := alg.ByName(name)
 	if !ok {
@@ -95,7 +96,7 @@ func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n i
 	}
 	key := core.TraceKey{Algorithm: name, N: n}.String()
 	computed := false
-	run, err := ts.store.Get(key, func() (Run, error) {
+	run, err := ts.store.Get(ctx, key, func(ctx context.Context) (Run, error) {
 		computed = true
 		start := ts.probe.Now()
 		spec := alg.Spec{Engine: eng, Probe: ts.probe}
@@ -127,7 +128,9 @@ func (ts *TraceStore) Get(ctx context.Context, eng core.Engine, name string, n i
 		}
 		return run, nil
 	})
-	if ts.probe != nil && !computed {
+	// computed is written by the computation's goroutine; a successful
+	// Get orders that write before this read.
+	if ts.probe != nil && err == nil && !computed {
 		ts.probe.Instant("store", "trace-hit", 0, map[string]any{"key": key})
 	}
 	return run, err

@@ -2,10 +2,7 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"netoblivious/alg"
@@ -40,47 +37,6 @@ func TestTraceStoreSharesExecutions(t *testing.T) {
 }
 
 func storeLen(ts *TraceStore) int { return ts.store.Len() }
-
-// TestCoreStoreSingleFlight hammers one key from many goroutines: the
-// compute function must run exactly once and every caller must observe
-// its value; a second key must recompute.
-func TestCoreStoreSingleFlight(t *testing.T) {
-	s := core.NewBoundedStore[int](0)
-	var computes atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := s.Get("k", func() (int, error) {
-				computes.Add(1)
-				return 42, nil
-			})
-			if err != nil || v != 42 {
-				t.Errorf("Get = %d, %v", v, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Errorf("compute ran %d times, want 1", n)
-	}
-	st := s.Stats()
-	if st.Misses != 1 || st.Hits != 31 {
-		t.Errorf("stats = %+v, want 1 miss / 31 hits", st)
-	}
-
-	// Errors are cached too: same outcome for every caller.
-	boom := errors.New("boom")
-	for i := 0; i < 2; i++ {
-		if _, err := s.Get("bad", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
-			t.Errorf("cached error lost: %v", err)
-		}
-	}
-	if s.Len() != 2 {
-		t.Errorf("Len = %d, want 2", s.Len())
-	}
-}
 
 // TestTraceStoreSharesAcrossEngines asserts the store keys runs by
 // (algorithm, n) only: a run computed on one engine serves a caller on

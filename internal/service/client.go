@@ -80,16 +80,16 @@ func (c *Client) retryMax() time.Duration {
 
 // backoffDelay picks the sleep before retry attempt (0-based): the
 // server's Retry-After when it sent one, capped exponential backoff
-// from RetryBase otherwise.
+// from RetryBase otherwise.  The doubling stops at RetryMax, so no
+// attempt count overflows the delay.
 func (c *Client) backoffDelay(attempt int, retryAfter time.Duration) time.Duration {
-	d := c.retryBase() << uint(attempt)
-	if retryAfter > 0 {
-		d = retryAfter
+	d, max := retryAfter, c.retryMax()
+	if d <= 0 {
+		for d = c.retryBase(); attempt > 0 && d < max; attempt-- {
+			d <<= 1
+		}
 	}
-	if max := c.retryMax(); d > max {
-		d = max
-	}
-	return d
+	return min(d, max)
 }
 
 // retryAfterOf parses a Retry-After header carrying delay seconds.

@@ -171,21 +171,18 @@ func (s *Server) routeOf(req *Request, forwarded bool) string {
 // forward relays a request to its owning peer and returns the owner's
 // verdict.  On a non-router node the relay goes through the result
 // cache's Fill: concurrent forwards of one key share one round trip,
-// no miss is counted (the owner computed the document), and a completed
-// document stays, so a repeat of the key is a plain result-cache hit.
-// Sheds, failures and transport errors describe a moment, not the key:
-// they reach the requests that shared the round trip and are not kept.
-// Routers keep nothing and forward every request on its own.
+// which lives while any of them waits, no miss is counted (the owner
+// computed the document), and a completed document stays, so a repeat
+// of the key is a plain result-cache hit.  Sheds, failures and transport
+// errors describe a moment, not the key: they reach the requests that
+// shared the round trip and are not kept.  Routers keep nothing and
+// forward every request on its own.
 func (s *Server) forward(ctx context.Context, owner string, req Request) (Response, int) {
 	if s.cluster.routeOnly {
 		return s.forwardOnce(ctx, owner, req)
 	}
-	var resp Response
-	var status int
-	ran := false
-	doc, err := s.results.Fill(req.Key(), func() (*harness.Document, error) {
-		ran = true
-		resp, status = s.forwardOnce(ctx, owner, req)
+	doc, err := s.results.Fill(ctx, req.Key(), func(ctx context.Context) (*harness.Document, error) {
+		resp, status := s.forwardOnce(ctx, owner, req)
 		if status != http.StatusOK || resp.Status != string(StatusDone) || resp.Document == nil {
 			return nil, &forwardError{resp: resp, status: status}
 		}
@@ -193,11 +190,9 @@ func (s *Server) forward(ctx context.Context, owner string, req Request) (Respon
 	})
 	var fe *forwardError
 	switch {
-	case ran:
-		return resp, status
 	case errors.As(err, &fe):
 		return fe.resp, fe.status
-	case err != nil: // joined a local computation that failed
+	case err != nil: // the request ended, or joined a local computation that failed
 		return Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: err.Error()}, http.StatusInternalServerError
 	}
 	return Response{Schema: ResponseSchema, Status: string(StatusDone), Document: doc}, http.StatusOK
@@ -212,13 +207,11 @@ type forwardError struct {
 
 func (e *forwardError) Error() string { return e.resp.Error }
 
-// forwardOnce performs one round trip to the owner.  It runs under the
-// server's base context, not the originating request's, so a client's
-// disconnect does not abort an answer other requests may share; it
-// carries the ID of the request that started it, so both nodes log that
-// request under one ID.  The request is pinned to Wait so the owner
-// answers with the document itself; owner-local job IDs never leak
-// across nodes.
+// forwardOnce performs one round trip to the owner under ctx, bounded by
+// the forward timeout.  ctx carries the ID of the request that started
+// the round trip, so both nodes log that request under one ID.  The
+// request is pinned to Wait so the owner answers with the document
+// itself; owner-local job IDs never leak across nodes.
 func (s *Server) forwardOnce(ctx context.Context, owner string, req Request) (Response, int) {
 	c := s.cluster
 	if c.inFlight.Add(1) > c.maxInFlight {
@@ -238,7 +231,7 @@ func (s *Server) forwardOnce(ctx context.Context, owner string, req Request) (Re
 			Error: fmt.Sprintf("no client for ring member %q", owner)}, http.StatusBadGateway
 	}
 	rid := requestIDFrom(ctx)
-	fctx, cancel := context.WithTimeout(context.WithValue(s.baseCtx, ctxKeyRequestID{}, rid), c.forwardTimeout)
+	fctx, cancel := context.WithTimeout(ctx, c.forwardTimeout)
 	defer cancel()
 	rq := req
 	rq.Wait = true

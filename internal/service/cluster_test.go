@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"maps"
 	"net/http"
 	"net/http/httptest"
@@ -93,23 +95,29 @@ func ownerIndex(t *testing.T, nodes []*testNode, req Request) int {
 	return -1
 }
 
-// requestOwnedBy searches the registry's small keys (n <= 64) until it
-// finds a trace request the ring places on nodes[want].  A trace request
-// is placed by its (algorithm, n), so the search varies those, not the
-// machine list.  Tests that can choose their entry node fix the request
-// and use ownerIndex instead.
-func requestOwnedBy(t *testing.T, nodes []*testNode, want int) Request {
+// keyOwnedBy searches ring seeds for one that places a normalized trace
+// request of size at most maxN on owner, whatever the listeners' ports.
+func keyOwnedBy(t *testing.T, peers []string, owner string, maxN int) (Request, uint64) {
 	t.Helper()
-	for _, a := range alg.All() {
-		for _, n := range a.DefaultSizes() {
-			req := Request{Algorithm: a.Name, N: n, Kind: KindTrace, Wait: true}
-			if n <= 64 && ownerIndex(t, nodes, req) == want {
-				return req
+	for seed := uint64(0); seed < 64; seed++ {
+		ring, err := cluster.New(seed, 0, peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range alg.All() {
+			for _, n := range a.DefaultSizes() {
+				req := Request{Algorithm: a.Name, N: n, Kind: KindTrace, Wait: true}
+				if err := req.normalize(); err != nil {
+					t.Fatal(err)
+				}
+				if n <= maxN && ring.Owner(placement(req.Key())) == owner {
+					return req, seed
+				}
 			}
 		}
 	}
-	t.Fatal("no probed request hashes to the wanted node")
-	return Request{}
+	t.Fatal("no ring seed places a registry key on the wanted node")
+	return Request{}, 0
 }
 
 // TestClusterPlacesKindsByTraceKey: the trace, dbsp and cache kinds of
@@ -359,8 +367,10 @@ func TestClusterForwardsCoalesceAtEntry(t *testing.T) {
 	t.Cleanup(unblock) // runs before ownerTS.Close waits on the held forward
 
 	const self = "http://entry.test"
+	peers := []string{self, ownerTS.URL}
+	req, seed := keyOwnedBy(t, peers, ownerTS.URL, 64)
 	entrySrv, err := New(Config{Workers: 1, Cluster: &ClusterConfig{
-		Self: self, Peers: []string{self, ownerTS.URL}, MaxForwards: 1,
+		Self: self, Peers: peers, Seed: seed, MaxForwards: 1,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +378,6 @@ func TestClusterForwardsCoalesceAtEntry(t *testing.T) {
 	t.Cleanup(entrySrv.Close)
 	entryTS := httptest.NewServer(entrySrv.Handler())
 	t.Cleanup(entryTS.Close)
-	req := requestOwnedBy(t, []*testNode{{srv: entrySrv, url: self}, {url: ownerTS.URL}}, 1)
 
 	const burst = 8
 	c := &Client{BaseURL: entryTS.URL, MaxRetries: -1} // a shed is an error, not a retry
@@ -713,34 +722,10 @@ func TestForwardRejectsMalformedDocument(t *testing.T) {
 				handler.Load().(http.Handler).ServeHTTP(w, r)
 			}))
 			t.Cleanup(entry.Close)
-			// Find a ring seed and a key the ring places on the fake
-			// owner; it answers without computing, so any registry size
-			// will do.
+			// The fake owner answers without computing, so any registry
+			// size will do.
 			peers := []string{entry.URL, owner.URL}
-			var req Request
-			var seed uint64
-		search:
-			for ; seed < 64; seed++ {
-				ring, err := cluster.New(seed, 0, peers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, a := range alg.All() {
-					for _, n := range a.DefaultSizes() {
-						rq := Request{Algorithm: a.Name, N: n, Kind: KindTrace, Wait: true}
-						if err := rq.normalize(); err != nil {
-							t.Fatal(err)
-						}
-						if ring.Owner(placement(rq.Key())) == owner.URL {
-							req = rq
-							break search
-						}
-					}
-				}
-			}
-			if req.Algorithm == "" {
-				t.Fatal("no ring seed places a registry key on the fake owner")
-			}
+			req, seed := keyOwnedBy(t, peers, owner.URL, 1<<30)
 			srv, err := New(Config{Workers: 1, Cluster: &ClusterConfig{Self: entry.URL, Peers: peers, Seed: seed}})
 			if err != nil {
 				t.Fatal(err)
@@ -762,4 +747,155 @@ func TestForwardRejectsMalformedDocument(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClusterForwardOutlivesRequester: a forward shared through the
+// entry node's result cache lives while any requester waits for it.
+// When the requester that started it disconnects, the round trip goes
+// on and serves the one still waiting; when every requester leaves, the
+// owner sees the forwarded request cancelled and the entry node keeps
+// nothing; and closing the entry node ends a forward in flight at once.
+func TestClusterForwardOutlivesRequester(t *testing.T) {
+	ownerSrv, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ownerSrv.Close)
+	var gate atomic.Value // chan struct{}: closed to let held forwards through
+	gate.Store(make(chan struct{}))
+	var forwards atomic.Int64
+	cancelled := make(chan struct{}, 8)
+	stop := make(chan struct{})
+	ownerTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/analyze" {
+			// Reading the body first lets the server notice the
+			// entry node hanging up, as the real handler does.
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			forwards.Add(1)
+			select {
+			case <-gate.Load().(chan struct{}):
+			case <-stop:
+			case <-r.Context().Done():
+				cancelled <- struct{}{}
+				return
+			}
+		}
+		ownerSrv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ownerTS.Close)
+	t.Cleanup(func() { close(stop) }) // runs before ownerTS.Close waits on held forwards
+
+	const self = "http://entry.test"
+	peers := []string{self, ownerTS.URL}
+	base, seed := keyOwnedBy(t, peers, ownerTS.URL, 64)
+	entrySrv, err := New(Config{Workers: 1, Cluster: &ClusterConfig{Self: self, Peers: peers, Seed: seed}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(entrySrv.Close)
+	entryTS := httptest.NewServer(entrySrv.Handler())
+	t.Cleanup(entryTS.Close)
+	c := &Client{BaseURL: entryTS.URL, MaxRetries: -1}
+	type answer struct {
+		resp Response
+		err  error
+	}
+	ask := func(ctx context.Context, req Request) <-chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			resp, err := c.Analyze(ctx, req)
+			ch <- answer{resp, err}
+		}()
+		return ch
+	}
+	waitForwards := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); forwards.Load() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d forwards reached the owner, want %d", forwards.Load(), n)
+			}
+		}
+	}
+	// joined lets a second requester reach the entry node's Fill.
+	joined := func() { time.Sleep(100 * time.Millisecond) }
+
+	t.Run("first requester leaves", func(t *testing.T) {
+		release := make(chan struct{})
+		gate.Store(release)
+		ctx, cancel := context.WithCancel(context.Background())
+		first := ask(ctx, base)
+		waitForwards(1)
+		second := ask(context.Background(), base)
+		joined()
+		cancel()
+		if a := <-first; a.err == nil {
+			t.Errorf("disconnected requester got %+v, want its context's error", a.resp)
+		}
+		joined() // the entry node notices the hang-up and leaves the Fill
+		select {
+		case <-cancelled:
+			t.Fatal("the owner saw the shared forward cancelled while a requester still waited")
+		default:
+		}
+		close(release)
+		a := <-second
+		if a.err != nil || a.resp.Status != string(StatusDone) || a.resp.Document == nil {
+			t.Fatalf("waiting requester got %+v, %v; want the document", a.resp, a.err)
+		}
+		if n := forwards.Load(); n != 1 {
+			t.Errorf("%d forwards for one key, want 1", n)
+		}
+	})
+
+	t.Run("every requester leaves", func(t *testing.T) {
+		gate.Store(make(chan struct{}))
+		req := base
+		req.Kind = KindDBSP
+		before := forwards.Load()
+		ctx, cancel := context.WithCancel(context.Background())
+		answers := []<-chan answer{ask(ctx, req)}
+		waitForwards(before + 1)
+		answers = append(answers, ask(ctx, req))
+		joined()
+		cancel()
+		for _, ch := range answers {
+			<-ch
+		}
+		select {
+		case <-cancelled:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the owner never saw the abandoned forward cancelled")
+		}
+		if _, _, ok := entrySrv.results.Peek(req.Key()); ok || entrySrv.results.Len() != 1 {
+			t.Errorf("the entry node kept an abandoned forward: Peek ok=%v, Len=%d", ok, entrySrv.results.Len())
+		}
+	})
+
+	t.Run("entry node closes", func(t *testing.T) {
+		gate.Store(make(chan struct{}))
+		req := base
+		req.Kind = KindCache
+		before := forwards.Load()
+		pending := ask(context.Background(), req)
+		waitForwards(before + 1)
+		start := time.Now()
+		entrySrv.Close()
+		select {
+		case a := <-pending:
+			if a.err == nil {
+				t.Errorf("requester got %+v from a closed node, want an error", a.resp)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a forward in flight outlived the entry node's Close")
+		}
+		select {
+		case <-cancelled:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the owner never saw the forward of a closed node cancelled")
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("Close took %v to end a forward in flight", d)
+		}
+	})
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"netoblivious/internal/core"
 	"netoblivious/internal/harness"
 )
 
@@ -366,26 +365,9 @@ func (s *Server) runJob(j *job) {
 
 	start := time.Now()
 	probeStart := s.probe.Now()
-	key := j.req.Key()
-	var doc *harness.Document
-	var err error
-	for attempt := 0; ; attempt++ {
-		doc, err = s.results.Get(key, func() (*harness.Document, error) {
-			return s.runAnalysis(jobCtx, j.req, j.publish)
-		})
-		// The store never keeps a cancellation: it describes a job, not
-		// the key.
-		if !core.IsCancellation(err) {
-			break
-		}
-		if jobCtx.Err() != nil || attempt >= 2 {
-			break // our own cancellation/timeout (or giving up): terminal
-		}
-		// This job was a *victim*: it shared an in-flight computation
-		// with a job that was cancelled, and inherited the abort.  Its
-		// own context is live, so re-run under it.
-		j.publish("retrying", "shared computation was cancelled by another job")
-	}
+	doc, err := s.results.Get(jobCtx, j.req.Key(), func(ctx context.Context) (*harness.Document, error) {
+		return s.runAnalysis(ctx, j.req, j.publish)
+	})
 	elapsed := time.Since(start)
 	s.metrics.observeLatency(j.req.Algorithm, elapsed)
 	s.metrics.observeRun(engineName, elapsed)
@@ -398,7 +380,7 @@ func (s *Server) runJob(j *job) {
 		if finished {
 			s.metrics.jobsDone.Add(1)
 		}
-	case errors.Is(err, errJobCancelled) || errors.Is(context.Cause(jobCtx), errJobCancelled):
+	case errors.Is(err, errJobCancelled):
 		finished = j.finish(StatusCancelled, &Response{Schema: ResponseSchema, Status: string(StatusCancelled), Error: err.Error()})
 		if finished {
 			s.metrics.jobsCancelled.Add(1)
@@ -434,14 +416,14 @@ func (s *Server) runJob(j *job) {
 }
 
 // cancelJob cancels a job by id: a queued job finishes immediately, a
-// running one has its context cancelled and finishes when the engine
-// aborts at the next superstep boundary.  Either way the job leaves the
-// dedup index at once, so a request arriving now starts a fresh job
-// instead of joining this doomed one; if the fresh job meets the
-// aborting run in a store, runJob's victim retry runs it again.  The
-// request is recorded under the job lock so a cancel racing the worker's
-// queue pop is never lost: runJob re-checks cancelRequested right after
-// installing its hook.
+// running one has its context cancelled and finishes as soon as its wait
+// on the result cache ends.  The computation it waited for stops at the
+// next superstep boundary only if no other job waits for it (core.Store
+// owns its lifetime).  Either way the job leaves the dedup index at
+// once, so a request arriving now starts a fresh job instead of joining
+// this doomed one.  The request is recorded under the job lock so a
+// cancel racing the worker's queue pop is never lost: runJob re-checks
+// cancelRequested right after installing its hook.
 func (s *Server) cancelJob(j *job) {
 	j.mu.Lock()
 	status := j.status

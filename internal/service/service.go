@@ -244,8 +244,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops the worker pool and cancels every running job.  In-flight
-// HTTP requests observe cancelled jobs rather than hanging.
+// Close stops the worker pool, cancels every running job and ends every
+// in-flight HTTP request's context, so waits, event streams and
+// forwards return rather than hang.
 func (s *Server) Close() {
 	s.sched.close()
 	s.stop()
@@ -294,6 +295,8 @@ func (w *statusWriter) Flush() {
 // client's X-Request-ID when present, a fresh one otherwise — echoes it
 // on the response, threads it through the context (jobs started by the
 // request inherit it), and writes a sampled structured access line.
+// The request's context ends at Close, so waits, streams and forwards
+// end with the server.
 func (s *Server) withObservability(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rid := r.Header.Get(headerRequestID)
@@ -301,7 +304,10 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 			rid = obs.NewRequestID()
 		}
 		w.Header().Set(headerRequestID, rid)
-		ctx := context.WithValue(r.Context(), ctxKeyRequestID{}, rid)
+		ctx, cancel := context.WithCancel(context.WithValue(r.Context(), ctxKeyRequestID{}, rid))
+		defer cancel()
+		stop := context.AfterFunc(s.baseCtx, cancel)
+		defer stop()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(sw, r.WithContext(ctx))
@@ -669,8 +675,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-changed:
 		case <-r.Context().Done():
-			return
-		case <-s.baseCtx.Done():
 			return
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -838,17 +839,14 @@ func TestCancelledJobLeavesDedup(t *testing.T) {
 	}
 }
 
-// TestSharedTierRunSurvivesCancel: a dbsp job that joined a trace job's
-// trace-tier run for the same (algorithm, n) inherits that run's abort
-// when the trace job is deleted.  It retries under its own live context
-// and ends done, with a "retrying" event in its log.
-func TestSharedTierRunSurvivesCancel(t *testing.T) {
-	srv, c := newTestServer(t, Config{Workers: 2})
-	ctx := context.Background()
-	// The tracing stage is published just before the tier lookup, so the
-	// test watches the tier's counters instead: the trace job's miss
-	// starts the run, and only then may the dbsp job join it as a hit.
-	// The DELETE then always lands on a run the two jobs share.
+// startSharedTierRun submits a trace job that starts the trace-tier run
+// of sort n=4096 (the tier's miss) and then a dbsp job that joins that
+// run (the tier's hit), and returns both job IDs.  The tracing stage is
+// published just before the tier lookup, so it watches the tier's
+// counters instead: only after the trace job's miss may the dbsp job
+// join as a hit, so a DELETE then always lands on a run the two share.
+func startSharedTierRun(t *testing.T, srv *Server, c *Client) (traceJob, dbspJob string) {
+	t.Helper()
 	waitForTier := func(what string, ok func(core.StoreStats) bool) {
 		t.Helper()
 		for deadline := time.Now().Add(time.Minute); !ok(srv.traces.Stats()); time.Sleep(time.Millisecond) {
@@ -857,37 +855,73 @@ func TestSharedTierRunSurvivesCancel(t *testing.T) {
 			}
 		}
 	}
-	traceJob, err := c.Analyze(ctx, Request{Algorithm: "sort", N: 4096, Kind: KindTrace})
+	ctx := context.Background()
+	tr, err := c.Analyze(ctx, Request{Algorithm: "sort", N: 4096, Kind: KindTrace})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitForTier("trace job never started the run", func(st core.StoreStats) bool { return st.Misses >= 1 })
-	dbspJob, err := c.Analyze(ctx, Request{Algorithm: "sort", N: 4096, Kind: KindDBSP})
+	db, err := c.Analyze(ctx, Request{Algorithm: "sort", N: 4096, Kind: KindDBSP})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitForTier("dbsp job never joined the run", func(st core.StoreStats) bool { return st.Hits >= 1 })
-	if _, err := c.CancelJob(ctx, traceJob.JobID); err != nil {
-		t.Fatal(err)
-	}
-	waitCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
+	return tr.JobID, db.JobID
+}
+
+// waitStatus waits for a job's terminal state and fails unless it is
+// want.
+func waitStatus(t *testing.T, c *Client, id string, want JobStatus) JobInfo {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	info, err := c.WaitJob(waitCtx, dbspJob.JobID, nil)
+	info, err := c.WaitJob(ctx, id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Status != StatusDone {
-		t.Fatalf("dbsp job finished %s: %+v", info.Status, info.Response)
+	if info.Status != want {
+		t.Errorf("job %s finished %s, want %s: %+v", id, info.Status, want, info.Response)
 	}
-	retried := false
+	return info
+}
+
+// TestSharedTierRunSurvivesCancel: deleting the trace job that started
+// a trace-tier run leaves the run to the dbsp job that joined it, which
+// still waits for it: the dbsp job ends done from that one run, with no
+// retry, and the deleted job ends cancelled.
+func TestSharedTierRunSurvivesCancel(t *testing.T) {
+	srv, c := newTestServer(t, Config{Workers: 2})
+	traceJob, dbspJob := startSharedTierRun(t, srv, c)
+	if _, err := c.CancelJob(context.Background(), traceJob); err != nil {
+		t.Fatal(err)
+	}
+	info := waitStatus(t, c, dbspJob, StatusDone)
+	var stages []string
 	for _, ev := range info.Events {
-		retried = retried || ev.Stage == "retrying"
+		stages = append(stages, ev.Stage)
 	}
-	if !retried {
-		t.Errorf("dbsp job's events %+v carry no retrying stage", info.Events)
+	if want := []string{"queued", "started", "tracing", "folding", "done"}; !slices.Equal(stages, want) {
+		t.Errorf("dbsp job's stages %v, want %v: no retry of the shared run", stages, want)
 	}
-	if info, err := c.WaitJob(waitCtx, traceJob.JobID, nil); err != nil || info.Status != StatusCancelled {
-		t.Errorf("deleted trace job finished %s (%v), want cancelled", info.Status, err)
+	waitStatus(t, c, traceJob, StatusCancelled)
+	if st := srv.traces.Stats(); st.Misses != 1 {
+		t.Errorf("trace tier at %+v after both jobs, want 1 miss: the shared run ran again", st)
+	}
+}
+
+// TestJoinedJobCancels: a job that joined another job's trace-tier run
+// can be cancelled: deleting the dbsp job ends it cancelled while the
+// trace job that started the run still ends done, from that one run.
+func TestJoinedJobCancels(t *testing.T) {
+	srv, c := newTestServer(t, Config{Workers: 2})
+	traceJob, dbspJob := startSharedTierRun(t, srv, c)
+	if _, err := c.CancelJob(context.Background(), dbspJob); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, c, dbspJob, StatusCancelled)
+	waitStatus(t, c, traceJob, StatusDone)
+	if st := srv.traces.Stats(); st.Misses != 1 {
+		t.Errorf("trace tier at %+v after both jobs, want 1 miss", st)
 	}
 }
 
