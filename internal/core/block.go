@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // This file implements the BlockEngine: W workers, each owning the
@@ -216,10 +217,10 @@ type blockRun[P any] struct {
 
 	outBuckets [][][]routedMsg[P] // [srcWorker][dstWorker]
 
-	sentG, recvG [][]int32   // [level][globalBlock]; nil at coarse levels
-	sentL, recvL [][][]int32 // [worker][level][block]; nil at fine levels
-	localMax     [][]int32   // [worker][level] partition maxima
-	pairShard    []*PairList // per-worker recorded pairs; spliced at merge
+	sentG, recvG [][]int32        // [level][globalBlock]; nil at coarse levels
+	sentL, recvL [][][]int32      // [worker][level][block]; nil at fine levels
+	localMax     [][]int32        // [worker][level] partition maxima
+	pairShard    []paddedPairList // per-worker recorded pairs; spliced at merge
 
 	// waitNs accumulates, per worker, the nanoseconds spent inside
 	// treeBarrier.arrive since the last mergeStep sample.  Allocated only
@@ -235,6 +236,31 @@ type blockRun[P any] struct {
 	stepLabel int
 	stepMsgs  int64
 	phase     int
+}
+
+// cacheLine is the unit of false sharing: a slot that one worker writes
+// for every message must share no 64-byte line with another worker's,
+// or the workers' writes contend for the line.
+const cacheLine = 64
+
+// paddedPairList is one worker's recorded-pair shard, followed by a
+// cache line of padding: every recorded message's Append writes the
+// list's length, and in a slice of shards the padding keeps each
+// shard's list a full line from the next one's, whatever the alignment
+// of the slice (the allocator promises none: a large object with
+// pointers starts past an 8-byte header).
+type paddedPairList struct {
+	PairList
+	_ [cacheLine]byte
+}
+
+// ownLines returns n zero elements with a cache line of unused space on
+// each side in their allocation, so no other object, such as another
+// worker's slots, shares a line with them.
+func ownLines[T any](n int) []T {
+	var zero T
+	pad := (cacheLine + int(unsafe.Sizeof(zero)) - 1) / int(unsafe.Sizeof(zero))
+	return make([]T, n+2*pad)[pad : pad+n : pad+n]
 }
 
 // runBlockEngine executes prog on m with W block-scheduled workers.
@@ -253,7 +279,7 @@ func runBlockEngine[P any](m *machine[P], prog Program[P], W int) {
 	b.recvL = make([][][]int32, W)
 	b.localMax = make([][]int32, W)
 	for w := 0; w < W; w++ {
-		b.outBuckets[w] = make([][]routedMsg[P], W)
+		b.outBuckets[w] = ownLines[[]routedMsg[P]](W)
 		b.sentL[w] = make([][]int32, m.logV+1)
 		b.recvL[w] = make([][]int32, m.logV+1)
 		b.localMax[w] = make([]int32, m.logV+1)
@@ -267,16 +293,13 @@ func runBlockEngine[P any](m *machine[P], prog Program[P], W int) {
 			b.recvG[j] = make([]int32, nb)
 		} else {
 			for w := 0; w < W; w++ {
-				b.sentL[w][j] = make([]int32, nb)
-				b.recvL[w][j] = make([]int32, nb)
+				b.sentL[w][j] = ownLines[int32](nb)
+				b.recvL[w][j] = ownLines[int32](nb)
 			}
 		}
 	}
 	if m.opts.RecordMessages {
-		b.pairShard = make([]*PairList, W)
-		for w := 0; w < W; w++ {
-			b.pairShard[w] = &PairList{}
-		}
+		b.pairShard = ownLines[paddedPairList](W)
 	}
 	if m.opts.Probe != nil {
 		b.waitNs = make([]int64, W)
@@ -718,7 +741,7 @@ func (b *blockRun[P]) mergeStep() {
 			// shards come back empty for the next superstep.
 			pairs = &PairList{}
 			for w := 0; w < b.w; w++ {
-				pairs.Splice(b.pairShard[w])
+				pairs.Splice(&b.pairShard[w].PairList)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestEngineErrorDetection runs every model-violation scenario on both
@@ -244,5 +245,37 @@ func TestBlockEngineWorkerCount(t *testing.T) {
 	}
 	if got := (BlockEngine{}).workerCount(1 << 20); got < 1 || got&(got-1) != 0 {
 		t.Errorf("automatic workerCount = %d, want a positive power of two", got)
+	}
+}
+
+// TestWorkerSlotsOwnCacheLines: no cache line holds the recorded-pair
+// lists of two BlockEngine workers, nor a worker slot from ownLines and
+// any other object, so no two workers' per-message writes share a line.
+func TestWorkerSlotsOwnCacheLines(t *testing.T) {
+	list, padded := unsafe.Sizeof(PairList{}), unsafe.Sizeof(paddedPairList{})
+	if padded < list+cacheLine {
+		t.Fatalf("paddedPairList is %d bytes, want at least the list's %d plus a %d-byte line", padded, list, cacheLine)
+	}
+	line := func(p unsafe.Pointer, off uintptr) uintptr { return (uintptr(p) + off) / cacheLine }
+	for w := 1; w <= 256; w *= 2 {
+		shards := ownLines[paddedPairList](w)
+		for i := 1; i < w; i++ {
+			prev, cur := unsafe.Pointer(&shards[i-1]), unsafe.Pointer(&shards[i])
+			if line(prev, list-1) >= line(cur, 0) {
+				t.Fatalf("W=%d: the lists of shards %d and %d share a line", w, i-1, i)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 7, 64} {
+		s := ownLines[int32](n)
+		if len(s) != n || cap(s) != n {
+			t.Fatalf("ownLines(%d): len %d cap %d", n, len(s), cap(s))
+		}
+		// The line before and the line after the slots lie in the same
+		// allocation, so reading them stays in bounds and finds zeros.
+		full := unsafe.Slice((*int32)(unsafe.Add(unsafe.Pointer(&s[0]), -cacheLine)), n+2*cacheLine/4)
+		if full[0] != 0 || full[len(full)-1] != 0 {
+			t.Fatalf("ownLines(%d): padding is not zero", n)
+		}
 	}
 }

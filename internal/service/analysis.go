@@ -23,10 +23,12 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 
 	"netoblivious/alg"
@@ -321,6 +323,9 @@ func (s *Server) runAnalysis(ctx context.Context, req Request, progress progress
 	default:
 		err = fmt.Errorf("unknown kind %q", req.Kind)
 	}
+	if err == nil {
+		err = finite(results)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -334,6 +339,32 @@ func (s *Server) runAnalysis(ctx context.Context, req Request, progress progress
 		}},
 	}
 	return doc, nil
+}
+
+// errOverflow marks an analysis whose answer overflows float64, as a
+// cost does at a σ near math.MaxFloat64.  JSON has no ±Inf or NaN, so
+// such an answer cannot be sent: the request fails with 422, and the
+// result cache keeps the failure, not a document.
+var errOverflow = errors.New("the answer overflows float64")
+
+// finite returns an errOverflow naming the first cell of results that
+// is ±Inf or NaN, or nil.
+func finite(results []*harness.Result) error {
+	for _, res := range results {
+		for i, row := range res.Rows {
+			for j, v := range row {
+				if v.Kind != harness.KindFloat || !(math.IsInf(v.Float, 0) || math.IsNaN(v.Float)) {
+					continue
+				}
+				col := strconv.Itoa(j)
+				if j < len(res.Columns) {
+					col = res.Columns[j]
+				}
+				return fmt.Errorf("%w: %s is %v in row %d of %q; lower sigma", errOverflow, col, v.Float, i+1, res.Title)
+			}
+		}
+	}
+	return nil
 }
 
 func recordTitle(req Request) string {

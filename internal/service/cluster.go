@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"netoblivious/internal/cluster"
-	"netoblivious/internal/harness"
 	"netoblivious/internal/obs"
 )
 
@@ -149,7 +148,7 @@ func (c *clusterState) mode() string {
 
 // routeOf decides a normalized asynchronous request's placement: the
 // owning peer's address when the request must be forwarded, "" when it
-// is served locally.  Synchronous kinds never get here: analyzeStart
+// is served locally.  Synchronous kinds never get here: analyze
 // answers them on the entry node (they cost microseconds; forwarding
 // would cost more than answering).  The ring hashes the placement of
 // req.Key(), the key every node caches under, so each answer is computed
@@ -181,12 +180,12 @@ func (s *Server) forward(ctx context.Context, owner string, req Request) (Respon
 	if s.cluster.routeOnly {
 		return s.forwardOnce(ctx, owner, req)
 	}
-	doc, err := s.results.Fill(ctx, req.Key(), func(ctx context.Context) (*harness.Document, error) {
+	c, err := s.results.Fill(ctx, req.Key(), func(ctx context.Context) (*cachedDoc, error) {
 		resp, status := s.forwardOnce(ctx, owner, req)
 		if status != http.StatusOK || resp.Status != string(StatusDone) || resp.Document == nil {
 			return nil, &forwardError{resp: resp, status: status}
 		}
-		return resp.Document, nil
+		return &cachedDoc{doc: resp.Document}, nil
 	})
 	var fe *forwardError
 	switch {
@@ -195,7 +194,7 @@ func (s *Server) forward(ctx context.Context, owner string, req Request) (Respon
 	case err != nil: // the request ended, or joined a local computation that failed
 		return Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: err.Error()}, http.StatusInternalServerError
 	}
-	return Response{Schema: ResponseSchema, Status: string(StatusDone), Document: doc}, http.StatusOK
+	return Response{Schema: ResponseSchema, Status: string(StatusDone), Document: c.doc}, http.StatusOK
 }
 
 // forwardError carries an owner's verdict that is not a completed

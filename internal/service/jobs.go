@@ -5,10 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
-
-	"netoblivious/internal/harness"
 )
 
 // JobStatus is the lifecycle state of an asynchronous analysis.
@@ -58,6 +57,7 @@ type job struct {
 	events          []Event       // the only copy of the job's progress
 	changed         chan struct{} // closed and replaced by every append to events
 	resp            *Response     // terminal outcome
+	code            int           // HTTP status of resp for a request that waited
 	cancelRequested bool          // a DELETE landed; honored even mid-pop
 	created         time.Time
 
@@ -92,8 +92,9 @@ func (j *job) eventsAfter(n int) ([]Event, JobStatus, <-chan struct{}) {
 }
 
 // finish transitions the job to a terminal status exactly once, and
-// appends the terminal event under the same lock.
-func (j *job) finish(status JobStatus, resp *Response) bool {
+// appends the terminal event under the same lock.  code is the HTTP
+// status a request that waited for the job answers with.
+func (j *job) finish(status JobStatus, resp *Response, code int) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status.Terminal() {
@@ -101,7 +102,7 @@ func (j *job) finish(status JobStatus, resp *Response) bool {
 	}
 	j.appendLocked(string(status), "")
 	j.status = status
-	j.resp = resp
+	j.resp, j.code = resp, code
 	close(j.done)
 	return true
 }
@@ -365,8 +366,12 @@ func (s *Server) runJob(j *job) {
 
 	start := time.Now()
 	probeStart := s.probe.Now()
-	doc, err := s.results.Get(jobCtx, j.req.Key(), func(ctx context.Context) (*harness.Document, error) {
-		return s.runAnalysis(ctx, j.req, j.publish)
+	c, err := s.results.Get(jobCtx, j.req.Key(), func(ctx context.Context) (*cachedDoc, error) {
+		doc, err := s.runAnalysis(ctx, j.req, j.publish)
+		if err != nil {
+			return nil, err
+		}
+		return &cachedDoc{doc: doc}, nil
 	})
 	elapsed := time.Since(start)
 	s.metrics.observeLatency(j.req.Algorithm, elapsed)
@@ -376,17 +381,17 @@ func (s *Server) runJob(j *job) {
 	var finished bool
 	switch {
 	case err == nil:
-		finished = j.finish(StatusDone, &Response{Schema: ResponseSchema, Status: string(StatusDone), Document: doc})
+		finished = j.finish(StatusDone, &Response{Schema: ResponseSchema, Status: string(StatusDone), Document: c.doc}, http.StatusOK)
 		if finished {
 			s.metrics.jobsDone.Add(1)
 		}
 	case errors.Is(err, errJobCancelled):
-		finished = j.finish(StatusCancelled, &Response{Schema: ResponseSchema, Status: string(StatusCancelled), Error: err.Error()})
+		finished = j.finish(StatusCancelled, &Response{Schema: ResponseSchema, Status: string(StatusCancelled), Error: err.Error()}, http.StatusOK)
 		if finished {
 			s.metrics.jobsCancelled.Add(1)
 		}
 	default:
-		finished = j.finish(StatusFailed, &Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: err.Error()})
+		finished = j.finish(StatusFailed, &Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: err.Error()}, failureStatus(err, http.StatusOK))
 		if finished {
 			s.metrics.jobsFailed.Add(1)
 		}
@@ -438,7 +443,7 @@ func (s *Server) cancelJob(j *job) {
 		cancel(errJobCancelled)
 	}
 	if status == StatusQueued && cancel == nil {
-		if j.finish(StatusCancelled, &Response{Schema: ResponseSchema, Status: string(StatusCancelled), Error: errJobCancelled.Error()}) {
+		if j.finish(StatusCancelled, &Response{Schema: ResponseSchema, Status: string(StatusCancelled), Error: errJobCancelled.Error()}, http.StatusOK) {
 			s.metrics.jobsCancelled.Add(1)
 			s.sched.retire(j)
 		}

@@ -183,7 +183,7 @@ type AlgorithmsResponse struct {
 // single-flight.
 type Server struct {
 	cfg     Config
-	results *core.Store[*harness.Document]
+	results *core.Store[*cachedDoc]
 	traces  *harness.TraceStore
 	sched   *scheduler
 	metrics *metrics
@@ -201,6 +201,38 @@ type Server struct {
 	wg      sync.WaitGroup
 }
 
+// cachedDoc is a result-cache value: a key's document, plus the body a
+// hit answers with, encoded on the entry's first hit.  An answer is a
+// pure function of its key, so the body never goes stale; it lives and
+// is evicted with the entry, and a miss never pays for it.
+type cachedDoc struct {
+	doc *harness.Document
+	hit atomic.Pointer[[]byte]
+}
+
+// hitBody returns the encoded hit response of the entry, the Response
+// analyze builds for a hit plus the encoder's trailing newline, encoding
+// it on the first call.  ok is false when the document cannot be
+// encoded; nothing is kept then, and the caller takes writeJSON's path.
+func (c *cachedDoc) hitBody() (body []byte, ok bool) {
+	if b := c.hit.Load(); b != nil {
+		return *b, true
+	}
+	je := jsonEncoders.Get().(*jsonEncoder)
+	defer je.put()
+	if err := je.enc.Encode(hitResponse(c.doc)); err != nil {
+		return nil, false
+	}
+	body = bytes.Clone(je.buf.Bytes())
+	c.hit.Store(&body)
+	return body, true
+}
+
+// hitResponse is the response to a result-cache hit on doc.
+func hitResponse(doc *harness.Document) Response {
+	return Response{Schema: ResponseSchema, Status: string(StatusDone), Cached: true, Document: doc}
+}
+
 // New builds a Server and starts its worker pool.  Callers must Close
 // it.  It fails only on an unusable cluster configuration.
 func New(cfg Config) (*Server, error) {
@@ -209,7 +241,7 @@ func New(cfg Config) (*Server, error) {
 	traces.SetProbe(cfg.Probe)
 	s := &Server{
 		cfg:     cfg,
-		results: core.NewBoundedStore[*harness.Document](cfg.CacheEntries),
+		results: core.NewBoundedStore[*cachedDoc](cfg.CacheEntries),
 		traces:  traces,
 		sched:   newScheduler(cfg.QueueLimit, cfg.AdmitQueueHigh),
 		metrics: newMetrics(),
@@ -339,37 +371,47 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON encodes v as compact JSON and writes it with status.  A
+// value that cannot be encoded is answered with a 500 and an apiError
+// naming the failure, never with an empty body under the intended
+// status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	je := jsonEncoders.Get().(*jsonEncoder)
 	defer je.put()
-	w.Header().Set("Content-Type", "application/json")
 	if err := je.enc.Encode(v); err != nil {
-		w.WriteHeader(status)
-		return
+		je.buf.Reset()
+		status = http.StatusInternalServerError
+		_ = je.enc.Encode(apiError{Error: "encoding response: " + err.Error()})
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(je.buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(je.buf.Bytes())
+	writeBody(w, status, je.buf.Bytes())
 }
 
-// jsonEncoder is an indenting encoder over its own buffer.  Pooling the
-// pair reuses both the output buffer and the encoder's indent buffer
-// across responses: a cached answer is re-encoded on every hit, and
-// without the pool those two buffers are most of the bytes a hit
-// allocates.
+// writeBody writes an encoded JSON body under status.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
+// jsonEncoder is a compact encoder over its own buffer.  Pooling the
+// pair reuses the output buffer across responses, which is most of the
+// bytes an encoded response would otherwise allocate.  A result-cache
+// hit does not come here after its first: the entry keeps its encoded
+// body (cachedDoc).
 type jsonEncoder struct {
 	buf bytes.Buffer
 	enc *json.Encoder
 }
 
 // maxPooledEncoderBytes keeps one oversized response from pinning its
-// buffers in the pool.
+// buffer in the pool.
 const maxPooledEncoderBytes = 1 << 20
 
 var jsonEncoders = sync.Pool{New: func() any {
 	je := &jsonEncoder{}
 	je.enc = json.NewEncoder(&je.buf)
-	je.enc.SetIndent("", "  ")
 	return je
 }}
 
@@ -458,7 +500,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "request", &req) {
 		return
 	}
-	resp, status := s.analyze(r.Context(), req, isForwarded(r))
+	resp, status, hit := s.analyze(r.Context(), req, isForwarded(r))
+	if hit != nil {
+		if body, ok := hit.hitBody(); ok {
+			writeBody(w, status, body)
+			return
+		}
+	}
 	if status == http.StatusTooManyRequests && resp.RetryAfterSec > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(resp.RetryAfterSec))
 	}
@@ -499,7 +547,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			for i := range items {
-				resp, status := s.analyze(r.Context(), batch.Requests[i], forwarded)
+				resp, status, _ := s.analyze(r.Context(), batch.Requests[i], forwarded)
 				resp.Code = status
 				out.Responses[i] = resp
 			}
@@ -521,47 +569,50 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // analyze serves one request and returns its response plus HTTP status.
-func (s *Server) analyze(ctx context.Context, req Request, forwarded bool) (Response, int) {
+// A result-cache hit on a document also returns its entry, whose stored
+// body handleAnalyze writes instead of encoding the response.
+func (s *Server) analyze(ctx context.Context, req Request, forwarded bool) (Response, int, *cachedDoc) {
 	if err := req.normalize(); err != nil {
-		return Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: err.Error()}, http.StatusBadRequest
+		return Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: err.Error()}, http.StatusBadRequest, nil
 	}
-	if resp, status := s.analyzeStart(ctx, &req); resp != nil {
-		return *resp, status
+	if req.Kind.Sync() {
+		start := time.Now()
+		doc, err := s.runAnalysis(ctx, req, nil)
+		s.metrics.observeLatency(req.Algorithm, time.Since(start))
+		if err != nil {
+			return Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: err.Error()}, failureStatus(err, http.StatusInternalServerError), nil
+		}
+		return Response{Schema: ResponseSchema, Status: string(StatusDone), Document: doc}, http.StatusOK, nil
+	}
+	if c, err, ok := s.results.Peek(req.Key()); ok {
+		if err != nil {
+			return Response{Schema: ResponseSchema, Status: string(StatusFailed), Cached: true, Error: err.Error()}, failureStatus(err, http.StatusInternalServerError), nil
+		}
+		return hitResponse(c.doc), http.StatusOK, c
 	}
 	if owner := s.routeOf(&req, forwarded); owner != "" {
-		return s.forward(ctx, owner, req)
+		resp, status := s.forward(ctx, owner, req)
+		return resp, status, nil
 	}
 	j, resp, status := s.startJob(ctx, req)
 	if j == nil {
-		return *resp, status
+		return *resp, status, nil
 	}
 	if req.Wait {
-		return s.awaitJob(ctx, j), http.StatusOK
+		resp, status := s.awaitJob(ctx, j)
+		return resp, status, nil
 	}
-	return Response{Schema: ResponseSchema, Status: string(jobStatus(j)), JobID: j.id}, http.StatusAccepted
+	return Response{Schema: ResponseSchema, Status: string(jobStatus(j)), JobID: j.id}, http.StatusAccepted, nil
 }
 
-// analyzeStart answers a normalized request from this node when it can:
-// synchronous kinds, and result-cache hits, including documents earlier
-// forwarded from their owner.  A nil response means the caller must
-// forward the request or start (or join) a job.
-func (s *Server) analyzeStart(ctx context.Context, req *Request) (*Response, int) {
-	if req.Kind.Sync() {
-		start := time.Now()
-		doc, err := s.runAnalysis(ctx, *req, nil)
-		s.metrics.observeLatency(req.Algorithm, time.Since(start))
-		if err != nil {
-			return &Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: err.Error()}, http.StatusInternalServerError
-		}
-		return &Response{Schema: ResponseSchema, Status: string(StatusDone), Document: doc}, http.StatusOK
+// failureStatus is the HTTP status of an analysis that failed with err:
+// 422 when its answer overflows float64 (the request is well formed, but
+// JSON cannot carry the answer), fallback otherwise.
+func failureStatus(err error, fallback int) int {
+	if errors.Is(err, errOverflow) {
+		return http.StatusUnprocessableEntity
 	}
-	if doc, err, ok := s.results.Peek(req.Key()); ok {
-		if err != nil {
-			return &Response{Schema: ResponseSchema, Status: string(StatusFailed), Cached: true, Error: err.Error()}, http.StatusInternalServerError
-		}
-		return &Response{Schema: ResponseSchema, Status: string(StatusDone), Cached: true, Document: doc}, http.StatusOK
-	}
-	return nil, 0
+	return fallback
 }
 
 // startJob enqueues (or joins) the job computing req's key.  A created
@@ -599,17 +650,20 @@ func (s *Server) startJob(ctx context.Context, req Request) (*job, *Response, in
 
 // awaitJob blocks until the job finishes or the request context is
 // cancelled; in the latter case the job keeps running and the caller
-// gets its reference.
-func (s *Server) awaitJob(ctx context.Context, j *job) Response {
+// gets its reference.  The status is the job's outcome code once it
+// finished, 200 otherwise.
+func (s *Server) awaitJob(ctx context.Context, j *job) (Response, int) {
 	select {
 	case <-j.done:
-		_, _, resp := j.snapshot()
+		j.mu.Lock()
+		resp, code := j.resp, j.code
+		j.mu.Unlock()
 		if resp != nil {
-			return *resp
+			return *resp, code
 		}
-		return Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: "job finished without a response"}
+		return Response{Schema: ResponseSchema, Status: string(StatusFailed), Error: "job finished without a response"}, http.StatusOK
 	case <-ctx.Done():
-		return Response{Schema: ResponseSchema, Status: string(jobStatus(j)), JobID: j.id}
+		return Response{Schema: ResponseSchema, Status: string(jobStatus(j)), JobID: j.id}, http.StatusOK
 	}
 }
 

@@ -1038,7 +1038,7 @@ func TestJobRetentionBounded(t *testing.T) {
 		}
 		sched.next()
 		sched.remove(j)
-		j.finish(StatusDone, &Response{})
+		j.finish(StatusDone, &Response{}, http.StatusOK)
 		sched.retire(j)
 	}
 	sched.mu.Lock()
@@ -1172,8 +1172,8 @@ func jobCounts(t *testing.T, c *Client) (running, done int) {
 }
 
 // TestWriteJSONMatchesEncoder: the pooled encoder writes the bytes a
-// fresh indenting json.Encoder writes, with a matching Content-Length,
-// including after the pooled buffers served a larger response.
+// fresh compact json.Encoder writes, with a matching Content-Length,
+// including after the pooled buffer served a larger response.
 func TestWriteJSONMatchesEncoder(t *testing.T) {
 	res := &harness.Result{ID: "x", Title: "t", Columns: []string{"a", "b"}}
 	res.AddRow(1, 2.5)
@@ -1182,9 +1182,7 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 		Schema: harness.DocumentSchema, Records: []harness.Record{{ID: "x", Results: []*harness.Result{res}}}}}
 	for _, v := range []any{big, apiError{Error: "small"}, big} {
 		var want bytes.Buffer
-		enc := json.NewEncoder(&want)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
+		if err := json.NewEncoder(&want).Encode(v); err != nil {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
