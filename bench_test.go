@@ -528,7 +528,10 @@ func BenchmarkRun(b *testing.B) {
 }
 
 // BenchmarkRunLarge is the large-machine tail of BenchmarkRun, split out
-// so quick smoke runs can match '^BenchmarkRun$' and skip it.
+// so quick smoke runs can match '^BenchmarkRun$' and skip it.  These
+// sizes exceed the BlockEngine's coroutine cache (2^14 idle coroutines),
+// so each block-engine iteration creates and stops the coroutines beyond
+// it.
 func BenchmarkRunLarge(b *testing.B) {
 	for _, eng := range benchEngines {
 		for _, lv := range []int{16, 18} {

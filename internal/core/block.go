@@ -68,15 +68,17 @@ const (
 // activation and parks between jobs.  Creating a coroutine is the
 // dominant per-run cost of the BlockEngine (a fresh goroutine and stack
 // per VP), so finished coroutines are recycled through a process-wide
-// cache: steady-state workloads — benchmark loops, experiment suites,
-// servers running many machines — pay it only once.
+// cache of at most maxPooledVPCoros: steady-state workloads — benchmark
+// loops, experiment suites, servers running many machines — pay it only
+// once.
 //
 // A coroutine is always in one of two parks: inside a job at a Sync
 // yield (during a run), or at the between-jobs yield (idle, cacheable).
 // Jobs recover their own panics, so a coroutine survives program
 // failures and remains reusable.  next/stop may be called from any
 // goroutine as long as calls are serialized, which the owning worker
-// (during a run) and the cache mutex (between runs) guarantee.
+// (during a run, and when it stops one the cache cannot keep) and the
+// cache mutex (between runs) guarantee.
 type vpCoro struct {
 	next  func() (struct{}, bool)
 	stop  func()
@@ -109,72 +111,50 @@ func newVPCoro() *vpCoro {
 	return c
 }
 
-// coroCache is a bounded LIFO free list of idle coroutines.  Parked
-// goroutines are GC roots — an evicted-but-running coroutine would leak
-// its stack forever — so the cache never "drops" a coroutine: beyond the
-// cap it is explicitly stopped, which unwinds and frees it.
+// coroCache is a LIFO free list of at most maxPooledVPCoros idle
+// coroutines.  Parked goroutines are GC roots — a dropped-but-parked
+// coroutine would leak its stack forever — so the cache never drops
+// one: a put beyond the bound stops the excess, which unwinds and
+// frees it.
 type coroCache struct {
 	mu   sync.Mutex
 	free []*vpCoro
 }
 
-// maxPooledVPCoros bounds the idle coroutines kept for reuse.  Entries
-// exist only if a past run needed them, and the GC shrinks idle stacks,
-// but a process that once ran a machine with >= 2^16 VPs retains up to
-// 2^16 parked coroutines (order of 100 MB) until it exits — a deliberate
-// trade: such a process already allocated several times that transiently
-// during the run, and repeating large runs is the common case.
-const maxPooledVPCoros = 1 << 16
+// maxPooledVPCoros bounds the idle coroutines kept for reuse.  Every
+// parked coroutine is a goroutine whose stack each GC cycle scans, for
+// as long as the process lives: with 2^16 cached a forced GC took 58 ms,
+// with 2^14 20 ms (2-vCPU VM).  2^14 is the most idle coroutines any
+// benchmark workload holds at once (fft at n = 2^14 is a machine of
+// 2^14 VPs), so those reuse every coroutine; a larger machine creates
+// and stops its excess on each run.
+const maxPooledVPCoros = 1 << 14
 
 var vpCoros coroCache
 
-// take returns n coroutine slots, the first ones warm from the cache and
-// the rest nil (the caller creates those).
+// take returns n ready coroutines, warm ones from the cache first and
+// the rest created outside the lock.
 func (cc *coroCache) take(n int) []*vpCoro {
 	out := make([]*vpCoro, n)
 	cc.mu.Lock()
-	k := len(cc.free)
-	if k > n {
-		k = n
-	}
-	for i := 0; i < k; i++ {
-		out[i] = cc.free[len(cc.free)-1-i]
-		cc.free[len(cc.free)-1-i] = nil
-	}
+	k := copy(out, cc.free[max(len(cc.free)-n, 0):])
+	clear(cc.free[len(cc.free)-k:])
 	cc.free = cc.free[:len(cc.free)-k]
-	doomed := cc.decayLocked()
 	cc.mu.Unlock()
-	stopAll(doomed)
+	for i := k; i < n; i++ {
+		out[i] = newVPCoro()
+	}
 	return out
 }
 
-// put returns idle coroutines to the cache.  The cache may transiently
-// exceed its cap — repeated large runs then keep reusing the full set —
-// and decays back toward the cap a fraction per call, so a genuine
-// downshift in machine size releases the excess within a few runs.
+// put returns idle coroutines to the cache, keeping at most
+// maxPooledVPCoros and stopping the rest outside the lock.
 func (cc *coroCache) put(batch []*vpCoro) {
 	cc.mu.Lock()
-	cc.free = append(cc.free, batch...)
-	doomed := cc.decayLocked()
+	k := min(len(batch), maxPooledVPCoros-len(cc.free))
+	cc.free = append(cc.free, batch[:k]...)
 	cc.mu.Unlock()
-	stopAll(doomed)
-}
-
-// decayLocked removes an eighth of the over-cap excess from the free
-// list and returns it for teardown outside the lock.
-func (cc *coroCache) decayLocked() []*vpCoro {
-	excess := len(cc.free) - maxPooledVPCoros
-	if excess <= 0 {
-		return nil
-	}
-	n := (excess + 7) / 8
-	doomed := make([]*vpCoro, n)
-	copy(doomed, cc.free[len(cc.free)-n:])
-	for i := len(cc.free) - n; i < len(cc.free); i++ {
-		cc.free[i] = nil
-	}
-	cc.free = cc.free[:len(cc.free)-n]
-	return doomed
+	stopAll(batch[k:])
 }
 
 // stopAll unwinds idle coroutines, freeing their goroutines and stacks.
@@ -364,14 +344,9 @@ func (b *blockRun[P]) worker(w int) {
 	m := b.m
 	lo, hi := w*b.bs, (w+1)*b.bs
 	batch := vpCoros.take(hi - lo)
-	for i, r := 0, lo; r < hi; i, r = i+1, r+1 {
-		c := batch[i]
-		if c == nil {
-			c = newVPCoro()
-		}
-		batch[i] = nil
-		c.owner, c.r = b, r
-		b.coro[r] = c
+	for i, c := range batch {
+		c.owner, c.r = b, lo+i
+		b.coro[lo+i] = c
 	}
 	idle := batch[:0] // finished coroutines, returned to the cache on exit
 	for {

@@ -52,17 +52,21 @@
 //     of v/W VPs, the same folding the paper uses to execute M(v) on a
 //     p-processor machine.  VPs are coroutines (iter.Pull) resumed by
 //     their worker through direct stack switches — no scheduler, no
-//     locks — and recycled through a process-wide cache across runs;
-//     workers meet at sense-reversing tree barriers; and h-relation
-//     counters accumulate in per-worker partitions merged once per
-//     superstep, keeping the trace mutex off the hot path.  Messages
-//     take one of two paths.  When a superstep's label-clusters fit in
-//     a block (label >= log2 W, every superstep at W = 1) no message
-//     leaves its worker, so each worker delivers its block in one
-//     ascending pass straight into the inboxes.  Otherwise messages
-//     route through per-worker destination-bucketed outboxes (bulk
-//     appends, no per-message locking), with a barrier between the send
-//     and receive halves.  All clusters advance superstep-synchronously.
+//     locks — and recycled through a process-wide cache across runs.
+//     The cache keeps at most 2^14 idle coroutines and stops the rest
+//     when a run ends: each parked coroutine is a goroutine every GC
+//     cycle scans, and 2^14 VPs is the largest machine the benchmark
+//     workloads run, so they reuse every coroutine.  Workers meet at
+//     sense-reversing tree barriers, and h-relation counters accumulate
+//     in per-worker partitions merged once per superstep, keeping the
+//     trace mutex off the hot path.  Messages take one of two paths.
+//     When a superstep's label-clusters fit in a block (label >= log2 W,
+//     every superstep at W = 1) no message leaves its worker, so each
+//     worker delivers its block in one ascending pass straight into the
+//     inboxes.  Otherwise messages route through per-worker
+//     destination-bucketed outboxes (bulk appends, no per-message
+//     locking), with a barrier between the send and receive halves.  All
+//     clusters advance superstep-synchronously.
 //
 // A static algorithm's communication at a fixed input size is a pure
 // function of that size, so its trace is keyed by (algorithm, n) alone —

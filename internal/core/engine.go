@@ -42,16 +42,19 @@ func (GoroutineEngine) sealed() {}
 // clipped to v) each own a contiguous block of v/W VPs and drive them
 // through supersteps in lockstep.  VPs live on coroutines (iter.Pull) —
 // a Go function can only be suspended mid-call on its own stack — so a
-// superstep resume is a direct stack switch with no scheduler wakeup,
-// and idle coroutines are recycled across runs through a bounded
-// process-wide cache; workers meet at a sense-reversing tree barrier;
-// and the h-relation counters are accumulated in per-worker partitions
-// merged once per superstep, so the global trace mutex is off the hot
-// path entirely.  A superstep whose label-clusters each fit in one block
-// (label >= log2 W) is delivered by each worker in one pass over its own
-// block, straight into the inboxes; one whose clusters span workers
-// travels through per-worker destination-bucketed outboxes (bulk
-// appends, no per-message locking) and an extra barrier.
+// superstep resume is a direct stack switch with no scheduler wakeup.
+// Idle coroutines are recycled across runs through a process-wide cache
+// that keeps at most 2^14 of them and stops the rest as a run ends: a
+// parked coroutine is a goroutine that every GC cycle scans, and 2^14
+// VPs is the largest machine the benchmark workloads run.  Workers meet
+// at a sense-reversing tree barrier, and the h-relation counters are
+// accumulated in per-worker partitions merged once per superstep, so
+// the global trace mutex is off the hot path entirely.  A superstep
+// whose label-clusters each fit in one block (label >= log2 W) is
+// delivered by each worker in one pass over its own block, straight
+// into the inboxes; one whose clusters span workers travels through
+// per-worker destination-bucketed outboxes (bulk appends, no
+// per-message locking) and an extra barrier.
 //
 // For valid programs the produced Trace is identical to GoroutineEngine's
 // (the equivalence tests enforce this).  The only observable difference

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -172,25 +174,89 @@ func TestCoroCacheReuse(t *testing.T) {
 	}
 }
 
-// TestCoroCacheDecay checks the cache never exceeds its cap for long:
-// after an oversized run drains, repeated small runs shrink it back.
-func TestCoroCacheDecay(t *testing.T) {
-	grow := func(n int) {
-		vpCoros.mu.Lock()
-		for len(vpCoros.free) < n {
-			vpCoros.free = append(vpCoros.free, newVPCoro())
+// TestCoroCacheBound: the coroutine cache never holds more than
+// maxPooledVPCoros idle coroutines.  A run larger than the bound stops
+// its excess as it ends, so no goroutine beyond the bound stays parked;
+// concurrent runs share the one bound; and a later small run takes
+// every coroutine it needs from the cache.
+//
+// The concurrent runs are a quarter of the cap each, so that together
+// they need no more goroutines at once than the single large run: the
+// runtime never frees a goroutine's descriptor, so every goroutine the
+// test binary once had at the same time stays live heap that each later
+// GC marks (eight runs at half the cap kept about 25 MiB).
+func TestCoroCacheBound(t *testing.T) {
+	syncs := func(vp *VP[int]) {
+		for l := 0; l < vp.LogV(); l++ {
+			vp.Sync(l)
 		}
+	}
+	cached := func() []*vpCoro {
+		vpCoros.mu.Lock()
+		defer vpCoros.mu.Unlock()
+		return slices.Clone(vpCoros.free)
+	}
+	// Leave the cache as large as it was found: every parked coroutine
+	// adds to each later GC cycle of the test binary.
+	kept := len(cached())
+	t.Cleanup(func() {
+		vpCoros.mu.Lock()
+		excess := slices.Clone(vpCoros.free[min(kept, len(vpCoros.free)):])
+		vpCoros.free = vpCoros.free[:len(vpCoros.free)-len(excess)]
 		vpCoros.mu.Unlock()
+		stopAll(excess)
+	})
+
+	before := runtime.NumGoroutine()
+	if _, err := RunOpt(2*maxPooledVPCoros, syncs, Options{}); err != nil {
+		t.Fatal(err)
 	}
-	grow(maxPooledVPCoros + 1000)
-	for i := 0; i < 64; i++ {
-		vpCoros.put(nil) // each call decays an eighth of the excess
+	if n := len(cached()); n > maxPooledVPCoros {
+		t.Errorf("after a run of %d VPs the cache holds %d coroutines, cap is %d", 2*maxPooledVPCoros, n, maxPooledVPCoros)
 	}
-	vpCoros.mu.Lock()
-	n := len(vpCoros.free)
-	vpCoros.mu.Unlock()
-	if n > maxPooledVPCoros {
-		t.Errorf("cache holds %d coroutines after decay, cap is %d", n, maxPooledVPCoros)
+	if grown := runtime.NumGoroutine() - before; grown > maxPooledVPCoros {
+		t.Errorf("a run of %d VPs left %d more goroutines, want at most the cap %d", 2*maxPooledVPCoros, grown, maxPooledVPCoros)
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = RunOpt(maxPooledVPCoros/4, syncs, Options{})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent run %d: %v", i, err)
+		}
+	}
+	warm := cached()
+	if len(warm) > maxPooledVPCoros {
+		t.Errorf("after 8 concurrent runs of %d VPs the cache holds %d coroutines, cap is %d", maxPooledVPCoros/4, len(warm), maxPooledVPCoros)
+	}
+
+	const small = 1024
+	if len(warm) < small {
+		t.Fatalf("cache holds %d coroutines, want at least %d warm", len(warm), small)
+	}
+	if _, err := RunOpt(small, syncs, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	known := make(map[*vpCoro]bool, len(warm))
+	for _, c := range warm {
+		known[c] = true
+	}
+	fresh := 0
+	for _, c := range cached() {
+		if !known[c] {
+			fresh++
+		}
+	}
+	if fresh > 0 {
+		t.Errorf("a run of %d VPs on a warm cache created %d coroutines, want 0", small, fresh)
 	}
 }
 
