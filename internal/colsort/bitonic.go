@@ -27,49 +27,69 @@ func SortBitonic(keys []int64, opts Options) (*Result, error) {
 	if n < 1 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("colsort: input length %d must be a positive power of two", n)
 	}
-	logN := 0
-	for 1<<uint(logN) < n {
-		logN++
-	}
-	out := make([]int64, n)
-	prog := func(vp *core.VP[kv]) {
-		id := vp.ID()
-		me := kv{key: keys[id], tag: int32(id)}
-		// Stage (k, j): bitonic merge of blocks of size 2^{k+1}, exchange
-		// distance 2^j, for k = 0..logN-1, j = k..0.
-		for k := 0; k < logN; k++ {
-			for j := k; j >= 0; j-- {
-				dist := 1 << uint(j)
-				partner := id ^ dist
-				label := logN - j - 1
-				vp.Send(partner, me)
-				if opts.Wise {
-					core.WisenessDummies(vp, label, 1)
-				}
-				vp.Sync(label)
-				other, ok := vp.Receive()
-				if !ok {
-					panic("colsort: bitonic exchange delivered no key")
-				}
-				// Direction: ascending iff bit k+1 of id is 0.
-				ascending := id&(1<<uint(k+1)) == 0
-				keepMin := (id&dist == 0) == ascending
-				if keepMin {
-					if other.less(me) {
-						me = other
-					}
-				} else {
-					if me.less(other) {
-						me = other
-					}
-				}
-			}
+	b := &bitonic{logN: core.Log2(n), keys: make([]kv, n), out: make([]int64, n), wise: opts.Wise}
+	for k := 0; k < b.logN; k++ {
+		for j := k; j >= 0; j-- {
+			b.stages = append(b.stages, stage{k: k, j: j})
 		}
-		out[id] = me.key
 	}
-	tr, err := core.RunOpt(n, prog, opts.RunOptions())
+	for i, key := range keys {
+		b.keys[i] = kv{key: key, tag: int32(i)}
+	}
+	tr, err := core.RunSteps(n, b.step, opts.RunOptions())
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Keys: out, Trace: tr}, nil
+	return &Result{Keys: b.out, Trace: tr}, nil
+}
+
+// stage (k, j) of the network is the bitonic merge of blocks of size
+// 2^{k+1} at exchange distance 2^j; the network runs k = 0..logN-1 and,
+// within each, j = k..0.
+type stage struct{ k, j int }
+
+// bitonic is one run of the network: its stages and every VP's key.
+type bitonic struct {
+	logN   int
+	stages []stage
+	keys   []kv
+	out    []int64
+	wise   bool
+}
+
+// step is the network's step function.  Superstep t keeps the minimum
+// or the maximum of the VP's key and the partner's that stage t-1
+// exchanged, and sends the key to stage t's partner; after the last
+// stage it writes the key to the output.
+//
+//nob:hotpath
+func (b *bitonic) step(vp *core.VP[kv]) (int, bool) {
+	id, t := vp.ID(), vp.Superstep()
+	me := &b.keys[id]
+	if t > 0 {
+		st := b.stages[t-1]
+		other, ok := vp.Receive()
+		if !ok {
+			//nolint:hotalloc // programmer error: the engine lost a key; the cold panic path may box
+			panic("colsort: bitonic exchange delivered no key")
+		}
+		// Direction: ascending iff bit k+1 of id is 0.
+		ascending := id&(1<<uint(st.k+1)) == 0
+		keepMin := (id&(1<<uint(st.j)) == 0) == ascending
+		if keepMin && other.less(*me) || !keepMin && me.less(other) {
+			*me = other
+		}
+	}
+	if t == len(b.stages) {
+		b.out[id] = me.key
+		return 0, false
+	}
+	j := b.stages[t].j
+	// Partners differ in bit j and share the more significant bits.
+	label := b.logN - j - 1
+	vp.Send(id^1<<uint(j), *me)
+	if b.wise {
+		core.WisenessDummies(vp, label, 1)
+	}
+	return label, true
 }

@@ -22,8 +22,16 @@
 // unchanged, and correctness follows from the classical analysis —
 // validated here by 0-1-principle and randomized tests.  Segments of at
 // most BaseSize VPs sort by an all-gather brute-force pass (one superstep
-// of constant degree): every VP gathers the segment's keys into a scratch
-// buffer it allocates once per run and sorts them locally.
+// of constant degree): every VP gathers the segment's keys into its
+// scratch buffer and sorts them locally.
+//
+// The superstep sequence is static — it depends on n alone — so the
+// recursion runs once per run, as a schedule builder that unrolls it into
+// one op per superstep, and the VPs execute the schedule in the step form
+// of the core engine (core.StepFunc): a VP's state between supersteps is
+// its key and its scratch buffer, kept in one slice for all VPs with the
+// buffers carved from one arena, and no VP keeps a call stack across a
+// barrier.  Batcher's bitonic network (SortBitonic) runs the same way.
 package colsort
 
 import (
@@ -93,8 +101,9 @@ func Sort(keys []int64, opts Options) (*Result, error) {
 // least 8 (smaller segments cannot be split into a valid r×s shape);
 // 0 means 8.  The knob exists for the base-case ablation benchmarks.
 //
-// Every VP allocates one scratch buffer of capacity min(base, n) per run,
-// and all of its base-case supersteps gather and sort in it.
+// Every VP has one scratch buffer of capacity min(base, n), carved from
+// one arena per run, and all of its base-case supersteps gather and sort
+// in it.
 func SortBase(keys []int64, base int, opts Options) (*Result, error) {
 	n := len(keys)
 	if n < 1 || n&(n-1) != 0 {
@@ -106,123 +115,159 @@ func SortBase(keys []int64, base int, opts Options) (*Result, error) {
 	if base < 8 {
 		return nil, fmt.Errorf("colsort: base size %d must be >= 8", base)
 	}
-	out := make([]int64, n)
-	prog := func(vp *core.VP[kv]) {
-		me := kv{key: keys[vp.ID()], tag: int32(vp.ID())}
-		me = sortRec(vp, 0, vp.V(), me, opts.Wise, make([]kv, 0, min(base, n)))
-		out[vp.ID()] = me.key
+	c := &columnsort{ops: schedule(n, base), vps: make([]sortVP, n), out: make([]int64, n), wise: opts.Wise}
+	bc := min(base, n)
+	arena := make([]kv, n*bc)
+	for i := range c.vps {
+		c.vps[i] = sortVP{my: kv{key: keys[i], tag: int32(i)}, buf: arena[i*bc : i*bc : (i+1)*bc]}
 	}
-	tr, err := core.RunOpt(n, prog, opts.RunOptions())
+	tr, err := core.RunSteps(n, c.step, opts.RunOptions())
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Keys: out, Trace: tr}, nil
+	return &Result{Keys: c.out, Trace: tr}, nil
 }
 
-// permute sends my key to position perm(pos) of the segment and returns
-// the key received; perm must be a bijection on [0, size).
-func permute(vp *core.VP[kv], base, label int, my kv, dst int, wise bool) kv {
-	self := dst == vp.ID()
-	if !self {
-		vp.Send(dst, my)
-	}
-	if wise {
-		core.WisenessDummies(vp, label, 1)
-	}
-	vp.Sync(label)
-	if self {
-		return my
-	}
-	got, ok := vp.Receive()
-	if !ok {
-		panic("colsort: permutation delivered no key")
-	}
-	return got
+// opKind names what a Columnsort superstep does to every segment.
+type opKind uint8
+
+const (
+	opGather      opKind = iota // base case: all-gather and local sort
+	opTranspose                 // phase 2
+	opUntranspose               // phase 4
+	opShift                     // phase 6
+	opUnshift                   // phase 8
+)
+
+// op is one superstep of the schedule, the same on every VP: a gather of
+// every segment of size VPs, or one permutation phase of every r×s
+// segment of size = r·s VPs.  Segments are aligned, so a VP's segment
+// starts at id &^ (size-1).
+type op struct {
+	kind  opKind
+	label int
+	size  int
+	r, s  int
 }
 
-// sortRec sorts the keys held one-per-VP by the segment [base, base+size)
-// in position order: on return, the VP at segment position t holds the key
-// of rank t within the segment.  buf is the VP's base-case scratch buffer:
-// segments of at most cap(buf) VPs sort in it by gatherSort.
-func sortRec(vp *core.VP[kv], base, size int, my kv, wise bool, buf []kv) kv {
-	if size == 1 {
-		return my
-	}
-	if size <= cap(buf) {
-		return gatherSort(vp, base, size, my, wise, buf)
-	}
-	label := vp.LogV() - core.Log2(size)
-	r, s := Shape(size)
-
-	column := func(my kv) kv {
-		pos := vp.ID() - base
-		cbase := base + pos/r*r
-		return sortRec(vp, cbase, r, my, wise, buf)
-	}
-
-	// Phase 1: sort columns.
-	my = column(my)
-	// Phase 2: transpose — entry at column-major index g moves to the
-	// position whose row-major index is g.
-	pos := vp.ID() - base
-	my = permute(vp, base, label, my, base+pos%s*r+pos/s, wise)
-	// Phase 3: sort columns.
-	my = column(my)
-	// Phase 4: untranspose (inverse of phase 2).
-	pos = vp.ID() - base
-	my = permute(vp, base, label, my, base+(pos%r)*s+pos/r, wise)
-	// Phase 5: sort columns.
-	my = column(my)
-	// Phase 6: cyclic shift down by half a column.
-	pos = vp.ID() - base
-	my = permute(vp, base, label, my, base+(pos+r/2)%size, wise)
-	// Phase 7: sort columns.
-	my = column(my)
-	// Phase 8: inverse shift.  Column 0 holds the r/2 globally smallest
-	// keys in its top half and the r/2 largest in its bottom half (the
-	// paper's wrap convention): top-half keys stay, bottom-half keys go
-	// to the tail of the segment; all other columns shift up by r/2.
-	pos = vp.ID() - base
-	var dst int
-	switch {
-	case pos >= r:
-		dst = pos - r/2
-	case pos < r/2:
-		dst = pos
-	default:
-		dst = size - r + pos
-	}
-	return permute(vp, base, label, my, base+dst, wise)
-}
-
-// gatherSort sorts a segment of at most cap(buf) VPs with one all-gather
-// superstep: every VP broadcasts its key within the segment, gathers the
-// full set into its scratch buffer buf, sorts it locally and keeps the key
-// matching its position.  It runs on every VP at every base-case
-// superstep, so it must not allocate.
-//
-//nob:hotpath
-func gatherSort(vp *core.VP[kv], base, size int, my kv, wise bool, buf []kv) kv {
-	label := vp.LogV() - core.Log2(size)
-	pos := vp.ID() - base
-	for t := 0; t < size; t++ {
-		if t != pos {
-			vp.Send(base+t, my)
+// schedule unrolls the recursion of Section 4.3 on M(n) into its
+// supersteps.  A segment of more than base VPs sorts its columns (phases
+// 1, 3, 5 and 7) and permutes its matrix (phases 2, 4, 6 and 8) in turn;
+// all its columns, like all segments of one size, recurse in the same
+// supersteps, so one op serves them all.
+func schedule(n, base int) []op {
+	logN := core.Log2(n)
+	var ops []op
+	var rec func(size int)
+	rec = func(size int) {
+		label := logN - core.Log2(size)
+		switch {
+		case size == 1:
+		case size <= base:
+			ops = append(ops, op{kind: opGather, label: label, size: size})
+		default:
+			r, s := Shape(size)
+			for _, k := range []opKind{opTranspose, opUntranspose, opShift, opUnshift} {
+				rec(r) // sort the columns
+				ops = append(ops, op{kind: k, label: label, size: size, r: r, s: s})
+			}
 		}
 	}
-	if wise {
-		core.WisenessDummies(vp, label, 1)
+	rec(n)
+	return ops
+}
+
+// dst returns where a permutation op sends the key at segment position
+// pos.
+func (o *op) dst(pos int) int {
+	r, s := o.r, o.s
+	switch o.kind {
+	case opTranspose:
+		// The entry at column-major index pos moves to the position
+		// whose row-major index is pos.
+		return pos%s*r + pos/s
+	case opUntranspose:
+		return pos%r*s + pos/r
+	case opShift:
+		// Cyclic shift down by half a column.
+		return (pos + r/2) % o.size
 	}
-	vp.Sync(label)
-	all := buf[:0]
-	all = append(all, my)
-	for _, msg := range vp.Inbox() {
-		all = append(all, msg.Payload)
+	// Inverse shift.  Column 0 holds the r/2 globally smallest keys in
+	// its top half and the r/2 largest in its bottom half (the paper's
+	// wrap convention): top-half keys stay, bottom-half keys go to the
+	// tail of the segment; all other columns shift up by r/2.
+	switch {
+	case pos >= r:
+		return pos - r/2
+	case pos < r/2:
+		return pos
 	}
-	if len(all) != size {
-		//nolint:hotalloc // programmer error: the engine delivered a wrong key count; the cold panic path may box
-		panic("colsort: gather received wrong key count")
+	return o.size - r + pos
+}
+
+// sortVP is one VP's state between supersteps.
+type sortVP struct {
+	my  kv   // the key the VP holds
+	buf []kv // base-case scratch buffer
+}
+
+// columnsort is one run: the schedule and every VP's state.
+type columnsort struct {
+	ops  []op
+	vps  []sortVP
+	out  []int64
+	wise bool
+}
+
+// step is Columnsort's step function.  Superstep t takes the key that
+// ops[t-1] delivered — for a gather, the key of the VP's rank among the
+// gathered ones, sorted in its scratch buffer — and stages the sends of
+// ops[t]; after the last op it writes the VP's key to the output.  It
+// runs on every VP at every superstep, so it must not allocate.
+//
+//nob:hotpath
+func (c *columnsort) step(vp *core.VP[kv]) (int, bool) {
+	id, t := vp.ID(), vp.Superstep()
+	st := &c.vps[id]
+	if t > 0 {
+		o := &c.ops[t-1]
+		pos := id & (o.size - 1)
+		if o.kind == opGather {
+			all := st.buf[:0]
+			all = append(all, st.my)
+			for _, msg := range vp.Inbox() {
+				all = append(all, msg.Payload)
+			}
+			if len(all) != o.size {
+				//nolint:hotalloc // programmer error: the engine delivered a wrong key count; the cold panic path may box
+				panic("colsort: gather received wrong key count")
+			}
+			slices.SortFunc(all, cmpKV)
+			st.my = all[pos]
+		} else if got, ok := vp.Receive(); ok {
+			st.my = got
+		} else if o.dst(pos) != pos {
+			//nolint:hotalloc // programmer error: the engine lost a key; the cold panic path may box
+			panic("colsort: permutation delivered no key")
+		}
 	}
-	slices.SortFunc(all, cmpKV)
-	return all[pos]
+	if t == len(c.ops) {
+		c.out[id] = st.my.key
+		return 0, false
+	}
+	o := &c.ops[t]
+	first := id &^ (o.size - 1)
+	if o.kind == opGather {
+		for q := first; q < first+o.size; q++ {
+			if q != id {
+				vp.Send(q, st.my)
+			}
+		}
+	} else if dst := first + o.dst(id-first); dst != id {
+		vp.Send(dst, st.my)
+	}
+	if c.wise {
+		core.WisenessDummies(vp, o.label, 1)
+	}
+	return o.label, true
 }

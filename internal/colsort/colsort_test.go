@@ -221,13 +221,14 @@ func TestStability(t *testing.T) {
 }
 
 // TestSortAllocsPerVPSuperstep: the VPs' local work allocates nothing
-// per superstep — each VP gathers its base cases into one buffer
-// allocated per run — so a whole block-engine run stays far below one
-// allocation per VP-superstep (a per-superstep []kv plus sort.Slice cost
-// about 1.7).
+// per superstep — the step functions keep each VP's key in one slice and
+// gather Columnsort's base cases into buffers carved from one arena per
+// run — so a whole block-engine run of Columnsort or of the bitonic
+// network stays far below one allocation per VP-superstep (a
+// per-superstep []kv plus sort.Slice cost about 1.7).
 func TestSortAllocsPerVPSuperstep(t *testing.T) {
 	if testing.Short() {
-		t.Skip("four sorts at n=1024")
+		t.Skip("six sorts at n=1024")
 	}
 	const n = 1024
 	rng := rand.New(rand.NewSource(6))
@@ -236,20 +237,25 @@ func TestSortAllocsPerVPSuperstep(t *testing.T) {
 		keys[i] = rng.Int63()
 	}
 	opts := Options{Engine: core.BlockEngine{}}
-	res, err := Sort(keys, opts) // warm-up: fills the coroutine cache
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(2, func() {
-		if _, err := Sort(keys, opts); err != nil {
+	for _, c := range []struct {
+		name string
+		sort func([]int64, Options) (*Result, error)
+	}{{"columnsort", Sort}, {"bitonic", SortBitonic}} {
+		res, err := c.sort(keys, opts) // warm-up
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	per := allocs / float64(n*res.Trace.NumSupersteps())
-	if per >= 0.1 {
-		t.Errorf("%.0f allocations per run = %.3f per VP-superstep, want < 0.1", allocs, per)
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, err := c.sort(keys, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		per := allocs / float64(n*res.Trace.NumSupersteps())
+		if per >= 0.1 {
+			t.Errorf("%s: %.0f allocations per run = %.3f per VP-superstep, want < 0.1", c.name, allocs, per)
+		}
+		t.Logf("%s: %.0f allocations per run = %.4f per VP-superstep", c.name, allocs, per)
 	}
-	t.Logf("%.0f allocations per run = %.4f per VP-superstep", allocs, per)
 }
 
 // TestValidation rejects bad inputs.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,10 +18,13 @@ import (
 // A superstep is one pass of the worker loop:
 //
 //	resume  — the worker advances each of its live VPs to its next Sync
-//	          (or termination).  VPs are coroutines (iter.Pull), so a
-//	          resume is a direct stack switch — no channels, no scheduler
-//	          wakeup, no lock: the whole block is one logical thread and
-//	          its VP state needs no synchronization;
+//	          (or termination).  A Program's VPs are coroutines
+//	          (iter.Pull), so a resume is a direct stack switch — no
+//	          channels, no scheduler wakeup, no lock: the whole block is
+//	          one logical thread and its VP state needs no
+//	          synchronization.  A step-form program's resume is one call
+//	          of its StepFunc per VP (resumeSteps), which returns the
+//	          label in place of the Sync, with no coroutine or switch;
 //	barrier — workers meet at a sense-reversing tree barrier; worker 0
 //	          validates cluster completeness and the common label, and
 //	          picks the delivery path;
@@ -182,11 +184,12 @@ type routedMsg[P any] struct {
 type blockRun[P any] struct {
 	m    *machine[P]
 	prog Program[P]
-	w    int // worker count: power of two, <= v
-	bs   int // block size v/w
+	step StepFunc[P] // non-nil for a step-form program, which runs without coroutines
+	w    int         // worker count: power of two, <= v
+	bs   int         // block size v/w
 
-	coro    []*vpCoro             // per-VP coroutine, driven by the owning worker
-	yieldFn []func(struct{}) bool // per-VP Sync suspension point
+	coro    []*vpCoro             // per-VP coroutine, driven by the owning worker; nil in step form
+	yieldFn []func(struct{}) bool // per-VP Sync suspension point; nil in step form
 	state   []uint8               // vpParked/vpFinished
 	label   []int32               // label of the Sync the VP is parked at
 
@@ -243,12 +246,15 @@ func ownLines[T any](n int) []T {
 	return make([]T, n+2*pad)[pad : pad+n : pad+n]
 }
 
-// runBlockEngine executes prog on m with W block-scheduled workers.
-func runBlockEngine[P any](m *machine[P], prog Program[P], W int) {
-	b := &blockRun[P]{m: m, prog: prog, w: W, bs: m.v / W}
+// runBlockEngine executes prog, or the step-form program step when it is
+// non-nil, on m with W block-scheduled workers.
+func runBlockEngine[P any](m *machine[P], prog Program[P], step StepFunc[P], W int) {
+	b := &blockRun[P]{m: m, prog: prog, step: step, w: W, bs: m.v / W}
 	m.block = b
-	b.coro = make([]*vpCoro, m.v)
-	b.yieldFn = make([]func(struct{}) bool, m.v)
+	if step == nil {
+		b.coro = make([]*vpCoro, m.v)
+		b.yieldFn = make([]func(struct{}) bool, m.v)
+	}
 	b.state = make([]uint8, m.v)
 	b.label = make([]int32, m.v)
 	b.bar = newTreeBarrier(W)
@@ -304,7 +310,7 @@ func (b *blockRun[P]) runVP(r int, yield func(struct{}) bool) {
 	defer func() {
 		if e := recover(); e != nil {
 			if _, ok := e.(abortSentinel); !ok {
-				m.fail(fmt.Errorf("core: VP %d panicked: %v\n%s", r, e, debug.Stack()))
+				m.fail(panicError(r, e))
 			}
 		}
 		b.state[r] = vpFinished
@@ -316,8 +322,39 @@ func (b *blockRun[P]) runVP(r int, yield func(struct{}) bool) {
 	b.yieldFn[r] = yield
 	b.prog(vp)
 	if len(vp.outbox) > 0 {
-		m.fail(fmt.Errorf("core: VP %d terminated with %d staged messages; programs must end with a Sync", r, len(vp.outbox)))
+		m.fail(stagedError(r, len(vp.outbox)))
 	}
+}
+
+// callStep runs VP r's step function for one superstep and reports
+// whether the VP parked at a Sync (false: it terminated).  It makes the
+// checks VP.Sync and runVP make on the coroutine path: a panic fails the
+// run, and so does an out-of-range label or a termination with staged
+// messages.
+func (b *blockRun[P]) callStep(r int) (parked bool) {
+	m := b.m
+	vp := &m.vps[r]
+	defer func() {
+		if e := recover(); e != nil {
+			if _, ok := e.(abortSentinel); !ok {
+				m.fail(panicError(r, e))
+			}
+			parked = false
+		}
+	}()
+	label, more := b.step(vp)
+	switch {
+	case !more:
+		if len(vp.outbox) > 0 {
+			m.fail(stagedError(r, len(vp.outbox)))
+		}
+		return false
+	case label < 0 || label >= m.labelBound:
+		m.fail(labelRangeError(r, label, m.labelBound))
+		return false
+	}
+	b.label[r] = int32(label)
+	return true
 }
 
 // sync implements VP.Sync under the BlockEngine: publish the label and
@@ -341,37 +378,25 @@ func (b *blockRun[P]) sync(vp *VP[P], label int) {
 //
 //nob:ctxloop
 func (b *blockRun[P]) worker(w int) {
-	m := b.m
 	lo, hi := w*b.bs, (w+1)*b.bs
-	batch := vpCoros.take(hi - lo)
-	for i, c := range batch {
-		c.owner, c.r = b, lo+i
-		b.coro[lo+i] = c
+	var idle []*vpCoro // finished coroutines, returned to the cache on exit
+	if b.step == nil {
+		batch := vpCoros.take(hi - lo)
+		for i, c := range batch {
+			c.owner, c.r = b, lo+i
+			b.coro[lo+i] = c
+		}
+		idle = batch[:0]
 	}
-	idle := batch[:0] // finished coroutines, returned to the cache on exit
 	for {
 		// Resume phase: advance every live VP to its next yield point.
 		// After an abort this same sweep drains: resumed VPs observe the
-		// failure in Sync, unwind, and finish without parking.
+		// failure, unwind, and finish without parking.
 		var live, msgs int64
-		for r := lo; r < hi; r++ {
-			if b.state[r] == vpFinished {
-				continue
-			}
-			if _, ok := b.coro[r].next(); !ok || b.state[r] == vpFinished {
-				// Program complete: recycle the coroutine, now parked
-				// between jobs.  ok == false means the coroutine itself
-				// exited (e.g. a Goexit in VP code) and is not reusable.
-				if ok {
-					idle = append(idle, b.coro[r])
-				}
-				b.state[r] = vpFinished
-				b.coro[r] = nil
-				b.yieldFn[r] = nil
-				continue
-			}
-			live++
-			msgs += int64(len(m.vps[r].outbox))
+		if b.step != nil {
+			live, msgs = b.resumeSteps(lo, hi)
+		} else {
+			live, msgs, idle = b.resumeCoros(lo, hi, idle)
 		}
 		b.liveCount[w] = live
 		b.msgCount[w] = msgs
@@ -391,6 +416,58 @@ func (b *blockRun[P]) worker(w int) {
 		}
 		b.barArrive(w, b.mergeStep)
 	}
+}
+
+// resumeCoros is the resume phase of a Program: it switches to each
+// live VP's coroutine, which runs to its next Sync or to its end, and
+// returns the parked VPs, their staged messages, and idle extended by
+// the coroutines whose programs completed.
+func (b *blockRun[P]) resumeCoros(lo, hi int, idle []*vpCoro) (live, msgs int64, _ []*vpCoro) {
+	for r := lo; r < hi; r++ {
+		if b.state[r] == vpFinished {
+			continue
+		}
+		if _, ok := b.coro[r].next(); !ok || b.state[r] == vpFinished {
+			// Program complete: recycle the coroutine, now parked
+			// between jobs.  ok == false means the coroutine itself
+			// exited (e.g. a Goexit in VP code) and is not reusable.
+			if ok {
+				idle = append(idle, b.coro[r])
+			}
+			b.state[r] = vpFinished
+			b.coro[r] = nil
+			b.yieldFn[r] = nil
+			continue
+		}
+		live++
+		msgs += int64(len(b.m.vps[r].outbox))
+	}
+	return live, msgs, idle
+}
+
+// resumeSteps is the resume phase of a step-form program: a plain call
+// of the step function per live VP.  A returned label is the VP's Sync,
+// so the VP's superstep count and read position advance as VP.Sync
+// advances them.  After an abort it finishes every VP without calling
+// it.
+func (b *blockRun[P]) resumeSteps(lo, hi int) (live, msgs int64) {
+	m := b.m
+	for r := lo; r < hi; r++ {
+		if b.state[r] == vpFinished {
+			continue
+		}
+		if m.aborted.Load() || !b.callStep(r) {
+			b.state[r] = vpFinished
+			m.finished.Add(1)
+			continue
+		}
+		vp := &m.vps[r]
+		vp.step++
+		vp.rpos = 0
+		live++
+		msgs += int64(len(vp.outbox))
+	}
+	return live, msgs
 }
 
 // barArrive is arrive plus per-worker wait accounting when a probe is

@@ -40,7 +40,9 @@
 // the reference; the equivalence tests hold the two to identical traces:
 //
 //   - GoroutineEngine — the reference: one goroutine per VP, parked on
-//     per-cluster condition-variable barriers.  Sync parks the goroutine
+//     per-cluster condition-variable barriers.  It runs a step-form
+//     program as the Program that calls the step function and Syncs on
+//     its label until it reports the end.  Sync parks the goroutine
 //     on the barrier of its cluster, so different clusters may proceed
 //     through their (identical) label sequences at different speeds,
 //     exactly as the model allows.  Wakeups broadcast to whole clusters
@@ -50,13 +52,20 @@
 //   - BlockEngine (the default) — W workers (a power of two, by default
 //     the largest not exceeding GOMAXPROCS) each own a contiguous block
 //     of v/W VPs, the same folding the paper uses to execute M(v) on a
-//     p-processor machine.  VPs are coroutines (iter.Pull) resumed by
-//     their worker through direct stack switches — no scheduler, no
-//     locks — and recycled through a process-wide cache across runs.
-//     The cache keeps at most 2^14 idle coroutines and stops the rest
-//     when a run ends: each parked coroutine is a goroutine every GC
-//     cycle scans, and 2^14 VPs is the largest machine the benchmark
-//     workloads run, so they reuse every coroutine.  Workers meet at
+//     p-processor machine.  A Program's VPs are coroutines (iter.Pull)
+//     resumed by their worker through direct stack switches — no
+//     scheduler, no locks — and recycled through a process-wide cache
+//     across runs.  The cache keeps at most 2^14 idle coroutines and
+//     stops the rest when a run ends: each parked coroutine is a
+//     goroutine every GC cycle scans, and 2^14 VPs is the largest
+//     machine the benchmark workloads run, so they reuse every
+//     coroutine.  A step-form program (StepFunc, run by RunSteps) needs
+//     no coroutine: the worker calls its step function once per VP per
+//     superstep, and the function returns the label it would have
+//     passed to Sync.  Algorithms whose superstep sequence is static
+//     and whose VP state fits in a slice use it — Columnsort and the
+//     bitonic network (internal/colsort); the recursive ones (stencil,
+//     matrix multiplication, FFT) keep their Programs.  Workers meet at
 //     sense-reversing tree barriers, and h-relation counters accumulate
 //     in per-worker partitions merged once per superstep, keeping the
 //     trace mutex off the hot path.  Messages take one of two paths.

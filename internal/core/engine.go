@@ -40,9 +40,13 @@ func (GoroutineEngine) sealed() {}
 
 // BlockEngine is the scalable engine: W workers (W a power of two,
 // clipped to v) each own a contiguous block of v/W VPs and drive them
-// through supersteps in lockstep.  VPs live on coroutines (iter.Pull) —
-// a Go function can only be suspended mid-call on its own stack — so a
-// superstep resume is a direct stack switch with no scheduler wakeup.
+// through supersteps in lockstep.  A Program's VPs live on coroutines
+// (iter.Pull) — a Go function can only be suspended mid-call on its own
+// stack — so a superstep resume is a direct stack switch with no
+// scheduler wakeup.  A step-form program (StepFunc, run by RunSteps)
+// keeps no stack across a barrier, so its resume is a plain call of the
+// step function on the worker, with no coroutine at all; Columnsort and
+// the bitonic network, whose supersteps are static, run this way.
 // Idle coroutines are recycled across runs through a process-wide cache
 // that keeps at most 2^14 of them and stops the rest as a run ends: a
 // parked coroutine is a goroutine that every GC cycle scans, and 2^14

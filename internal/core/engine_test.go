@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -79,18 +81,80 @@ func TestEngineErrorDetection(t *testing.T) {
 			vp.Sync(1)
 		}, "outside its 1-cluster"},
 	}
-	engines := []Engine{GoroutineEngine{}, BlockEngine{}, BlockEngine{Workers: 2}, BlockEngine{Workers: 4}}
-	for _, sc := range scenarios {
-		for _, eng := range engines {
-			name := fmt.Sprintf("%s/%s-%v", sc.name, eng.Name(), eng)
+	// The same checks hold for step-form programs, which the BlockEngine
+	// calls directly instead of resuming a coroutine, and the
+	// GoroutineEngine runs through its Sync loop.
+	stepScenarios := []struct {
+		name string
+		v    int
+		step StepFunc[int]
+		want string
+	}{
+		{"step-panic", 4, func(vp *VP[int]) (int, bool) {
+			if vp.ID() == 3 {
+				panic("boom")
+			}
+			return 0, vp.Superstep() == 0
+		}, "boom"},
+		{"step-sync-inside", 4, func(vp *VP[int]) (int, bool) {
+			vp.Sync(0)
+			return 0, true
+		}, "Sync called inside a step function"},
+		{"step-bad-label", 4, func(vp *VP[int]) (int, bool) {
+			return 5, true
+		}, "out of range"},
+		{"step-staged-messages", 2, func(vp *VP[int]) (int, bool) {
+			if vp.Superstep() == 0 {
+				return 0, true
+			}
+			vp.Send(0, 7)
+			return 0, false
+		}, "staged messages"},
+		// VPs 0 and 1 run Sync(1) then Sync(0); VPs 2 and 3 Sync(0).
+		{"step-label-mismatch", 4, func(vp *VP[int]) (int, bool) {
+			switch s := vp.Superstep(); {
+			case vp.ID() < 2 && s < 2:
+				return 1 - s, true
+			case vp.ID() >= 2 && s == 0:
+				return 0, true
+			}
+			return 0, false
+		}, "label sequence"},
+	}
+	engines := []Engine{GoroutineEngine{}, BlockEngine{}, BlockEngine{Workers: 1}, BlockEngine{Workers: 2}, BlockEngine{Workers: 4}}
+	check := func(name string, err error, want string) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: want error, got nil", name)
+			return
+		}
+		if want != "" && !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not contain %q", name, err, want)
+		}
+	}
+	for _, eng := range engines {
+		for _, sc := range scenarios {
 			_, err := RunOpt(sc.v, sc.prog, Options{Engine: eng})
-			if err == nil {
-				t.Errorf("%s: want error, got nil", name)
-				continue
+			check(fmt.Sprintf("%s/%s-%v", sc.name, eng.Name(), eng), err, sc.want)
+		}
+		for _, sc := range stepScenarios {
+			_, err := RunSteps(sc.v, sc.step, Options{Engine: eng})
+			check(fmt.Sprintf("%s/%s-%v", sc.name, eng.Name(), eng), err, sc.want)
+		}
+		// A step-form program that never ends stops when its context is
+		// cancelled, here by VP 0 in superstep 3.
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := RunSteps(4, func(vp *VP[int]) (int, bool) {
+			if vp.ID() == 0 && vp.Superstep() == 3 {
+				cancel()
 			}
-			if sc.want != "" && !strings.Contains(err.Error(), sc.want) {
-				t.Errorf("%s: error %q does not contain %q", name, err, sc.want)
-			}
+			return 0, true
+		}, Options{Engine: eng, Context: ctx})
+		cancel()
+		name := fmt.Sprintf("step-cancelled/%s-%v", eng.Name(), eng)
+		check(name, err, "run cancelled")
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error %q does not wrap context.Canceled", name, err)
 		}
 	}
 }
@@ -285,6 +349,51 @@ func TestBlockEngineRunAllocs(t *testing.T) {
 		t.Logf("workers=%d: %.0f allocations per run", eng.Workers, allocs)
 		if allocs >= v {
 			t.Errorf("workers=%d: %.0f allocations per warm run of %d VPs, want < %d", eng.Workers, allocs, v, v)
+		}
+	}
+}
+
+// TestBlockEngineStepAllocs: a step-form program runs on no coroutine.
+// With the coroutine cache emptied for the test, warm runs of one that
+// allocates nothing itself — local and routed labels, as in
+// TestBlockEngineRunAllocs — leave the cache empty (a run that took
+// coroutines would create v and put them back) and cost the engine far
+// fewer than v allocations, none of them per VP.
+func TestBlockEngineStepAllocs(t *testing.T) {
+	const v = 1024
+	step := func(vp *VP[int]) (int, bool) {
+		s := vp.Superstep()
+		return s, s < vp.LogV()
+	}
+	vpCoros.mu.Lock()
+	kept := vpCoros.free
+	vpCoros.free = nil
+	vpCoros.mu.Unlock()
+	t.Cleanup(func() {
+		vpCoros.mu.Lock()
+		vpCoros.free, kept = kept, vpCoros.free
+		vpCoros.mu.Unlock()
+		stopAll(kept)
+	})
+	for _, eng := range []BlockEngine{{}, {Workers: 1}, {Workers: 4}} {
+		opts := Options{Engine: eng}
+		if _, err := RunSteps(v, step, opts); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := RunSteps(v, step, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("workers=%d: %.0f allocations per run", eng.Workers, allocs)
+		if allocs >= v/4 {
+			t.Errorf("workers=%d: %.0f allocations per warm step-form run of %d VPs, want < %d", eng.Workers, allocs, v, v/4)
+		}
+		vpCoros.mu.Lock()
+		n := len(vpCoros.free)
+		vpCoros.mu.Unlock()
+		if n != 0 {
+			t.Errorf("workers=%d: step-form runs left %d coroutines in an empty cache", eng.Workers, n)
 		}
 	}
 }

@@ -22,6 +22,19 @@ func probeTestProg(vp *VP[int]) {
 	}
 }
 
+// probeTestSteps is probeTestProg in step form.
+func probeTestSteps(vp *VP[int]) (int, bool) {
+	logV, s := vp.LogV(), vp.Superstep()
+	if logV == 0 {
+		return 0, s == 0
+	}
+	if s == logV {
+		return 0, false
+	}
+	vp.Send(vp.ID()^(1<<uint(logV-1-s)), vp.ID())
+	return s, true
+}
+
 // decodeProbe parses a probe's Chrome trace JSON into events.
 func decodeProbe(t *testing.T, p *obs.Probe) []struct {
 	Name string         `json:"name"`
@@ -73,19 +86,29 @@ func countEngineSpans(t *testing.T, p *obs.Probe) int {
 }
 
 // TestProbeSpansPerSuperstep is the probe contract test: every engine
-// emits exactly one engine-category span per executed superstep.
+// emits exactly one engine-category span per executed superstep, for a
+// Program and for a step-form program alike.
 func TestProbeSpansPerSuperstep(t *testing.T) {
 	const v = 32
 	for _, eng := range []Engine{BlockEngine{}, GoroutineEngine{}} {
 		t.Run(eng.Name(), func(t *testing.T) {
-			probe := obs.NewProbe()
-			tr, err := RunOpt(v, probeTestProg, Options{Engine: eng, Probe: probe})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := tr.NumSupersteps()
-			if got := countEngineSpans(t, probe); got != want {
-				t.Fatalf("%s: %d engine spans for %d supersteps", eng.Name(), got, want)
+			for _, form := range []string{"program", "steps"} {
+				probe := obs.NewProbe()
+				opts := Options{Engine: eng, Probe: probe}
+				var tr *Trace
+				var err error
+				if form == "steps" {
+					tr, err = RunSteps(v, probeTestSteps, opts)
+				} else {
+					tr, err = RunOpt(v, probeTestProg, opts)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := tr.NumSupersteps()
+				if got := countEngineSpans(t, probe); got != want || want != Log2(v) {
+					t.Fatalf("%s %s: %d engine spans for %d supersteps", eng.Name(), form, got, want)
+				}
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -252,6 +253,12 @@ func TestTraceFileSinkCancellationLeavesNoFiles(t *testing.T) {
 // exchange held to a quarter of its trace, and the registry fft at
 // n=65536 held to a fixed 256 MiB budget independent of n (the machine
 // itself plus O(largest superstep), never the accumulated trace).
+//
+// Each input runs in a fresh child process of the test binary (marked
+// by memoryChildEnv): the forced GCs would otherwise also mark what
+// earlier tests left in the process — every goroutine descriptor a large
+// machine ever had, every cached coroutine — which made them time the
+// test binary's history more than the streaming.
 func TestStreamedRunMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forces a GC per superstep")
@@ -281,6 +288,19 @@ func TestStreamedRunMemoryBounded(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			if os.Getenv(memoryChildEnv) == "" {
+				out, err := runTestChild("^TestStreamedRunMemoryBounded$/^" + c.name + "$")
+				if err != nil {
+					t.Fatalf("child process: %v\n%s", err, out)
+				}
+				i := bytes.Index(out, []byte("peak live heap"))
+				if i < 0 {
+					t.Fatalf("child process measured nothing:\n%s", out)
+				}
+				line, _, _ := bytes.Cut(out[i:], []byte("\n"))
+				t.Logf("child process: %s", line)
+				return
+			}
 			runtime.GC()
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
@@ -304,6 +324,19 @@ func TestStreamedRunMemoryBounded(t *testing.T) {
 				float64(peakDelta)/(1<<20), float64(sink.inmem)/(1<<20), float64(sink.largest)/(1<<20))
 		})
 	}
+}
+
+// memoryChildEnv marks a child process of the test binary that runs one
+// memory measurement; internal/service's memory tests use the same
+// marker.
+const memoryChildEnv = "NOBLD_MEMORY_TEST_CHILD"
+
+// runTestChild runs the tests matching pattern in a fresh process of the
+// test binary, marked by memoryChildEnv, and returns its output.
+func runTestChild(pattern string) ([]byte, error) {
+	cmd := exec.Command(os.Args[0], "-test.run", pattern, "-test.v", "-test.count=1")
+	cmd.Env = append(os.Environ(), memoryChildEnv+"=1")
+	return cmd.CombinedOutput()
 }
 
 // memProbeSink discards records while tracking live-heap peaks and what
